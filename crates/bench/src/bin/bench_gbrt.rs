@@ -1,11 +1,13 @@
 //! GBRT engine micro-benchmark: training throughput of the pre-sorted
-//! trainer vs the original per-node re-sorting trainer, and prediction
-//! latency of the flattened SoA forest vs the enum-node walk, at Table 7
-//! scale (20 000 trees of 8 leaves). Prints a summary and writes
-//! `BENCH_gbrt.json` for tracking.
+//! trainer vs the original per-node re-sorting trainer; prediction
+//! latency of the compiled bitvector forest vs the enum-node walk at
+//! Table 7 scale (20 000 trees of 8 leaves, one row); and the deployed
+//! 150-tree reading-time predictor scored in fleet-sized batches. Prints
+//! a summary and writes `BENCH_gbrt.json` for tracking.
 
 use ewb_core::gbrt::{FlatForest, Gbrt, GbrtModel, GbrtParams};
-use ewb_core::traces::{TraceConfig, TraceDataset};
+use ewb_core::traces::{reading_time_params, ReadingTimePredictor, TraceConfig, TraceDataset};
+use ewb_core::CoreConfig;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -81,34 +83,49 @@ fn main() {
     let ns_per_tree = |s: f64| s * 1e9 / forest_params.n_trees as f64;
     let predict_speedup = enum_s / flat_s;
 
-    // -- Batched prediction: the fleet simulator's entry point. --------
-    // predict_batch walks all rows level-synchronously through each
-    // tree (SoA, blocked), bit-identical to the per-row walk.
-    let n_batch = 512;
-    let n_features = data.row(0).len();
-    let rows: Vec<f64> = (0..n_batch)
-        .flat_map(|i| data.row(i % data.len()).to_vec())
-        .collect();
-    let mut batch_out = vec![0.0; n_batch];
-    flat.predict_batch(&rows, &mut batch_out);
-    for (i, &y) in batch_out.iter().enumerate() {
-        let single = flat.predict(&rows[i * n_features..(i + 1) * n_features]);
-        assert_eq!(y.to_bits(), single.to_bits(), "batch row {i}");
+    // -- Deployed predictor: the fleet's hot loop. ----------------------
+    // The 150-tree, 8-leaf reading-time model, trained the way
+    // `FleetEnv::prepare` trains it, scored through `predict_batch` in
+    // batches of 18 rows (a fleet user's mean day of 5-30 visits).
+    let trace = TraceDataset::generate(&TraceConfig::small());
+    let predictor = ReadingTimePredictor::train_with_interest_threshold(
+        &trace,
+        CoreConfig::paper().alg.alpha_s,
+        &reading_time_params(),
+    );
+    let deployed = predictor.model();
+    let kernel = predictor.flat();
+    let batch_rows = 18;
+    let n_features = deployed.n_features();
+    let rows: Vec<f64> = trace.visits().iter().flat_map(|v| v.features.0).collect();
+    let n_rows_deployed = rows.len() / n_features;
+    let mut batch_out = vec![0.0; batch_rows];
+    for (b, chunk) in rows.chunks(batch_rows * n_features).enumerate() {
+        let out = &mut batch_out[..chunk.len() / n_features];
+        kernel.predict_batch(chunk, out);
+        for (i, (&y, x)) in out.iter().zip(chunk.chunks(n_features)).enumerate() {
+            assert_eq!(
+                y.to_bits(),
+                deployed.predict(x).to_bits(),
+                "batch {b} row {i}"
+            );
+        }
     }
-    let single_rows_s = time_min(5, || {
+    let kernel_rows_s = time_min(9, || {
+        for chunk in rows.chunks(batch_rows * n_features) {
+            kernel.predict_batch(black_box(chunk), &mut batch_out[..chunk.len() / n_features]);
+        }
+        batch_out[0]
+    });
+    let enum_rows_s = time_min(9, || {
         let mut acc = 0.0;
-        for i in 0..n_batch {
-            acc += flat.predict(black_box(&rows[i * n_features..(i + 1) * n_features]));
+        for x in rows.chunks(n_features) {
+            acc += deployed.predict(black_box(x));
         }
         acc
     });
-    let batch_rows_s = time_min(5, || {
-        flat.predict_batch(black_box(&rows), &mut batch_out);
-        batch_out[0]
-    });
-    let single_rows_per_s = n_batch as f64 / single_rows_s;
-    let batch_rows_per_s = n_batch as f64 / batch_rows_s;
-    let batch_speedup = single_rows_s / batch_rows_s;
+    let ns_per_row = |s: f64| s * 1e9 / n_rows_deployed as f64;
+    let deployed_speedup = enum_rows_s / kernel_rows_s;
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -143,12 +160,26 @@ fn main() {
     );
     let _ = writeln!(json, "    \"speedup\": {predict_speedup:.2}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"predict_batch\": {{");
-    let _ = writeln!(json, "    \"rows\": {n_batch},");
-    let _ = writeln!(json, "    \"n_trees\": {},", forest_params.n_trees);
-    let _ = writeln!(json, "    \"single_rows_per_s\": {single_rows_per_s:.0},");
-    let _ = writeln!(json, "    \"batch_rows_per_s\": {batch_rows_per_s:.0},");
-    let _ = writeln!(json, "    \"speedup\": {batch_speedup:.2}");
+    let _ = writeln!(json, "  \"predict_deployed\": {{");
+    let _ = writeln!(json, "    \"n_trees\": {},", deployed.n_trees());
+    let _ = writeln!(
+        json,
+        "    \"max_leaves\": {},",
+        reading_time_params().max_leaves
+    );
+    let _ = writeln!(json, "    \"rows\": {n_rows_deployed},");
+    let _ = writeln!(json, "    \"batch_rows\": {batch_rows},");
+    let _ = writeln!(
+        json,
+        "    \"enum_ns_per_row\": {:.0},",
+        ns_per_row(enum_rows_s)
+    );
+    let _ = writeln!(
+        json,
+        "    \"flat_ns_per_row\": {:.0},",
+        ns_per_row(kernel_rows_s)
+    );
+    let _ = writeln!(json, "    \"speedup\": {deployed_speedup:.2}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
@@ -164,9 +195,11 @@ fn main() {
         ns_per_tree(flat_s)
     );
     println!(
-        "batch   ({} trees, {n_batch} rows): {single_rows_per_s:.0} rows/s per-row, \
-         {batch_rows_per_s:.0} rows/s batched  = {batch_speedup:.2}x",
-        forest_params.n_trees
+        "deployed ({} trees, {n_rows_deployed} rows in batches of {batch_rows}): \
+         enum {:.0} ns/row, flat {:.0} ns/row  = {deployed_speedup:.2}x",
+        deployed.n_trees(),
+        ns_per_row(enum_rows_s),
+        ns_per_row(kernel_rows_s)
     );
     ewb_bench::write_atomic("BENCH_gbrt.json", &json);
     println!("wrote BENCH_gbrt.json");

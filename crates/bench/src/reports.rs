@@ -671,7 +671,7 @@ pub fn table7() -> String {
                 ..GbrtParams::default()
             },
         );
-        // Deployed path: the flattened SoA forest.
+        // Deployed path: the compiled bitvector forest.
         let start = std::time::Instant::now();
         let mut sink = 0.0;
         for v in &rows {

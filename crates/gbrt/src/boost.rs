@@ -293,8 +293,8 @@ impl GbrtModel {
         &self.trees
     }
 
-    /// Compiles the forest into the flat structure-of-arrays layout for
-    /// fast inference (see [`FlatForest`]).
+    /// Compiles the forest for the bitvector inference kernel (see
+    /// [`FlatForest`]).
     pub fn flatten(&self) -> FlatForest {
         FlatForest::from_model(self)
     }

@@ -219,42 +219,50 @@ impl RegressionTree {
         }
     }
 
-    /// Appends this tree's nodes to a flat structure-of-arrays layout
-    /// (see [`crate::FlatForest`]): `u16::MAX` in `feature` marks a leaf
-    /// whose value sits in the `threshold` slot, and a split's right
-    /// child is always `left + 1` (children are allocated consecutively
-    /// during growth).
+    /// Compiles this tree for the bitvector kernel of
+    /// [`crate::FlatForest`]: appends its leaf values left to right to
+    /// `leaves`, and calls `split(feature, threshold, mask)` once per
+    /// split node, where `mask` has a zero bit for every leaf (numbered
+    /// left to right from bit 0) in the node's left subtree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree has more than 64 leaves.
     pub(crate) fn append_flat(
         &self,
-        feature: &mut Vec<u16>,
-        threshold: &mut Vec<f64>,
-        left: &mut Vec<u32>,
+        leaves: &mut Vec<f64>,
+        split: &mut impl FnMut(usize, f64, u64),
     ) {
-        let base = feature.len() as u32;
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { value } => {
-                    feature.push(u16::MAX);
-                    threshold.push(*value);
-                    left.push(0);
-                }
+        fn walk(
+            nodes: &[Node],
+            id: usize,
+            first: usize,
+            leaves: &mut Vec<f64>,
+            split: &mut impl FnMut(usize, f64, u64),
+        ) {
+            match nodes[id] {
+                Node::Leaf { value } => leaves.push(value),
                 Node::Split {
-                    feature: f,
-                    threshold: t,
-                    left: l,
-                    right: r,
+                    feature,
+                    threshold,
+                    left,
+                    right,
                 } => {
-                    assert!(
-                        *f < u16::MAX as usize,
-                        "feature index {f} exceeds flat layout"
-                    );
-                    assert_eq!(*r, *l + 1, "children must be consecutive");
-                    feature.push(*f as u16);
-                    threshold.push(*t);
-                    left.push(base + *l as u32);
+                    let lo = leaves.len() - first;
+                    walk(nodes, left, first, leaves, split);
+                    let hi = leaves.len() - first;
+                    // A left subtree holds at most 63 of the 64 leaves.
+                    split(feature, threshold, !(((1u64 << (hi - lo)) - 1) << lo));
+                    walk(nodes, right, first, leaves, split);
                 }
             }
         }
+        assert!(
+            self.n_leaves() <= 64,
+            "tree has {} leaves; flat inference supports at most 64 leaves per tree",
+            self.n_leaves()
+        );
+        walk(&self.nodes, 0, leaves.len(), leaves, split);
     }
 }
 

@@ -16,6 +16,23 @@ fn problem() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
     })
 }
 
+/// Like [`problem`], but with up to 199 rows (enough for 64-leaf trees)
+/// whose features lie on an integer grid, so every split threshold a
+/// tree can choose — the midpoint of two grid values, whichever rows a
+/// subsample drew — is a multiple of 0.5 in [-20, 20].
+fn grid_problem() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
+    proptest::collection::vec(((-20i32..21), (-20i32..21), (-50.0f64..50.0)), 4..200).prop_map(
+        |triples| {
+            let rows = triples
+                .iter()
+                .map(|t| vec![f64::from(t.0), f64::from(t.1)])
+                .collect();
+            let ys = triples.iter().map(|t| t.2).collect();
+            (rows, ys)
+        },
+    )
+}
+
 proptest! {
     /// A single tree's predictions always lie within the target range
     /// (leaf values are means of target subsets).
@@ -97,28 +114,71 @@ proptest! {
         prop_assert_eq!(model.predict_staged(x, model.n_trees()), model.predict(x));
     }
 
-    /// The flattened SoA forest predicts bit-identically to the enum
-    /// model it was compiled from, for full, staged, and batch paths.
+    /// The compiled forest predicts bit-identically to the enum model it
+    /// was compiled from — full, every staged `F_m`, and ragged batches —
+    /// over 1- to 64-leaf trees, forests on both sides of 64 trees, rows
+    /// on a split threshold, and non-finite features.
     #[test]
-    fn flat_forest_matches_model((rows, ys) in problem(), subsample in prop_oneof![Just(1.0f64), Just(0.7f64)]) {
+    fn flat_forest_matches_model(
+        (rows, ys) in grid_problem(),
+        subsample in prop_oneof![Just(1.0f64), Just(0.7f64)],
+        max_leaves in prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(64usize)],
+        n_trees in prop_oneof![1usize..64, 65usize..151],
+        batch_sizes in proptest::collection::vec(1usize..9, 1..6),
+    ) {
         let data = Dataset::new(rows.clone(), ys).unwrap();
+        // `GbrtParams` asks for at least 2 leaves; a leaf minimum of every
+        // row makes each tree a single leaf instead.
+        let (max_leaves, min_samples_leaf) =
+            if max_leaves == 1 { (2, rows.len()) } else { (max_leaves, 1) };
         let model = Gbrt::fit(
             &data,
-            &GbrtParams { n_trees: 12, subsample, min_samples_leaf: 1, ..GbrtParams::default() },
+            &GbrtParams { n_trees, max_leaves, subsample, min_samples_leaf, ..GbrtParams::default() },
         );
-        let flat = ewb_gbrt::FlatForest::from_model(&model);
-        for r in &rows {
-            prop_assert_eq!(flat.predict(r).to_bits(), model.predict(r).to_bits());
+        if min_samples_leaf > 1 {
+            prop_assert!(model.trees().iter().all(|t| t.n_leaves() == 1));
         }
-        let m = model.n_trees() / 2;
-        prop_assert_eq!(
-            flat.predict_staged(&rows[0], m).to_bits(),
-            model.predict_staged(&rows[0], m).to_bits()
-        );
-        let batch = flat.predict_all(&data);
-        let reference = model.predict_all(&data);
-        for (a, b) in batch.iter().zip(&reference) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let flat = ewb_gbrt::FlatForest::from_model(&model);
+        // Rows on every threshold a tree can have chosen, then rows with
+        // a NaN or ±∞, which follow the `x <= t` rule.
+        let mut probes = rows.clone();
+        for f in 0..2 {
+            for k in -40..=40 {
+                let mut x = rows[0].clone();
+                x[f] = f64::from(k) * 0.5;
+                probes.push(x);
+            }
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut x = rows[0].clone();
+                x[f] = special;
+                probes.push(x);
+            }
+        }
+        probes.push(vec![f64::NAN; 2]);
+        for x in &probes {
+            prop_assert_eq!(flat.predict(x).to_bits(), model.predict(x).to_bits());
+        }
+        for m in 0..=n_trees {
+            for x in probes.iter().step_by(7) {
+                prop_assert_eq!(
+                    flat.predict_staged(x, m).to_bits(),
+                    model.predict_staged(x, m).to_bits()
+                );
+            }
+        }
+        // Ragged batches: sizes cycle through `batch_sizes`.
+        let mut start = 0;
+        for &size in batch_sizes.iter().cycle() {
+            if start == probes.len() {
+                break;
+            }
+            let chunk = &probes[start..(start + size).min(probes.len())];
+            let mut out = vec![0.0; chunk.len()];
+            flat.predict_batch(&chunk.concat(), &mut out);
+            for (x, y) in chunk.iter().zip(&out) {
+                prop_assert_eq!(y.to_bits(), model.predict(x).to_bits());
+            }
+            start += chunk.len();
         }
     }
 

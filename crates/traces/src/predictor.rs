@@ -15,9 +15,10 @@ use std::sync::OnceLock;
 /// A trained reading-time model (the artifact the paper "deploys to the
 /// prediction program which is embedded in the web browser", §4.3.3).
 ///
-/// Predictions run through a lazily compiled [`FlatForest`] — the
-/// structure-of-arrays layout the deployed device-side predictor would
-/// ship — which is bit-identical to evaluating the enum model directly.
+/// Predictions run through a lazily compiled [`FlatForest`], the
+/// bitvector kernel the deployed device-side predictor would ship. It is
+/// bit-identical to evaluating the enum model directly, NaN features
+/// included.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadingTimePredictor {
     model: GbrtModel,
@@ -88,10 +89,10 @@ impl ReadingTimePredictor {
 
     /// Predicted reading times for a batch of row-major feature rows —
     /// the fleet simulator's hot-loop entry point. Runs the forest through
-    /// [`FlatForest::predict_batch`] and applies the seconds transform in
-    /// place; each result is bit-identical to
-    /// [`ReadingTimePredictor::predict_row`] on the same row. No heap
-    /// allocation.
+    /// [`FlatForest::predict_batch`], the same kernel as
+    /// [`ReadingTimePredictor::predict_row`], and applies the seconds
+    /// transform in place, so each result is bit-identical to
+    /// `predict_row` on the same row. No heap allocation.
     ///
     /// # Panics
     ///
