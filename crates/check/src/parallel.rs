@@ -35,7 +35,7 @@ use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::pipeline::{load_page, LoadMetrics, PipelineConfig, PipelineMode};
 use ewb_browser::CpuCostModel;
 use ewb_core::cases::Case;
-use ewb_core::session::{simulate_session_radio_planned, SessionFaults, Visit};
+use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, Visit};
 use ewb_core::CoreConfig;
 use ewb_net::{FaultConfig, NetConfig, RetryPolicy, ThreeGFetcher, TransferRecord};
 use ewb_obs::{Event, Recorder};
@@ -312,22 +312,9 @@ fn session_fingerprint<R: RadioModel>(
     server: &OriginServer,
     visits: &[Visit<'_>],
     cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    faults: Option<&SessionFaults>,
-    plan: ParallelismPlan,
-    host_parallel: bool,
+    opts: SessionOpts<'_, R>,
 ) -> (u64, u64, String) {
-    let out = simulate_session_radio_planned::<R>(
-        server,
-        visits,
-        Case::EnergyAwareAlwaysOff,
-        cfg,
-        radio_cfg,
-        None,
-        faults,
-        plan,
-        host_parallel,
-    );
+    let out = simulate_session(server, visits, Case::EnergyAwareAlwaysOff, cfg, opts);
     (
         out.total_joules.to_bits(),
         out.total_load_time_s.to_bits(),
@@ -335,19 +322,34 @@ fn session_fingerprint<R: RadioModel>(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn session_cell<R: RadioModel>(
+/// Runs one grid cell host-parallel and host-sequential (`opts`'
+/// `host_parallel` is overridden both ways) and reports any difference.
+fn session_cell<R: RadioModel + Clone>(
     label: &str,
     server: &OriginServer,
     visits: &[Visit<'_>],
     cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    faults: Option<&SessionFaults>,
-    plan: ParallelismPlan,
+    opts: SessionOpts<'_, R>,
     violations: &mut Vec<Violation>,
 ) {
-    let par = session_fingerprint::<R>(server, visits, cfg, radio_cfg, faults, plan, true);
-    let seq = session_fingerprint::<R>(server, visits, cfg, radio_cfg, faults, plan, false);
+    let par = session_fingerprint(
+        server,
+        visits,
+        cfg,
+        SessionOpts {
+            host_parallel: true,
+            ..opts.clone()
+        },
+    );
+    let seq = session_fingerprint(
+        server,
+        visits,
+        cfg,
+        SessionOpts {
+            host_parallel: false,
+            ..opts
+        },
+    );
     if par.0 != seq.0 {
         push(
             violations,
@@ -401,9 +403,11 @@ pub fn check_session_grid(seed: u64) -> Vec<Violation> {
                 &server,
                 &visits,
                 &cfg,
-                cfg.rrc,
-                faults,
-                plan,
+                SessionOpts {
+                    faults,
+                    plan,
+                    ..SessionOpts::new(cfg.rrc)
+                },
                 &mut violations,
             );
             session_cell::<LteMachine>(
@@ -411,9 +415,11 @@ pub fn check_session_grid(seed: u64) -> Vec<Violation> {
                 &server,
                 &visits,
                 &cfg,
-                LteConfig::calibrated(),
-                faults,
-                plan,
+                SessionOpts {
+                    faults,
+                    plan,
+                    ..SessionOpts::new(LteConfig::calibrated())
+                },
                 &mut violations,
             );
             session_cell::<WifiMachine>(
@@ -421,9 +427,11 @@ pub fn check_session_grid(seed: u64) -> Vec<Violation> {
                 &server,
                 &visits,
                 &cfg,
-                WifiConfig::calibrated(),
-                faults,
-                plan,
+                SessionOpts {
+                    faults,
+                    plan,
+                    ..SessionOpts::new(WifiConfig::calibrated())
+                },
                 &mut violations,
             );
             session_cell::<FiveGMachine>(
@@ -431,9 +439,11 @@ pub fn check_session_grid(seed: u64) -> Vec<Violation> {
                 &server,
                 &visits,
                 &cfg,
-                FiveGConfig::calibrated(),
-                faults,
-                plan,
+                SessionOpts {
+                    faults,
+                    plan,
+                    ..SessionOpts::new(FiveGConfig::calibrated())
+                },
                 &mut violations,
             );
         }

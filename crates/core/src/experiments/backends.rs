@@ -7,16 +7,16 @@
 //! LTE, WiFi, and 5G shrink both. This sweep re-runs the paper's
 //! policy cases over the mobile benchmark on every [`RadioModel`]
 //! backend with identical visits and reading times, so the per-backend
-//! savings are directly comparable. The 3G rows ride the exact same
-//! generic code path the fleet uses, so the golden test can pin them
-//! bit-identical to the proven `simulate_session` output.
+//! savings are directly comparable. Every row, 3G included, comes from
+//! the one generic session runner, so the 3G rows are the paper's
+//! numbers.
 //!
 //! Deterministic in (`corpus`, `cfg`): no faults, no sampling — the
 //! golden backends test compares the serialized output byte-for-byte.
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session_radio, Visit};
+use crate::session::{simulate_session, SessionOpts, Visit};
 use ewb_rrc::{
     FiveGConfig, FiveGMachine, LteConfig, LteMachine, RadioBackend, RadioModel, RrcMachine,
     WifiConfig, WifiMachine,
@@ -78,7 +78,8 @@ pub fn per_site_totals<R: RadioModel>(
                 reading_s: READING_S,
                 features: None,
             }];
-            let out = simulate_session_radio::<R>(server, &visits, case, cfg, radio_cfg, None);
+            let out =
+                simulate_session::<R>(server, &visits, case, cfg, SessionOpts::new(radio_cfg));
             (out.total_joules, out.total_load_time_s)
         })
         .collect()
@@ -170,9 +171,9 @@ mod tests {
         (corpus, server, CoreConfig::paper())
     }
 
-    /// The 3G rows must be bit-identical to the non-generic
-    /// `simulate_session` path: same sessions, same machine, just routed
-    /// through the `RadioModel` trait.
+    /// The 3G rows are exactly the paper's default 3G sessions
+    /// ([`SessionOpts::three_g`]) of every mobile page, summed in corpus
+    /// order.
     #[test]
     fn three_g_rows_match_the_legacy_session_path() {
         let (corpus, server, cfg) = setup();
@@ -190,7 +191,8 @@ mod tests {
                     reading_s: READING_S,
                     features: None,
                 }];
-                let out = simulate_session(&server, &visits, case, &cfg, None);
+                let out =
+                    simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
                 joules += out.total_joules;
                 load_s += out.total_load_time_s;
             }

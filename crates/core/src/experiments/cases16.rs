@@ -12,7 +12,7 @@
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session, Visit};
+use crate::session::{simulate_session, SessionOpts, Visit};
 use ewb_traces::{ReadingTimePredictor, TraceDataset};
 use ewb_webpage::{Corpus, OriginServer};
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,16 @@ pub fn run_case(
                 features: Some(v.features),
             })
             .collect();
-        let out = simulate_session(server, &visits, case, cfg, Some(predictor));
+        let out = simulate_session(
+            server,
+            &visits,
+            case,
+            cfg,
+            SessionOpts {
+                predictor: Some(predictor),
+                ..SessionOpts::three_g(cfg)
+            },
+        );
         joules += out.total_joules;
         load_s += out.total_load_time_s;
     }

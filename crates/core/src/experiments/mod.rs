@@ -16,7 +16,7 @@ pub mod traffic;
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session, SessionOutcome, Visit};
+use crate::session::{simulate_session, SessionOpts, SessionOutcome, Visit};
 use ewb_webpage::{Corpus, OriginServer, Page, Site};
 
 /// Fans an independent per-site measurement over scoped threads, one
@@ -61,7 +61,7 @@ pub fn single_visit(
         reading_s,
         features: None,
     }];
-    simulate_session(server, &visits, case, cfg, None)
+    simulate_session(server, &visits, case, cfg, SessionOpts::three_g(cfg))
 }
 
 #[cfg(test)]

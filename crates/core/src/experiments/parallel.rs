@@ -16,7 +16,7 @@
 use crate::cases::Case;
 use crate::config::CoreConfig;
 use crate::planner::{training_samples, PlanChooser, PlanFeatures, CANDIDATE_PLANS};
-use crate::session::{simulate_session_planned, Visit};
+use crate::session::{simulate_session, SessionOpts, Visit};
 use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::pipeline::{load_page, PipelineConfig};
 use ewb_net::ThreeGFetcher;
@@ -85,7 +85,16 @@ pub fn per_page_totals(
                 reading_s: READING_S,
                 features: None,
             }];
-            let out = simulate_session_planned(server, &visits, CASE, cfg, None, None, plan, true);
+            let out = simulate_session(
+                server,
+                &visits,
+                CASE,
+                cfg,
+                SessionOpts {
+                    plan,
+                    ..SessionOpts::three_g(cfg)
+                },
+            );
             (out.total_joules, out.total_load_time_s)
         })
         .collect()

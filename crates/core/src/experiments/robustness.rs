@@ -12,7 +12,7 @@
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session_faulted, SessionFaults, SessionOutcome, Visit};
+use crate::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_net::FaultConfig;
 use ewb_simcore::SplitMix64;
 use ewb_webpage::{Corpus, OriginServer};
@@ -119,7 +119,16 @@ fn measure(
         reading_s: READING_S,
         features: None,
     }];
-    simulate_session_faulted(server, &visits, case, cfg, None, Some(faults))
+    simulate_session(
+        server,
+        &visits,
+        case,
+        cfg,
+        SessionOpts {
+            faults: Some(faults),
+            ..SessionOpts::three_g(cfg)
+        },
+    )
 }
 
 /// Runs the full sweep: [`FaultProfile::ALL`] × [`LOSS_RATES`] over the

@@ -12,7 +12,7 @@
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session_recorded, SessionFaults, SessionOutcome, Visit};
+use crate::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_net::FaultConfig;
 use ewb_obs::{timeline, Event, Recorder};
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
@@ -64,14 +64,16 @@ pub fn record_session_timeline(
         .collect();
     let faults = SessionFaults::new(FaultConfig::lossy(TIMELINE_LOSS), seed);
     let recorder = Recorder::memory();
-    let outcome = simulate_session_recorded(
+    let outcome = simulate_session(
         server,
         &visits,
         Case::Accurate9,
         cfg,
-        None,
-        Some(&faults),
-        &recorder,
+        SessionOpts {
+            faults: Some(&faults),
+            recorder: recorder.clone(),
+            ..SessionOpts::three_g(cfg)
+        },
     );
     (timeline::sorted(&recorder.events()), outcome)
 }

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use ewb_core::cases::Case;
-//! use ewb_core::session::{simulate_session, Visit};
+//! use ewb_core::session::{simulate_session, SessionOpts, Visit};
 //! use ewb_core::CoreConfig;
 //! use ewb_webpage::{benchmark_corpus, OriginServer, PageVersion};
 //!
@@ -34,8 +34,9 @@
 //! let cfg = CoreConfig::paper();
 //!
 //! let visits = vec![Visit { page: espn, reading_s: 25.0, features: None }];
-//! let baseline = simulate_session(&server, &visits, Case::Original, &cfg, None);
-//! let ours = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+//! let run = |case| simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
+//! let baseline = run(Case::Original);
+//! let ours = run(Case::Accurate9);
 //! assert!(ours.total_joules < baseline.total_joules);
 //! ```
 
@@ -48,7 +49,6 @@ pub mod cases;
 pub mod experiments;
 pub mod planner;
 pub mod profile;
-pub mod radio_profile;
 pub mod session;
 
 pub use config::{AlgorithmMode, AlgorithmParams, CoreConfig};

@@ -24,7 +24,7 @@
 
 use crate::cases::Case;
 use crate::config::CoreConfig;
-use crate::session::{simulate_session_planned, Visit};
+use crate::session::{simulate_session, SessionOpts, Visit};
 use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::{css, html};
 use ewb_gbrt::{Dataset, Gbrt, GbrtModel, GbrtParams};
@@ -217,7 +217,17 @@ pub fn training_samples(
             features: None,
         }];
         let energy = |plan: ParallelismPlan| {
-            simulate_session_planned(server, &visit, case, cfg, None, None, plan, true).total_joules
+            simulate_session(
+                server,
+                &visit,
+                case,
+                cfg,
+                SessionOpts {
+                    plan,
+                    ..SessionOpts::three_g(cfg)
+                },
+            )
+            .total_joules
         };
         let seq_j = energy(ParallelismPlan::SEQUENTIAL);
         for plan in CANDIDATE_PLANS {

@@ -1,21 +1,25 @@
 //! Memoized page-load profiles: the fleet simulator's fast session path.
 //!
 //! On a clean link, the radio events of one page load are a pure function
-//! of three things: the page, the case's pipeline schedule, and the RRC
+//! of three things: the page, the case's pipeline schedule, and the radio
 //! state at the click. Everything else the machine carries at the click —
 //! pending inactivity deadlines, past history — cannot influence the load,
 //! because the load's first event is a `BeginTransfer` at the click
 //! instant itself, which cancels any pending timer before it could fire.
-//! (Clicks always find the radio in IDLE, FACH, or DCH: promotion windows
-//! only exist inside loads, and every load's transfers finish before the
-//! page opens.)
+//! (Clicks always find the radio in one of its *click states* — 3G:
+//! IDLE, FACH, or DCH; see [`RadioModel::click_state_index`] — because
+//! promotion windows only exist inside loads, and every load's transfers
+//! finish before the page opens.) Nothing in this argument is specific to
+//! the 3G state machine, so [`ProfileTable`] is generic over the
+//! [`RadioModel`].
 //!
 //! [`ProfileTable::capture`] therefore runs the full browser pipeline once
-//! per (page, mode, click-state) — 120 loads for the benchmark corpus —
-//! and stores each load's radio events shifted to a click-relative clock.
-//! [`run_profiled_session`] replays whole sessions by time-shifting those
-//! profiles onto one incremental [`RrcMachine`], making the per-visit cost
-//! O(events) with zero allocation: the hot path of `ewb-fleet`.
+//! per (page, mode, click-state) — 120 loads for the benchmark corpus on
+//! 3G — and stores each load's radio events shifted to a click-relative
+//! clock. [`run_profiled_session_with`] replays whole 3G sessions by
+//! time-shifting those profiles onto one incremental [`RrcMachine`],
+//! making the per-visit cost O(events) with zero allocation: the hot path
+//! of `ewb-fleet`.
 //!
 //! The replayed session is **bit-identical** to
 //! [`simulate_session`](crate::session::simulate_session): both paths
@@ -25,14 +29,15 @@
 //!
 //! The same argument extends to faulty links, one [`FaultTier`] at a
 //! time: a tier fixes a [`FaultConfig`] and one fault-stream seed per
-//! (page, mode, click-state) key, so a captured faulted load is exactly
-//! as pure a function of its key as a clean one — the fault stream is
-//! part of the key, not of the session history.
-//! [`ProfileTable::capture_tiered`] adds the tier as a fourth profile
-//! dimension (still O(pages × modes × states × tiers) captures), and the
-//! equivalence oracle is
-//! [`simulate_session_faulted_seeded`](crate::session::simulate_session_faulted_seeded)
-//! driven with the per-key capture seeds.
+//! profile key, so a captured faulted load is exactly as pure a function
+//! of its key as a clean one — the fault stream is part of the key, not
+//! of the session history. The intra-page [`ParallelismPlan`] is a key
+//! dimension for the same reason. A table is keyed by
+//! (page, mode, click-state, tier, plan), still one capture per key, and
+//! the equivalence oracle is
+//! [`simulate_session`](crate::session::simulate_session) with
+//! [`visit_seeds`](crate::session::SessionOpts::visit_seeds) set to the
+//! per-key capture seeds.
 
 use crate::cases::{Case, ReleasePolicy};
 use crate::config::CoreConfig;
@@ -40,11 +45,12 @@ use crate::session::release_decision;
 use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::pipeline::{load_page, PipelineConfig, PipelineMode};
 use ewb_net::replay::{events_of_load_parallel, sort_radio_events, RadioEvent};
-use ewb_net::{FaultConfig, RetryPolicy, ThreeGFetcher};
-use ewb_rrc::{RrcCounters, RrcMachine, RrcState, StateResidency};
+use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
+use ewb_rrc::{RadioModel, RrcCounters, RrcMachine, RrcState, StateResidency};
 use ewb_simcore::{SimDuration, SimTime, SplitMix64};
 use ewb_traces::FeatureVector;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
+use std::marker::PhantomData;
 
 /// One captured page load, on a click-relative clock (the click is
 /// [`SimTime::ZERO`]).
@@ -72,24 +78,10 @@ impl LoadProfile {
     }
 }
 
-/// The RRC states a click can find the radio in.
-const CLICK_STATES: [RrcState; 3] = [RrcState::Idle, RrcState::Fach, RrcState::Dch];
 /// Both pipeline schedules, in index order.
 const MODES: [PipelineMode; 2] = [PipelineMode::Original, PipelineMode::EnergyAware];
 
-fn state_index(state: RrcState) -> usize {
-    match state {
-        RrcState::Idle => 0,
-        RrcState::Fach => 1,
-        RrcState::Dch => 2,
-        RrcState::Promoting => panic!(
-            "a click cannot find the radio in the Promoting state: promotion windows \
-             only exist inside page loads"
-        ),
-    }
-}
-
-pub(crate) fn mode_index(mode: PipelineMode) -> usize {
+fn mode_index(mode: PipelineMode) -> usize {
     match mode {
         PipelineMode::Original => 0,
         PipelineMode::EnergyAware => 1,
@@ -100,10 +92,10 @@ pub(crate) fn mode_index(mode: PipelineMode) -> usize {
 /// whose faulted page loads can be memoized next to the clean ones.
 ///
 /// The tier (not the session) owns the fault randomness: every capture of
-/// a (page, mode, click-state) key under a tier uses the fixed
-/// [`capture_seed`](FaultTier::capture_seed) of that key, so the faulted
-/// load stays a pure function of the profile key and the memoization
-/// argument of this module carries over unchanged.
+/// a (page, mode, click-state, plan) key under a tier uses the fixed
+/// [`capture_seed_planned`](FaultTier::capture_seed_planned) of that key,
+/// so the faulted load stays a pure function of the profile key and the
+/// memoization argument of this module carries over unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTier {
     /// Clean link — the original PR 6 profile set.
@@ -162,26 +154,18 @@ impl FaultTier {
         FaultTier::ALL.iter().copied().find(|t| t.index() == index)
     }
 
-    /// The fixed fault-stream seed of one (page, mode, click-state)
-    /// capture under this tier. Deterministic and collision-free across
-    /// keys by construction (the key fields occupy disjoint bit ranges
-    /// before mixing).
-    pub fn capture_seed(self, page_idx: usize, mode: PipelineMode, state: RrcState) -> u64 {
-        let key = ((page_idx as u64) << 16)
-            | ((mode_index(mode) as u64) << 8)
-            | ((state_index(state) as u64) << 4)
-            | u64::from(self.index());
-        SplitMix64::mix(0x3EBF_9A7C_51D0_246E ^ key)
-    }
-
-    /// [`capture_seed`](FaultTier::capture_seed) extended with the
-    /// [`ParallelismPlan`] the load runs under. The plan is part of the
-    /// profile key, so it must be part of the seed too — otherwise two
-    /// plans' captures of the same (page, mode, state, tier) would share
-    /// one fault stream while consuming it on different schedules.
-    /// The sequential plan maps to the legacy seed unchanged
-    /// ([`ParallelismPlan::key`] is 0 there), keeping every existing
-    /// capture bit-identical.
+    /// The fixed fault-stream seed of one 3G capture key: page, pipeline
+    /// mode, click state, and the [`ParallelismPlan`] the load runs under.
+    /// The plan is part of the key, so it must be part of the seed too —
+    /// otherwise two plans' captures of the same (page, mode, state, tier)
+    /// would share one fault stream while consuming it on different
+    /// schedules. Deterministic and collision-free across keys by
+    /// construction (the key fields occupy disjoint bit ranges before
+    /// mixing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not a click state (`Promoting`).
     pub fn capture_seed_planned(
         self,
         page_idx: usize,
@@ -189,7 +173,24 @@ impl FaultTier {
         state: RrcState,
         plan: ParallelismPlan,
     ) -> u64 {
-        let base = self.capture_seed(page_idx, mode, state);
+        self.key_seed(page_idx, mode, state.click_state_index(), plan)
+    }
+
+    /// [`capture_seed_planned`](FaultTier::capture_seed_planned) with the
+    /// click state given by its index, which is what a capture on any
+    /// radio backend knows.
+    fn key_seed(
+        self,
+        page_idx: usize,
+        mode: PipelineMode,
+        click_state: usize,
+        plan: ParallelismPlan,
+    ) -> u64 {
+        let key = ((page_idx as u64) << 16)
+            | ((mode_index(mode) as u64) << 8)
+            | ((click_state as u64) << 4)
+            | u64::from(self.index());
+        let base = SplitMix64::mix(0x3EBF_9A7C_51D0_246E ^ key);
         if plan.is_sequential() {
             base
         } else {
@@ -204,77 +205,77 @@ impl std::fmt::Display for FaultTier {
     }
 }
 
-/// Every load profile of a corpus: one per (page, pipeline mode, RRC
-/// state at the click).
+/// Every load profile of a corpus on radio backend `R`: one per
+/// (page, pipeline mode, click state, fault tier, parallelism plan).
 ///
 /// Pages are indexed in the [`VisitSynthesizer`](ewb_traces) base order —
 /// Table 3 site order, mobile before full within a site — so a
 /// synthesizer's base index is directly a `ProfileTable` page index.
 #[derive(Debug, Clone)]
-pub struct ProfileTable {
+pub struct ProfileTable<R: RadioModel = RrcMachine> {
     profiles: Vec<LoadProfile>,
     n_pages: usize,
     tiers: Vec<FaultTier>,
     plans: Vec<ParallelismPlan>,
+    radio: PhantomData<fn() -> R>,
 }
 
 impl ProfileTable {
-    /// Runs the full browser pipeline over every (page, mode, click-state)
-    /// combination and captures the resulting load profiles, clean tier
-    /// only.
+    /// Captures the 3G table as `cfg.rrc` configures the radio, across
+    /// `tiers`, under the sequential plan. See
+    /// [`capture`](ProfileTable::capture).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, or if a captured load
-    /// violates a memoization precondition (an event before the click, or
-    /// a first transfer that is not at the click instant) — either would
-    /// indicate the purity argument above no longer holds.
-    pub fn capture(corpus: &Corpus, server: &OriginServer, cfg: &CoreConfig) -> Self {
-        Self::capture_tiered(corpus, server, cfg, &[FaultTier::Clean])
-    }
-
-    /// Runs the full browser pipeline over every
-    /// (page, mode, click-state, tier) combination. Faulted tiers run the
-    /// load under the tier's [`FaultConfig`] with the key's fixed
-    /// [`FaultTier::capture_seed`] and the standard retry policy; failed
-    /// objects are allowed (degraded pages are what a lossy tier *means*)
-    /// but the first transfer must still begin at the click — the
-    /// memoization precondition faults do not get to break.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`capture`](ProfileTable::capture) does, or if `tiers`
-    /// is empty, contains duplicates, or does not include
-    /// [`FaultTier::Clean`] (the clean tier anchors every table: it is
-    /// what [`profile`](ProfileTable::profile) serves).
+    /// Panics as [`capture`](ProfileTable::capture) does.
     pub fn capture_tiered(
         corpus: &Corpus,
         server: &OriginServer,
         cfg: &CoreConfig,
         tiers: &[FaultTier],
     ) -> Self {
-        Self::capture_planned(corpus, server, cfg, tiers, &[ParallelismPlan::SEQUENTIAL])
+        Self::capture(
+            corpus,
+            server,
+            cfg,
+            cfg.rrc,
+            tiers,
+            &[ParallelismPlan::SEQUENTIAL],
+        )
     }
+}
 
-    /// [`capture_tiered`](ProfileTable::capture_tiered) with an extra
-    /// profile dimension: the intra-page [`ParallelismPlan`] each load
-    /// runs under. The plan changes a load's CPU schedule (and therefore
-    /// its radio events, helper-core power steps, and open time), so it
-    /// **must** be part of the capture key — a table captured under one
-    /// plan served for another would replay the wrong profile. Faulted
-    /// captures key their fault stream by
-    /// [`FaultTier::capture_seed_planned`] for the same reason.
+impl<R: RadioModel> ProfileTable<R> {
+    /// Runs the full browser pipeline over every
+    /// (page, mode, click-state, tier, plan) combination on the radio
+    /// `radio_cfg` configures, and captures the resulting load profiles.
+    ///
+    /// Faulted tiers run the load under the tier's [`FaultConfig`] with
+    /// the key's fixed capture seed (on 3G,
+    /// [`FaultTier::capture_seed_planned`]) and the standard retry policy;
+    /// failed objects are allowed (degraded pages are what a lossy tier
+    /// *means*) but the first transfer must still begin at the click — the
+    /// memoization precondition faults do not get to break. The plan
+    /// changes a load's CPU schedule (and therefore its radio events,
+    /// helper-core power steps, and open time), so it **must** be part of
+    /// the key: a table captured under one plan served for another would
+    /// replay the wrong profile.
     ///
     /// # Panics
     ///
-    /// Panics as [`capture_tiered`](ProfileTable::capture_tiered) does,
-    /// or if `plans` is empty, contains duplicates or an invalid plan, or
-    /// does not include [`ParallelismPlan::SEQUENTIAL`] (the anchor plan
-    /// that [`profile_tiered`](ProfileTable::profile_tiered) serves).
-    pub fn capture_planned(
+    /// Panics if a configuration or plan is invalid; if `tiers` lacks
+    /// [`FaultTier::Clean`] or `plans` lacks
+    /// [`ParallelismPlan::SEQUENTIAL`] (the key a default
+    /// [`ProfiledSessionOpts`] replays), or either repeats an entry; or if
+    /// a captured load violates a memoization precondition (an event
+    /// before the click, or a first transfer that is not at the click
+    /// instant) — either would indicate the purity argument above no
+    /// longer holds.
+    pub fn capture(
         corpus: &Corpus,
         server: &OriginServer,
         cfg: &CoreConfig,
+        radio_cfg: R::Config,
         tiers: &[FaultTier],
         plans: &[ParallelismPlan],
     ) -> Self {
@@ -294,6 +295,9 @@ impl ProfileTable {
         if let Err(e) = cfg.validate() {
             panic!("invalid CoreConfig: {e}");
         }
+        if let Err(e) = R::validate_config(&radio_cfg) {
+            panic!("invalid {} radio config: {e}", R::BACKEND);
+        }
         assert!(
             tiers.contains(&FaultTier::Clean),
             "a profile table must include the clean tier (got {tiers:?})"
@@ -304,8 +308,9 @@ impl ProfileTable {
                 "duplicate fault tier {tier} in {tiers:?}"
             );
         }
+        let states = R::click_state_count();
         let mut profiles = Vec::with_capacity(
-            corpus.sites().len() * 2 * MODES.len() * 3 * tiers.len() * plans.len(),
+            corpus.sites().len() * 2 * MODES.len() * states * tiers.len() * plans.len(),
         );
         for (site_idx, site) in corpus.sites().iter().enumerate() {
             for version in [PageVersion::Mobile, PageVersion::Full] {
@@ -320,30 +325,29 @@ impl ProfileTable {
                         // §4.2: mobile pages get no intermediate display.
                         pipe_cfg.draw_intermediate = false;
                     }
-                    for state in CLICK_STATES {
+                    for click_state in 0..states {
                         for &tier in tiers {
                             for &plan in plans {
-                                let (machine, t0) = machine_in_state(cfg, state);
+                                let (machine, t0) = R::in_click_state(radio_cfg, click_state);
                                 let mut fetcher =
-                                    ThreeGFetcher::with_machine(cfg.net, machine, server);
+                                    RadioFetcher::with_machine(cfg.net, machine, server);
                                 if tier != FaultTier::Clean {
                                     fetcher = fetcher
                                         .try_with_faults(
                                             tier.fault_config(),
-                                            tier.capture_seed_planned(page_idx, mode, state, plan),
+                                            tier.key_seed(page_idx, mode, click_state, plan),
                                             RetryPolicy::standard(),
                                         )
                                         .unwrap_or_else(|e| {
                                             panic!("fault tier {tier} has an invalid config: {e}")
                                         });
                                 }
-                                let mut plan_cfg = pipe_cfg.clone();
-                                plan_cfg.plan = plan;
+                                pipe_cfg.plan = plan;
                                 let metrics = load_page(
                                     &mut fetcher,
                                     page.root_url(),
                                     t0,
-                                    &plan_cfg,
+                                    &pipe_cfg,
                                     &cfg.cost,
                                 );
                                 let mut events = events_of_load_parallel(
@@ -376,7 +380,9 @@ impl ProfileTable {
                                     ),
                                     "the first transfer must begin at the click \
                                      (it is what makes click-state a sufficient memoization \
-                                     key), got {first_begin:?} (tier {tier}, plan {plan})"
+                                     key), got {first_begin:?} ({} {}, tier {tier}, plan {plan})",
+                                    R::BACKEND,
+                                    R::click_state_name(click_state)
                                 );
                                 if tier == FaultTier::Clean {
                                     assert!(
@@ -415,6 +421,7 @@ impl ProfileTable {
             n_pages: corpus.sites().len() * 2,
             tiers: tiers.to_vec(),
             plans: plans.to_vec(),
+            radio: PhantomData,
         }
     }
 
@@ -443,46 +450,21 @@ impl ProfileTable {
         self.plans.contains(&plan)
     }
 
-    /// The clean-tier profile of `page_idx` under `mode` when the click
-    /// finds the radio in `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_idx` is out of range or `state` is `Promoting`.
-    pub fn profile(&self, page_idx: usize, mode: PipelineMode, state: RrcState) -> &LoadProfile {
-        self.profile_tiered(page_idx, mode, state, FaultTier::Clean)
-    }
-
-    /// The profile of `page_idx` under `mode` and link-quality `tier`
-    /// when the click finds the radio in `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_idx` is out of range, `state` is `Promoting`, or
-    /// `tier` was not captured into this table.
-    pub fn profile_tiered(
-        &self,
-        page_idx: usize,
-        mode: PipelineMode,
-        state: RrcState,
-        tier: FaultTier,
-    ) -> &LoadProfile {
-        self.profile_planned(page_idx, mode, state, tier, ParallelismPlan::SEQUENTIAL)
-    }
-
     /// The profile of `page_idx` under `mode`, link-quality `tier`, and
     /// intra-page [`ParallelismPlan`] `plan` when the click finds the
-    /// radio in `state` — the full five-dimensional profile key.
+    /// radio in click state `click_state` (an index in
+    /// [`RadioModel::click_state_index`] order) — the full
+    /// five-dimensional profile key.
     ///
     /// # Panics
     ///
-    /// Panics if `page_idx` is out of range, `state` is `Promoting`, or
+    /// Panics if `page_idx` or `click_state` is out of range, or
     /// `tier`/`plan` was not captured into this table.
     pub fn profile_planned(
         &self,
         page_idx: usize,
         mode: PipelineMode,
-        state: RrcState,
+        click_state: usize,
         tier: FaultTier,
         plan: ParallelismPlan,
     ) -> &LoadProfile {
@@ -490,6 +472,12 @@ impl ProfileTable {
             page_idx < self.n_pages,
             "page index {page_idx} out of range ({} pages)",
             self.n_pages
+        );
+        let states = R::click_state_count();
+        assert!(
+            click_state < states,
+            "click-state index {click_state} out of range ({} has {states})",
+            R::BACKEND
         );
         let tier_slot = self
             .tiers
@@ -511,39 +499,14 @@ impl ProfileTable {
                     self.plans
                 )
             });
-        let key =
-            (page_idx * MODES.len() + mode_index(mode)) * CLICK_STATES.len() + state_index(state);
+        let key = (page_idx * MODES.len() + mode_index(mode)) * states + click_state;
         &self.profiles[(key * self.tiers.len() + tier_slot) * self.plans.len() + plan_slot]
     }
 }
 
-/// A machine advanced to a click instant in the requested state, plus
-/// that instant. The pre-drive uses plain transfers, so any pending
-/// inactivity deadline it leaves behind is exactly the kind a real
-/// session leaves — and is cancelled by the load's first transfer.
-fn machine_in_state(cfg: &CoreConfig, state: RrcState) -> (RrcMachine, SimTime) {
-    let mut machine = RrcMachine::new(cfg.rrc, SimTime::ZERO);
-    let t0 = match state {
-        RrcState::Idle => SimTime::ZERO,
-        RrcState::Fach | RrcState::Dch => {
-            let data_start = machine.begin_transfer(SimTime::ZERO, state == RrcState::Dch);
-            let end = data_start + SimDuration::from_millis(100);
-            machine.end_transfer(end);
-            end + SimDuration::from_secs(1)
-        }
-        RrcState::Promoting => {
-            let _ = state_index(state); // panics with the shared message
-            unreachable!()
-        }
-    };
-    machine.advance_to(t0);
-    assert_eq!(machine.state(), state, "pre-drive must land in {state:?}");
-    (machine, t0)
-}
-
 /// Rebuilds `e` with its time shifted from an absolute clock (click at
 /// `t0`) to the click-relative clock.
-pub(crate) fn shift_back(e: &RadioEvent, t0: SimTime) -> RadioEvent {
+fn shift_back(e: &RadioEvent, t0: SimTime) -> RadioEvent {
     let rel = |at: SimTime| SimTime::ZERO + (at - t0);
     match *e {
         RadioEvent::BeginTransfer {
@@ -576,7 +539,7 @@ pub struct ProfiledVisit {
     pub predicted_s: Option<f64>,
 }
 
-/// What [`run_profiled_session`] reports for one visit, through the
+/// What [`run_profiled_session_with`] reports for one visit, through the
 /// `on_visit` callback.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfiledVisitOutcome {
@@ -588,10 +551,11 @@ pub struct ProfiledVisitOutcome {
     pub released: bool,
     /// The predicted reading time, when the policy consulted one.
     pub predicted_s: Option<f64>,
-    /// The RRC state the click found the radio in — the profile key this
-    /// visit replayed (what the fault-tier equivalence oracle needs to
+    /// The click state the click found the radio in, as a
+    /// [`RadioModel::click_state_index`] — the profile key this visit
+    /// replayed (what the fault-tier equivalence oracle needs to
     /// reconstruct the capture seeds).
-    pub click_state: RrcState,
+    pub click_state: usize,
     /// Whether a predictor outage forced this visit onto the intuitive
     /// (release-after-load) fallback policy.
     pub degraded_policy: bool,
@@ -632,7 +596,7 @@ pub struct ProfiledSessionOpts {
     pub predictor_outage_from: Option<usize>,
     /// The intra-page [`ParallelismPlan`] whose profiles the session
     /// replays. Must have been captured into the table
-    /// ([`ProfileTable::capture_planned`]).
+    /// ([`ProfileTable::capture`]).
     pub plan: ParallelismPlan,
 }
 
@@ -646,47 +610,24 @@ impl Default for ProfiledSessionOpts {
     }
 }
 
-/// Simulates a session by time-shifting memoized load profiles onto one
-/// incremental radio machine. Allocation-free after the table is built.
-///
-/// `on_visit` fires once per visit in order — the fleet's histogram hook.
-///
-/// # Panics
-///
-/// Panics if `visits` is empty, the configuration is invalid, a page
-/// index is out of range, a reading time is negative, or the case's
-/// policy needs a prediction a visit does not carry.
-pub fn run_profiled_session(
-    table: &ProfileTable,
-    cfg: &CoreConfig,
-    case: Case,
-    visits: &[ProfiledVisit],
-    on_visit: impl FnMut(ProfiledVisitOutcome),
-) -> ProfiledOutcome {
-    run_profiled_session_with(
-        table,
-        cfg,
-        case,
-        ProfiledSessionOpts::default(),
-        visits,
-        on_visit,
-    )
-}
-
-/// [`run_profiled_session`] with explicit [`ProfiledSessionOpts`]: replay
-/// a faulted tier's profiles and/or inject a mid-session predictor
-/// outage. With the default options this is exactly
-/// [`run_profiled_session`].
+/// Simulates a 3G session by time-shifting memoized load profiles onto
+/// one incremental radio machine. Allocation-free after the table is
+/// built. `opts` picks the fault tier and plan to replay and can inject a
+/// mid-session predictor outage.
 ///
 /// During an outage, predicted-threshold visits run the intuitive
 /// release-after-load policy instead; each such visit is flagged in its
 /// [`ProfiledVisitOutcome`] and counted in
 /// [`ProfiledOutcome::degraded_policy_visits`].
 ///
+/// `on_visit` fires once per visit in order — the fleet's histogram hook.
+///
 /// # Panics
 ///
-/// Panics as [`run_profiled_session`] does, or if `opts.tier` was not
-/// captured into `table`.
+/// Panics if `visits` is empty, the configuration is invalid, a page
+/// index is out of range, a reading time is negative, the case's policy
+/// needs a prediction a visit does not carry, or `opts.tier`/`opts.plan`
+/// was not captured into `table`.
 pub fn run_profiled_session_with(
     table: &ProfileTable,
     cfg: &CoreConfig,
@@ -711,7 +652,7 @@ pub fn run_profiled_session_with(
             visit.reading_s.is_finite() && visit.reading_s >= 0.0,
             "reading time must be non-negative"
         );
-        let click_state = machine.state();
+        let click_state = machine.click_state_index();
         let profile = table.profile_planned(
             visit.page_idx,
             case.pipeline_mode(),
@@ -791,13 +732,38 @@ pub fn run_profiled_session_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{simulate_session, Visit};
+    use crate::session::{simulate_session, SessionOpts, Visit};
+    use ewb_rrc::{LteConfig, LteMachine, RadioBackend, WifiConfig, WifiMachine};
     use ewb_webpage::benchmark_corpus;
+
+    /// The 3G click states, in [`RadioModel::click_state_index`] order.
+    const THREE_G_CLICK_STATES: [RrcState; 3] = [RrcState::Idle, RrcState::Fach, RrcState::Dch];
 
     fn setup() -> (Corpus, OriginServer, CoreConfig) {
         let corpus = benchmark_corpus(1);
         let server = OriginServer::from_corpus(&corpus);
         (corpus, server, CoreConfig::paper())
+    }
+
+    /// The 3G table of the clean, sequential loads.
+    fn capture_clean(corpus: &Corpus, server: &OriginServer, cfg: &CoreConfig) -> ProfileTable {
+        ProfileTable::capture_tiered(corpus, server, cfg, &[FaultTier::Clean])
+    }
+
+    /// The clean, sequential profile of one (page, mode, click-state) key.
+    fn clean<R: RadioModel>(
+        table: &ProfileTable<R>,
+        page_idx: usize,
+        mode: PipelineMode,
+        click_state: usize,
+    ) -> &LoadProfile {
+        table.profile_planned(
+            page_idx,
+            mode,
+            click_state,
+            FaultTier::Clean,
+            ParallelismPlan::SEQUENTIAL,
+        )
     }
 
     /// `(site_idx, version)` → the shared page index convention.
@@ -813,12 +779,12 @@ mod tests {
     #[test]
     fn capture_covers_every_page_mode_and_state() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         assert_eq!(table.n_pages(), 20);
         // A cold (IDLE) click pays the promotion a warm (DCH) click skips.
         let idx = page_idx(&corpus, "espn", PageVersion::Full);
-        let cold = table.profile(idx, PipelineMode::Original, RrcState::Idle);
-        let warm = table.profile(idx, PipelineMode::Original, RrcState::Dch);
+        let cold = clean(&table, idx, PipelineMode::Original, 0); // IDLE
+        let warm = clean(&table, idx, PipelineMode::Original, 2); // DCH
         assert!(
             cold.opened > warm.opened,
             "cold load {:?} must exceed warm load {:?}",
@@ -839,7 +805,7 @@ mod tests {
     #[test]
     fn profiled_sessions_match_full_sessions_to_the_bit() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         // Reading times chosen to land the next click in DCH (2 s),
         // FACH (6 s), and IDLE (30 s > T1+T2), plus threshold-straddling
         // values (5/12/25 s around Tp=9 and Td=20).
@@ -874,11 +840,18 @@ mod tests {
             Case::Accurate9,
             Case::Accurate20,
         ] {
-            let full = simulate_session(&server, &visits, case, &cfg, None);
+            let full = simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
             let mut loads = Vec::new();
-            let fast = run_profiled_session(&table, &cfg, case, &profiled, |v| {
-                loads.push(v.load);
-            });
+            let fast = run_profiled_session_with(
+                &table,
+                &cfg,
+                case,
+                ProfiledSessionOpts::default(),
+                &profiled,
+                |v| {
+                    loads.push(v.load);
+                },
+            );
             assert_eq!(
                 fast.total_joules.to_bits(),
                 full.total_joules.to_bits(),
@@ -904,7 +877,7 @@ mod tests {
     #[test]
     fn profiled_predicted_sessions_match_full_sessions() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         let trace = ewb_traces::TraceDataset::generate(&ewb_traces::TraceConfig::small());
         let predictor = ewb_traces::ReadingTimePredictor::train_with_interest_threshold(
             &trace,
@@ -940,11 +913,27 @@ mod tests {
             .collect();
 
         for case in [Case::Predict9, Case::Predict20] {
-            let full = simulate_session(&server, &visits, case, &cfg, Some(&predictor));
+            let full = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    predictor: Some(&predictor),
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             let mut released = 0u32;
-            let fast = run_profiled_session(&table, &cfg, case, &profiled, |v| {
-                released += u32::from(v.released);
-            });
+            let fast = run_profiled_session_with(
+                &table,
+                &cfg,
+                case,
+                ProfiledSessionOpts::default(),
+                &profiled,
+                |v| {
+                    released += u32::from(v.released);
+                },
+            );
             assert_eq!(
                 fast.total_joules.to_bits(),
                 full.total_joules.to_bits(),
@@ -959,34 +948,46 @@ mod tests {
         }
     }
 
+    /// A 3G profile key names IDLE, FACH or DCH: a click never finds the
+    /// radio mid-promotion, so a Promoting key is a caller bug.
     #[test]
     #[should_panic(expected = "Promoting")]
     fn promoting_is_not_a_click_state() {
-        let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
-        table.profile(0, PipelineMode::Original, RrcState::Promoting);
+        FaultTier::Lossy10.capture_seed_planned(
+            0,
+            PipelineMode::Original,
+            RrcState::Promoting,
+            ParallelismPlan::SEQUENTIAL,
+        );
     }
 
     #[test]
     #[should_panic(expected = "needs a predicted reading time")]
     fn predicted_case_without_predictions_panics() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         let visits = [ProfiledVisit {
             page_idx: 0,
             reading_s: 10.0,
             predicted_s: None,
         }];
-        run_profiled_session(&table, &cfg, Case::Predict9, &visits, |_| {});
+        run_profiled_session_with(
+            &table,
+            &cfg,
+            Case::Predict9,
+            ProfiledSessionOpts::default(),
+            &visits,
+            |_| {},
+        );
     }
 
     /// The fault-tier extension of the bit-identity anchor: replaying a
     /// faulted tier's profiles matches a full browser-pipeline session
     /// whose per-visit fetchers are driven with the same per-key capture
-    /// seeds ([`simulate_session_faulted_seeded`]).
+    /// seeds ([`SessionOpts::visit_seeds`]).
     #[test]
     fn tiered_profiled_sessions_match_full_faulted_sessions_to_the_bit() {
-        use crate::session::{simulate_session_faulted_seeded, SessionFaults};
+        use crate::session::SessionFaults;
         let (corpus, server, cfg) = setup();
         let tiers = [FaultTier::Clean, FaultTier::Lossy10, FaultTier::Jittery10];
         let table = ProfileTable::capture_tiered(&corpus, &server, &cfg, &tiers);
@@ -1031,11 +1032,26 @@ mod tests {
                 let seeds: Vec<u64> = profiled
                     .iter()
                     .zip(&click_states)
-                    .map(|(v, &state)| tier.capture_seed(v.page_idx, case.pipeline_mode(), state))
+                    .map(|(v, &state)| {
+                        tier.capture_seed_planned(
+                            v.page_idx,
+                            case.pipeline_mode(),
+                            THREE_G_CLICK_STATES[state],
+                            ParallelismPlan::SEQUENTIAL,
+                        )
+                    })
                     .collect();
                 let sf = SessionFaults::new(tier.fault_config(), 0);
-                let full = simulate_session_faulted_seeded(
-                    &server, &visits, case, &cfg, None, &sf, &seeds,
+                let full = simulate_session(
+                    &server,
+                    &visits,
+                    case,
+                    &cfg,
+                    SessionOpts {
+                        faults: Some(&sf),
+                        visit_seeds: Some(&seeds),
+                        ..SessionOpts::three_g(&cfg)
+                    },
                 );
                 assert_eq!(
                     fast.total_joules.to_bits(),
@@ -1064,7 +1080,7 @@ mod tests {
     #[test]
     fn tiered_capture_keeps_the_clean_tier_and_perturbs_the_lossy_one() {
         let (corpus, server, cfg) = setup();
-        let clean_only = ProfileTable::capture(&corpus, &server, &cfg);
+        let clean_only = capture_clean(&corpus, &server, &cfg);
         let tiered = ProfileTable::capture_tiered(
             &corpus,
             &server,
@@ -1078,12 +1094,18 @@ mod tests {
         let mut lossy_differs = false;
         for page_idx in 0..tiered.n_pages() {
             for mode in MODES {
-                for state in CLICK_STATES {
-                    let a = clean_only.profile(page_idx, mode, state);
-                    let b = tiered.profile(page_idx, mode, state);
+                for state in 0..THREE_G_CLICK_STATES.len() {
+                    let a = clean(&clean_only, page_idx, mode, state);
+                    let b = clean(&tiered, page_idx, mode, state);
                     assert_eq!(a.events, b.events, "clean capture must be tier-independent");
                     assert_eq!(a.opened, b.opened);
-                    let lossy = tiered.profile_tiered(page_idx, mode, state, FaultTier::Lossy10);
+                    let lossy = tiered.profile_planned(
+                        page_idx,
+                        mode,
+                        state,
+                        FaultTier::Lossy10,
+                        ParallelismPlan::SEQUENTIAL,
+                    );
                     lossy_differs |= lossy.events != a.events || lossy.opened != a.opened;
                 }
             }
@@ -1100,7 +1122,7 @@ mod tests {
     #[test]
     fn predictor_outage_falls_back_to_the_intuitive_policy() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         let plan = [
             ("espn", PageVersion::Full, 2.0, 15.0),
             ("cnn", PageVersion::Mobile, 12.0, 3.0),
@@ -1131,10 +1153,16 @@ mod tests {
                     "an outage visit consults no prediction"
                 );
             });
-        let intuitive =
-            run_profiled_session(&table, &cfg, Case::EnergyAwareAlwaysOff, &profiled, |v| {
+        let intuitive = run_profiled_session_with(
+            &table,
+            &cfg,
+            Case::EnergyAwareAlwaysOff,
+            ProfiledSessionOpts::default(),
+            &profiled,
+            |v| {
                 assert!(!v.degraded_policy, "no outage, no degraded visits");
-            });
+            },
+        );
         assert_eq!(
             degraded.total_joules.to_bits(),
             intuitive.total_joules.to_bits(),
@@ -1158,12 +1186,28 @@ mod tests {
         assert_eq!(partial.degraded_policy_visits, 2);
     }
 
+    /// The click-state index is bounded by the backend's own count (3G
+    /// has three), not by the table's storage.
+    #[test]
+    #[should_panic(expected = "click-state index 3 out of range")]
+    fn out_of_range_click_state_panics() {
+        let (corpus, server, cfg) = setup();
+        let table = capture_clean(&corpus, &server, &cfg);
+        clean(&table, 0, PipelineMode::Original, 3);
+    }
+
     #[test]
     #[should_panic(expected = "was not captured")]
     fn uncaptured_tier_panics() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
-        table.profile_tiered(0, PipelineMode::Original, RrcState::Idle, FaultTier::Lossy2);
+        let table = capture_clean(&corpus, &server, &cfg);
+        table.profile_planned(
+            0,
+            PipelineMode::Original,
+            0,
+            FaultTier::Lossy2,
+            ParallelismPlan::SEQUENTIAL,
+        );
     }
 
     /// Regression for the plan-capture-key fix: the [`ParallelismPlan`]
@@ -1175,14 +1219,14 @@ mod tests {
     /// bit-identically to the full parallel-pipeline session.
     #[test]
     fn plan_is_part_of_the_profile_key() {
-        use crate::session::{simulate_session_planned, Visit};
         let (corpus, server, cfg) = setup();
         let par = ParallelismPlan::new(4, 4, true);
-        let plain = ProfileTable::capture(&corpus, &server, &cfg);
-        let planned = ProfileTable::capture_planned(
+        let plain = capture_clean(&corpus, &server, &cfg);
+        let planned = ProfileTable::<RrcMachine>::capture(
             &corpus,
             &server,
             &cfg,
+            cfg.rrc,
             &[FaultTier::Clean],
             &[ParallelismPlan::SEQUENTIAL, par],
         );
@@ -1193,9 +1237,9 @@ mod tests {
         let mut parallel_differs = false;
         for page_idx in 0..planned.n_pages() {
             for mode in MODES {
-                for state in CLICK_STATES {
-                    let a = plain.profile(page_idx, mode, state);
-                    let b = planned.profile(page_idx, mode, state);
+                for state in 0..THREE_G_CLICK_STATES.len() {
+                    let a = clean(&plain, page_idx, mode, state);
+                    let b = clean(&planned, page_idx, mode, state);
                     assert_eq!(
                         a.events, b.events,
                         "sequential capture must be plan-independent"
@@ -1241,8 +1285,16 @@ mod tests {
                 ..ProfiledSessionOpts::default()
             };
             let fast = run_profiled_session_with(&planned, &cfg, case, opts, &profiled, |_| {});
-            let full =
-                simulate_session_planned(&server, &visits, case, &cfg, None, None, par, true);
+            let full = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    plan: par,
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             assert_eq!(
                 fast.total_joules.to_bits(),
                 full.total_joules.to_bits(),
@@ -1257,45 +1309,14 @@ mod tests {
     #[should_panic(expected = "was not captured")]
     fn uncaptured_plan_panics() {
         let (corpus, server, cfg) = setup();
-        let table = ProfileTable::capture(&corpus, &server, &cfg);
+        let table = capture_clean(&corpus, &server, &cfg);
         table.profile_planned(
             0,
             PipelineMode::Original,
-            RrcState::Idle,
+            0,
             FaultTier::Clean,
             ParallelismPlan::new(2, 2, false),
         );
-    }
-
-    #[test]
-    fn planned_capture_seeds_extend_the_legacy_ones() {
-        // Sequential plan → the legacy seed, bit for bit.
-        for tier in FaultTier::ALL {
-            assert_eq!(
-                tier.capture_seed_planned(
-                    3,
-                    PipelineMode::EnergyAware,
-                    RrcState::Fach,
-                    ParallelismPlan::SEQUENTIAL
-                ),
-                tier.capture_seed(3, PipelineMode::EnergyAware, RrcState::Fach)
-            );
-        }
-        // Distinct plans → distinct streams.
-        let mut seeds = std::collections::HashSet::new();
-        for plan in [
-            ParallelismPlan::SEQUENTIAL,
-            ParallelismPlan::new(2, 2, false),
-            ParallelismPlan::new(4, 4, true),
-            ParallelismPlan::new(8, 1, false),
-        ] {
-            assert!(seeds.insert(FaultTier::Lossy10.capture_seed_planned(
-                0,
-                PipelineMode::Original,
-                RrcState::Idle,
-                plan
-            )));
-        }
     }
 
     #[test]
@@ -1305,16 +1326,83 @@ mod tests {
             assert!(tier.fault_config().validate().is_ok(), "tier {tier}");
         }
         assert_eq!(FaultTier::from_index(200), None);
-        // Capture seeds are key-unique (no accidental stream sharing).
+        // Capture seeds are key-unique (no accidental stream sharing),
+        // the plan included: two plans never share a stream.
         let mut seeds = std::collections::HashSet::new();
         for tier in FaultTier::ALL {
             for page_idx in 0..20 {
                 for mode in MODES {
-                    for state in CLICK_STATES {
-                        assert!(seeds.insert(tier.capture_seed(page_idx, mode, state)));
+                    for state in THREE_G_CLICK_STATES {
+                        for plan in [
+                            ParallelismPlan::SEQUENTIAL,
+                            ParallelismPlan::new(2, 2, false),
+                            ParallelismPlan::new(4, 4, true),
+                            ParallelismPlan::new(8, 1, false),
+                        ] {
+                            assert!(seeds
+                                .insert(tier.capture_seed_planned(page_idx, mode, state, plan)));
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Ladder backends capture deterministically over their own
+    /// click-state axis, and warm clicks load strictly no slower than
+    /// cold ones (the setup latency is the difference).
+    #[test]
+    fn ladder_captures_are_deterministic_and_warm_beats_cold() {
+        let (corpus, server, cfg) = setup();
+        let capture = || {
+            ProfileTable::<LteMachine>::capture(
+                &corpus,
+                &server,
+                &cfg,
+                LteConfig::calibrated(),
+                &[FaultTier::Clean],
+                &[ParallelismPlan::SEQUENTIAL],
+            )
+        };
+        let lte = capture();
+        let again = capture();
+        assert_eq!(LteMachine::BACKEND, RadioBackend::Lte);
+        assert_eq!(LteMachine::click_state_count(), 4);
+        for page_idx in 0..lte.n_pages() {
+            for mode in MODES {
+                let cold = clean(&lte, page_idx, mode, 0); // IDLE
+                let warm = clean(&lte, page_idx, mode, 3); // CONNECTED
+                assert!(cold.opened >= warm.opened, "page {page_idx} {mode:?}");
+                assert_eq!(cold.bytes, warm.bytes);
+                for s in 0..4 {
+                    assert_eq!(
+                        clean(&lte, page_idx, mode, s).events,
+                        clean(&again, page_idx, mode, s).events
+                    );
+                }
+            }
+        }
+    }
+
+    /// WiFi's cheap wakeup compresses the cold/warm gap to its 50 ms
+    /// wake latency — the "promotions are cheap" end of the spectrum.
+    #[test]
+    fn wifi_cold_warm_gap_is_the_wake_latency() {
+        let (corpus, server, cfg) = setup();
+        let wifi = ProfileTable::<WifiMachine>::capture(
+            &corpus,
+            &server,
+            &cfg,
+            WifiConfig::calibrated(),
+            &[FaultTier::Clean],
+            &[ParallelismPlan::SEQUENTIAL],
+        );
+        let cold = clean(&wifi, 0, PipelineMode::EnergyAware, 0); // PSM
+        let warm = clean(&wifi, 0, PipelineMode::EnergyAware, 1); // ACTIVE
+        let gap = (cold.opened - warm.opened).as_secs_f64();
+        assert!(
+            (gap - WifiConfig::calibrated().wake_latency_s).abs() < 1e-9,
+            "cold/warm gap {gap} should be the PSM wake latency"
+        );
     }
 }

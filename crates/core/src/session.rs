@@ -1,7 +1,7 @@
 //! End-to-end browsing-session simulation.
 //!
 //! A session is a sequence of page visits: each page is loaded through the
-//! 3G radio by the case's browser pipeline, the user reads for the visit's
+//! radio by the case's browser pipeline, the user reads for the visit's
 //! dwell time, and Algorithm 2 (parameterized by the case's
 //! [`ReleasePolicy`]) decides whether to
 //! switch the radio to IDLE during the reading period. The radio state
@@ -9,17 +9,22 @@
 //! re-promoted for the next click) and energy effects are both emergent
 //! rather than assumed.
 //!
+//! [`simulate_session`] is the one runner. Its [`SessionOpts`] select the
+//! radio backend (the paper's 3G [`RrcMachine`] by default, any
+//! [`RadioModel`] otherwise), the predictor, fault injection, the
+//! intra-page [`ParallelismPlan`], host threading, and a recorder.
+//!
 //! Energy is computed by replaying the session's radio events together
-//! with the browser's CPU-busy intervals onto a fresh
-//! [`RrcMachine`] — exactly what the paper's Agilent
-//! rig integrates at the handset's power pins.
+//! with the browser's CPU-busy intervals onto a fresh radio machine —
+//! exactly what the paper's Agilent rig integrates at the handset's power
+//! pins.
 
 use crate::cases::{Case, ReleasePolicy};
 use crate::config::CoreConfig;
 use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::pipeline::{load_page_recorded, PipelineConfig};
 use ewb_browser::CpuWork;
-use ewb_net::replay::{events_of_load_parallel, replay_radio_recorded, RadioEvent};
+use ewb_net::replay::{events_of_load_parallel, replay, RadioEvent};
 use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
 use ewb_obs::{Event as ObsEvent, Recorder};
 use ewb_rrc::{RadioModel, RrcMachine};
@@ -155,62 +160,6 @@ impl<R: RadioModel> RadioSessionOutcome<R> {
     }
 }
 
-/// Borrowed context for running sessions: the origin server, the
-/// configuration, and (optionally) the trained predictor. Constructing
-/// one allocates nothing — it is a bundle of references, cheap to copy
-/// into every worker of a fleet shard — and the heavyweight inputs
-/// (corpus-backed server, predictor forest) are shared read-only.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionCtx<'a> {
-    /// The origin server built from the benchmark corpus.
-    pub server: &'a OriginServer,
-    /// The paper's configuration.
-    pub cfg: &'a CoreConfig,
-    /// The trained reading-time predictor, for Predict-N cases.
-    pub predictor: Option<&'a ReadingTimePredictor>,
-}
-
-impl<'a> SessionCtx<'a> {
-    /// A context without a predictor (oracle and always-off cases).
-    pub fn new(server: &'a OriginServer, cfg: &'a CoreConfig) -> Self {
-        SessionCtx {
-            server,
-            cfg,
-            predictor: None,
-        }
-    }
-
-    /// Attaches a shared predictor for Predict-N cases.
-    pub fn with_predictor(mut self, predictor: &'a ReadingTimePredictor) -> Self {
-        self.predictor = Some(predictor);
-        self
-    }
-
-    /// Runs one session under `case`. See [`simulate_session`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`simulate_session`] does.
-    pub fn run(&self, visits: &[Visit<'_>], case: Case) -> SessionOutcome {
-        simulate_session(self.server, visits, case, self.cfg, self.predictor)
-    }
-
-    /// Runs one session on a possibly faulty link. See
-    /// [`simulate_session_faulted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`simulate_session_faulted`] does.
-    pub fn run_faulted(
-        &self,
-        visits: &[Visit<'_>],
-        case: Case,
-        faults: Option<&SessionFaults>,
-    ) -> SessionOutcome {
-        simulate_session_faulted(self.server, visits, case, self.cfg, self.predictor, faults)
-    }
-}
-
 /// The fetcher fault-stream seed of visit `visit_idx` in a session whose
 /// [`SessionFaults::seed`] is `base`. Mixing the visit index in keeps the
 /// per-visit streams independent: inserting a visit does not shift the
@@ -257,295 +206,112 @@ pub fn release_decision(
     }
 }
 
-/// Simulates a session under `case`.
+/// The settings of a [`simulate_session`] run beyond its pages, case and
+/// configuration.
 ///
-/// # Panics
-///
-/// Panics if `case` needs a predictor and none is supplied, if `visits`
-/// is empty, or if the configuration is invalid.
-pub fn simulate_session(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-) -> SessionOutcome {
-    simulate_session_faulted(server, visits, case, cfg, predictor, None)
+/// [`SessionOpts::three_g`] is the paper's setup; override single fields
+/// with struct update syntax, e.g.
+/// `SessionOpts { predictor: Some(&p), ..SessionOpts::three_g(&cfg) }`.
+#[derive(Debug, Clone)]
+pub struct SessionOpts<'a, R: RadioModel = RrcMachine> {
+    /// The radio's configuration. The release gate uses this backend's
+    /// own release latency.
+    pub radio: R::Config,
+    /// The trained reading-time predictor; Predict-N cases need one.
+    pub predictor: Option<&'a ReadingTimePredictor>,
+    /// Fault injection on the radio link. Failed objects degrade pages
+    /// instead of wedging the load, every retry attempt's radio time rides
+    /// into the energy replay, and the page records report
+    /// `failed_objects`/`degraded`.
+    pub faults: Option<&'a SessionFaults>,
+    /// One fault-stream seed per visit, used instead of the seeds
+    /// [`visit_fault_seed`] derives from [`SessionFaults::seed`]. A
+    /// fault-tier profile is captured under one fixed seed per
+    /// (page, mode, click-state, tier, plan) key
+    /// ([`FaultTier::capture_seed_planned`](crate::profile::FaultTier::capture_seed_planned)),
+    /// so the full session that must match a profiled one bit for bit
+    /// drives each visit's fetcher with that key's seed. Needs `faults`.
+    pub visit_seeds: Option<&'a [u64]>,
+    /// The intra-page [`ParallelismPlan`] every load runs under (see
+    /// [`ewb_browser::parallel`]): decode/style stage units fan out over
+    /// simulated cores, and helper-core CPU power rides into the energy
+    /// replay.
+    pub plan: ParallelismPlan,
+    /// Whether the host may run the plan's fanned-out engine work on
+    /// threads. The outcome is bit-identical either way (the `ewb-check`
+    /// parallel differential oracle proves it).
+    pub host_parallel: bool,
+    /// Receives the cross-layer event stream: one
+    /// [`PageVisit`](ewb_obs::Event::PageVisit) per visit, transfer
+    /// events from the fetcher, per-stage browser spans, and, from the
+    /// energy replay, the radio transitions, timers, and the energy
+    /// ledger, which folds to the outcome's `total_joules` bit for bit.
+    /// The recorder only observes: the outcome is identical with it
+    /// enabled or disabled.
+    pub recorder: Recorder,
 }
 
-/// Simulates a session under `case` on a (possibly) faulty radio link.
-///
-/// With `faults: None` this is exactly [`simulate_session`]. With faults,
-/// failed objects degrade pages instead of wedging the load, every retry
-/// attempt's radio time rides into the energy replay, and the per-page
-/// records report `failed_objects`/`degraded`.
-///
-/// # Panics
-///
-/// Panics as [`simulate_session`] does, or if the fault configuration or
-/// retry policy is invalid.
-pub fn simulate_session_faulted(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-) -> SessionOutcome {
-    simulate_session_recorded(
-        server,
-        visits,
-        case,
-        cfg,
-        predictor,
-        faults,
-        &Recorder::disabled(),
-    )
+impl<R: RadioModel> SessionOpts<'_, R> {
+    /// A session on the radio `radio` configures, otherwise as
+    /// [`SessionOpts::three_g`].
+    pub fn new(radio: R::Config) -> Self {
+        SessionOpts {
+            radio,
+            predictor: None,
+            faults: None,
+            visit_seeds: None,
+            plan: ParallelismPlan::SEQUENTIAL,
+            host_parallel: true,
+            recorder: Recorder::disabled(),
+        }
+    }
 }
 
-/// Simulates a session under `case`, mirroring the full cross-layer event
-/// stream into `recorder`: one [`PageVisit`](ewb_obs::Event::PageVisit)
-/// per visit, transfer events from the fetcher, per-stage browser spans,
-/// and — from the energy replay — the RRC transitions, timers, and the
-/// energy ledger. The ledger folds to the outcome's `total_joules`
-/// bit-for-bit. The recorder only observes: the returned
-/// [`SessionOutcome`] is identical with it enabled or disabled.
-///
-/// # Panics
-///
-/// Panics as [`simulate_session_faulted`] does.
-pub fn simulate_session_recorded(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    recorder: &Recorder,
-) -> SessionOutcome {
-    simulate_session_impl(server, visits, case, cfg, predictor, faults, None, recorder)
+impl SessionOpts<'_> {
+    /// The paper's setup: the 3G radio as `cfg.rrc` configures it, no
+    /// predictor, a clean link, the sequential plan, host threads
+    /// allowed, and no recorder.
+    pub fn three_g(cfg: &CoreConfig) -> Self {
+        SessionOpts::new(cfg.rrc)
+    }
 }
 
-/// Simulates a session whose page loads run under an intra-page
-/// [`ParallelismPlan`] (see [`ewb_browser::parallel`]): decode/style
-/// stage units fan out over simulated cores and helper-core CPU power
-/// rides into the energy replay. With `plan = SEQUENTIAL` and any
-/// `host_parallel` this is bit-identical to [`simulate_session_faulted`].
-///
-/// `host_parallel` selects whether the *host* executor may use threads
-/// for the fanned-out engine work; the outcome is bit-identical either
-/// way (the `ewb-check` parallel differential oracle proves it).
+/// Simulates a session under `case` on the radio, link, plan and
+/// predictor `opts` selects.
 ///
 /// # Panics
 ///
-/// Panics as [`simulate_session_faulted`] does, or if `plan` is invalid.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_session_planned(
+/// Panics if `visits` is empty, a reading time is negative or not
+/// finite, `case` needs a predictor and `opts` has none, the
+/// configuration, radio config, plan, fault configuration or retry policy
+/// is invalid, or `opts.visit_seeds` is set without `opts.faults` or does
+/// not hold one seed per visit.
+pub fn simulate_session<R: RadioModel>(
     server: &OriginServer,
     visits: &[Visit<'_>],
     case: Case,
     cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    plan: ParallelismPlan,
-    host_parallel: bool,
-) -> SessionOutcome {
-    simulate_session_radio_planned::<RrcMachine>(
-        server,
-        visits,
-        case,
-        cfg,
-        cfg.rrc,
-        predictor,
-        faults,
-        plan,
-        host_parallel,
-    )
-}
-
-/// Backend-generic [`simulate_session_planned`]: the parallel-plan
-/// session on any [`RadioModel`].
-///
-/// # Panics
-///
-/// Panics as [`simulate_session_radio_recorded`] does, or if `plan` is
-/// invalid.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_session_radio_planned<R: RadioModel>(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    plan: ParallelismPlan,
-    host_parallel: bool,
+    opts: SessionOpts<'_, R>,
 ) -> RadioSessionOutcome<R> {
-    simulate_session_radio_impl(
-        server,
-        visits,
-        case,
-        cfg,
-        radio_cfg,
-        predictor,
-        faults,
-        None,
-        &Recorder::disabled(),
-        plan,
-        host_parallel,
-    )
-}
-
-/// Simulates a session on an arbitrary radio backend: the same browser
-/// pipelines, Algorithm 2 release policy, and energy-replay machinery as
-/// [`simulate_session`], with the radio swapped for any [`RadioModel`]
-/// (`radio_cfg` replaces `cfg.rrc`; the release gate uses the backend's
-/// own release latency). With `R = RrcMachine` and `radio_cfg = cfg.rrc`
-/// this is call-for-call [`simulate_session`].
-///
-/// # Panics
-///
-/// Panics as [`simulate_session`] does, or if `radio_cfg` is invalid.
-pub fn simulate_session_radio<R: RadioModel>(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    predictor: Option<&ReadingTimePredictor>,
-) -> RadioSessionOutcome<R> {
-    simulate_session_radio_impl(
-        server,
-        visits,
-        case,
-        cfg,
-        radio_cfg,
-        predictor,
-        None,
-        None,
-        &Recorder::disabled(),
-        ParallelismPlan::SEQUENTIAL,
-        true,
-    )
-}
-
-/// [`simulate_session_radio`] with structured-event tracing and optional
-/// fault injection — the backend-generic superset the 3G entry points
-/// delegate to.
-///
-/// # Panics
-///
-/// Panics as [`simulate_session_radio`] does, or if the fault
-/// configuration or retry policy is invalid.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_session_radio_recorded<R: RadioModel>(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    recorder: &Recorder,
-) -> RadioSessionOutcome<R> {
-    simulate_session_radio_impl(
-        server,
-        visits,
-        case,
-        cfg,
-        radio_cfg,
-        predictor,
-        faults,
-        None,
-        recorder,
-        ParallelismPlan::SEQUENTIAL,
-        true,
-    )
-}
-
-/// Simulates a faulted session with an explicit fault-stream seed per
-/// visit, instead of deriving them from [`SessionFaults::seed`] via
-/// [`visit_fault_seed`].
-///
-/// This is the oracle the memoized fleet path is proven against: a
-/// fault-tier profile is captured under one fixed seed per
-/// (page, mode, click-state, tier) key, so the full-pipeline session that
-/// must match it bit-for-bit has to drive each visit's fetcher with that
-/// same per-key seed rather than the session-derived stream.
-///
-/// # Panics
-///
-/// Panics as [`simulate_session_faulted`] does, or if `visit_seeds` and
-/// `visits` have different lengths.
-pub fn simulate_session_faulted_seeded(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: &SessionFaults,
-    visit_seeds: &[u64],
-) -> SessionOutcome {
-    assert_eq!(
-        visit_seeds.len(),
-        visits.len(),
-        "one fault seed per visit ({} seeds, {} visits)",
-        visit_seeds.len(),
-        visits.len()
-    );
-    simulate_session_impl(
-        server,
-        visits,
-        case,
-        cfg,
-        predictor,
-        Some(faults),
-        Some(visit_seeds),
-        &Recorder::disabled(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_session_impl(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    visit_seeds: Option<&[u64]>,
-    recorder: &Recorder,
-) -> SessionOutcome {
-    simulate_session_radio_impl(
-        server,
-        visits,
-        case,
-        cfg,
-        cfg.rrc,
+    let SessionOpts {
+        radio: radio_cfg,
         predictor,
         faults,
         visit_seeds,
+        plan,
+        host_parallel,
         recorder,
-        ParallelismPlan::SEQUENTIAL,
-        true,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_session_radio_impl<R: RadioModel>(
-    server: &OriginServer,
-    visits: &[Visit<'_>],
-    case: Case,
-    cfg: &CoreConfig,
-    radio_cfg: R::Config,
-    predictor: Option<&ReadingTimePredictor>,
-    faults: Option<&SessionFaults>,
-    visit_seeds: Option<&[u64]>,
-    recorder: &Recorder,
-    plan: ParallelismPlan,
-    host_parallel: bool,
-) -> RadioSessionOutcome<R> {
+    } = opts;
+    if let Some(seeds) = visit_seeds {
+        assert!(faults.is_some(), "per-visit fault seeds need SessionFaults");
+        assert_eq!(
+            seeds.len(),
+            visits.len(),
+            "one fault seed per visit ({} seeds, {} visits)",
+            seeds.len(),
+            visits.len()
+        );
+    }
     assert!(!visits.is_empty(), "a session needs at least one visit");
     if let Err(e) = plan.validate() {
         panic!("invalid ParallelismPlan: {e}");
@@ -662,7 +428,7 @@ fn simulate_session_radio_impl<R: RadioModel>(
     // Exact energy: replay radio + CPU events on a fresh machine. The
     // recorder rides on the *replay* machine — the one whose energy is
     // reported — so the emitted ledger folds to `total_joules` exactly.
-    let radio: R = replay_radio_recorded(radio_cfg, start, events, t, recorder.clone());
+    let radio: R = replay(radio_cfg, start, events, t, recorder);
     let meter = radio.meter();
     for (i, record) in partial.iter_mut().enumerate() {
         let (page_start, opened) = boundaries[i];
@@ -692,6 +458,16 @@ mod tests {
         (corpus, server, CoreConfig::paper())
     }
 
+    /// A session with the paper's default options.
+    pub(super) fn run(
+        server: &OriginServer,
+        visits: &[Visit<'_>],
+        case: Case,
+        cfg: &CoreConfig,
+    ) -> SessionOutcome {
+        simulate_session(server, visits, case, cfg, SessionOpts::three_g(cfg))
+    }
+
     fn visit<'a>(corpus: &'a Corpus, key: &str, version: PageVersion, reading: f64) -> Visit<'a> {
         Visit {
             page: corpus.page(key, version).unwrap(),
@@ -704,8 +480,8 @@ mod tests {
     fn energy_aware_saves_energy_on_long_reads() {
         let (corpus, server, cfg) = setup();
         let visits = vec![visit(&corpus, "espn", PageVersion::Full, 20.0)];
-        let base = simulate_session(&server, &visits, Case::Original, &cfg, None);
-        let ours = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+        let base = run(&server, &visits, Case::Original, &cfg);
+        let ours = run(&server, &visits, Case::Accurate9, &cfg);
         let saving = 1.0 - ours.total_joules / base.total_joules;
         assert!(
             (0.15..0.60).contains(&saving),
@@ -718,8 +494,8 @@ mod tests {
         let (corpus, server, cfg) = setup();
         let long = vec![visit(&corpus, "cnn", PageVersion::Mobile, 30.0)];
         let short = vec![visit(&corpus, "cnn", PageVersion::Mobile, 5.0)];
-        let released = simulate_session(&server, &long, Case::Accurate9, &cfg, None);
-        let kept = simulate_session(&server, &short, Case::Accurate9, &cfg, None);
+        let released = run(&server, &long, Case::Accurate9, &cfg);
+        let kept = run(&server, &short, Case::Accurate9, &cfg);
         assert!(released.pages[0].released_at.is_some());
         assert!(kept.pages[0].released_at.is_none());
         assert_eq!(released.counters.fast_dormancy_releases, 1);
@@ -735,8 +511,8 @@ mod tests {
             visit(&corpus, "cnn", PageVersion::Mobile, 3.0),
             visit(&corpus, "bbc", PageVersion::Mobile, 3.0),
         ];
-        let base = simulate_session(&server, &visits, Case::Original, &cfg, None);
-        let off = simulate_session(&server, &visits, Case::OriginalAlwaysOff, &cfg, None);
+        let base = run(&server, &visits, Case::Original, &cfg);
+        let off = run(&server, &visits, Case::OriginalAlwaysOff, &cfg);
         assert!(
             off.total_load_time_s > base.total_load_time_s,
             "always-off should add promotion delay: {} vs {}",
@@ -753,7 +529,7 @@ mod tests {
             visit(&corpus, "cnn", PageVersion::Mobile, 2.0),
             visit(&corpus, "cnn", PageVersion::Mobile, 2.0),
         ];
-        let out = simulate_session(&server, &visits, Case::Original, &cfg, None);
+        let out = run(&server, &visits, Case::Original, &cfg);
         // Second load starts in DCH/FACH: strictly faster than the cold
         // first load of the same page.
         assert!(
@@ -775,7 +551,7 @@ mod tests {
             visit(&corpus, "msn", PageVersion::Mobile, 10.0),
             visit(&corpus, "aol", PageVersion::Mobile, 25.0),
         ];
-        let out = simulate_session(&server, &visits, Case::Accurate20, &cfg, None);
+        let out = run(&server, &visits, Case::Accurate20, &cfg);
         let per_page: f64 = out.pages.iter().map(PageRecord::total_joules).sum();
         assert!(
             (per_page - out.total_joules).abs() < 1e-6,
@@ -794,7 +570,16 @@ mod tests {
             &ewb_traces::reading_time_params(),
         );
         let visits = vec![visit(&corpus, "espn", PageVersion::Full, 30.0)];
-        let out = simulate_session(&server, &visits, Case::Predict9, &cfg, Some(&predictor));
+        let out = simulate_session(
+            &server,
+            &visits,
+            Case::Predict9,
+            &cfg,
+            SessionOpts {
+                predictor: Some(&predictor),
+                ..SessionOpts::three_g(&cfg)
+            },
+        );
         assert!(out.pages[0].predicted_s.is_some());
     }
 
@@ -803,14 +588,45 @@ mod tests {
     fn predicted_case_without_predictor_panics() {
         let (corpus, server, cfg) = setup();
         let visits = vec![visit(&corpus, "cnn", PageVersion::Mobile, 5.0)];
-        simulate_session(&server, &visits, Case::Predict9, &cfg, None);
+        run(&server, &visits, Case::Predict9, &cfg);
+    }
+
+    /// The per-visit seeds are indexed by visit: a short list must be
+    /// refused before any visit reads past its end.
+    #[test]
+    #[should_panic(expected = "one fault seed per visit")]
+    fn visit_seed_count_must_match_the_visits() {
+        let (corpus, server, cfg) = setup();
+        let visits = vec![
+            visit(&corpus, "cnn", PageVersion::Mobile, 5.0),
+            visit(&corpus, "bbc", PageVersion::Mobile, 5.0),
+        ];
+        let sf = SessionFaults::new(FaultConfig::lossy(0.1), 7);
+        let opts = SessionOpts {
+            faults: Some(&sf),
+            visit_seeds: Some(&[1]),
+            ..SessionOpts::three_g(&cfg)
+        };
+        simulate_session(&server, &visits, Case::Original, &cfg, opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-visit fault seeds need SessionFaults")]
+    fn visit_seeds_without_faults_panic() {
+        let (corpus, server, cfg) = setup();
+        let visits = vec![visit(&corpus, "cnn", PageVersion::Mobile, 5.0)];
+        let opts = SessionOpts {
+            visit_seeds: Some(&[1]),
+            ..SessionOpts::three_g(&cfg)
+        };
+        simulate_session(&server, &visits, Case::Original, &cfg, opts);
     }
 
     #[test]
     fn sub_alpha_visits_never_release() {
         let (corpus, server, cfg) = setup();
         let visits = vec![visit(&corpus, "cnn", PageVersion::Mobile, 1.0)];
-        let out = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+        let out = run(&server, &visits, Case::Accurate9, &cfg);
         assert!(out.pages[0].released_at.is_none());
     }
 
@@ -823,8 +639,17 @@ mod tests {
         ];
         let sf = SessionFaults::new(FaultConfig::none(), 42);
         for case in [Case::Original, Case::Accurate9] {
-            let plain = simulate_session(&server, &visits, case, &cfg, None);
-            let faulted = simulate_session_faulted(&server, &visits, case, &cfg, None, Some(&sf));
+            let plain = run(&server, &visits, case, &cfg);
+            let faulted = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    faults: Some(&sf),
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             assert_eq!(
                 plain.total_joules.to_bits(),
                 faulted.total_joules.to_bits(),
@@ -846,15 +671,33 @@ mod tests {
         ];
         let sf = SessionFaults::new(FaultConfig::lossy(0.3), 2013);
         for case in [Case::Original, Case::Accurate9] {
-            let clean = simulate_session(&server, &visits, case, &cfg, None);
-            let out = simulate_session_faulted(&server, &visits, case, &cfg, None, Some(&sf));
+            let clean = run(&server, &visits, case, &cfg);
+            let out = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    faults: Some(&sf),
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             assert_eq!(out.pages.len(), 2, "case {case}: both visits complete");
             assert!(
                 out.total_joules >= clean.total_joules,
                 "case {case}: retries cannot make the session cheaper"
             );
             // Determinism: the same seed replays the same session.
-            let again = simulate_session_faulted(&server, &visits, case, &cfg, None, Some(&sf));
+            let again = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    faults: Some(&sf),
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             assert_eq!(out.total_joules.to_bits(), again.total_joules.to_bits());
             assert_eq!(out.failed_objects(), again.failed_objects());
         }
@@ -864,7 +707,7 @@ mod tests {
     fn record_timing_fields_are_consistent() {
         let (corpus, server, cfg) = setup();
         let visits = vec![visit(&corpus, "ebay", PageVersion::Full, 20.0)];
-        let out = simulate_session(&server, &visits, Case::Accurate20, &cfg, None);
+        let out = run(&server, &visits, Case::Accurate20, &cfg);
         let p = &out.pages[0];
         assert!(p.start < p.tx_end);
         assert!(p.tx_end <= p.opened);
@@ -877,6 +720,7 @@ mod tests {
 
 #[cfg(test)]
 mod algorithm_mode_tests {
+    use super::tests::run;
     use super::*;
     use crate::config::{AlgorithmMode, AlgorithmParams};
     use ewb_webpage::benchmark_corpus;
@@ -905,9 +749,12 @@ mod algorithm_mode_tests {
             &visits,
             Case::Accurate9, // Tp threshold = power-driven behaviour
             &power_cfg,
-            None,
+            SessionOpts::three_g(
+                // Tp threshold = power-driven behaviour
+                &power_cfg,
+            ),
         );
-        let kept = simulate_session(&server, &visits, Case::Accurate20, &delay_cfg, None);
+        let kept = run(&server, &visits, Case::Accurate20, &delay_cfg);
         assert!(
             released.pages[0].released_at.is_some(),
             "power mode releases at 14 s"
@@ -937,8 +784,8 @@ mod algorithm_mode_tests {
             },
         ];
         let cfg = CoreConfig::paper();
-        let power = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
-        let delay = simulate_session(&server, &visits, Case::Accurate20, &cfg, None);
+        let power = run(&server, &visits, Case::Accurate9, &cfg);
+        let delay = run(&server, &visits, Case::Accurate20, &cfg);
         // Power-driven: releases (reading > 9), second load pays promotion.
         assert_eq!(power.counters.fast_dormancy_releases, 2);
         assert_eq!(delay.counters.fast_dormancy_releases, 0);

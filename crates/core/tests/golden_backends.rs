@@ -1,14 +1,11 @@
 //! Golden backend sweep: the cross-backend policy summary must
-//! reproduce the committed JSON byte-for-byte, and its 3G rows must be
-//! bit-identical to the legacy (pre-trait) session path. Any drift in
-//! the `RadioModel` plumbing, the ladder machines, or the pipelines
-//! shows up here — and must be reviewed by regenerating the golden file
-//! with
+//! reproduce the committed JSON byte-for-byte. Any drift in the
+//! `RadioModel` plumbing, the ladder machines, or the pipelines shows up
+//! here — and must be reviewed by regenerating the golden file with
 //! `cargo run -p ewb-bench --release --bin backend_sweep -- --write-golden`.
 
 use ewb_core::cases::Case;
-use ewb_core::experiments::backends::{self, CASES, READING_S};
-use ewb_core::session::{simulate_session, Visit};
+use ewb_core::experiments::backends::{self, CASES};
 use ewb_core::webpage::{benchmark_corpus, OriginServer};
 use ewb_core::CoreConfig;
 
@@ -36,42 +33,6 @@ fn backend_sweep_matches_golden() {
         "backend sweep drifted from the golden summary; if the change \
          is intentional, regenerate the golden file and review the delta"
     );
-}
-
-/// The 3G-unchanged guard: threading the 3G machine through the
-/// `RadioModel` trait must not move a single bit relative to the
-/// original `simulate_session` path the robustness/timeline goldens
-/// anchor. (Those goldens stay valid for free if this holds.)
-#[test]
-fn three_g_rows_are_bit_identical_to_the_pre_trait_path() {
-    let corpus = benchmark_corpus(SEED);
-    let server = OriginServer::from_corpus(&corpus);
-    let cfg = CoreConfig::paper();
-    let rows = backends::sweep(&corpus, &server, &cfg);
-    for case in CASES {
-        let row = rows
-            .iter()
-            .find(|r| r.backend == "3g" && r.case == case.to_string())
-            .unwrap_or_else(|| panic!("missing 3g row for {case}"));
-        let mut joules = 0.0;
-        let mut load_s = 0.0;
-        for site in corpus.sites() {
-            let visits = [Visit {
-                page: &site.mobile,
-                reading_s: READING_S,
-                features: None,
-            }];
-            let out = simulate_session(&server, &visits, case, &cfg, None);
-            joules += out.total_joules;
-            load_s += out.total_load_time_s;
-        }
-        assert_eq!(
-            row.joules.to_bits(),
-            joules.to_bits(),
-            "{case}: generic path drifted from simulate_session"
-        );
-        assert_eq!(row.load_time_s.to_bits(), load_s.to_bits(), "{case}");
-    }
 }
 
 /// Sanity: Case enum order in the golden matches `CASES` (baseline

@@ -2,7 +2,7 @@
 //! and policy dominance over arbitrary visit schedules.
 
 use ewb_core::cases::Case;
-use ewb_core::session::{simulate_session, PageRecord, Visit};
+use ewb_core::session::{simulate_session, PageRecord, SessionOpts, Visit};
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 use proptest::prelude::*;
@@ -60,7 +60,7 @@ proptest! {
             return Ok(());
         }
         let visits = build_visits(&plan);
-        let out = simulate_session(server, &visits, case, &cfg, None);
+        let out = simulate_session(server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
         let sum: f64 = out.pages.iter().map(PageRecord::total_joules).sum();
         prop_assert!((sum - out.total_joules).abs() < 1e-6);
         let mut prev_end = ewb_core::simcore::SimTime::ZERO;
@@ -82,8 +82,8 @@ proptest! {
         let (_, server) = corpus();
         let cfg = CoreConfig::paper();
         let visits = build_visits(&plan);
-        let base = simulate_session(server, &visits, Case::Original, &cfg, None);
-        let ours = simulate_session(server, &visits, Case::Accurate20, &cfg, None);
+        let base = simulate_session(server, &visits, Case::Original, &cfg, SessionOpts::three_g(&cfg));
+        let ours = simulate_session(server, &visits, Case::Accurate20, &cfg, SessionOpts::three_g(&cfg));
         prop_assert!(
             ours.total_joules < base.total_joules,
             "oracle {} vs original {}",
@@ -101,8 +101,8 @@ proptest! {
         let (_, server) = corpus();
         let cfg = CoreConfig::paper();
         let visits = build_visits(&plan);
-        let a = simulate_session(server, &visits, Case::EnergyAwareAlwaysOff, &cfg, None);
-        let b = simulate_session(server, &visits, Case::EnergyAwareAlwaysOff, &cfg, None);
+        let a = simulate_session(server, &visits, Case::EnergyAwareAlwaysOff, &cfg, SessionOpts::three_g(&cfg));
+        let b = simulate_session(server, &visits, Case::EnergyAwareAlwaysOff, &cfg, SessionOpts::three_g(&cfg));
         prop_assert_eq!(a.total_joules, b.total_joules);
         prop_assert_eq!(a.total_load_time_s, b.total_load_time_s);
     }

@@ -6,7 +6,7 @@
 use ewb_core::cases::Case;
 use ewb_core::net::FaultConfig;
 use ewb_core::obs::{ledger, Recorder};
-use ewb_core::session::{simulate_session_recorded, SessionFaults, SessionOutcome, Visit};
+use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 use proptest::prelude::*;
@@ -69,7 +69,17 @@ fn run(
 ) -> SessionOutcome {
     let (_, server) = corpus();
     let cfg = CoreConfig::paper();
-    simulate_session_recorded(server, visits, case, &cfg, None, faults, recorder)
+    simulate_session(
+        server,
+        visits,
+        case,
+        &cfg,
+        SessionOpts {
+            faults,
+            recorder: recorder.clone(),
+            ..SessionOpts::three_g(&cfg)
+        },
+    )
 }
 
 proptest! {

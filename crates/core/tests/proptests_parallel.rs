@@ -8,7 +8,7 @@
 use ewb_core::browser::parallel::ParallelismPlan;
 use ewb_core::cases::Case;
 use ewb_core::net::FaultConfig;
-use ewb_core::session::{simulate_session_planned, SessionFaults, SessionOutcome, Visit};
+use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 use proptest::prelude::*;
@@ -80,15 +80,17 @@ fn run(
 ) -> SessionOutcome {
     let (_, server) = corpus();
     let cfg = CoreConfig::paper();
-    simulate_session_planned(
+    simulate_session(
         server,
         visits,
         case,
         &cfg,
-        None,
-        faults,
-        plan,
-        host_parallel,
+        SessionOpts {
+            faults,
+            plan,
+            host_parallel,
+            ..SessionOpts::three_g(&cfg)
+        },
     )
 }
 

@@ -9,7 +9,7 @@
 //!    times, same counters, same histograms.
 
 use ewb_core::profile::ProfiledOutcome;
-use ewb_core::session::{simulate_session, Visit};
+use ewb_core::session::{simulate_session, SessionOpts, Visit};
 use ewb_fleet::{plan_user, run_fleet, FleetConfig, FleetEnv, FleetSummary};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -75,13 +75,22 @@ fn fleet_matches_full_session_simulation_per_user() {
                 }
             })
             .collect();
-        let baseline = simulate_session(&env.server, &visits, cfg.baseline, &env.cfg, None);
+        let baseline = simulate_session(
+            &env.server,
+            &visits,
+            cfg.baseline,
+            &env.cfg,
+            SessionOpts::three_g(&env.cfg),
+        );
         let optimized = simulate_session(
             &env.server,
             &visits,
             cfg.optimized,
             &env.cfg,
-            Some(&env.predictor),
+            SessionOpts {
+                predictor: Some(&env.predictor),
+                ..SessionOpts::three_g(&env.cfg)
+            },
         );
         for p in &baseline.pages {
             expected.fold_baseline_load(p.opened - p.start);

@@ -9,7 +9,7 @@
 
 use crate::fetcher::TransferRecord;
 use ewb_obs::Recorder;
-use ewb_rrc::{RadioModel, RrcConfig, RrcMachine};
+use ewb_rrc::RadioModel;
 use ewb_simcore::SimTime;
 
 /// One radio-relevant event of a session.
@@ -61,10 +61,19 @@ impl RadioEvent {
 }
 
 /// Builds the event list for one page load: its transfers plus the
-/// browser's CPU-busy intervals.
-pub fn events_of_load(
+/// browser's CPU-busy intervals on the main core (`cpu_busy`) and on
+/// helper cores (`aux_busy`, `LoadMetrics::aux_busy` under a parallel
+/// plan).
+///
+/// Without helper intervals every main-core interval becomes a `CpuLoad`
+/// step to 1 and back to 0. Otherwise the main and helper intervals are
+/// merged into a single active-core-count step function: one `CpuLoad`
+/// event per time the count changes, carrying the new count, so
+/// concurrent cores draw concurrent CPU power during replay.
+pub fn events_of_load_parallel(
     transfers: &[TransferRecord],
     cpu_busy: &[(SimTime, SimTime)],
+    aux_busy: &[(SimTime, SimTime)],
 ) -> Vec<RadioEvent> {
     let mut events = Vec::with_capacity(transfers.len() * 2 + cpu_busy.len() * 2);
     for t in transfers {
@@ -75,31 +84,13 @@ pub fn events_of_load(
         });
         events.push(RadioEvent::EndTransfer { at: t.end });
     }
-    for &(s, e) in cpu_busy {
-        events.push(RadioEvent::CpuLoad { at: s, load: 1.0 });
-        events.push(RadioEvent::CpuLoad { at: e, load: 0.0 });
-    }
-    events
-}
-
-/// [`events_of_load`] for loads that also carry helper-core busy
-/// intervals (`LoadMetrics::aux_busy` under a parallel plan).
-///
-/// With no aux intervals this delegates to [`events_of_load`] and is
-/// bit-identical to it — the sequential plan's sessions replay exactly
-/// as before. Otherwise the main and helper intervals are merged into a
-/// single active-core-count step function: one `CpuLoad` event per time
-/// the count changes, carrying the new count, so concurrent cores draw
-/// concurrent CPU power during replay.
-pub fn events_of_load_parallel(
-    transfers: &[TransferRecord],
-    cpu_busy: &[(SimTime, SimTime)],
-    aux_busy: &[(SimTime, SimTime)],
-) -> Vec<RadioEvent> {
     if aux_busy.is_empty() {
-        return events_of_load(transfers, cpu_busy);
+        for &(s, e) in cpu_busy {
+            events.push(RadioEvent::CpuLoad { at: s, load: 1.0 });
+            events.push(RadioEvent::CpuLoad { at: e, load: 0.0 });
+        }
+        return events;
     }
-    let mut events = events_of_load(transfers, &[]);
     // Net +1/-1 deltas per boundary instant; BTreeMap both merges
     // same-time boundaries and yields them in time order.
     let mut deltas: std::collections::BTreeMap<SimTime, i64> = std::collections::BTreeMap::new();
@@ -125,38 +116,6 @@ pub fn events_of_load_parallel(
     events
 }
 
-/// Replays `events` (sorted internally; ties keep insertion order within
-/// the same kind, with transfer-ends before begins so refcounts match the
-/// original timeline) onto a fresh machine, then advances to `until`.
-///
-/// # Panics
-///
-/// Panics if the event sequence is inconsistent (e.g. an `EndTransfer`
-/// without a matching begin), which indicates a session-assembly bug.
-pub fn replay(
-    rrc_cfg: RrcConfig,
-    start: SimTime,
-    events: Vec<RadioEvent>,
-    until: SimTime,
-) -> RrcMachine {
-    replay_recorded(rrc_cfg, start, events, until, Recorder::disabled())
-}
-
-/// Backend-generic [`replay`]: the same canonical ordering and event
-/// application on a fresh machine of any [`RadioModel`].
-///
-/// # Panics
-///
-/// Panics if the event sequence is inconsistent (see [`replay`]).
-pub fn replay_radio<R: RadioModel>(
-    radio_cfg: R::Config,
-    start: SimTime,
-    events: Vec<RadioEvent>,
-    until: SimTime,
-) -> R {
-    replay_radio_recorded(radio_cfg, start, events, until, Recorder::disabled())
-}
-
 /// Sorts radio events into replay order: stable by time, with exact-time
 /// ties broken by kind — CPU changes first (they never interact with
 /// refcounts), then transfer ends, then begins, then releases (a release
@@ -175,32 +134,20 @@ pub fn sort_radio_events(events: &mut [RadioEvent]) {
     events.sort_by(|a, b| a.at().cmp(&b.at()).then(rank(a).cmp(&rank(b))));
 }
 
-/// Like [`replay`], but the fresh machine carries `recorder`, so the
-/// replay emits the session's full RRC event stream — state transitions,
-/// timers, promotions, and the energy ledger whose fold is bit-identical
+/// Replays `events` onto a fresh machine of any [`RadioModel`], then
+/// advances it to `until`. The events are applied in the canonical
+/// [`sort_radio_events`] order, so refcounts match the original timeline.
+///
+/// The machine carries `recorder`, so with an enabled recorder the replay
+/// emits the session's full radio event stream: state transitions,
+/// timers, promotions, and the energy ledger, whose fold is bit-identical
 /// to the returned machine's `energy_j()`.
 ///
 /// # Panics
 ///
-/// Panics if the event sequence is inconsistent (see [`replay`]).
-pub fn replay_recorded(
-    rrc_cfg: RrcConfig,
-    start: SimTime,
-    events: Vec<RadioEvent>,
-    until: SimTime,
-    recorder: Recorder,
-) -> RrcMachine {
-    replay_radio_recorded(rrc_cfg, start, events, until, recorder)
-}
-
-/// Backend-generic [`replay_recorded`]. The 3G wrapper delegates here, so
-/// every backend replays through the one code path (and the 3G path stays
-/// call-for-call what it was: the trait impl is pure delegation).
-///
-/// # Panics
-///
-/// Panics if the event sequence is inconsistent (see [`replay`]).
-pub fn replay_radio_recorded<R: RadioModel>(
+/// Panics if the event sequence is inconsistent (e.g. an `EndTransfer`
+/// without a matching begin), which indicates a session-assembly bug.
+pub fn replay<R: RadioModel>(
     radio_cfg: R::Config,
     start: SimTime,
     mut events: Vec<RadioEvent>,
@@ -237,6 +184,18 @@ mod tests {
     use crate::config::NetConfig;
     use crate::fetcher::ThreeGFetcher;
     use ewb_browser::fetch::ResourceFetcher;
+    use ewb_rrc::{RrcConfig, RrcMachine};
+
+    /// Replays `events` from time zero on the paper's 3G radio.
+    fn replay_3g(events: Vec<RadioEvent>, until: SimTime) -> RrcMachine {
+        replay(
+            RrcConfig::paper(),
+            SimTime::ZERO,
+            events,
+            until,
+            Recorder::disabled(),
+        )
+    }
     use ewb_simcore::SimDuration;
     use ewb_webpage::{benchmark_corpus, OriginServer, PageVersion};
 
@@ -258,8 +217,8 @@ mod tests {
         let end = f.machine().now();
         let original_energy = f.machine().energy_j();
 
-        let events = events_of_load(f.transfers(), &[]);
-        let replayed = replay(RrcConfig::paper(), SimTime::ZERO, events, end);
+        let events = events_of_load_parallel(f.transfers(), &[], &[]);
+        let replayed = replay_3g(events, end);
         assert!(
             (replayed.energy_j() - original_energy).abs() < 1e-6,
             "replayed {} vs original {original_energy}",
@@ -270,13 +229,45 @@ mod tests {
 
     #[test]
     fn parallel_events_without_aux_match_the_legacy_builder() {
-        let cpu = vec![
-            (SimTime::ZERO, SimTime::from_secs(1)),
-            (SimTime::from_secs(2), SimTime::from_secs(3)),
-        ];
+        let s = SimTime::from_secs;
+        let transfer = TransferRecord {
+            requested_at: s(0),
+            data_start: s(1),
+            end: s(2),
+            bytes: 10_000,
+            needs_dch: true,
+            promotion_retries: 1,
+            completed: true,
+        };
+        let cpu = vec![(s(0), s(1)), (s(2), s(3))];
+        // Transfers first, then one 1 → 0 step per main-core interval: the
+        // sequential plan's events, which the timeline golden pins.
         assert_eq!(
-            events_of_load_parallel(&[], &cpu, &[]),
-            events_of_load(&[], &cpu)
+            events_of_load_parallel(&[transfer], &cpu, &[]),
+            vec![
+                RadioEvent::BeginTransfer {
+                    at: s(0),
+                    needs_dch: true,
+                    promotion_retries: 1,
+                },
+                RadioEvent::EndTransfer { at: s(2) },
+                RadioEvent::CpuLoad {
+                    at: s(0),
+                    load: 1.0
+                },
+                RadioEvent::CpuLoad {
+                    at: s(1),
+                    load: 0.0
+                },
+                RadioEvent::CpuLoad {
+                    at: s(2),
+                    load: 1.0
+                },
+                RadioEvent::CpuLoad {
+                    at: s(3),
+                    load: 0.0
+                },
+            ]
         );
     }
 
@@ -320,17 +311,13 @@ mod tests {
             promotion_retries: 0,
             completed: true,
         }];
-        let no_cpu = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &[]),
+        let no_cpu = replay_3g(
+            events_of_load_parallel(&transfers, &[], &[]),
             SimTime::from_secs(10),
         );
         let cpu = vec![(SimTime::from_secs(4), SimTime::from_secs(6))];
-        let with_cpu = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &cpu),
+        let with_cpu = replay_3g(
+            events_of_load_parallel(&transfers, &cpu, &[]),
             SimTime::from_secs(10),
         );
         let delta = with_cpu.energy_j() - no_cpu.energy_j();
@@ -348,20 +335,13 @@ mod tests {
             promotion_retries: 0,
             completed: true,
         }];
-        let mut events = events_of_load(&transfers, &[]);
+        let mut events = events_of_load_parallel(&transfers, &[], &[]);
         events.push(RadioEvent::Release {
             at: SimTime::from_secs(4),
         });
-        let released = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events,
-            SimTime::from_secs(30),
-        );
-        let kept = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &[]),
+        let released = replay_3g(events, SimTime::from_secs(30));
+        let kept = replay_3g(
+            events_of_load_parallel(&transfers, &[], &[]),
             SimTime::from_secs(30),
         );
         assert!(released.energy_j() < kept.energy_j());
@@ -381,10 +361,8 @@ mod tests {
             completed: true,
         };
         let transfers = [t(0, 5), t(5, 9)];
-        let m = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &[]),
+        let m = replay_3g(
+            events_of_load_parallel(&transfers, &[], &[]),
             SimTime::from_secs(40),
         );
         assert_eq!(m.counters().transfers, 2);
@@ -423,8 +401,8 @@ mod tests {
         );
         let end = f.machine().now();
         let original_energy = f.machine().energy_j();
-        let events = events_of_load(f.transfers(), &[]);
-        let replayed = replay(RrcConfig::paper(), SimTime::ZERO, events, end);
+        let events = events_of_load_parallel(f.transfers(), &[], &[]);
+        let replayed = replay_3g(events, end);
         assert!(
             (replayed.energy_j() - original_energy).abs() < 1e-6,
             "replayed {} vs original {original_energy}",
@@ -439,12 +417,7 @@ mod tests {
 
     #[test]
     fn until_extends_idle_accounting() {
-        let m = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            Vec::new(),
-            SimTime::from_secs(20),
-        );
+        let m = replay_3g(Vec::new(), SimTime::from_secs(20));
         assert!((m.energy_j() - 20.0 * 0.15).abs() < 1e-9);
         assert_eq!(m.residency().idle, SimDuration::from_secs(20));
     }

@@ -1,9 +1,10 @@
 //! Property-based tests for the 3G fetcher and the energy replay.
 
 use ewb_browser::fetch::ResourceFetcher;
-use ewb_net::replay::{events_of_load, replay};
+use ewb_net::replay::{events_of_load_parallel, replay};
 use ewb_net::{FaultConfig, NetConfig, RetryPolicy, ThreeGFetcher};
-use ewb_rrc::RrcConfig;
+use ewb_obs::Recorder;
+use ewb_rrc::{RrcConfig, RrcMachine};
 use ewb_simcore::{SimDuration, SimTime};
 use ewb_webpage::{OriginServer, Page, PageSpec, PageVersion};
 use proptest::prelude::*;
@@ -110,12 +111,7 @@ proptest! {
         }
         let transfers = fetcher.transfers().to_vec();
         let machine = fetcher.into_machine();
-        let replayed = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &[]),
-            machine.now(),
-        );
+        let replayed = replay::<RrcMachine>(RrcConfig::paper(), SimTime::ZERO, events_of_load_parallel(&transfers, &[], &[]), machine.now(), Recorder::disabled());
         prop_assert!((replayed.energy_j() - machine.energy_j()).abs() < 1e-6);
         prop_assert_eq!(replayed.residency(), machine.residency());
         prop_assert_eq!(
@@ -243,12 +239,7 @@ proptest! {
         // Replay fidelity holds under faults too.
         let transfers = fetcher.transfers().to_vec();
         let machine = fetcher.into_machine();
-        let replayed = replay(
-            RrcConfig::paper(),
-            SimTime::ZERO,
-            events_of_load(&transfers, &[]),
-            machine.now(),
-        );
+        let replayed = replay::<RrcMachine>(RrcConfig::paper(), SimTime::ZERO, events_of_load_parallel(&transfers, &[], &[]), machine.now(), Recorder::disabled());
         prop_assert!((replayed.energy_j() - machine.energy_j()).abs() < 1e-6);
         prop_assert_eq!(replayed.residency(), machine.residency());
     }

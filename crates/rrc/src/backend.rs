@@ -224,9 +224,28 @@ pub trait RadioModel: Sized {
     fn click_state_index(&self) -> usize;
 }
 
-/// The 3G click states, in profile-key order (shared with `ewb-core`'s
-/// profile table).
+/// The 3G click states, in [`RadioModel::click_state_index`] order.
 const THREE_G_CLICK_STATES: [RrcState; 3] = [RrcState::Idle, RrcState::Fach, RrcState::Dch];
+
+impl RrcState {
+    /// This state's 3G click-state index ([`RadioModel::click_state_index`]
+    /// order: IDLE, FACH, DCH).
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Promoting`: a click cannot find the radio mid-promotion.
+    pub fn click_state_index(self) -> usize {
+        match self {
+            RrcState::Idle => 0,
+            RrcState::Fach => 1,
+            RrcState::Dch => 2,
+            RrcState::Promoting => panic!(
+                "a click cannot find the radio in the Promoting state: promotion windows \
+                 only exist inside page loads"
+            ),
+        }
+    }
+}
 
 impl RadioModel for RrcMachine {
     type Config = RrcConfig;
@@ -356,15 +375,7 @@ impl RadioModel for RrcMachine {
     }
 
     fn click_state_index(&self) -> usize {
-        match self.state() {
-            RrcState::Idle => 0,
-            RrcState::Fach => 1,
-            RrcState::Dch => 2,
-            RrcState::Promoting => panic!(
-                "a click cannot find the radio in the Promoting state: promotion windows \
-                 only exist inside page loads"
-            ),
-        }
+        self.state().click_state_index()
     }
 }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use ewb_core::cases::Case;
-use ewb_core::session::{simulate_session, Visit};
+use ewb_core::session::{simulate_session, SessionOpts, Visit};
 use ewb_core::traces::{reading_time_params, ReadingTimePredictor, TraceConfig, TraceDataset};
 use ewb_core::webpage::{benchmark_corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
@@ -46,7 +46,16 @@ fn main() {
         .collect();
 
     for case in [Case::Original, Case::Predict20] {
-        let out = simulate_session(&server, &visits, case, &cfg, Some(&predictor));
+        let out = simulate_session(
+            &server,
+            &visits,
+            case,
+            &cfg,
+            SessionOpts {
+                predictor: Some(&predictor),
+                ..SessionOpts::three_g(&cfg)
+            },
+        );
         println!("--- {case} ---");
         for p in &out.pages {
             let decision = match (p.predicted_s, p.released_at) {

@@ -5,7 +5,7 @@
 //! ```
 
 use ewb_core::cases::Case;
-use ewb_core::session::{simulate_session, Visit};
+use ewb_core::session::{simulate_session, SessionOpts, Visit};
 use ewb_core::webpage::{benchmark_corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 
@@ -31,8 +31,9 @@ fn main() {
         features: None,
     }];
 
-    let original = simulate_session(&server, &visits, Case::Original, &cfg, None);
-    let ours = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+    let run = |case| simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
+    let original = run(Case::Original);
+    let ours = run(Case::Accurate9);
 
     let op = &original.pages[0];
     let ep = &ours.pages[0];

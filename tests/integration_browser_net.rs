@@ -3,9 +3,10 @@
 
 use ewb_core::browser::fetch::ResourceFetcher;
 use ewb_core::browser::pipeline::{load_page, PipelineConfig, PipelineMode};
-use ewb_core::net::replay::{events_of_load, replay};
+use ewb_core::net::replay::{events_of_load_parallel, replay};
 use ewb_core::net::ThreeGFetcher;
-use ewb_core::rrc::RrcState;
+use ewb_core::obs::Recorder;
+use ewb_core::rrc::{RrcMachine, RrcState};
 use ewb_core::simcore::SimTime;
 use ewb_core::webpage::{benchmark_corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
@@ -50,11 +51,12 @@ fn replayed_energy_equals_live_radio_energy_without_cpu() {
     );
     let transfers = fetcher.transfers().to_vec();
     let machine = fetcher.into_machine();
-    let replayed = replay(
+    let replayed = replay::<RrcMachine>(
         cfg.rrc,
         SimTime::ZERO,
-        events_of_load(&transfers, &[]),
+        events_of_load_parallel(&transfers, &[], &[]),
         machine.now(),
+        Recorder::disabled(),
     );
     assert!(
         (replayed.energy_j() - machine.energy_j()).abs() < 1e-6,
@@ -82,12 +84,19 @@ fn cpu_replay_adds_exactly_the_browser_compute_energy() {
     );
     let transfers = fetcher.transfers().to_vec();
     let end = metrics.final_display_at;
-    let without = replay(cfg.rrc, SimTime::ZERO, events_of_load(&transfers, &[]), end);
-    let with = replay(
+    let without = replay::<RrcMachine>(
         cfg.rrc,
         SimTime::ZERO,
-        events_of_load(&transfers, &metrics.cpu_busy),
+        events_of_load_parallel(&transfers, &[], &[]),
         end,
+        Recorder::disabled(),
+    );
+    let with = replay::<RrcMachine>(
+        cfg.rrc,
+        SimTime::ZERO,
+        events_of_load_parallel(&transfers, &metrics.cpu_busy, &[]),
+        end,
+        Recorder::disabled(),
     );
     let cpu_secs = metrics.work.total().as_secs_f64();
     let delta = with.energy_j() - without.energy_j();

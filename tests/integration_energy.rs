@@ -1,7 +1,7 @@
 //! Cross-crate integration: session energy accounting.
 
 use ewb_core::cases::Case;
-use ewb_core::session::{simulate_session, PageRecord, Visit};
+use ewb_core::session::{simulate_session, PageRecord, SessionOpts, SessionOutcome, Visit};
 use ewb_core::webpage::{benchmark_corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 
@@ -9,6 +9,16 @@ fn setup() -> (ewb_core::webpage::Corpus, OriginServer, CoreConfig) {
     let corpus = benchmark_corpus(5);
     let server = OriginServer::from_corpus(&corpus);
     (corpus, server, CoreConfig::paper())
+}
+
+/// A session with the paper's default options.
+fn run(
+    server: &OriginServer,
+    visits: &[Visit<'_>],
+    case: Case,
+    cfg: &CoreConfig,
+) -> SessionOutcome {
+    simulate_session(server, visits, case, cfg, SessionOpts::three_g(cfg))
 }
 
 #[test]
@@ -23,7 +33,7 @@ fn per_page_energy_partitions_the_session_total() {
         })
         .collect();
     for case in [Case::Original, Case::Accurate9, Case::EnergyAwareAlwaysOff] {
-        let out = simulate_session(&server, &visits, case, &cfg, None);
+        let out = run(&server, &visits, case, &cfg);
         let sum: f64 = out.pages.iter().map(PageRecord::total_joules).sum();
         assert!(
             (sum - out.total_joules).abs() < 1e-6,
@@ -41,14 +51,14 @@ fn every_case_is_at_least_as_cheap_as_original_on_long_reads() {
         reading_s: 30.0,
         features: None,
     }];
-    let base = simulate_session(&server, &visits, Case::Original, &cfg, None).total_joules;
+    let base = run(&server, &visits, Case::Original, &cfg).total_joules;
     for case in [
         Case::OriginalAlwaysOff,
         Case::EnergyAwareAlwaysOff,
         Case::Accurate9,
         Case::Accurate20,
     ] {
-        let j = simulate_session(&server, &visits, case, &cfg, None).total_joules;
+        let j = run(&server, &visits, case, &cfg).total_joules;
         assert!(j < base, "{case}: {j} should beat {base}");
     }
 }
@@ -64,7 +74,7 @@ fn reading_period_energy_matches_hand_computation() {
         reading_s: reading,
         features: None,
     }];
-    let out = simulate_session(&server, &visits, Case::Original, &cfg, None);
+    let out = run(&server, &visits, Case::Original, &cfg);
     // T1 is armed at the *last transfer end*; the layout computation
     // between tx-end and page-open consumes part of the DCH tail before
     // the reading window starts.
@@ -89,7 +99,7 @@ fn released_reading_energy_is_mostly_idle() {
         reading_s: reading,
         features: None,
     }];
-    let out = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+    let out = run(&server, &visits, Case::Accurate9, &cfg);
     let p = &out.pages[0];
     assert!(p.released_at.is_some());
     // α at the post-load state + release window + IDLE for the rest: far
@@ -111,8 +121,8 @@ fn short_reads_make_always_off_expensive() {
             features: None,
         })
         .collect();
-    let orig = simulate_session(&server, &visits, Case::Original, &cfg, None);
-    let off = simulate_session(&server, &visits, Case::OriginalAlwaysOff, &cfg, None);
+    let orig = run(&server, &visits, Case::Original, &cfg);
+    let off = run(&server, &visits, Case::OriginalAlwaysOff, &cfg);
     assert!(off.counters.idle_to_dch > orig.counters.idle_to_dch);
     assert!(
         off.total_load_time_s > orig.total_load_time_s,
@@ -129,7 +139,7 @@ fn oracle_never_releases_below_threshold_and_always_above() {
             reading_s: reading,
             features: None,
         }];
-        let out = simulate_session(&server, &visits, Case::Accurate9, &cfg, None);
+        let out = run(&server, &visits, Case::Accurate9, &cfg);
         assert_eq!(
             out.pages[0].released_at.is_some(),
             expect_release,

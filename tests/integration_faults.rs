@@ -5,7 +5,7 @@
 use ewb_core::browser::pipeline::{load_page, PipelineConfig, PipelineMode};
 use ewb_core::cases::Case;
 use ewb_core::net::{FaultConfig, RetryPolicy, ThreeGFetcher};
-use ewb_core::session::{simulate_session, simulate_session_faulted, SessionFaults, Visit};
+use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, Visit};
 use ewb_core::simcore::SimTime;
 use ewb_core::webpage::{benchmark_corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
@@ -72,8 +72,17 @@ fn five_percent_loss_degrades_gracefully_in_both_modes() {
                 reading_s: 20.0,
                 features: None,
             }];
-            let clean = simulate_session(&server, &visits, case, &cfg, None);
-            let faulty = simulate_session_faulted(&server, &visits, case, &cfg, None, Some(&sf));
+            let clean = simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
+            let faulty = simulate_session(
+                &server,
+                &visits,
+                case,
+                &cfg,
+                SessionOpts {
+                    faults: Some(&sf),
+                    ..SessionOpts::three_g(&cfg)
+                },
+            );
             assert_eq!(faulty.pages.len(), 1, "{}: load completed", site.key);
             assert!(faulty.total_joules.is_finite() && faulty.total_joules > 0.0);
             clean_total += clean.total_joules;
@@ -118,7 +127,16 @@ fn total_loss_never_wedges_a_load() {
             reading_s: 10.0,
             features: None,
         }];
-        let out = simulate_session_faulted(&server, &visits, case, &cfg, None, Some(&sf));
+        let out = simulate_session(
+            &server,
+            &visits,
+            case,
+            &cfg,
+            SessionOpts {
+                faults: Some(&sf),
+                ..SessionOpts::three_g(&cfg)
+            },
+        );
         assert_eq!(out.pages.len(), 1);
         assert!(out.pages[0].degraded, "nothing arrived: page is degraded");
         assert!(out.pages[0].failed_objects >= 1, "root must be accounted");

@@ -6,11 +6,11 @@
 //! energy replay event by event.
 
 use ewb_core::cases::Case;
-use ewb_core::net::replay::{events_of_load, replay_recorded};
+use ewb_core::net::replay::{events_of_load_parallel, replay};
 use ewb_core::net::{FaultConfig, NetConfig, RetryPolicy, ThreeGFetcher};
 use ewb_core::obs::{ledger, timeline, Event, RadioState, Recorder, Timer};
 use ewb_core::rrc::{RrcConfig, RrcMachine};
-use ewb_core::session::{simulate_session_recorded, SessionFaults, SessionOutcome, Visit};
+use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_core::simcore::SimTime;
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
@@ -55,7 +55,17 @@ fn run_recorded(
 ) -> (SessionOutcome, Vec<Event>) {
     let (corpus, server, cfg) = setup();
     let visits = visits(&corpus);
-    let out = simulate_session_recorded(&server, &visits, case, &cfg, None, faults, recorder);
+    let out = simulate_session(
+        &server,
+        &visits,
+        case,
+        &cfg,
+        SessionOpts {
+            faults,
+            recorder: recorder.clone(),
+            ..SessionOpts::three_g(&cfg)
+        },
+    );
     (out, recorder.events())
 }
 
@@ -249,10 +259,10 @@ fn live_and_replayed_faulted_runs_agree_event_by_event() {
     let end = fetcher.machine().now();
 
     let replay_rec = Recorder::memory();
-    let replayed = replay_recorded(
+    let replayed = replay::<RrcMachine>(
         RrcConfig::paper(),
         SimTime::ZERO,
-        events_of_load(fetcher.transfers(), &[]),
+        events_of_load_parallel(fetcher.transfers(), &[], &[]),
         end,
         replay_rec.clone(),
     );
