@@ -239,8 +239,9 @@ pub fn proxy_baseline(ctx: &Context) -> String {
 /// time with and without the cache, stacked on the energy-aware pipeline.
 pub fn layout_cache(ctx: &Context) -> String {
     use ewb_core::browser::cache::LayoutCache;
-    use ewb_core::browser::pipeline::{load_page_cached, PipelineConfig, PipelineMode};
+    use ewb_core::browser::pipeline::{load_page_with, PipelineConfig, PipelineMode};
     use ewb_core::net::ThreeGFetcher;
+    use ewb_core::obs::Recorder;
     use ewb_core::simcore::SimTime;
     let mut out = header(
         "Extension — layout caching on repeat visits (Zhang et al.)",
@@ -257,13 +258,14 @@ pub fn layout_cache(ctx: &Context) -> String {
         let run = |cache: &mut LayoutCache| {
             let mut fetcher =
                 ThreeGFetcher::new(ctx.cfg.net, ctx.cfg.rrc, &ctx.server, SimTime::ZERO);
-            load_page_cached(
+            load_page_with(
                 &mut fetcher,
                 page.root_url(),
                 SimTime::ZERO,
                 &PipelineConfig::new(PipelineMode::EnergyAware),
                 &ctx.cfg.cost,
-                cache,
+                Some(cache),
+                Recorder::disabled(),
             )
         };
         let cold = run(&mut cache).load_time().as_secs_f64();

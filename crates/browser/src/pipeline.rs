@@ -277,7 +277,7 @@ pub fn load_page<F: ResourceFetcher + ?Sized>(
     cfg: &PipelineConfig,
     cost: &CpuCostModel,
 ) -> LoadMetrics {
-    load_page_inner(
+    load_page_with(
         fetcher,
         root_url,
         start,
@@ -288,23 +288,20 @@ pub fn load_page<F: ResourceFetcher + ?Sized>(
     )
 }
 
-/// Like [`load_page`], but each computation stage emits a
-/// [`Span`](ewb_obs::Event::Span) into `recorder`, plus phase spans
+/// [`load_page`] with its two options.
+///
+/// With a `cache`, the load consults (and fills) a [`LayoutCache`]: on a
+/// repeat visit to an unchanged page, the layout phase skips CSS rule
+/// extraction, style formatting, and layout calculation, paying only
+/// image decoding and painting — the Zhang et al. layout-caching
+/// extension discussed in the paper's §6.
+///
+/// With an enabled `recorder`, each computation stage emits a
+/// [`Span`](ewb_obs::Event::Span), plus phase spans
 /// (`transmission_phase`, `layout_phase`) and per-load counters once the
 /// load completes. The recorder only observes — the returned
 /// [`LoadMetrics`] are identical with it enabled or disabled.
-pub fn load_page_recorded<F: ResourceFetcher + ?Sized>(
-    fetcher: &mut F,
-    root_url: &str,
-    start: SimTime,
-    cfg: &PipelineConfig,
-    cost: &CpuCostModel,
-    recorder: Recorder,
-) -> LoadMetrics {
-    load_page_inner(fetcher, root_url, start, cfg, cost, None, recorder)
-}
-
-fn load_page_inner<F: ResourceFetcher + ?Sized>(
+pub fn load_page_with<F: ResourceFetcher + ?Sized>(
     fetcher: &mut F,
     root_url: &str,
     start: SimTime,
@@ -391,30 +388,6 @@ fn load_page_inner<F: ResourceFetcher + ?Sized>(
         }
     }
     m
-}
-
-/// Like [`load_page`], but consults (and fills) a [`LayoutCache`]: on a
-/// repeat visit to an unchanged page, the layout phase skips CSS rule
-/// extraction, style formatting, and layout calculation, paying only
-/// image decoding and painting — the Zhang et al. layout-caching
-/// extension discussed in the paper's §6.
-pub fn load_page_cached<F: ResourceFetcher + ?Sized>(
-    fetcher: &mut F,
-    root_url: &str,
-    start: SimTime,
-    cfg: &PipelineConfig,
-    cost: &CpuCostModel,
-    cache: &mut LayoutCache,
-) -> LoadMetrics {
-    load_page_inner(
-        fetcher,
-        root_url,
-        start,
-        cfg,
-        cost,
-        Some(cache),
-        Recorder::disabled(),
-    )
 }
 
 /// Which CPU category a busy interval belongs to.
@@ -1239,13 +1212,14 @@ mod layout_cache_tests {
         let corpus = benchmark_corpus(1);
         let page = corpus.page("espn", PageVersion::Full).unwrap();
         let mut fetcher = FixedRateFetcher::paper_3g(OriginServer::from_corpus(&corpus));
-        load_page_cached(
+        load_page_with(
             &mut fetcher,
             page.root_url(),
             SimTime::ZERO,
             &PipelineConfig::new(PipelineMode::EnergyAware),
             &CpuCostModel::default(),
-            cache,
+            Some(cache),
+            Recorder::disabled(),
         )
     }
 

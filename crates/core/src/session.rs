@@ -22,7 +22,7 @@
 use crate::cases::{Case, ReleasePolicy};
 use crate::config::CoreConfig;
 use ewb_browser::parallel::ParallelismPlan;
-use ewb_browser::pipeline::{load_page_recorded, PipelineConfig};
+use ewb_browser::pipeline::{load_page_with, PipelineConfig};
 use ewb_browser::CpuWork;
 use ewb_net::replay::{events_of_load_parallel, replay, RadioEvent};
 use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
@@ -354,12 +354,13 @@ pub fn simulate_session<R: RadioModel>(
                 .try_with_faults(sf.faults, seed, sf.retry)
                 .unwrap_or_else(|e| panic!("invalid SessionFaults: {e}"));
         }
-        let metrics = load_page_recorded(
+        let metrics = load_page_with(
             &mut fetcher,
             visit.page.root_url(),
             t,
             &pipe_cfg,
             &cfg.cost,
+            None,
             recorder.clone(),
         );
         events.extend(events_of_load_parallel(

@@ -20,8 +20,7 @@
 //! justification next to the suppressed code.
 
 use crate::diag::Diagnostic;
-use crate::items::FileModel;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 
 /// One parsed allow directive.
 #[derive(Debug, Clone)]
@@ -37,17 +36,18 @@ pub struct Allow {
     pub justification: String,
 }
 
-/// Parses every allow directive in the file. Malformed directives are
-/// returned as diagnostics in the second tuple slot.
+/// Parses every allow directive in the file, given all its tokens
+/// (comments included). Malformed directives are returned as
+/// diagnostics in the second tuple slot.
 pub fn parse(
     src: &str,
-    model: &FileModel,
+    tokens: &[Token],
     file: &str,
     known_rules: &[&str],
 ) -> (Vec<Allow>, Vec<Diagnostic>) {
     let mut allows = Vec::new();
     let mut bad = Vec::new();
-    for (i, tok) in model.tokens.iter().enumerate() {
+    for (i, tok) in tokens.iter().enumerate() {
         // Only plain `//` comments are directives — doc comments mention
         // the grammar in prose (this module does) without meaning it.
         if !matches!(tok.kind, TokenKind::LineComment { doc: false }) {
@@ -92,7 +92,7 @@ pub fn parse(
         }
         // Trailing if any non-comment token starts on the same line
         // before this comment.
-        let trailing = model.tokens[..i]
+        let trailing = tokens[..i]
             .iter()
             .rev()
             .take_while(|t| t.line == tok.line)
@@ -100,7 +100,7 @@ pub fn parse(
         let until_line = if trailing {
             tok.line
         } else {
-            end_of_enclosing_block(src, model, i)
+            end_of_enclosing_block(src, tokens, i)
         };
         allows.push(Allow {
             rule,
@@ -123,20 +123,20 @@ fn malformed(file: &str, line: u32, col: u32, what: &str) -> Diagnostic {
     }
 }
 
-/// The last line of the block enclosing token `i`: the line of the `}`
-/// that drops brace depth below the depth at `i` (end of file at module
+/// The last line of the block enclosing token `i`: the line of the first
+/// later `}` that closes a brace still open at `i` (end of file at module
 /// level).
-fn end_of_enclosing_block(src: &str, model: &FileModel, i: usize) -> u32 {
-    let here = model.depth[i];
-    if here == 0 {
-        return u32::MAX;
-    }
-    // `depth[j]` is the depth *before* token `j`: the `}` closing the
-    // enclosing block is the first one whose before-depth equals `here`
-    // (deeper nested closers carry a larger before-depth).
-    for (j, tok) in model.tokens.iter().enumerate().skip(i + 1) {
-        if tok.kind == TokenKind::Punct && tok.text(src) == "}" && model.depth[j] == here {
-            return tok.line;
+fn end_of_enclosing_block(src: &str, tokens: &[Token], i: usize) -> u32 {
+    let mut depth = 0u32;
+    for tok in tokens.iter().skip(i + 1) {
+        if tok.kind != TokenKind::Punct {
+            continue;
+        }
+        match tok.text(src) {
+            "{" => depth += 1,
+            "}" if depth == 0 => return tok.line,
+            "}" => depth -= 1,
+            _ => {}
         }
     }
     u32::MAX
@@ -152,15 +152,14 @@ pub fn suppressed(allows: &[Allow], rule: &str, line: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::analyze;
+    use crate::lexer::lex;
 
     const RULES: &[&str] = &["api/float-eq", "api/no-unwrap"];
 
     #[test]
     fn trailing_allow_covers_its_line_only() {
         let src = "fn f(x: f64) -> bool {\n    x == 0.5 // lint:allow(api/float-eq) threshold is exact\n}\nfn g(x: f64) -> bool { x == 0.5 }\n";
-        let m = analyze(src);
-        let (allows, bad) = parse(src, &m, "f.rs", RULES);
+        let (allows, bad) = parse(src, &lex(src), "f.rs", RULES);
         assert!(bad.is_empty());
         assert_eq!(allows.len(), 1);
         assert!(suppressed(&allows, "api/float-eq", 2));
@@ -174,8 +173,7 @@ mod tests {
     #[test]
     fn own_line_allow_covers_enclosing_block() {
         let src = "fn f(x: f64) -> bool {\n    // lint:allow(api/float-eq) sentinel comparisons below\n    let a = x == 0.0;\n    a && x != 1.0\n}\nfn g(x: f64) -> bool { x == 0.5 }\n";
-        let m = analyze(src);
-        let (allows, _) = parse(src, &m, "f.rs", RULES);
+        let (allows, _) = parse(src, &lex(src), "f.rs", RULES);
         assert!(suppressed(&allows, "api/float-eq", 3));
         assert!(suppressed(&allows, "api/float-eq", 4));
         assert!(
@@ -187,8 +185,7 @@ mod tests {
     #[test]
     fn justification_is_mandatory() {
         let src = "// lint:allow(api/float-eq)\nfn f() {}\n";
-        let m = analyze(src);
-        let (allows, bad) = parse(src, &m, "f.rs", RULES);
+        let (allows, bad) = parse(src, &lex(src), "f.rs", RULES);
         assert!(allows.is_empty());
         assert_eq!(bad.len(), 1);
         assert!(bad[0].message.contains("no justification"));
@@ -197,8 +194,7 @@ mod tests {
     #[test]
     fn doc_comments_are_prose_not_directives() {
         let src = "//! Use `lint:allow(api/whatever)` to suppress.\n/// Same here: lint:allow(api/float-eq)\nfn f() {}\n";
-        let m = analyze(src);
-        let (allows, bad) = parse(src, &m, "f.rs", RULES);
+        let (allows, bad) = parse(src, &lex(src), "f.rs", RULES);
         assert!(allows.is_empty());
         assert!(bad.is_empty(), "{bad:?}");
     }
@@ -206,8 +202,7 @@ mod tests {
     #[test]
     fn unknown_rule_is_reported() {
         let src = "// lint:allow(api/nonsense) because\nfn f() {}\n";
-        let m = analyze(src);
-        let (allows, bad) = parse(src, &m, "f.rs", RULES);
+        let (allows, bad) = parse(src, &lex(src), "f.rs", RULES);
         assert!(allows.is_empty());
         assert_eq!(bad.len(), 1);
         assert!(bad[0].message.contains("unknown rule"));

@@ -1,9 +1,11 @@
 //! A lightweight recursive-descent parser over the [`crate::lexer`]
 //! token stream.
 //!
-//! Produces just enough structure for expression-level rules: items
-//! (functions, mods, impls), statements, and a full expression tree
-//! with spans — no types, no patterns beyond bound names. Like the
+//! Produces just enough structure for the rules: items (functions,
+//! mods, impls, types with their derives and hash-typed fields, each
+//! with its test flag), statements, and a full expression tree with
+//! spans — no types beyond those fields, no patterns beyond bound
+//! names. Like the
 //! lexer, the parser is *total*: any token stream the lexer accepts
 //! parses without panicking (fuel and depth budgets bound every loop
 //! and recursion), and malformed input degrades to [`Expr::Opaque`]
@@ -19,7 +21,10 @@
 //! * match guards are skipped with the pattern;
 //! * macro arguments are parsed best-effort as comma-separated
 //!   expressions, with parse errors suppressed (macro input is not
-//!   necessarily expression grammar).
+//!   necessarily expression grammar), so items inside a macro call are
+//!   not seen;
+//! * nested items are found in modules, impls and at the top level of
+//!   function bodies, not in blocks inside expressions.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -67,6 +72,10 @@ impl Span {
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         src.get(self.start..self.end).unwrap_or("")
     }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.start <= pos && pos < self.end
+    }
 }
 
 /// One narrowly-counted parse failure.
@@ -91,32 +100,40 @@ pub struct Ast {
 
 /// A top-level or nested item.
 #[derive(Debug)]
-pub enum Item {
+pub struct Item {
+    /// What the item is.
+    pub kind: ItemKind,
+    /// Whether the item's own attributes make it test code: a test
+    /// attribute (`#[test]`, `#[tokio::test]`) or a `cfg` that rustc
+    /// only satisfies under `--test` (`cfg(test)`, or `cfg(all(…))` with
+    /// a bare `test` argument). Everything inside such an item is test
+    /// code too; see [`Ast::for_each_item`].
+    pub test: bool,
+    /// Full span, leading attributes included.
+    pub span: Span,
+}
+
+/// The kinds of [`Item`] the parser distinguishes.
+#[derive(Debug)]
+pub enum ItemKind {
     /// A function definition (free, impl, or trait).
     Fn(FnDef),
     /// A `mod name { … }` with its nested items.
     Mod {
         /// Module name.
         name: String,
-        /// Whether the module carries `#[cfg(test)]`.
-        cfg_test: bool,
         /// Nested items.
         items: Vec<Item>,
-        /// Full span.
-        span: Span,
     },
     /// An `impl … { … }` or `trait … { … }` with its nested items.
     Impl {
         /// Nested items (mostly functions).
         items: Vec<Item>,
-        /// Full span.
-        span: Span,
     },
-    /// Anything else (struct, enum, use, const, …) — span only.
-    Other {
-        /// Full span.
-        span: Span,
-    },
+    /// A `struct`, `enum`, or `union` definition.
+    Type(TypeDef),
+    /// Anything else (use, const, static, macro_rules, …).
+    Other,
 }
 
 /// A function definition.
@@ -128,10 +145,20 @@ pub struct FnDef {
     pub params: Vec<String>,
     /// Body block, `None` for trait signatures.
     pub body: Option<Block>,
-    /// Whether the fn carries `#[test]`.
-    pub has_test_attr: bool,
-    /// Full span.
-    pub span: Span,
+}
+
+/// A `struct`, `enum`, or `union` definition: what the hash-iteration
+/// rule and the serialization taint need, not its full shape.
+#[derive(Debug)]
+pub struct TypeDef {
+    /// Type name.
+    pub name: String,
+    /// Last path segment of each entry in the item's `#[derive(…)]`
+    /// attributes (`serde::Serialize` → `Serialize`).
+    pub derives: Vec<String>,
+    /// Named fields whose type mentions `HashMap`/`HashSet`: the field
+    /// name's span, the name, and the type's tokens joined by spaces.
+    pub hash_fields: Vec<(Span, String, String)>,
 }
 
 /// A `{ … }` block.
@@ -642,39 +669,90 @@ pub fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     expr.for_each_child(&mut |c| walk_expr(c, f));
 }
 
+impl Item {
+    /// The items nested directly inside this one: a module's or impl's
+    /// items, and the items among a function body's statements.
+    fn children(&self) -> Vec<&Item> {
+        match &self.kind {
+            ItemKind::Mod { items, .. } | ItemKind::Impl { items } => items.iter().collect(),
+            ItemKind::Fn(d) => d
+                .body
+                .iter()
+                .flat_map(|b| &b.stmts)
+                .filter_map(|s| match s {
+                    Stmt::Item(i) => Some(i),
+                    _ => None,
+                })
+                .collect(),
+            ItemKind::Type(_) | ItemKind::Other => Vec::new(),
+        }
+    }
+}
+
 impl Ast {
-    /// Calls `f` on every function in the file with its effective
-    /// test-ness (`#[test]` attr or an enclosing `#[cfg(test)]` /
-    /// `mod tests`).
-    pub fn for_each_fn(&self, f: &mut impl FnMut(&FnDef, bool)) {
-        fn rec(items: &[Item], in_test: bool, f: &mut impl FnMut(&FnDef, bool)) {
+    /// Pre-order walk over every item with whether it is test code (see
+    /// [`Ast::for_each_item`]), descending into an item's children only
+    /// when `f` returns `true`.
+    fn walk_items<'a>(&'a self, f: &mut impl FnMut(&'a Item, bool) -> bool) {
+        fn rec<'a>(
+            items: Vec<&'a Item>,
+            in_test: bool,
+            f: &mut impl FnMut(&'a Item, bool) -> bool,
+        ) {
             for item in items {
-                match item {
-                    Item::Fn(d) => {
-                        f(d, in_test || d.has_test_attr);
-                        if let Some(b) = &d.body {
-                            rec_block(b, in_test || d.has_test_attr, f);
-                        }
-                    }
-                    Item::Mod {
-                        cfg_test,
-                        items,
-                        name,
-                        ..
-                    } => rec(items, in_test || *cfg_test || name == "tests", f),
-                    Item::Impl { items, .. } => rec(items, in_test, f),
-                    Item::Other { .. } => {}
+                let test = in_test || item.test;
+                if f(item, test) {
+                    rec(item.children(), test, f);
                 }
             }
         }
-        fn rec_block(b: &Block, in_test: bool, f: &mut impl FnMut(&FnDef, bool)) {
-            for stmt in &b.stmts {
-                if let Stmt::Item(i) = stmt {
-                    rec(std::slice::from_ref(i), in_test, f);
+        rec(self.items.iter().collect(), false, f);
+    }
+
+    /// Calls `f` on every item in the file, nested ones included, with
+    /// whether it is test code.
+    ///
+    /// This is the one definition of test code that every rule shares:
+    /// an item is test code when it, or any item enclosing it, carries
+    /// the [`Item::test`] flag. Scope is decided per item, so attributes
+    /// on statements and expressions never change it.
+    pub fn for_each_item<'a>(&'a self, f: &mut impl FnMut(&'a Item, bool)) {
+        self.walk_items(&mut |item, in_test| {
+            f(item, in_test);
+            true
+        });
+    }
+
+    /// Calls `f` on every function in the file with whether it is test
+    /// code: it carries a test attribute or a test-only `cfg`, or sits
+    /// inside an item that does ([`Item::test`]). A `mod tests` without
+    /// `#[cfg(test)]` is library code, as it is to rustc.
+    pub fn for_each_fn<'a>(&'a self, f: &mut impl FnMut(&'a FnDef, bool)) {
+        self.for_each_item(&mut |item, in_test| {
+            if let ItemKind::Fn(d) = &item.kind {
+                f(d, in_test);
+            }
+        });
+    }
+
+    /// Whether byte offset `pos` is test code (it lies inside an item
+    /// [`Ast::for_each_item`] reports as test code), and the innermost
+    /// function whose body contains it.
+    pub fn scope_at(&self, pos: usize) -> (bool, Option<&FnDef>) {
+        let mut scope = (false, None);
+        self.walk_items(&mut |item, in_test| {
+            if !item.span.contains(pos) {
+                return false;
+            }
+            scope.0 = in_test;
+            if let ItemKind::Fn(d) = &item.kind {
+                if d.body.as_ref().is_some_and(|b| b.span.contains(pos)) {
+                    scope.1 = Some(d);
                 }
             }
-        }
-        rec(&self.items, false, f);
+            true
+        });
+        scope
     }
 }
 
@@ -731,11 +809,7 @@ struct Parser<'a> {
 
 /// Parses `src` (already lexed to `tokens`) into an [`Ast`].
 pub fn parse_file(src: &str, tokens: &[Token]) -> Ast {
-    let toks: Vec<Token> = tokens
-        .iter()
-        .filter(|t| !t.is_comment() && t.kind != TokenKind::Shebang)
-        .copied()
-        .collect();
+    let toks = crate::lexer::code_tokens(tokens);
     let fuel = toks.len().saturating_mul(EXPR_FUEL_PER_TOKEN) + 1024;
     let mut p = Parser {
         src,
@@ -936,33 +1010,47 @@ impl<'a> Parser<'a> {
     /// Parses one item. Returns `None` for separators consumed silently.
     fn parse_item(&mut self) -> Option<Item> {
         let start = self.cur_span();
-        let mut has_test_attr = false;
-        let mut cfg_test = false;
-        // Attributes: `#[…]` / `#![…]`.
+        let mut test = false;
+        let mut derives = Vec::new();
+        // Attributes: `#[…]` / `#![…]`. An inner attribute describes the
+        // enclosing module, not the next item, so it never marks it.
         while self.at("#") {
             let save = self.i;
             self.bump();
-            self.eat("!");
+            let inner = self.eat("!");
             if self.eat("[") {
-                let attr_start = self.cur_span().start;
+                let first = self.i;
                 self.skip_balanced("[", "]");
-                let attr_end = self.prev_span().start;
-                let text = self.src.get(attr_start..attr_end).unwrap_or("");
-                let head = text.split(['(', ']', ' ']).next().unwrap_or("");
-                if head == "test" || text.starts_with("tokio::test") {
-                    has_test_attr = true;
-                }
-                if text.replace(' ', "").starts_with("cfg(test") {
-                    cfg_test = true;
+                let attr: Vec<&str> = self.toks[first..self.i.saturating_sub(1).max(first)]
+                    .iter()
+                    .map(|t| t.text(self.src))
+                    .collect();
+                test |= !inner && is_test_attr(&attr);
+                if let ["derive", "(", list @ .., ")"] = attr.as_slice() {
+                    let paths = list.split(|t| *t == ",");
+                    derives.extend(paths.filter_map(|p| p.last()).map(|d| d.to_string()));
                 }
             } else {
                 self.i = save;
                 self.bump();
-                return Some(Item::Other {
+                return Some(Item {
+                    kind: ItemKind::Other,
+                    test,
                     span: start.to(self.prev_span()),
                 });
             }
         }
+        let kind = self.parse_item_kind(derives)?;
+        Some(Item {
+            kind,
+            test,
+            span: start.to(self.prev_span()),
+        })
+    }
+
+    /// Parses the item after its attributes; `derives` are the names its
+    /// `#[derive(…)]` attributes listed.
+    fn parse_item_kind(&mut self, derives: Vec<String>) -> Option<ItemKind> {
         // Visibility.
         if self.eat_kw("pub") && self.eat("(") {
             self.skip_balanced("(", ")");
@@ -985,38 +1073,23 @@ impl<'a> Parser<'a> {
             self.bump();
             if self.eat("{") {
                 self.skip_balanced("{", "}");
-                return Some(Item::Other {
-                    span: start.to(self.prev_span()),
-                });
+                return Some(ItemKind::Other);
             }
         }
 
         if self.at_kw("fn") {
-            return Some(Item::Fn(self.parse_fn(start, has_test_attr)));
+            return Some(ItemKind::Fn(self.parse_fn()));
         }
         if self.at_kw("mod") {
             self.bump();
-            let name = if self.at_any_ident() {
-                let n = self.cur_text().to_string();
-                self.bump();
-                n
-            } else {
-                String::new()
-            };
+            let name = self.eat_ident().unwrap_or_default();
             if self.eat("{") {
                 let items = self.parse_items_until(Some("}"));
                 self.eat("}");
-                return Some(Item::Mod {
-                    name,
-                    cfg_test,
-                    items,
-                    span: start.to(self.prev_span()),
-                });
+                return Some(ItemKind::Mod { name, items });
             }
             self.skip_to_semi();
-            return Some(Item::Other {
-                span: start.to(self.prev_span()),
-            });
+            return Some(ItemKind::Other);
         }
         if self.at_kw("impl") || self.at_kw("trait") {
             self.bump();
@@ -1035,22 +1108,23 @@ impl<'a> Parser<'a> {
             if self.eat("{") {
                 let items = self.parse_items_until(Some("}"));
                 self.eat("}");
-                return Some(Item::Impl {
-                    items,
-                    span: start.to(self.prev_span()),
-                });
+                return Some(ItemKind::Impl { items });
             }
             self.eat(";");
-            return Some(Item::Other {
-                span: start.to(self.prev_span()),
-            });
+            return Some(ItemKind::Other);
         }
         if self.at_kw("struct") || self.at_kw("enum") || self.at_kw("union") {
             self.bump();
-            self.skip_to_item_end();
-            return Some(Item::Other {
-                span: start.to(self.prev_span()),
-            });
+            let name = self.eat_ident().unwrap_or_default();
+            let hash_fields = match self.skip_to_item_end() {
+                Some((open, close)) => self.hash_fields(open, close),
+                None => Vec::new(),
+            };
+            return Some(ItemKind::Type(TypeDef {
+                name,
+                derives,
+                hash_fields,
+            }));
         }
         if self.at_kw("macro_rules") {
             self.bump();
@@ -1064,9 +1138,7 @@ impl<'a> Parser<'a> {
                 self.skip_balanced("(", ")");
                 self.eat(";");
             }
-            return Some(Item::Other {
-                span: start.to(self.prev_span()),
-            });
+            return Some(ItemKind::Other);
         }
         if self.at_kw("use")
             || self.at_kw("type")
@@ -1076,9 +1148,7 @@ impl<'a> Parser<'a> {
         {
             self.bump();
             self.skip_to_semi();
-            return Some(Item::Other {
-                span: start.to(self.prev_span()),
-            });
+            return Some(ItemKind::Other);
         }
         if self.at(";") {
             self.bump();
@@ -1086,9 +1156,14 @@ impl<'a> Parser<'a> {
         }
         // Unknown: consume one token as an opaque item.
         self.bump();
-        Some(Item::Other {
-            span: start.to(self.prev_span()),
-        })
+        Some(ItemKind::Other)
+    }
+
+    /// Consumes and returns the identifier at the cursor, if there is one.
+    fn eat_ident(&mut self) -> Option<String> {
+        let name = self.at_any_ident().then(|| self.cur_text().to_string())?;
+        self.bump();
+        Some(name)
     }
 
     /// Skips to the `;` ending a simple item, balancing brackets (for
@@ -1111,15 +1186,17 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips a struct/enum definition: to `;` (unit/tuple struct) or
-    /// through the `{ … }` body.
-    fn skip_to_item_end(&mut self) {
+    /// through the `{ … }` body, returning the body's token range with
+    /// the braces excluded.
+    fn skip_to_item_end(&mut self) -> Option<(usize, usize)> {
         while self.peek().is_some() && self.spend_fuel() {
             if self.eat(";") {
-                return;
+                return None;
             }
             if self.eat("{") {
+                let open = self.i;
                 self.skip_balanced("{", "}");
-                return;
+                return Some((open, self.i.saturating_sub(1).max(open)));
             }
             if self.eat("(") {
                 self.skip_balanced("(", ")");
@@ -1132,18 +1209,50 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
+        None
     }
 
-    fn parse_fn(&mut self, start: Span, has_test_attr: bool) -> FnDef {
+    /// The `name: Type` fields among body tokens `open..close` whose
+    /// type mentions `HashMap`/`HashSet` (see [`TypeDef::hash_fields`]).
+    fn hash_fields(&self, open: usize, close: usize) -> Vec<(Span, String, String)> {
+        let text = |k: usize| self.toks[k].text(self.src);
+        let mut out = Vec::new();
+        let mut j = open;
+        while j + 1 < close {
+            if text(j + 1) != ":" {
+                j += 1;
+                continue;
+            }
+            // The type runs to the next `,` outside brackets.
+            let mut depth = 0i32;
+            let mut ty = Vec::new();
+            let mut k = j + 2;
+            while k < close {
+                match text(k) {
+                    "<" | "(" | "[" => depth += 1,
+                    ">" | ")" | "]" => depth -= 1,
+                    ">>" => depth -= 2,
+                    "," if depth <= 0 => break,
+                    _ => {}
+                }
+                ty.push(text(k));
+                k += 1;
+            }
+            let ty = ty.join(" ");
+            if ty.contains("HashMap") || ty.contains("HashSet") {
+                out.push((Span::of(&self.toks[j]), text(j).to_string(), ty));
+            }
+            j = k;
+        }
+        out
+    }
+
+    fn parse_fn(&mut self) -> FnDef {
         self.bump(); // `fn`
-        let name = if self.at_any_ident() {
-            let n = self.cur_text().to_string();
-            self.bump();
-            n
-        } else {
+        let name = self.eat_ident().unwrap_or_else(|| {
             self.error("expected function name");
             String::new()
-        };
+        });
         if self.eat("<") {
             self.skip_angles();
         }
@@ -1169,13 +1278,7 @@ impl<'a> Parser<'a> {
             self.eat(";");
             None
         };
-        FnDef {
-            name,
-            params,
-            body,
-            has_test_attr,
-            span: start.to(self.prev_span()),
-        }
+        FnDef { name, params, body }
     }
 
     /// Collects parameter binding names after a consumed `(`.
@@ -2348,6 +2451,32 @@ fn binds(ident: &str) -> bool {
             && !is_reserved(s)
 }
 
+/// Whether an attribute, given as its tokens between `#[` and `]`, makes
+/// its item test code: `#[test]`, `#[tokio::test…]`, `#[cfg(test)]`, or
+/// `#[cfg(all(…))]` with a bare `test` argument — the items rustc only
+/// compiles for tests. `not(test)`, `any(test, …)` and `cfg_attr(test,
+/// …)` do not qualify.
+fn is_test_attr(attr: &[&str]) -> bool {
+    match attr {
+        ["test"] | ["tokio", "::", "test", ..] | ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ .., ")", ")"] => {
+            let mut depth = 0;
+            args.iter().enumerate().any(|(k, t)| {
+                match *t {
+                    "(" => depth += 1,
+                    ")" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+                    && *t == "test"
+                    && (k == 0 || args[k - 1] == ",")
+                    && args.get(k + 1).is_none_or(|n| *n == ",")
+            })
+        }
+        _ => false,
+    }
+}
+
 // ----- span validation and dumping --------------------------------------
 
 /// Checks every span in the AST: within bounds, on char boundaries,
@@ -2376,37 +2505,6 @@ pub fn validate_spans(ast: &Ast, src: &str) -> Vec<String> {
             }
         }
     };
-    fn walk_items(
-        items: &[Item],
-        check: &mut impl FnMut(Span, &str, Option<Span>),
-        exprs: &mut Vec<(Span, Span)>,
-    ) {
-        for item in items {
-            match item {
-                Item::Fn(d) => {
-                    check(d.span, "fn", None);
-                    if let Some(b) = &d.body {
-                        check(b.span, "fn body", Some(d.span));
-                        collect_block(b, b.span, exprs);
-                        for stmt in &b.stmts {
-                            if let Stmt::Item(i) = stmt {
-                                walk_items(std::slice::from_ref(i), check, exprs);
-                            }
-                        }
-                    }
-                }
-                Item::Mod { items, span, .. } => {
-                    check(*span, "mod", None);
-                    walk_items(items, check, exprs);
-                }
-                Item::Impl { items, span } => {
-                    check(*span, "impl", None);
-                    walk_items(items, check, exprs);
-                }
-                Item::Other { span } => check(*span, "item", None),
-            }
-        }
-    }
     fn collect_block(b: &Block, parent: Span, exprs: &mut Vec<(Span, Span)>) {
         walk_block(b, &mut |e| {
             exprs.push((e.span(), parent));
@@ -2416,7 +2514,18 @@ pub fn validate_spans(ast: &Ast, src: &str) -> Vec<String> {
         });
     }
     let mut exprs = Vec::new();
-    walk_items(&ast.items, &mut check, &mut exprs);
+    ast.for_each_item(&mut |item, _| match &item.kind {
+        ItemKind::Fn(d) => {
+            check(item.span, "fn", None);
+            if let Some(b) = &d.body {
+                check(b.span, "fn body", Some(item.span));
+                collect_block(b, b.span, &mut exprs);
+            }
+        }
+        ItemKind::Mod { .. } => check(item.span, "mod", None),
+        ItemKind::Impl { .. } => check(item.span, "impl", None),
+        ItemKind::Type(_) | ItemKind::Other => check(item.span, "item", None),
+    });
     for (span, parent) in exprs {
         check(span, "expr", Some(parent));
     }
@@ -2442,44 +2551,36 @@ fn pad(n: usize, out: &mut String) {
 }
 
 fn dump_item(item: &Item, src: &str, ind: usize, out: &mut String) {
-    match item {
-        Item::Fn(d) => {
-            pad(ind, out);
+    pad(ind, out);
+    match &item.kind {
+        ItemKind::Fn(d) => {
             out.push_str(&format!(
                 "fn {}({}){}\n",
                 d.name,
                 d.params.join(", "),
-                if d.has_test_attr { " #[test]" } else { "" }
+                if item.test { " #[test]" } else { "" }
             ));
             if let Some(b) = &d.body {
                 dump_block(b, src, ind + 1, out);
             }
         }
-        Item::Mod {
-            name,
-            cfg_test,
-            items,
-            ..
-        } => {
-            pad(ind, out);
+        ItemKind::Mod { name, items } => {
             out.push_str(&format!(
                 "mod {name}{}\n",
-                if *cfg_test { " #[cfg(test)]" } else { "" }
+                if item.test { " #[cfg(test)]" } else { "" }
             ));
             for i in items {
                 dump_item(i, src, ind + 1, out);
             }
         }
-        Item::Impl { items, .. } => {
-            pad(ind, out);
+        ItemKind::Impl { items } => {
             out.push_str("impl\n");
             for i in items {
                 dump_item(i, src, ind + 1, out);
             }
         }
-        Item::Other { span } => {
-            pad(ind, out);
-            let text = span.text(src);
+        ItemKind::Type(_) | ItemKind::Other => {
+            let text = item.span.text(src);
             let head: String = text
                 .split_whitespace()
                 .take(3)
@@ -2641,7 +2742,7 @@ mod tests {
             parse("fn f(a: f64, b: f64) -> f64 {\n    let c = a * b + 1.0;\n    c.max(0.0)\n}\n");
         assert!(ast.errors.is_empty(), "{:?}", ast.errors);
         assert_eq!(ast.items.len(), 1);
-        let Item::Fn(f) = &ast.items[0] else {
+        let ItemKind::Fn(f) = &ast.items[0].kind else {
             panic!("expected fn");
         };
         assert_eq!(f.name, "f");
@@ -2718,5 +2819,87 @@ fn g(xs: &[f64]) -> f64 {
         let mut found = Vec::new();
         ast.for_each_fn(&mut |f, in_test| found.push((f.name.clone(), in_test)));
         assert_eq!(found, vec![("t".to_string(), true)]);
+    }
+
+    /// Every function with whether it is test code, in source order.
+    fn fns_of(ast: &Ast) -> Vec<(&FnDef, bool)> {
+        let mut fns = Vec::new();
+        ast.for_each_fn(&mut |f, in_test| fns.push((f, in_test)));
+        fns
+    }
+
+    #[test]
+    fn finds_fns_and_bodies() {
+        let ast = parse("pub fn alpha(x: u32) -> u32 { x + 1 }\nfn beta();\n");
+        let fns = fns_of(&ast);
+        assert_eq!(fns.len(), 2);
+        assert_eq!(fns[0].0.name, "alpha");
+        assert!(fns[0].0.body.is_some());
+        assert_eq!(fns[1].0.name, "beta");
+        assert!(fns[1].0.body.is_none());
+    }
+
+    #[test]
+    fn marks_cfg_test_regions() {
+        let ast = parse("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n");
+        let fns = fns_of(&ast);
+        assert_eq!(fns.len(), 2);
+        assert!(!fns[0].1);
+        assert!(fns[1].1, "helper is inside #[cfg(test)]");
+    }
+
+    #[test]
+    fn marks_test_attr_fns() {
+        let ast = parse("#[test]\nfn check() { assert!(true); }\nfn lib() {}\n");
+        let fns = fns_of(&ast);
+        assert!(fns[0].1);
+        assert!(!fns[1].1);
+    }
+
+    #[test]
+    fn captures_derives_and_hash_fields() {
+        let src = "#[derive(Debug, Serialize)]\npub struct S {\n    pub m: HashMap<String, u32>,\n    n: u32,\n}\n";
+        let ast = parse(src);
+        let mut types = Vec::new();
+        ast.for_each_item(&mut |item, _| {
+            if let ItemKind::Type(t) = &item.kind {
+                types.push(t);
+            }
+        });
+        assert_eq!(types.len(), 1);
+        let t = types[0];
+        assert_eq!(t.name, "S");
+        assert!(t.derives.iter().any(|d| d == "Serialize"));
+        assert_eq!(t.hash_fields.len(), 1);
+        assert_eq!(t.hash_fields[0].0.line, 3, "field line");
+    }
+
+    #[test]
+    fn generic_fn_with_angle_brackets_gets_right_body() {
+        let src = "fn g<T: Into<String>>(t: T) -> String { t.into() }";
+        let ast = parse(src);
+        let fns = fns_of(&ast);
+        assert_eq!(fns.len(), 1);
+        let body = fns[0].0.body.as_ref().expect("has body");
+        assert!(body.span.start < body.span.end);
+        assert_eq!(body.span.text(src), "{ t.into() }");
+    }
+
+    #[test]
+    fn scope_at_gives_test_code_and_the_innermost_fn() {
+        let src = "fn outer() { fn inner() { 1 } 2 }\n#[cfg(test)]\nmod m { fn t() { 3 } }\n";
+        let ast = parse(src);
+        let at = |needle: &str| {
+            let (test, f) = ast.scope_at(src.find(needle).expect("needle in src"));
+            (test, f.map(|f| f.name.as_str()))
+        };
+        assert_eq!(at("1"), (false, Some("inner")));
+        assert_eq!(at("2"), (false, Some("outer")));
+        assert_eq!(at("3"), (true, Some("t")));
+        assert_eq!(
+            at("outer"),
+            (false, None),
+            "a signature is outside every body"
+        );
     }
 }

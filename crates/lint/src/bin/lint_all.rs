@@ -107,7 +107,14 @@ fn main() -> ExitCode {
         };
         match serde_json::to_string(&bench) {
             Ok(s) => {
-                ewb_bench::write_atomic("BENCH_lint.json", s);
+                // Tmp-then-rename, so the report lands whole or not at all.
+                let tmp = "BENCH_lint.json.tmp";
+                let written =
+                    std::fs::write(tmp, s).and_then(|()| std::fs::rename(tmp, "BENCH_lint.json"));
+                if let Err(e) = written {
+                    eprintln!("lint_all: writing BENCH_lint.json: {e}");
+                    return ExitCode::from(2);
+                }
                 println!("wrote BENCH_lint.json");
             }
             Err(e) => {

@@ -32,8 +32,7 @@
 //! expression) no longer seeds taint; and cross-crate edges are
 //! invisible (each crate is analyzed alone).
 
-use crate::ast::{walk_block, Ast, Expr};
-use crate::items::FileModel;
+use crate::ast::{walk_block, Ast, Expr, ItemKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Body tokens that mark a function as directly feeding serialization.
@@ -103,30 +102,31 @@ fn mentions_sink(segs: &[String], serde_types: &BTreeSet<&str>) -> bool {
         .any(|s| SINK_TOKENS.contains(&s.as_str()) || serde_types.contains(s.as_str()))
 }
 
-/// Builds the taint set for one crate from its analyzed files.
-///
-/// Each file contributes its model (for `#[derive(Serialize)]` types)
-/// and its AST (for call edges and sink mentions); all files of the
-/// crate must be passed together so the name-level graph spans modules.
-pub fn taint_for_crate(files: &[(&FileModel, &Ast)]) -> Taint {
+/// Builds the taint set for one crate from its files' ASTs: their
+/// `#[derive(Serialize)]` types, call edges, and sink mentions. All files
+/// of the crate must be passed together so the name-level graph spans
+/// modules.
+pub fn taint_for_crate(files: &[&Ast]) -> Taint {
     // Serializable type names declared anywhere in the crate.
     let mut serde_types: BTreeSet<&str> = BTreeSet::new();
-    for (model, _) in files {
-        for ty in &model.types {
-            if ty
-                .derives
-                .iter()
-                .any(|d| d == "Serialize" || d == "Deserialize")
-            {
-                serde_types.insert(&ty.name);
+    for ast in files {
+        ast.for_each_item(&mut |item, _| {
+            if let ItemKind::Type(ty) = &item.kind {
+                if ty
+                    .derives
+                    .iter()
+                    .any(|d| d == "Serialize" || d == "Deserialize")
+                {
+                    serde_types.insert(&ty.name);
+                }
             }
-        }
+        });
     }
 
     let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut tainted: BTreeSet<String> = BTreeSet::new();
 
-    for (_, ast) in files {
+    for ast in files {
         ast.for_each_fn(&mut |def, in_test| {
             if in_test {
                 return;
@@ -184,13 +184,12 @@ pub fn taint_for_crate(files: &[(&FileModel, &Ast)]) -> Taint {
 mod tests {
     use super::*;
     use crate::ast::parse_file;
-    use crate::items::analyze;
+    use crate::lexer::lex;
 
     fn taint_of(src: &str) -> Taint {
-        let m = analyze(src);
-        let ast = parse_file(src, &m.tokens);
+        let ast = parse_file(src, &lex(src));
         assert!(ast.errors.is_empty(), "{:?}", ast.errors);
-        taint_for_crate(&[(&m, &ast)])
+        taint_for_crate(&[&ast])
     }
 
     #[test]

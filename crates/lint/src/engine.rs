@@ -11,7 +11,7 @@ use crate::callgraph::{self, Taint};
 use crate::config::Policy;
 use crate::dataflow;
 use crate::diag::Diagnostic;
-use crate::items::{self, FileModel};
+use crate::lexer::{self, Token};
 use crate::rules::{self, FileKind, RuleCtx, ALL_RULES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,38 +52,35 @@ pub fn lint_files(files: &[SourceFile], policy: &Policy) -> Outcome {
 /// suppress (the mutant-detection teeth check runs this way to prove the
 /// par-safety rules see the seeded defects under their justifications).
 pub fn lint_files_opts(files: &[SourceFile], policy: &Policy, honor_allows: bool) -> Outcome {
-    // Group files by crate for the taint analysis.
-    let mut models: Vec<(usize, FileModel)> = Vec::new();
-    let mut by_crate: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    // Lex and parse every file once; group files by crate for the taint
+    // analysis.
+    let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut parsed: Vec<(Vec<Token>, Ast)> = Vec::new();
     for (i, f) in files.iter().enumerate() {
-        models.push((i, items::analyze(&f.text)));
-        by_crate
-            .entry(crate_of(&f.rel_path).to_string())
-            .or_default()
-            .push(i);
+        let tokens = lexer::lex(&f.text);
+        let ast = ast::parse_file(&f.text, &tokens);
+        parsed.push((tokens, ast));
+        by_crate.entry(crate_of(&f.rel_path)).or_default().push(i);
     }
-    let asts: Vec<Ast> = models
-        .iter()
-        .map(|(i, m)| ast::parse_file(&files[*i].text, &m.tokens))
-        .collect();
-    let parse_errors = asts.iter().map(|a| a.errors.len()).sum();
+    let parse_errors = parsed.iter().map(|(_, a)| a.errors.len()).sum();
 
-    let mut taints: BTreeMap<String, Taint> = BTreeMap::new();
-    for (krate, idxs) in &by_crate {
-        let pairs: Vec<(&FileModel, &Ast)> =
-            idxs.iter().map(|&i| (&models[i].1, &asts[i])).collect();
-        taints.insert(krate.clone(), callgraph::taint_for_crate(&pairs));
-    }
+    let taints: BTreeMap<&str, Taint> = by_crate
+        .iter()
+        .map(|(krate, idxs)| {
+            let asts: Vec<&Ast> = idxs.iter().map(|&i| &parsed[i].1).collect();
+            (*krate, callgraph::taint_for_crate(&asts))
+        })
+        .collect();
 
     let mut diags = Vec::new();
-    for (i, model) in &models {
-        let f = &files[*i];
+    for (f, (tokens, ast)) in files.iter().zip(&parsed) {
         let krate = crate_of(&f.rel_path);
-        let guards = dataflow::div_guard_spans(&asts[*i]);
+        let code = lexer::code_tokens(tokens);
+        let guards = dataflow::div_guard_spans(ast);
         let ctx = RuleCtx {
             src: &f.text,
-            model,
-            ast: &asts[*i],
+            code: &code,
+            ast,
             guards: &guards,
             file: &f.rel_path,
             crate_name: krate,
@@ -94,7 +91,7 @@ pub fn lint_files_opts(files: &[SourceFile], policy: &Policy, honor_allows: bool
         let mut file_diags = Vec::new();
         rules::run_all(&ctx, &mut file_diags);
         if honor_allows {
-            let (allows, bad_allows) = allow::parse(&f.text, model, &f.rel_path, ALL_RULES);
+            let (allows, bad_allows) = allow::parse(&f.text, tokens, &f.rel_path, ALL_RULES);
             file_diags.retain(|d| !allow::suppressed(&allows, &d.rule, d.line));
             diags.extend(bad_allows);
         }
@@ -258,6 +255,68 @@ mod tests {
         assert!(lint_one("crates/bench/src/bin/x.rs", src).is_empty());
         assert!(lint_one("crates/core/tests/x.rs", src).is_empty());
         assert!(lint_one("tests/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn token_and_ast_rules_share_one_test_scope() {
+        // Each shape wraps one `x.unwrap()` (seen by a token rule) and one
+        // literal seed (seen by an AST rule); both must agree on whether
+        // the code is test code, which is exactly the code rustc compiles
+        // only for tests.
+        const F: &str = "fn f(x: Option<u32>) -> u32 { \
+                         let _r = Xoshiro256::seed_from_u64(12345); x.unwrap() }";
+        let in_mod = |attr: &str| format!("{attr}\nmod m {{\n    {F}\n}}\n");
+        let rows = [
+            ("plain fn", format!("pub {F}\n"), true),
+            ("#[test] fn", format!("#[test]\n{F}\n"), false),
+            ("#[cfg(test)] mod", in_mod("#[cfg(test)]"), false),
+            ("#[cfg(test)] fn", format!("#[cfg(test)]\n{F}\n"), false),
+            (
+                "cfg(all(test, …)) mod",
+                in_mod("#[cfg(all(test, unix))]"),
+                false,
+            ),
+            (
+                "mod tests without cfg",
+                format!("mod tests {{\n    {F}\n}}\n"),
+                true,
+            ),
+            (
+                "cfg(any(test, …)) mod",
+                in_mod("#[cfg(any(test, feature = \"x\"))]"),
+                true,
+            ),
+            (
+                "#[cfg(not(test))] fn",
+                format!("#[cfg(not(test))]\n{F}\n"),
+                true,
+            ),
+            (
+                "#[cfg(test)] on a let",
+                "pub fn f(x: Option<u32>) -> u32 {\n    #[cfg(test)]\n    \
+                 let _r = (x.unwrap(), Xoshiro256::seed_from_u64(12345));\n    0\n}\n"
+                    .to_string(),
+                true,
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (shape, src, library) in rows {
+            let d = lint_one("crates/core/src/x.rs", &src);
+            let fired = |rule: &str| d.iter().any(|d| d.rule == rule);
+            let got = (fired("api/no-unwrap"), fired("rng/seed-provenance"));
+            if got != (library, library) {
+                wrong.push(format!("{shape}: (no-unwrap, seed-provenance) = {got:?}"));
+            }
+        }
+        // `cfg_attr(test, …)` only adds attributes under test; the type
+        // is library code and still serialized.
+        let src = "#[cfg_attr(test, derive(PartialEq))]\n#[derive(Serialize)]\n\
+                   pub struct S {\n    m: HashMap<String, u64>,\n}\n";
+        let d = lint_one("crates/core/src/x.rs", src);
+        if !d.iter().any(|d| d.rule == "determinism/hash-iter") {
+            wrong.push(format!("cfg_attr(test, …) type: hash-iter silent: {d:?}"));
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

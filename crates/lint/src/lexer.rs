@@ -166,6 +166,15 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
+/// The tokens code is made of: `tokens` without comments and the shebang.
+pub fn code_tokens(tokens: &[Token]) -> Vec<Token> {
+    tokens
+        .iter()
+        .filter(|t| !t.is_comment() && t.kind != TokenKind::Shebang)
+        .copied()
+        .collect()
+}
+
 /// Lexes `src` completely. Never panics; see module docs for guarantees.
 pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);

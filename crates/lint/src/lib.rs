@@ -12,13 +12,14 @@
 //!    carry the units).
 //!
 //! `ewb-lint` enforces both statically, from scratch: a hand-rolled Rust
-//! [`lexer`] (raw strings, lifetimes, nested block comments) feeds an
-//! item-level analyzer ([`items`]) and a total recursive-descent parser
-//! ([`ast`]) whose expression trees power the [`dataflow`] passes
-//! (dimensional analysis, division-guard proofs, seed provenance) and a
-//! crate-level serialization-taint approximation ([`callgraph`]); eleven
-//! [`rules`] across five families (determinism, units, parallel, rng,
-//! API hygiene) run over all of it. Findings can be suppressed
+//! [`lexer`] (raw strings, lifetimes, nested block comments) feeds a
+//! total recursive-descent parser ([`ast`]), the one structural model of
+//! a file. Its items carry the file's single definition of test code,
+//! and its expression trees power the [`dataflow`] passes (dimensional
+//! analysis, division-guard proofs, seed provenance) and a crate-level
+//! serialization-taint approximation ([`callgraph`]); eleven [`rules`]
+//! across five families (determinism, units, parallel, rng, API hygiene)
+//! run over the AST and the lexer's tokens. Findings can be suppressed
 //! *only* with an in-source justification
 //! ([`allow`]: `// lint:allow(<rule>) <why>`) or scoped by the workspace
 //! [`config`] (`lint.toml`).
@@ -54,7 +55,6 @@ pub mod config;
 pub mod dataflow;
 pub mod diag;
 pub mod engine;
-pub mod items;
 pub mod lexer;
 pub mod rules;
 

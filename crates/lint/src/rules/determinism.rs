@@ -7,6 +7,7 @@
 //! drawing randomness from anywhere but the seeded `simcore::rng`.
 
 use super::{Diagnostic, FileKind, RuleCtx};
+use crate::ast::ItemKind;
 use crate::lexer::TokenKind;
 use std::collections::BTreeSet;
 
@@ -24,7 +25,7 @@ pub fn wall_clock(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if allowed_files.iter().any(|f| f == ctx.file) {
         return;
     }
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         if tok.kind != TokenKind::Ident {
             continue;
@@ -56,7 +57,7 @@ pub fn ambient_rng(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if allowed.iter().any(|f| f == ctx.file) {
         return;
     }
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         if tok.kind != TokenKind::Ident {
             continue;
@@ -89,27 +90,25 @@ pub fn ambient_rng(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
 ///    `.into_iter()`) is flagged.
 pub fn hash_iter(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     // Check 1: serializable hash-ordered fields.
-    for ty in &ctx.model.types {
-        if ty.in_test || ctx.kind == FileKind::Test {
-            continue;
+    ctx.ast.for_each_item(&mut |item, in_test| {
+        let ItemKind::Type(ty) = &item.kind else {
+            return;
+        };
+        if in_test || ctx.kind == FileKind::Test || !ty.derives.iter().any(|d| d == "Serialize") {
+            return;
         }
-        if !ty.derives.iter().any(|d| d == "Serialize") {
-            continue;
-        }
-        for (line, col, field, field_ty) in &ty.hash_fields {
-            out.push(Diagnostic {
-                file: ctx.file.to_string(),
-                line: *line,
-                col: *col,
-                rule: "determinism/hash-iter".into(),
-                message: format!(
+        for (span, field, field_ty) in &ty.hash_fields {
+            out.push(ctx.diag_span(
+                *span,
+                "determinism/hash-iter",
+                format!(
                     "`{}::{field}` is `{}` on a `#[derive(Serialize)]` type; serde emits it in hash order",
                     ty.name, compact(field_ty)
                 ),
-                hint: "switch the field to BTreeMap/BTreeSet (or sort before emitting)".into(),
-            });
+                "switch the field to BTreeMap/BTreeSet (or sort before emitting)",
+            ));
         }
-    }
+    });
 
     // Check 2: iteration of hash-typed names in tainted functions.
     let hash_names = collect_hash_names(ctx);
@@ -127,7 +126,7 @@ pub fn hash_iter(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
         "into_keys",
         "into_values",
     ];
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         if ctx.in_test(ci) {
             continue;
         }
@@ -202,12 +201,12 @@ fn is_value_use(ctx: &RuleCtx<'_>, ci: usize) -> bool {
 /// function parameters.
 fn collect_hash_names(ctx: &RuleCtx<'_>) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
-    for ty in &ctx.model.types {
-        for (_, _, field, _) in &ty.hash_fields {
-            names.insert(field.clone());
+    ctx.ast.for_each_item(&mut |item, _| {
+        if let ItemKind::Type(ty) = &item.kind {
+            names.extend(ty.hash_fields.iter().map(|(_, field, _)| field.clone()));
         }
-    }
-    let n = ctx.model.code.len();
+    });
+    let n = ctx.code.len();
     for ci in 0..n {
         let Some(text) = ctx.ctext(ci) else { continue };
         // `let [mut] name …` — scan its declaration to `;` for hash types.

@@ -20,7 +20,7 @@ pub fn no_unwrap(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.kind != FileKind::Lib {
         return;
     }
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         let Some(text) = ctx.ctext(ci) else { continue };
         let is_test = || ctx.in_test(ci);
         match text {
@@ -122,7 +122,7 @@ pub fn no_f32(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !crates.iter().any(|c| c == ctx.crate_name) {
         return;
     }
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         let flagged = match tok.kind {
             TokenKind::Ident => ctx.ctext(ci) == Some("f32"),
@@ -157,7 +157,7 @@ pub fn float_eq(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
         return;
     }
     let helpers = ctx.policy.list("rules.float-eq.helpers");
-    for ci in 0..ctx.model.code.len() {
+    for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         if tok.kind != TokenKind::Punct {
             continue;

@@ -22,11 +22,10 @@ pub mod par_safety;
 pub mod seed_prov;
 pub mod units_dim;
 
-use crate::ast::{Ast, Span};
+use crate::ast::{Ast, FnDef, Span};
 use crate::callgraph::Taint;
 use crate::config::Policy;
 use crate::diag::Diagnostic;
-use crate::items::FileModel;
 use crate::lexer::{Token, TokenKind};
 
 /// Every rule id the engine knows (used to validate `lint:allow`).
@@ -59,8 +58,9 @@ pub enum FileKind {
 pub struct RuleCtx<'a> {
     /// File source text.
     pub src: &'a str,
-    /// Analyzed structure.
-    pub model: &'a FileModel,
+    /// The lexer's non-comment tokens, which the identifier-matching
+    /// rules walk by "code index".
+    pub code: &'a [Token],
     /// Expression-level AST (total: parses every file, recovering with
     /// `Opaque` nodes on constructs it cannot model).
     pub ast: &'a Ast,
@@ -83,42 +83,26 @@ pub struct RuleCtx<'a> {
 impl<'a> RuleCtx<'a> {
     /// Text of the code token at code index `ci`.
     pub fn ctext(&self, ci: usize) -> Option<&'a str> {
-        self.model
-            .code
-            .get(ci)
-            .map(|&i| self.model.tokens[i].text(self.src))
+        self.code.get(ci).map(|t| t.text(self.src))
     }
 
     /// The token at code index `ci`.
-    pub fn ctok(&self, ci: usize) -> Option<&Token> {
-        self.model.code.get(ci).map(|&i| &self.model.tokens[i])
+    pub fn ctok(&self, ci: usize) -> Option<&'a Token> {
+        self.code.get(ci)
     }
 
-    /// Whether the code token at `ci` is inside test code (test file,
-    /// `#[cfg(test)]` region, or `#[test]` function).
+    /// Whether the code token at `ci` is test code: the file is an
+    /// integration test, or the token lies inside an item the AST marks
+    /// as test code — a `#[test]` fn, or anything under a `cfg(test)` /
+    /// `cfg(all(…, test, …))` item (the one definition, in
+    /// [`Ast::for_each_item`]).
     pub fn in_test(&self, ci: usize) -> bool {
-        if self.kind == FileKind::Test {
-            return true;
-        }
-        let Some(tok) = self.ctok(ci) else {
-            return false;
-        };
-        if self.model.in_test_region(tok.start) {
-            return true;
-        }
-        self.enclosing_fn(ci).is_some_and(|f| f.in_test)
+        self.kind == FileKind::Test || self.ctok(ci).is_some_and(|t| self.ast.scope_at(t.start).0)
     }
 
-    /// The function whose body contains code index `ci`, if any.
-    pub fn enclosing_fn(&self, ci: usize) -> Option<&crate::items::FnItem> {
-        self.model
-            .fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| ci >= s && ci < e))
-            .min_by_key(|f| {
-                let (s, e) = f.body.expect("filtered on body");
-                e - s
-            })
+    /// The innermost function whose body contains code index `ci`, if any.
+    pub fn enclosing_fn(&self, ci: usize) -> Option<&'a FnDef> {
+        self.ctok(ci).and_then(|t| self.ast.scope_at(t.start).1)
     }
 
     /// Emits a diagnostic anchored at code index `ci`.

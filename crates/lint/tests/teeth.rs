@@ -12,7 +12,7 @@
 //! pretend workspace path (they are not compiled) chosen so the built-in
 //! policy applies to them the same way it applies to real crates.
 
-use ewb_lint::engine::{lint_files, SourceFile};
+use ewb_lint::engine::{lint_files_opts, SourceFile};
 use ewb_lint::rules::ALL_RULES;
 use ewb_lint::Policy;
 use std::path::PathBuf;
@@ -35,6 +35,10 @@ fn pretend_path(rule: &str) -> &'static str {
 }
 
 fn lint_fixture(rule: &str, which: &str) -> Vec<ewb_lint::Diagnostic> {
+    lint_fixture_opts(rule, which, true)
+}
+
+fn lint_fixture_opts(rule: &str, which: &str, honor_allows: bool) -> Vec<ewb_lint::Diagnostic> {
     let path = fixture_dir(rule).join(which);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -47,7 +51,7 @@ fn lint_fixture(rule: &str, which: &str) -> Vec<ewb_lint::Diagnostic> {
         rel_path: pretend_path(rule).to_string(),
         text,
     }];
-    lint_files(&files, &Policy::builtin()).diagnostics
+    lint_files_opts(&files, &Policy::builtin(), honor_allows).diagnostics
 }
 
 #[test]
@@ -105,6 +109,50 @@ fn bad_fixtures_fire_at_a_real_location() {
             assert!(d.col >= 1, "columns are 1-based");
         }
     }
+}
+
+#[test]
+fn fixture_diagnostics_match_golden() {
+    // The tests above check rule ids and that each line falls inside the
+    // file; this pins every finding's position and message text, so a
+    // change to how a rule anchors or renders its finding shows up as a
+    // readable diff. Allows are stripped so the golden lists everything
+    // the rules see. Regenerate after an intentional change with
+    // `UPDATE_GOLDEN=1 cargo test -p ewb-lint --test teeth`.
+    let mut got = String::new();
+    for rule in ALL_RULES {
+        for which in ["bad.rs", "good.rs"] {
+            got.push_str(&format!(
+                "# {}/{which} as {}\n",
+                rule.replace('/', "-"),
+                pretend_path(rule)
+            ));
+            for d in lint_fixture_opts(rule, which, false) {
+                got.push_str(&format!(
+                    "{}:{} [{}] {}\n",
+                    d.line, d.col, d.rule, d.message
+                ));
+            }
+        }
+    }
+    let golden_path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/fixtures.diag.golden");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden at {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            golden_path.display()
+        )
+    });
+    assert!(
+        got == want,
+        "fixture diagnostics drifted from golden; if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 and review the \
+         diff.\n--- golden\n{want}\n--- got\n{got}"
+    );
 }
 
 #[test]
