@@ -1,34 +1,32 @@
-//! Runs every report in sequence (the EXPERIMENTS.md generator).
-//! Pass `--quick` to shrink the slow experiments.
+//! Prints the reports EXPERIMENTS.md is generated from: every entry of
+//! [`ewb_bench::REPORTS`] in order, or only the one `--only NAME` names.
+//! `--quick` shrinks the slow experiments; `--timeline PATH` additionally
+//! exports the reference session's observability timeline as JSON lines
+//! to PATH.
+
+use ewb_bench::{cli, Report, REPORTS};
+
+const FLAGS: &[cli::Flag] = &[("--only", "NAME"), ("--quick", ""), ("--timeline", "PATH")];
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args = cli::Args::parse(FLAGS);
+    let reports: Vec<Report> = match args.get::<String>("--only") {
+        None => REPORTS.to_vec(),
+        Some(name) => match REPORTS.iter().find(|(report, _)| *report == name) {
+            Some(report) => vec![*report],
+            None => args.fail(&format!(
+                "no report `{name}`; the reports are {}",
+                REPORTS.map(|(report, _)| report).join(", ")
+            )),
+        },
+    };
+    let quick = args.has("--quick");
+    let timeline: Option<String> = args.get("--timeline");
     let ctx = ewb_bench::Context::new();
-    use ewb_bench::{ablations, reports};
-    print!("{}", reports::fig01(&ctx));
-    print!("{}", reports::fig03(&ctx));
-    print!("{}", reports::fig04(&ctx));
-    print!("{}", reports::fig05(&ctx));
-    print!("{}", reports::fig07());
-    print!("{}", reports::fig08(&ctx));
-    print!("{}", reports::fig09(&ctx));
-    print!("{}", reports::fig10(&ctx));
-    let horizon = if quick { 20_000.0 } else { 4.0 * 3600.0 };
-    print!("{}", reports::fig11(&ctx, horizon));
-    print!("{}", reports::fig1213(&ctx));
-    print!("{}", reports::fig14(&ctx));
-    print!("{}", reports::fig15());
-    let (users, sessions) = if quick { (2, 4) } else { (6, 10) };
-    print!("{}", reports::fig16(&ctx, users, sessions));
-    print!("{}", reports::table3(&ctx));
-    print!("{}", reports::table4());
-    print!("{}", reports::table5(&ctx));
-    print!("{}", reports::table7());
-    print!("{}", ablations::promotion_energy());
-    print!("{}", ablations::interest_threshold());
-    print!("{}", ablations::gbrt_size());
-    print!("{}", ablations::timers());
-    print!("{}", ablations::saving_breakdown(&ctx));
-    print!("{}", ablations::proxy_baseline(&ctx));
-    print!("{}", ablations::layout_cache(&ctx));
-    print!("{}", ablations::connection_pool(&ctx));
+    for (_, run) in reports {
+        print!("{}", run(&ctx, quick));
+    }
+    if let Some(path) = timeline {
+        ewb_bench::write_timeline(&ctx, &path);
+    }
 }

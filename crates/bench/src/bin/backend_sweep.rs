@@ -3,7 +3,7 @@
 //! tabulates per-backend power/delay savings — does computation
 //! reorganization still pay off when promotions are cheap?
 //!
-//! Usage: `backend_sweep [--smoke] [--write-golden]`
+//! Usage: `backend_sweep [--write-golden]`
 //!
 //! Before printing anything the binary asserts the per-backend fleet
 //! determinism grid: the per-site energy totals of the Accurate-9 case
@@ -12,9 +12,8 @@
 //! point, for every backend. A red determinism bit can never ship
 //! inside a green sweep.
 //!
-//! `--smoke` is what the backends CI job runs (identical work, the
-//! corpus is already CI-sized; the flag only relaxes the artifact
-//! destination to the working directory). `--write-golden` refreshes
+//! The sweep writes `BENCH_backends.json` into the working directory.
+//! `--write-golden` also refreshes
 //! `crates/core/tests/golden/backends.json`, the summary the
 //! `golden_backends` test pins byte-for-byte.
 
@@ -24,7 +23,7 @@ use ewb_core::rrc::{
     FiveGConfig, FiveGMachine, LteConfig, LteMachine, RadioBackend, RrcMachine, WifiConfig,
     WifiMachine,
 };
-use std::fmt::Write as _;
+use serde::Serialize;
 
 /// Integer microjoules of one per-site total — the associative merge
 /// unit of the determinism grid (f64 summation is not associative;
@@ -86,13 +85,7 @@ fn assert_determinism_grid(backend: RadioBackend, per_site: &[(f64, f64)]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        assert!(
-            a == "--smoke" || a == "--write-golden",
-            "unknown argument {a:?} (try --smoke / --write-golden)"
-        );
-    }
+    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
     let ctx = ewb_bench::Context::new();
 
     // -- Determinism grid, per backend, before any reporting. -----------
@@ -184,11 +177,17 @@ fn main() {
     );
 
     // -- Artifacts. ------------------------------------------------------
-    let json = bench_json(&rows);
-    ewb_bench::write_atomic("BENCH_backends.json", &json);
+    let bench = Bench {
+        determinism_grid_ok: true,
+        backends: RadioBackend::ALL.len(),
+        cases: CASES.len(),
+        rows: rows.clone(),
+    };
+    let json = serde_json::to_string(&bench).expect("the BENCH record is always serializable");
+    ewb_bench::write_atomic("BENCH_backends.json", json);
     println!("wrote BENCH_backends.json");
 
-    if args.iter().any(|a| a == "--write-golden") {
+    if args.has("--write-golden") {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../core/tests/golden/backends.json"
@@ -199,24 +198,10 @@ fn main() {
 }
 
 /// The tracked benchmark artifact: grid verdict plus every sweep cell.
-fn bench_json(rows: &[BackendCaseRow]) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"determinism_grid_ok\": true,");
-    let _ = writeln!(json, "  \"backends\": {},", RadioBackend::ALL.len());
-    let _ = writeln!(json, "  \"cases\": {},", CASES.len());
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"backend\": \"{}\",", r.backend);
-        let _ = writeln!(json, "      \"case\": \"{}\",", r.case);
-        let _ = writeln!(json, "      \"joules\": {:.6},", r.joules);
-        let _ = writeln!(json, "      \"load_time_s\": {:.6},", r.load_time_s);
-        let _ = writeln!(json, "      \"power_saving\": {:.6},", r.power_saving);
-        let _ = writeln!(json, "      \"delay_saving\": {:.6}", r.delay_saving);
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    json
+#[derive(Serialize)]
+struct Bench {
+    determinism_grid_ok: bool,
+    backends: usize,
+    cases: usize,
+    rows: Vec<BackendCaseRow>,
 }

@@ -24,6 +24,7 @@ fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
+    ewb_bench::cli::Args::parse(&[]);
     // Training throughput on the paper-scale trace (40 users × 240
     // visits) — the dataset the Fig. 15 model actually trains on.
     let trace = TraceDataset::generate(&TraceConfig::paper());

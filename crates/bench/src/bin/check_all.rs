@@ -20,6 +20,7 @@
 //! replayable artifact under `target/check_artifacts/` and the process
 //! exits non-zero.
 
+use ewb_bench::cli;
 use ewb_check::corpus;
 use ewb_check::pipeline::check_all_sites;
 use ewb_check::{default_alphabet, exhaustive, fuzz, Counterexample, Mutant};
@@ -33,12 +34,7 @@ const PIPELINE_SEED: u64 = 7;
 /// Maximum steps per fuzzed scenario.
 const FUZZ_MAX_STEPS: usize = 12;
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const FLAGS: &[cli::Flag] = &[("--depth", "N"), ("--seeds", "N"), ("--corpus", "DIR")];
 
 fn artifacts_dir() -> PathBuf {
     let dir = PathBuf::from("target/check_artifacts");
@@ -60,14 +56,11 @@ fn write_artifact(stage: &str, cex: &Counterexample) {
 }
 
 fn main() -> ExitCode {
-    let depth: usize = flag_value("--depth")
-        .map(|v| v.parse().expect("--depth takes an integer"))
-        .unwrap_or(6);
-    let seeds: u64 = flag_value("--seeds")
-        .map(|v| v.parse().expect("--seeds takes an integer"))
-        .unwrap_or(256);
-    let corpus_dir = flag_value("--corpus")
-        .map(PathBuf::from)
+    let args = cli::Args::parse(FLAGS);
+    let depth: usize = args.get("--depth").unwrap_or(6);
+    let seeds: u64 = args.get("--seeds").unwrap_or(256);
+    let corpus_dir: PathBuf = args
+        .get("--corpus")
         .unwrap_or_else(corpus::builtin_corpus_dir);
 
     let cfg = RrcConfig::paper();

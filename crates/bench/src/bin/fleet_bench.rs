@@ -5,9 +5,10 @@
 //!
 //! Usage: `fleet_bench [--smoke] [--users N] [--shards N]`
 //!
-//! `--smoke` selects the CI population (2 000 users × 4 shards) and is
-//! what the fleet-smoke CI job runs; the default is a 100 000-user
-//! population with 64 shards. Either way the binary asserts the
+//! The default is a 100 000-user population with 64 shards. `--smoke`
+//! changes that default to the CI population (2 000 users × 4 shards)
+//! and is what the fleet-smoke CI job runs; an explicit `--users` or
+//! `--shards` wins wherever it appears. Either way the binary asserts the
 //! scheduling-invariance grid (shards {1, 2, 7, 64} × threads {1, 8})
 //! before timing anything, so a red determinism bit can never ship
 //! inside a green benchmark.
@@ -26,6 +27,7 @@
 //!   reaches USER on its first attempt (repeatable); the supervisor must
 //!   absorb it.
 
+use ewb_bench::cli;
 use ewb_fleet::{
     run_fleet, run_fleet_supervised, summary_fingerprint, ChaosConfig, FleetConfig, FleetEnv,
     FleetError, FleetSummary, PanicPoint, SupervisorOptions,
@@ -68,64 +70,45 @@ impl Args {
     }
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: 100_000,
-        shards: 64,
-        smoke: false,
-        supervised: false,
-        checkpoint: None,
-        resume: false,
-        kill_after: None,
-        chaos_panics: Vec::new(),
+const FLAGS: &[cli::Flag] = &[
+    ("--smoke", ""),
+    ("--users", "N"),
+    ("--shards", "N"),
+    ("--supervised", ""),
+    ("--checkpoint", "PATH"),
+    ("--resume", ""),
+    ("--kill-after", "N"),
+    ("--chaos-panic", "SHARD:USER..."),
+];
+
+/// The run a command line parsed against [`FLAGS`] asks for.
+fn parse_args(cli: &cli::Args) -> Args {
+    let smoke = cli.has("--smoke");
+    let (users, shards) = if smoke { (2_000, 4) } else { (100_000, 64) };
+    let chaos_panic = |v: String| {
+        let point = v.split_once(':').and_then(|(shard, user)| {
+            Some(PanicPoint {
+                shard: shard.parse().ok()?,
+                user_id: user.parse().ok()?,
+                on_attempt: 0,
+            })
+        });
+        point.unwrap_or_else(|| cli.fail(&format!("--chaos-panic takes SHARD:USER, not `{v}`")))
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => {
-                args.smoke = true;
-                args.users = 2_000;
-                args.shards = 4;
-            }
-            "--users" => {
-                let v = it.next().expect("--users needs a value");
-                args.users = v.parse().expect("--users must be an integer");
-            }
-            "--shards" => {
-                let v = it.next().expect("--shards needs a value");
-                args.shards = v.parse().expect("--shards must be an integer");
-            }
-            "--supervised" => args.supervised = true,
-            "--checkpoint" => {
-                let v = it.next().expect("--checkpoint needs a path");
-                args.checkpoint = Some(PathBuf::from(v));
-            }
-            "--resume" => args.resume = true,
-            "--kill-after" => {
-                let v = it.next().expect("--kill-after needs a user count");
-                args.kill_after = Some(v.parse().expect("--kill-after must be an integer"));
-            }
-            "--chaos-panic" => {
-                let v = it.next().expect("--chaos-panic needs SHARD:USER");
-                let (shard, user) = v
-                    .split_once(':')
-                    .expect("--chaos-panic takes SHARD:USER (e.g. 2:117)");
-                args.chaos_panics.push(PanicPoint {
-                    shard: shard
-                        .parse()
-                        .expect("--chaos-panic shard must be an integer"),
-                    user_id: user.parse().expect("--chaos-panic user must be an integer"),
-                    on_attempt: 0,
-                });
-            }
-            other => panic!(
-                "unknown argument {other:?} (try --smoke / --users N / --shards N / \
-                 --supervised / --checkpoint PATH / --resume / --kill-after N / \
-                 --chaos-panic SHARD:USER)"
-            ),
-        }
+    Args {
+        users: cli.get("--users").unwrap_or(users),
+        shards: cli.get("--shards").unwrap_or(shards),
+        smoke,
+        supervised: cli.has("--supervised"),
+        checkpoint: cli.get("--checkpoint"),
+        resume: cli.has("--resume"),
+        kill_after: cli.get("--kill-after"),
+        chaos_panics: cli
+            .get_all("--chaos-panic")
+            .into_iter()
+            .map(chaos_panic)
+            .collect(),
     }
-    args
 }
 
 /// The supervised path: one run under the crash-safe runner, a
@@ -187,7 +170,7 @@ fn run_supervised(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(&cli::Args::parse(FLAGS));
     if args.wants_supervised() {
         run_supervised(&args);
         return;
@@ -372,4 +355,43 @@ fn main() {
     );
     ewb_bench::write_atomic("BENCH_fleet.json", &json);
     println!("wrote BENCH_fleet.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        let argv = std::iter::once("fleet_bench").chain(argv.iter().copied());
+        parse_args(&cli::Args::parse_from(FLAGS, argv.map(String::from)).expect("valid flags"))
+    }
+
+    #[test]
+    fn explicit_users_win_over_smoke_in_either_order() {
+        for argv in [["--users", "300", "--smoke"], ["--smoke", "--users", "300"]] {
+            let a = args(&argv);
+            assert_eq!((a.users, a.shards, a.smoke), (300, 4, true), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn smoke_changes_only_the_default_population() {
+        let smoke = args(&["--smoke"]);
+        assert_eq!((smoke.users, smoke.shards), (2_000, 4));
+        let full = args(&[]);
+        assert_eq!((full.users, full.shards, full.smoke), (100_000, 64, false));
+        assert!(!full.wants_supervised());
+    }
+
+    #[test]
+    fn chaos_panics_keep_both_points_in_order() {
+        let a = args(&["--chaos-panic", "2:117", "--chaos-panic", "0:5"]);
+        let point = |shard, user_id| PanicPoint {
+            shard,
+            user_id,
+            on_attempt: 0,
+        };
+        assert_eq!(a.chaos_panics, [point(2, 117), point(0, 5)]);
+        assert!(a.wants_supervised());
+    }
 }

@@ -21,8 +21,8 @@ use ewb_fleet::{run_fleet, FleetConfig, FleetEnv};
 use std::time::Instant;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let users: u64 = if smoke { 500 } else { 5_000 };
+    let args = ewb_bench::cli::Args::parse(&[("--smoke", "")]);
+    let users: u64 = if args.has("--smoke") { 500 } else { 5_000 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let prep_start = Instant::now();

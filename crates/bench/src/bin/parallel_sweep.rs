@@ -1,7 +1,7 @@
 //! Intra-page parallelism sweep: per-plan latency/energy over the
 //! image-heavy full benchmark pages, plus the learned controller row.
 //!
-//! Usage: `parallel_sweep [--smoke] [--write-golden]`
+//! Usage: `parallel_sweep [--write-golden]`
 //!
 //! Before printing anything the binary runs the parallel differential
 //! oracle (`ewb_check::parallel::check_parallel_all`): host-parallel vs
@@ -10,22 +10,16 @@
 //! four radio backends. A red differential bit can never ship inside a
 //! green sweep.
 //!
-//! `--smoke` is what the parallel CI job runs (identical work — the
-//! corpus is already CI-sized). `--write-golden` refreshes
+//! The sweep writes `BENCH_parallel.json` into the working directory.
+//! `--write-golden` also refreshes
 //! `crates/core/tests/golden/parallel.json`, the summary the
 //! `golden_parallel` test pins byte-for-byte.
 
 use ewb_core::experiments::parallel::{self, PlanRow};
-use std::fmt::Write as _;
+use serde::Serialize;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        assert!(
-            a == "--smoke" || a == "--write-golden",
-            "unknown argument {a:?} (try --smoke / --write-golden)"
-        );
-    }
+    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
     let ctx = ewb_bench::Context::new();
 
     // -- Differential oracle before any reporting. -----------------------
@@ -97,11 +91,18 @@ fn main() {
     );
 
     // -- Artifacts. ------------------------------------------------------
-    let json = bench_json(&rows, d4.pipeline_speedup, learned.energy_saving);
-    ewb_bench::write_atomic("BENCH_parallel.json", &json);
+    let bench = Bench {
+        differential_grid_ok: true,
+        plans: rows.len(),
+        speedup_4t: d4.pipeline_speedup,
+        learned_energy_saving: learned.energy_saving,
+        rows: rows.clone(),
+    };
+    let json = serde_json::to_string(&bench).expect("the BENCH record is always serializable");
+    ewb_bench::write_atomic("BENCH_parallel.json", json);
     println!("wrote BENCH_parallel.json");
 
-    if args.iter().any(|a| a == "--write-golden") {
+    if args.has("--write-golden") {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../core/tests/golden/parallel.json"
@@ -113,29 +114,11 @@ fn main() {
 
 /// The tracked benchmark artifact: oracle verdict, headline numbers,
 /// and every sweep cell.
-fn bench_json(rows: &[PlanRow], speedup_4t: f64, learned_saving: f64) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"differential_grid_ok\": true,");
-    let _ = writeln!(json, "  \"plans\": {},", rows.len());
-    let _ = writeln!(json, "  \"speedup_4t\": {speedup_4t:.6},");
-    let _ = writeln!(json, "  \"learned_energy_saving\": {learned_saving:.6},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"plan\": \"{}\",", r.plan);
-        let _ = writeln!(json, "      \"joules\": {:.6},", r.joules);
-        let _ = writeln!(json, "      \"load_time_s\": {:.6},", r.load_time_s);
-        let _ = writeln!(
-            json,
-            "      \"pipeline_speedup\": {:.6},",
-            r.pipeline_speedup
-        );
-        let _ = writeln!(json, "      \"energy_saving\": {:.6},", r.energy_saving);
-        let _ = writeln!(json, "      \"delay_saving\": {:.6}", r.delay_saving);
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    json
+#[derive(Serialize)]
+struct Bench {
+    differential_grid_ok: bool,
+    plans: usize,
+    speedup_4t: f64,
+    learned_energy_saving: f64,
+    rows: Vec<PlanRow>,
 }

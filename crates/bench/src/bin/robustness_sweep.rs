@@ -5,12 +5,14 @@
 //! `--timeline PATH` exports the reference session's event timeline as
 //! JSON lines to PATH.
 fn main() {
+    let args = ewb_bench::cli::Args::parse(&[("--write-golden", ""), ("--timeline", "PATH")]);
+    let timeline: Option<String> = args.get("--timeline");
     let ctx = ewb_bench::Context::new();
     print!("{}", ewb_bench::reports::robustness_report(&ctx));
-    if let Some(path) = ewb_bench::timeline_arg() {
+    if let Some(path) = timeline {
         ewb_bench::write_timeline(&ctx, &path);
     }
-    if std::env::args().any(|a| a == "--write-golden") {
+    if args.has("--write-golden") {
         let rows = ewb_core::experiments::robustness::sweep(
             &ctx.corpus,
             &ctx.server,

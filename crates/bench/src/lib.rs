@@ -1,15 +1,17 @@
 //! # ewb-bench — the evaluation harness
 //!
 //! One reporting function per paper figure/table, each returning the
-//! formatted report its binary prints. `cargo run -p ewb-bench --bin
-//! <name> --release` regenerates any single artifact;
-//! `--bin all_figures` runs the lot (that output is the basis of
-//! EXPERIMENTS.md).
+//! formatted report [`REPORTS`] names it by. `cargo run -p ewb-bench
+//! --release --bin all_figures` prints them all (that output is the basis
+//! of EXPERIMENTS.md); `-- --only <name>` regenerates a single artifact.
+//! The other binaries run the sweeps, benchmarks and checks that write
+//! goldens or BENCH files; every binary parses its flags through [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod cli;
 pub mod reports;
 
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer};
@@ -47,21 +49,50 @@ impl Default for Context {
     }
 }
 
-/// Returns the path following a `--timeline` flag on the command line,
-/// if present.
-///
-/// # Panics
-///
-/// Panics if `--timeline` is passed without a path.
-pub fn timeline_arg() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--timeline" {
-            return Some(args.next().expect("--timeline needs a path"));
-        }
-    }
-    None
-}
+/// A report `all_figures` prints: the name `--only` selects it by, and
+/// the function that formats it given whether `--quick` was passed.
+pub type Report = (&'static str, fn(&Context, bool) -> String);
+
+/// Every report, in the order `all_figures` prints them. `--quick`
+/// shortens the Fig. 11 horizon and the Fig. 16 slice.
+pub const REPORTS: [Report; 25] = [
+    ("fig01_power_states", |ctx, _| reports::fig01(ctx)),
+    ("fig03_intuitive", |ctx, _| reports::fig03(ctx)),
+    ("fig04_traffic", |ctx, _| reports::fig04(ctx)),
+    ("fig05_sequence", |ctx, _| reports::fig05(ctx)),
+    ("fig07_reading_cdf", |_, _| reports::fig07()),
+    ("fig08_transmission", |ctx, _| reports::fig08(ctx)),
+    ("fig09_power_trace", |ctx, _| reports::fig09(ctx)),
+    ("fig10_power", |ctx, _| reports::fig10(ctx)),
+    ("fig11_capacity", |ctx, quick| {
+        reports::fig11(ctx, if quick { 20_000.0 } else { 4.0 * 3600.0 })
+    }),
+    ("fig1213_display", |ctx, _| reports::fig1213(ctx)),
+    ("fig14_display_avg", |ctx, _| reports::fig14(ctx)),
+    ("fig15_accuracy", |_, _| reports::fig15()),
+    ("fig16_cases", |ctx, quick| {
+        let (users, sessions) = if quick { (2, 4) } else { (6, 10) };
+        reports::fig16(ctx, users, sessions)
+    }),
+    ("table3_benchmark", |ctx, _| reports::table3(ctx)),
+    ("table4_pearson", |_, _| reports::table4()),
+    ("table5_power_states", |ctx, _| reports::table5(ctx)),
+    ("table7_prediction_cost", |_, _| reports::table7()),
+    ("ablate_promotion", |_, _| ablations::promotion_energy()),
+    ("ablate_interest_threshold", |_, _| {
+        ablations::interest_threshold()
+    }),
+    ("ablate_gbrt_size", |_, _| ablations::gbrt_size()),
+    ("ablate_timers", |_, _| ablations::timers()),
+    ("ablate_saving_breakdown", |ctx, _| {
+        ablations::saving_breakdown(ctx)
+    }),
+    ("baseline_proxy", |ctx, _| ablations::proxy_baseline(ctx)),
+    ("ablate_layout_cache", |ctx, _| ablations::layout_cache(ctx)),
+    ("ablate_connection_pool", |ctx, _| {
+        ablations::connection_pool(ctx)
+    }),
+];
 
 /// Writes `contents` to `path` atomically: stages into `<path>.tmp`, then
 /// renames over `path`. A crash (or a concurrent reader) never observes a

@@ -1,0 +1,165 @@
+//! Strict flags: the shared parser, every binary's refusal of a flag it
+//! does not know, and the docs naming only binaries and reports that
+//! exist.
+
+use ewb_bench::cli::{Args, Flag};
+use ewb_bench::REPORTS;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+const BINS: [(&str, &str); 8] = [
+    ("all_figures", env!("CARGO_BIN_EXE_all_figures")),
+    ("backend_sweep", env!("CARGO_BIN_EXE_backend_sweep")),
+    ("bench_gbrt", env!("CARGO_BIN_EXE_bench_gbrt")),
+    ("check_all", env!("CARGO_BIN_EXE_check_all")),
+    ("fleet_bench", env!("CARGO_BIN_EXE_fleet_bench")),
+    ("fleet_robustness", env!("CARGO_BIN_EXE_fleet_robustness")),
+    ("parallel_sweep", env!("CARGO_BIN_EXE_parallel_sweep")),
+    ("robustness_sweep", env!("CARGO_BIN_EXE_robustness_sweep")),
+];
+
+const FLAGS: &[Flag] = &[("--quick", ""), ("--depth", "N"), ("--point", "P...")];
+
+fn parse(argv: &[&str]) -> Result<Args, String> {
+    let argv = std::iter::once("prog").chain(argv.iter().copied());
+    Args::parse_from(FLAGS, argv.map(String::from))
+}
+
+#[test]
+fn the_parser_rejects_what_was_not_declared() {
+    for (argv, error) in [
+        (&["--quick", "--bogus"][..], "unknown argument `--bogus`"),
+        (&["3"], "unknown argument `3`"),
+        (&["--depth"], "--depth needs a value"),
+        (&["--depth", "--quick"], "--depth needs a value"),
+        (&["--depth", "3", "--depth", "4"], "--depth given twice"),
+        (&["--quick", "--quick"], "--quick given twice"),
+    ] {
+        let e = parse(argv).expect_err("must be rejected");
+        assert!(e.starts_with(&format!("error: {error}\n")), "{argv:?}: {e}");
+        assert!(
+            e.ends_with("usage: prog [--quick] [--depth N] [--point P...]"),
+            "{e}"
+        );
+    }
+}
+
+#[test]
+fn the_parser_keeps_values_and_repeats_in_order() {
+    let args = parse(&["--point", "b", "--depth", "3", "--point", "a"]).expect("valid");
+    assert_eq!(args.get::<usize>("--depth"), Some(3));
+    assert_eq!(args.get_all::<String>("--point"), ["b", "a"]);
+    assert!(!args.has("--quick"));
+    let none = parse(&[]).expect("valid");
+    assert_eq!(none.get::<usize>("--depth"), None);
+    assert!(none.get_all::<String>("--point").is_empty());
+}
+
+/// Runs `bin` with `args` in a fresh empty directory and returns its
+/// output and whatever it left in the directory.
+fn run_in_empty_dir(bin: (&str, &str), args: &[&str]) -> (Output, Vec<PathBuf>) {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ewb-cli-{}-{run}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(bin.1)
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("scratch dir readable")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    (out, left)
+}
+
+fn assert_usage_error(bin: (&str, &str), args: &[&str]) -> String {
+    let (out, left) = run_in_empty_dir(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{} {args:?}: {stderr}", bin.0);
+    assert!(stderr.contains("usage:"), "{} {args:?}: {stderr}", bin.0);
+    assert!(out.stdout.is_empty(), "{} {args:?} printed output", bin.0);
+    assert!(left.is_empty(), "{} {args:?} wrote {left:?}", bin.0);
+    stderr
+}
+
+#[test]
+fn every_binary_refuses_an_unknown_flag_before_any_work() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+        .expect("src/bin readable")
+        .map(|e| e.expect("dir entry").path())
+        .filter_map(|p| Some(p.file_stem()?.to_string_lossy().into_owned()))
+        .collect();
+    on_disk.sort();
+    assert_eq!(
+        on_disk,
+        BINS.map(|(name, _)| name),
+        "BINS lists every binary"
+    );
+    for bin in BINS {
+        assert_usage_error(bin, &["--no-such-flag"]);
+    }
+}
+
+#[test]
+fn malformed_values_exit_2() {
+    let stderr = assert_usage_error(BINS[0], &["--only", "no_such_report"]);
+    for (report, _) in REPORTS {
+        assert!(stderr.contains(report), "{report} not named: {stderr}");
+    }
+    for args in [
+        &["--depth"][..],
+        &["--depth", "x"],
+        &["--depth", "3", "--depth", "4"],
+    ] {
+        assert_usage_error(BINS[3], args);
+    }
+}
+
+/// The identifiers following each `flag ` in `text`, across line breaks.
+fn named_after<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
+    text.match_indices(flag)
+        .map(|(i, _)| &text[i + flag.len()..])
+        .filter(|rest| rest.starts_with(char::is_whitespace))
+        .map(|rest| {
+            let rest = rest.trim_start();
+            let end = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+#[test]
+fn docs_name_only_existing_binaries_and_reports() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        "docs/testing.md",
+        "tests/README.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc readable");
+        for name in named_after(&text, "--bin") {
+            assert!(
+                BINS.iter().any(|(bin, _)| *bin == name),
+                "{doc}: --bin {name}"
+            );
+        }
+        for name in named_after(&text, "--only") {
+            assert!(
+                REPORTS.iter().any(|(report, _)| *report == name),
+                "{doc}: --only {name}"
+            );
+        }
+    }
+}

@@ -58,8 +58,14 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--timing" => timing = true,
             "--no-allow" => honor_allows = false,
-            "--root" => root = args.next().map(PathBuf::from),
-            "--rule" => only_rule = args.next(),
+            "--root" | "--rule" => match args.next().filter(|v| !v.starts_with("--")) {
+                Some(v) if arg == "--root" => root = Some(PathBuf::from(v)),
+                Some(v) => only_rule = Some(v),
+                None => {
+                    eprintln!("`{arg}` needs a value (try --help)");
+                    return ExitCode::from(2);
+                }
+            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lint_all [--deny-all] [--json] [--timing] [--no-allow] \
