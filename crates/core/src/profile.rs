@@ -16,16 +16,21 @@
 //! [`ProfileTable::capture`] therefore runs the full browser pipeline once
 //! per (page, mode, click-state) — 120 loads for the benchmark corpus on
 //! 3G — and stores each load's radio events shifted to a click-relative
-//! clock. [`run_profiled_session_with`] replays whole 3G sessions by
-//! time-shifting those profiles onto one incremental [`RrcMachine`],
-//! making the per-visit cost O(events) with zero allocation: the hot path
-//! of `ewb-fleet`.
+//! clock. It also compiles each load into a [`LoadTape`]: the events,
+//! replayed once onto a machine in the key's click state, fix the load's
+//! whole effect on the machine — its meter addends and segments, its
+//! transitions, its residency and counter deltas, and its end state with
+//! click-relative deadlines. [`run_profiled_session_with`] replays whole
+//! 3G sessions on one incremental [`RrcMachine`] by playing each visit's
+//! tape at its click, so a visit costs one pass over the tape's addends
+//! instead of one machine call per event: the hot path of `ewb-fleet`.
 //!
 //! The replayed session is **bit-identical** to
-//! [`simulate_session`](crate::session::simulate_session): both paths
-//! issue the same machine calls at the same instants (the canonical
-//! [`sort_radio_events`] order), so the energy meter integrates the same
-//! segments in the same order.
+//! [`simulate_session`](crate::session::simulate_session): that path
+//! issues the same machine calls at the same instants (the canonical
+//! [`sort_radio_events`] order), and a tape holds exactly the addends
+//! those calls add to the meter, in the same order. Time is integer
+//! microseconds, so no addend depends on where the click falls.
 //!
 //! The same argument extends to faulty links, one [`FaultTier`] at a
 //! time: a tier fixes a [`FaultConfig`] and one fault-stream seed per
@@ -46,19 +51,21 @@ use ewb_browser::parallel::ParallelismPlan;
 use ewb_browser::pipeline::{load_page, PipelineConfig, PipelineMode};
 use ewb_net::replay::{events_of_load_parallel, sort_radio_events, RadioEvent};
 use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
-use ewb_rrc::{RadioModel, RrcCounters, RrcMachine, RrcState, StateResidency};
+use ewb_rrc::{LoadTape, RadioModel, RrcCounters, RrcMachine, RrcState, StateResidency};
 use ewb_simcore::{SimDuration, SimTime, SplitMix64};
 use ewb_traces::FeatureVector;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
-use std::marker::PhantomData;
 
-/// One captured page load, on a click-relative clock (the click is
-/// [`SimTime::ZERO`]).
+/// One captured page load on radio backend `R`, on a click-relative clock
+/// (the click is [`SimTime::ZERO`]).
 #[derive(Debug, Clone)]
-pub struct LoadProfile {
+pub struct LoadProfile<R: RadioModel = RrcMachine> {
     /// Radio and CPU events of the load, in canonical replay order
     /// ([`sort_radio_events`]), relative to the click.
     pub events: Vec<RadioEvent>,
+    /// The events compiled from the key's click state: what replaying
+    /// them leaves in the machine, played in one step at each click.
+    pub tape: LoadTape<R>,
     /// Click → final display (the page-load duration).
     pub opened: SimDuration,
     /// Click → end of the data-transmission phase.
@@ -71,7 +78,7 @@ pub struct LoadProfile {
     pub bytes: u64,
 }
 
-impl LoadProfile {
+impl<R: RadioModel> LoadProfile<R> {
     /// Page-load duration in seconds.
     pub fn load_time_s(&self) -> f64 {
         self.opened.as_secs_f64()
@@ -213,11 +220,11 @@ impl std::fmt::Display for FaultTier {
 /// synthesizer's base index is directly a `ProfileTable` page index.
 #[derive(Debug, Clone)]
 pub struct ProfileTable<R: RadioModel = RrcMachine> {
-    profiles: Vec<LoadProfile>,
+    profiles: Vec<LoadProfile<R>>,
     n_pages: usize,
     tiers: Vec<FaultTier>,
     plans: Vec<ParallelismPlan>,
-    radio: PhantomData<fn() -> R>,
+    radio_cfg: R::Config,
 }
 
 impl ProfileTable {
@@ -401,8 +408,15 @@ impl<R: RadioModel> ProfileTable<R> {
                                         "clean-tier profiles must fetch every object"
                                     );
                                 }
+                                let tape =
+                                    LoadTape::compile(radio_cfg, click_state, |m, offset| {
+                                        for e in &events {
+                                            e.apply(m, offset);
+                                        }
+                                    });
                                 profiles.push(LoadProfile {
                                     events,
+                                    tape,
                                     opened: metrics.final_display_at - t0,
                                     tx_end: metrics.data_transmission_end - t0,
                                     features: FeatureVector::from_slice(
@@ -421,8 +435,15 @@ impl<R: RadioModel> ProfileTable<R> {
             n_pages: corpus.sites().len() * 2,
             tiers: tiers.to_vec(),
             plans: plans.to_vec(),
-            radio: PhantomData,
+            radio_cfg,
         }
+    }
+
+    /// The radio configuration the table was captured under. Its timers
+    /// and powers are baked into every tape, so a session replays the
+    /// table only under this configuration.
+    pub fn radio_config(&self) -> &R::Config {
+        &self.radio_cfg
     }
 
     /// Number of pages covered (2 per site).
@@ -467,7 +488,7 @@ impl<R: RadioModel> ProfileTable<R> {
         click_state: usize,
         tier: FaultTier,
         plan: ParallelismPlan,
-    ) -> &LoadProfile {
+    ) -> &LoadProfile<R> {
         assert!(
             page_idx < self.n_pages,
             "page index {page_idx} out of range ({} pages)",
@@ -610,10 +631,17 @@ impl Default for ProfiledSessionOpts {
     }
 }
 
-/// Simulates a 3G session by time-shifting memoized load profiles onto
-/// one incremental radio machine. Allocation-free after the table is
-/// built. `opts` picks the fault tier and plan to replay and can inject a
-/// mid-session predictor outage.
+/// Simulates a 3G session on one incremental radio machine, playing each
+/// visit's memoized [`LoadTape`] at its click; the dwell that follows —
+/// the release decision, the inactivity timers, the advance to the next
+/// click — runs on the live machine. `opts` picks the fault tier and plan
+/// to replay and can inject a mid-session predictor outage.
+///
+/// The session allocates only as the machine's history grows: its meter
+/// keeps every merged power segment and it keeps every state transition
+/// (about 41 and 2.5 per visit, or 730 and 44 per session, in the
+/// fleet's smoke population). No caller reads either history; ROADMAP
+/// item 5 ("one energy history") would drop both.
 ///
 /// During an outage, predicted-threshold visits run the intuitive
 /// release-after-load policy instead; each such visit is flagged in its
@@ -624,10 +652,11 @@ impl Default for ProfiledSessionOpts {
 ///
 /// # Panics
 ///
-/// Panics if `visits` is empty, the configuration is invalid, a page
-/// index is out of range, a reading time is negative, the case's policy
-/// needs a prediction a visit does not carry, or `opts.tier`/`opts.plan`
-/// was not captured into `table`.
+/// Panics if `visits` is empty, the configuration is invalid, `cfg.rrc`
+/// is not the configuration `table` was captured under, a page index is
+/// out of range, a reading time is negative, the case's policy needs a
+/// prediction a visit does not carry, or `opts.tier`/`opts.plan` was not
+/// captured into `table`.
 pub fn run_profiled_session_with(
     table: &ProfileTable,
     cfg: &CoreConfig,
@@ -640,6 +669,13 @@ pub fn run_profiled_session_with(
     if let Err(e) = cfg.validate() {
         panic!("invalid CoreConfig: {e}");
     }
+    assert!(
+        cfg.rrc == *table.radio_config(),
+        "the session's radio config {:?} is not the one the profile table was captured \
+         under ({:?}): its tapes hold that config's timers and powers",
+        cfg.rrc,
+        table.radio_config()
+    );
 
     let start = SimTime::ZERO;
     let mut machine = RrcMachine::new(cfg.rrc, start);
@@ -660,27 +696,7 @@ pub fn run_profiled_session_with(
             opts.tier,
             opts.plan,
         );
-        let dt = t - start;
-        for e in &profile.events {
-            match *e {
-                RadioEvent::BeginTransfer {
-                    at,
-                    needs_dch,
-                    promotion_retries,
-                } => {
-                    let _ = machine.begin_transfer_with_promotion_retries(
-                        at + dt,
-                        needs_dch,
-                        promotion_retries,
-                    );
-                }
-                RadioEvent::EndTransfer { at } => machine.end_transfer(at + dt),
-                RadioEvent::Release { at } => {
-                    let _ = machine.release_to_idle(at + dt);
-                }
-                RadioEvent::CpuLoad { at, load } => machine.set_cpu_load(at + dt, load),
-            }
-        }
+        machine.play_tape(&profile.tape, t);
 
         let opened = t + profile.opened;
         let next_start = opened + SimDuration::from_secs_f64(visit.reading_s);
@@ -756,7 +772,7 @@ mod tests {
         page_idx: usize,
         mode: PipelineMode,
         click_state: usize,
-    ) -> &LoadProfile {
+    ) -> &LoadProfile<R> {
         table.profile_planned(
             page_idx,
             mode,
@@ -869,6 +885,112 @@ mod tests {
                 assert_eq!(got.as_secs_f64().to_bits(), want.load_time_s().to_bits());
             }
         }
+    }
+
+    /// Tapes bake in the capture config's timers, latencies and powers, so
+    /// the bit-identity holds under any 3G config the table is captured
+    /// with — here shorter timers (T1 = 2 s, T2 = 8 s) and a slower
+    /// release, with clicks landing in all three click states.
+    #[test]
+    fn profiled_sessions_match_full_sessions_under_a_non_paper_radio() {
+        let (corpus, server, mut cfg) = setup();
+        cfg.rrc.t1 = SimDuration::from_secs(2);
+        cfg.rrc.t2 = SimDuration::from_secs(8);
+        cfg.rrc.release_latency = SimDuration::from_millis(350);
+        let table = capture_clean(&corpus, &server, &cfg);
+        assert_eq!(*table.radio_config(), cfg.rrc);
+        let plan = [
+            ("espn", PageVersion::Full, 1.0),
+            ("cnn", PageVersion::Mobile, 5.0),
+            ("bbc", PageVersion::Mobile, 30.0),
+            ("msn", PageVersion::Mobile, 12.0),
+            ("aol", PageVersion::Mobile, 0.2),
+            ("ebay", PageVersion::Full, 9.5),
+            ("cnn", PageVersion::Full, 3.0),
+        ];
+        let visits: Vec<Visit<'_>> = plan
+            .iter()
+            .map(|&(key, version, reading_s)| Visit {
+                page: corpus.page(key, version).unwrap(),
+                reading_s,
+                features: None,
+            })
+            .collect();
+        let profiled: Vec<ProfiledVisit> = plan
+            .iter()
+            .map(|&(key, version, reading_s)| ProfiledVisit {
+                page_idx: page_idx(&corpus, key, version),
+                reading_s,
+                predicted_s: None,
+            })
+            .collect();
+
+        let mut click_states = std::collections::BTreeSet::new();
+        for case in [
+            Case::Original,
+            Case::OriginalAlwaysOff,
+            Case::Accurate9,
+            Case::Accurate20,
+        ] {
+            let full = simulate_session(&server, &visits, case, &cfg, SessionOpts::three_g(&cfg));
+            let mut loads = Vec::new();
+            let fast = run_profiled_session_with(
+                &table,
+                &cfg,
+                case,
+                ProfiledSessionOpts::default(),
+                &profiled,
+                |v| {
+                    loads.push(v.load);
+                    click_states.insert(v.click_state);
+                },
+            );
+            assert_eq!(
+                fast.total_joules.to_bits(),
+                full.total_joules.to_bits(),
+                "case {case}: energy must match to the last bit"
+            );
+            assert_eq!(
+                fast.total_load_time_s.to_bits(),
+                full.total_load_time_s.to_bits(),
+                "case {case}"
+            );
+            assert_eq!(fast.counters, full.counters, "case {case}");
+            assert_eq!(fast.residency, full.radio.residency(), "case {case}");
+            assert_eq!(fast.duration, full.duration, "case {case}");
+            for (got, want) in loads.iter().zip(&full.pages) {
+                assert_eq!(got.as_secs_f64().to_bits(), want.load_time_s().to_bits());
+            }
+        }
+        assert_eq!(
+            click_states.len(),
+            THREE_G_CLICK_STATES.len(),
+            "the visits must click in IDLE, FACH and DCH"
+        );
+    }
+
+    /// A table replays only under the radio config it was captured with:
+    /// its tapes hold that config's deadlines and powers.
+    #[test]
+    #[should_panic(expected = "not the one the profile table was captured under")]
+    fn replay_under_another_radio_config_panics() {
+        let (corpus, server, cfg) = setup();
+        let table = capture_clean(&corpus, &server, &cfg);
+        let mut other = cfg.clone();
+        other.rrc.t1 = SimDuration::from_secs(2);
+        let visits = [ProfiledVisit {
+            page_idx: 0,
+            reading_s: 10.0,
+            predicted_s: None,
+        }];
+        run_profiled_session_with(
+            &table,
+            &other,
+            Case::Original,
+            ProfiledSessionOpts::default(),
+            &visits,
+            |_| {},
+        );
     }
 
     /// Predicted policies: the profiled path consumes batch predictions

@@ -8,8 +8,9 @@
 //!
 //! * **Memoized loads** — every (page, pipeline mode, RRC click-state)
 //!   combination is driven through the full browser pipeline exactly once
-//!   ([`ewb_core::profile::ProfileTable`]); fleet sessions replay the
-//!   captured radio events, bit-identical to the full path.
+//!   ([`ewb_core::profile::ProfileTable`]) and compiled into a load tape
+//!   of its exact energy addends, deltas and end state; fleet sessions
+//!   play one tape per click, bit-identical to the full path.
 //! * **Deterministic users** — each user's interests, visit sequence, and
 //!   reading times derive from a forked RNG stream keyed by `(seed,
 //!   user_id)` alone, so results never depend on scheduling.

@@ -151,7 +151,9 @@ pub struct FleetEnv {
     pub server: OriginServer,
     /// The paper's configuration.
     pub cfg: CoreConfig,
-    /// Memoized load profiles: (page, mode, click-state) → radio events.
+    /// Memoized load profiles: (page, mode, click-state) → the load's
+    /// radio events and the load tape compiled from them, which sessions
+    /// play at each click.
     pub table: ProfileTable,
     /// Per-visit feature synthesizer (base order = profile page order).
     pub synth: VisitSynthesizer,
@@ -292,9 +294,12 @@ pub fn predictor_outage_from(cfg: &FleetConfig, user_id: u64, visits: u64) -> Op
 }
 
 /// Simulates one user's baseline and optimized sessions and folds both
-/// into `summary`. Allocation-free at steady state: the plan lives in
-/// `scratch`, predictions run as one batch, and the sessions replay
-/// memoized profiles (of the config's [`FaultTier`]).
+/// into `summary`. The plan lives in `scratch`, predictions run as one
+/// batch, and the sessions play memoized load tapes (of the config's
+/// [`FaultTier`]). The only per-user allocations are the two sessions'
+/// radio machines, whose meter-segment and transition histories grow
+/// with the visits (see [`run_profiled_session_with`]; ROADMAP item 5,
+/// "one energy history").
 pub fn simulate_user(
     env: &FleetEnv,
     cfg: &FleetConfig,

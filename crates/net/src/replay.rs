@@ -10,7 +10,7 @@
 use crate::fetcher::TransferRecord;
 use ewb_obs::Recorder;
 use ewb_rrc::RadioModel;
-use ewb_simcore::SimTime;
+use ewb_simcore::{SimDuration, SimTime};
 
 /// One radio-relevant event of a session.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +56,35 @@ impl RadioEvent {
             | RadioEvent::EndTransfer { at }
             | RadioEvent::Release { at }
             | RadioEvent::CpuLoad { at, .. } => *at,
+        }
+    }
+
+    /// Applies the event to `machine`, `offset` later than its own time —
+    /// the one mapping from events to machine calls, shared by [`replay`]
+    /// and by compiled load tapes (`ewb-core`'s memoized profiles).
+    ///
+    /// # Panics
+    ///
+    /// Panics as the machine call does (e.g. an `EndTransfer` without a
+    /// matching begin, or an instant in the machine's past).
+    pub fn apply<R: RadioModel>(&self, machine: &mut R, offset: SimDuration) {
+        match *self {
+            RadioEvent::BeginTransfer {
+                at,
+                needs_dch,
+                promotion_retries,
+            } => {
+                let _ = machine.begin_transfer_with_promotion_retries(
+                    at + offset,
+                    needs_dch,
+                    promotion_retries,
+                );
+            }
+            RadioEvent::EndTransfer { at } => machine.end_transfer(at + offset),
+            RadioEvent::Release { at } => {
+                let _ = machine.release_to_idle(at + offset);
+            }
+            RadioEvent::CpuLoad { at, load } => machine.set_cpu_load(at + offset, load),
         }
     }
 }
@@ -157,22 +186,8 @@ pub fn replay<R: RadioModel>(
     sort_radio_events(&mut events);
 
     let mut machine = R::with_recorder(radio_cfg, start, recorder);
-    for e in events {
-        match e {
-            RadioEvent::BeginTransfer {
-                at,
-                needs_dch,
-                promotion_retries,
-            } => {
-                let _ =
-                    machine.begin_transfer_with_promotion_retries(at, needs_dch, promotion_retries);
-            }
-            RadioEvent::EndTransfer { at } => machine.end_transfer(at),
-            RadioEvent::Release { at } => {
-                let _ = machine.release_to_idle(at);
-            }
-            RadioEvent::CpuLoad { at, load } => machine.set_cpu_load(at, load),
-        }
+    for e in &events {
+        e.apply(&mut machine, SimDuration::ZERO);
     }
     machine.advance_to(until.max(machine.now()));
     machine
@@ -196,7 +211,6 @@ mod tests {
             Recorder::disabled(),
         )
     }
-    use ewb_simcore::SimDuration;
     use ewb_webpage::{benchmark_corpus, OriginServer, PageVersion};
 
     #[test]

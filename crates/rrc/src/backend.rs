@@ -17,8 +17,9 @@
 //! the pre-trait goldens by construction.
 
 use crate::config::RrcConfig;
-use crate::machine::RrcMachine;
+use crate::machine::{RrcLoadEnd, RrcMachine};
 use crate::state::RrcState;
+use crate::tape::LoadTape;
 use ewb_obs::Recorder;
 use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -89,11 +90,15 @@ impl fmt::Display for RadioBackend {
 /// Implementations must be deterministic: the same stimulus sequence
 /// applied to machines built from the same config must produce
 /// bit-identical energy, residency, and counters.
-pub trait RadioModel: Sized {
+pub trait RadioModel: Sized + Clone {
     /// The backend's named-field configuration (timers, powers).
     type Config: Copy + fmt::Debug + PartialEq + Serialize;
     /// The backend's event counters.
     type Counters: Clone + fmt::Debug + PartialEq + Default + Serialize;
+    /// What a page load leaves in the machine besides its meter: the
+    /// backend's part of a [`LoadTape`] (the load's transitions, its
+    /// residency and counter deltas, and its end state).
+    type LoadEnd: Clone + fmt::Debug + PartialEq;
 
     /// Which radio technology this machine models.
     const BACKEND: RadioBackend;
@@ -222,6 +227,29 @@ pub trait RadioModel: Sized {
     /// Panics if the current state is not a click state (e.g. a
     /// promotion window, which only exists inside page loads).
     fn click_state_index(&self) -> usize;
+
+    /// The compile step of [`LoadTape::compile`]: what the load since
+    /// `at_click` — this machine as the click at `click` found it — left
+    /// in the machine besides its meter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the load has not finished: a transfer is active, a
+    /// promotion is in flight, or the CPU load is nonzero.
+    fn load_end(&self, at_click: &Self, click: SimTime) -> Self::LoadEnd;
+
+    /// Plays `tape` at `click`. Every observable of the machine — its
+    /// meter (total and segments), transitions, counters, residency,
+    /// state and pending deadlines — ends exactly as if the stimuli the
+    /// tape was compiled from had been applied `click` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the machine is at `click` in the tape's click state
+    /// with no transfer active and the CPU idle, and has no recorder
+    /// attached: a traced machine must see the load's events, which a
+    /// tape does not replay.
+    fn play_tape(&mut self, tape: &LoadTape<Self>, click: SimTime);
 }
 
 /// The 3G click states, in [`RadioModel::click_state_index`] order.
@@ -250,6 +278,7 @@ impl RrcState {
 impl RadioModel for RrcMachine {
     type Config = RrcConfig;
     type Counters = crate::machine::RrcCounters;
+    type LoadEnd = RrcLoadEnd;
 
     const BACKEND: RadioBackend = RadioBackend::ThreeG;
 
@@ -376,6 +405,14 @@ impl RadioModel for RrcMachine {
 
     fn click_state_index(&self) -> usize {
         self.state().click_state_index()
+    }
+
+    fn load_end(&self, at_click: &Self, click: SimTime) -> RrcLoadEnd {
+        RrcMachine::load_end(self, at_click, click)
+    }
+
+    fn play_tape(&mut self, tape: &LoadTape<Self>, click: SimTime) {
+        RrcMachine::play_tape(self, tape, click);
     }
 }
 

@@ -20,6 +20,7 @@
 //! test, not the oracle.
 
 use crate::backend::{RadioBackend, RadioModel};
+use crate::tape::{at_click, field_deltas, since_click, LoadTape};
 use ewb_obs::{Event as ObsEvent, RadioState as ObsState, Recorder, Timer as ObsTimer};
 use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -143,7 +144,7 @@ impl LadderSpec {
 }
 
 /// A backend that lowers to a [`LadderSpec`].
-pub trait LadderBackend {
+pub trait LadderBackend: Clone {
     /// The backend's named-field configuration.
     type Config: Copy + fmt::Debug + PartialEq + Serialize;
     /// Which radio technology the backend models.
@@ -172,6 +173,20 @@ impl LadderResidency {
     pub fn total(&self) -> SimDuration {
         self.levels.iter().fold(self.promoting, |acc, &d| acc + d)
     }
+
+    fn since(self, earlier: Self) -> Self {
+        LadderResidency {
+            levels: std::array::from_fn(|i| self.levels[i] - earlier.levels[i]),
+            promoting: self.promoting - earlier.promoting,
+        }
+    }
+
+    fn add_delta(&mut self, delta: Self) {
+        for (level, d) in self.levels.iter_mut().zip(delta.levels) {
+            *level += d;
+        }
+        self.promoting += delta.promoting;
+    }
 }
 
 /// Event counters of a ladder machine.
@@ -187,6 +202,26 @@ pub struct LadderCounters {
     pub dwell_expirations: u64,
     /// Application-initiated fast releases to level 0.
     pub releases: u64,
+}
+
+field_deltas!(LadderCounters {
+    transfers,
+    promotions,
+    promotion_retries,
+    dwell_expirations,
+    releases,
+});
+
+/// What a page load leaves in a [`LadderMachine`] besides its meter: the
+/// ladder part of a [`LoadTape`]. Instants and deadlines are relative to
+/// the click.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LadderLoadEnd {
+    transitions: Vec<LadderTransition>,
+    residency: LadderResidency,
+    counters: LadderCounters,
+    level: usize,
+    dwell_deadline: Option<SimDuration>,
 }
 
 /// One recorded level change, in `ewb-obs` state vocabulary.
@@ -505,6 +540,73 @@ impl<B: LadderBackend> LadderMachine<B> {
         done
     }
 
+    /// See [`RadioModel::load_end`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transfer is active, a promotion is in flight, or the
+    /// CPU load is nonzero.
+    pub(crate) fn load_end(&self, at_click: &Self, click: SimTime) -> LadderLoadEnd {
+        assert!(
+            self.active_transfers == 0 && self.promotion.is_none(),
+            "a load must end with no transfer active and no promotion in flight"
+        );
+        // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
+        assert!(self.cpu_load == 0.0, "a load must end with the CPU idle");
+        LadderLoadEnd {
+            // The ladder reads its last transition to find the state it
+            // leaves, so the list is state: the tape carries it whole.
+            transitions: self.transitions[at_click.transitions.len()..]
+                .iter()
+                .map(|t| LadderTransition {
+                    at: since_click(click, t.at),
+                    ..*t
+                })
+                .collect(),
+            residency: self.residency.since(at_click.residency),
+            counters: self.counters.since(at_click.counters),
+            level: self.level,
+            dwell_deadline: self.dwell_deadline.map(|d| d - click),
+        }
+    }
+
+    /// See [`RadioModel::play_tape`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the machine is at `click`, in the tape's click
+    /// state, with no transfer active, the CPU idle and no recorder
+    /// attached.
+    pub(crate) fn play_tape(&mut self, tape: &LoadTape<Self>, click: SimTime) {
+        assert_eq!(self.now(), click, "a load tape plays at its click");
+        assert!(
+            !self.recorder.is_enabled(),
+            "a traced machine must replay the load's events: a tape would drop them"
+        );
+        assert_eq!(
+            RadioModel::click_state_index(self),
+            tape.click_state(),
+            "a load tape plays from the click state it was compiled in"
+        );
+        // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
+        let cpu_idle = self.cpu_load == 0.0;
+        assert!(
+            self.active_transfers == 0 && cpu_idle,
+            "a load tape plays on a machine with no transfer active and the CPU idle"
+        );
+        let end = tape.end();
+        self.meter.splice(tape.meter());
+        self.transitions
+            .extend(end.transitions.iter().map(|t| LadderTransition {
+                at: at_click(click, t.at),
+                ..*t
+            }));
+        self.residency.add_delta(end.residency);
+        self.counters.add_delta(end.counters);
+        self.level = end.level;
+        self.dwell_deadline = end.dwell_deadline.map(|d| click + d);
+    }
+
     fn next_pending(&self) -> Option<SimTime> {
         // Invariant: a promotion and a dwell timer are never armed
         // together (begin_transfer cancels the dwell; the dwell only arms
@@ -590,6 +692,7 @@ impl<B: LadderBackend> LadderMachine<B> {
 impl<B: LadderBackend> RadioModel for LadderMachine<B> {
     type Config = B::Config;
     type Counters = LadderCounters;
+    type LoadEnd = LadderLoadEnd;
 
     const BACKEND: RadioBackend = B::BACKEND;
 
@@ -716,6 +819,14 @@ impl<B: LadderBackend> RadioModel for LadderMachine<B> {
         );
         assert!(!machine.is_promoting());
         (machine, t0)
+    }
+
+    fn load_end(&self, at_click: &Self, click: SimTime) -> LadderLoadEnd {
+        LadderMachine::load_end(self, at_click, click)
+    }
+
+    fn play_tape(&mut self, tape: &LoadTape<Self>, click: SimTime) {
+        LadderMachine::play_tape(self, tape, click);
     }
 
     fn click_state_index(&self) -> usize {

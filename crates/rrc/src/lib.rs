@@ -49,14 +49,16 @@ pub mod backend;
 pub mod intuitive;
 pub mod ladder;
 pub mod scenario;
+pub mod tape;
 
 pub use backend::{RadioBackend, RadioModel};
 pub use config::RrcConfig;
 pub use ladder::{
-    FiveG, FiveGConfig, FiveGMachine, LadderBackend, LadderCounters, LadderMachine,
+    FiveG, FiveGConfig, FiveGMachine, LadderBackend, LadderCounters, LadderLoadEnd, LadderMachine,
     LadderResidency, LadderSpec, LadderTransition, Lte, LteConfig, LteMachine, Wifi, WifiConfig,
     WifiMachine,
 };
-pub use machine::{RrcCounters, RrcMachine, StateResidency, Transition};
+pub use machine::{RrcCounters, RrcLoadEnd, RrcMachine, StateResidency, Transition};
 pub use power::{PowerModel, MAX_CPU_CORES};
 pub use state::RrcState;
+pub use tape::LoadTape;

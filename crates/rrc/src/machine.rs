@@ -15,6 +15,7 @@
 
 use crate::config::RrcConfig;
 use crate::state::RrcState;
+use crate::tape::{at_click, field_deltas, since_click, LoadTape};
 use ewb_obs::{Event as ObsEvent, RadioState as ObsState, Recorder, Timer as ObsTimer};
 use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -68,6 +69,13 @@ impl StateResidency {
     }
 }
 
+field_deltas!(StateResidency {
+    idle,
+    promoting,
+    fach,
+    dch,
+});
+
 /// Event counters, useful for assertions and capacity accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RrcCounters {
@@ -89,6 +97,30 @@ pub struct RrcCounters {
     /// (fault injection); each costs one extra promotion window of
     /// latency and promotion-level power.
     pub promotion_retries: u64,
+}
+
+field_deltas!(RrcCounters {
+    transfers,
+    idle_to_dch,
+    idle_to_fach,
+    fach_to_dch,
+    t1_expirations,
+    t2_expirations,
+    fast_dormancy_releases,
+    promotion_retries,
+});
+
+/// What a page load leaves in an [`RrcMachine`] besides its meter: the
+/// 3G part of a [`LoadTape`]. Instants and deadlines are relative to the
+/// click.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RrcLoadEnd {
+    transitions: Vec<Transition>,
+    residency: StateResidency,
+    counters: RrcCounters,
+    state: RrcState,
+    t1_deadline: Option<SimDuration>,
+    t2_deadline: Option<SimDuration>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -433,6 +465,73 @@ impl RrcMachine {
         self.change_state(done, RrcState::Idle);
         self.counters.fast_dormancy_releases += 1;
         done
+    }
+
+    /// See [`RadioModel::load_end`](crate::RadioModel::load_end).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transfer is active, a promotion is in flight, or the
+    /// CPU load is nonzero.
+    pub(crate) fn load_end(&self, at_click: &RrcMachine, click: SimTime) -> RrcLoadEnd {
+        assert!(
+            self.active_transfers == 0 && self.promotion.is_none(),
+            "a load must end with no transfer active and no promotion in flight"
+        );
+        // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
+        assert!(self.cpu_load == 0.0, "a load must end with the CPU idle");
+        RrcLoadEnd {
+            transitions: self.transitions[at_click.transitions.len()..]
+                .iter()
+                .map(|t| Transition {
+                    at: since_click(click, t.at),
+                    ..*t
+                })
+                .collect(),
+            residency: self.residency.since(at_click.residency),
+            counters: self.counters.since(at_click.counters),
+            state: self.state,
+            t1_deadline: self.t1_deadline.map(|d| d - click),
+            t2_deadline: self.t2_deadline.map(|d| d - click),
+        }
+    }
+
+    /// See [`RadioModel::play_tape`](crate::RadioModel::play_tape).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the machine is at `click`, in the tape's click
+    /// state, with no transfer active, the CPU idle and no recorder
+    /// attached.
+    pub(crate) fn play_tape(&mut self, tape: &LoadTape<RrcMachine>, click: SimTime) {
+        assert_eq!(self.now(), click, "a load tape plays at its click");
+        assert!(
+            !self.recorder.is_enabled(),
+            "a traced machine must replay the load's events: a tape would drop them"
+        );
+        assert_eq!(
+            self.state.click_state_index(),
+            tape.click_state(),
+            "a load tape plays from the click state it was compiled in"
+        );
+        // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
+        let cpu_idle = self.cpu_load == 0.0;
+        assert!(
+            self.active_transfers == 0 && cpu_idle,
+            "a load tape plays on a machine with no transfer active and the CPU idle"
+        );
+        let end = tape.end();
+        self.meter.splice(tape.meter());
+        self.transitions
+            .extend(end.transitions.iter().map(|t| Transition {
+                at: at_click(click, t.at),
+                ..*t
+            }));
+        self.residency.add_delta(end.residency);
+        self.counters.add_delta(end.counters);
+        self.state = end.state;
+        self.t1_deadline = end.t1_deadline.map(|d| click + d);
+        self.t2_deadline = end.t2_deadline.map(|d| click + d);
     }
 
     fn next_pending(&self) -> Option<(SimTime, Pending)> {

@@ -53,6 +53,55 @@ impl PowerSegment {
     }
 }
 
+/// A recorded run of [`EnergyMeter`] advances on a clock that starts at
+/// [`SimTime::ZERO`], ready to be [spliced](EnergyMeter::splice) onto a
+/// meter at any later instant.
+///
+/// It keeps each advance's exact addend, in order, and the segments the
+/// advances form, merged by a meter of its own. Since time is integer
+/// microseconds, no advance's duration — so no addend — depends on where
+/// the tape is spliced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeterTape {
+    addends: Vec<f64>,
+    meter: EnergyMeter,
+}
+
+impl Default for MeterTape {
+    fn default() -> Self {
+        MeterTape {
+            addends: Vec::new(),
+            meter: EnergyMeter::new(SimTime::ZERO),
+        }
+    }
+}
+
+impl MeterTape {
+    /// Records the advance over `[start, end)` at `watts` whose meter
+    /// addend is `joules` (what [`EnergyMeter::advance_to`] adds:
+    /// `watts × (end − start)` in seconds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the advance does not start where the tape ends, is
+    /// empty, or has negative or non-finite power.
+    pub fn push(&mut self, start: SimTime, end: SimTime, watts: f64, joules: f64) {
+        let at = self.meter.now();
+        assert!(
+            start == at && end > start,
+            "a meter tape advance must start where the tape ends ({at}) and move forward, \
+             got {start} -> {end}"
+        );
+        self.meter.advance_to(end, watts);
+        self.addends.push(joules);
+    }
+
+    /// How long the recorded run lasts.
+    pub fn duration(&self) -> SimDuration {
+        self.meter.elapsed()
+    }
+}
+
 impl EnergyMeter {
     /// Creates a meter whose clock starts at `start`.
     pub fn new(start: SimTime) -> Self {
@@ -159,6 +208,35 @@ impl EnergyMeter {
         total
     }
 
+    /// Appends a recorded run of advances, shifted to begin at the meter's
+    /// current time. Bit-identical to replaying the tape's advances
+    /// through [`advance_to`](EnergyMeter::advance_to): the total
+    /// continues its `f64` sum over the tape's addends in order (never a
+    /// re-summed `watts × (d1 + d2)`), and the tape's pre-merged segments
+    /// are appended, merging only the first into the meter's last
+    /// segment when their power is equal — the one merge the meter could
+    /// make that the tape could not see.
+    pub fn splice(&mut self, tape: &MeterTape) {
+        for &joules in &tape.addends {
+            self.joules += joules;
+        }
+        let shift = self.now - SimTime::ZERO;
+        let mut segments = tape.meter.segments.iter().map(|s| PowerSegment {
+            start: s.start + shift,
+            end: s.end + shift,
+            watts: s.watts,
+        });
+        let Some(first) = segments.next() else {
+            return;
+        };
+        match self.segments.last_mut() {
+            Some(last) if last.end == self.now && last.watts == first.watts => last.end = first.end,
+            _ => self.segments.push(first),
+        }
+        self.segments.extend(segments);
+        self.now += tape.duration();
+    }
+
     /// Instantaneous power at time `t`, or `None` outside any segment.
     pub fn power_at(&self, t: SimTime) -> Option<f64> {
         // Binary search over sorted, non-overlapping segments.
@@ -252,6 +330,81 @@ mod tests {
         a.advance_by(SimDuration::from_millis(1500), 0.63);
         b.advance_to(SimTime::from_millis(1500), 0.63);
         assert_eq!(a, b);
+    }
+
+    /// `(duration ms, watts)` advances.
+    type Steps = [(u64, f64)];
+
+    /// A meter advanced through `prefix` and then through `tape` by
+    /// `advance_to`, and one advanced through `prefix` and then spliced
+    /// with `tape` recorded on its own clock.
+    fn stepped_and_spliced(prefix: &Steps, tape: &Steps) -> (EnergyMeter, EnergyMeter) {
+        let mut stepped = EnergyMeter::new(SimTime::from_secs(3));
+        for &(ms, w) in prefix.iter().chain(tape) {
+            stepped.advance_by(SimDuration::from_millis(ms), w);
+        }
+        let mut recorded = MeterTape::default();
+        for &(ms, w) in tape {
+            let d = SimDuration::from_millis(ms);
+            let start = SimTime::ZERO + recorded.duration();
+            recorded.push(start, start + d, w, w * d.as_secs_f64());
+        }
+        let mut spliced = EnergyMeter::new(SimTime::from_secs(3));
+        for &(ms, w) in prefix {
+            spliced.advance_by(SimDuration::from_millis(ms), w);
+        }
+        spliced.splice(&recorded);
+        (stepped, spliced)
+    }
+
+    fn assert_same(a: &EnergyMeter, b: &EnergyMeter) {
+        assert_eq!(a.total_joules().to_bits(), b.total_joules().to_bits());
+        assert_eq!(a.segments(), b.segments());
+        assert_eq!(a.now(), b.now());
+    }
+
+    #[test]
+    fn splice_merges_an_equal_power_boundary_segment() {
+        // Chosen so that re-summing a merged span — `0.15 × 0.8` for the
+        // tape's own two 0.15 W advances, or `0.15 × 1.7` with the
+        // boundary one — lands on different bits than the stepped sum.
+        let (stepped, spliced) = stepped_and_spliced(
+            &[(700, 1.25), (900, 0.15)],
+            &[(400, 0.15), (400, 0.15), (1750, 4.0)],
+        );
+        assert_same(&stepped, &spliced);
+        assert_eq!(spliced.segments().len(), 3, "the 0.15 W spans merge");
+    }
+
+    #[test]
+    fn splice_keeps_an_unequal_power_boundary_segment() {
+        let (stepped, spliced) = stepped_and_spliced(
+            &[(700, 1.25), (100, 0.63)],
+            &[(200, 1.15), (300, 1.15), (1750, 4.0), (900, 0.15)],
+        );
+        assert_same(&stepped, &spliced);
+        assert_eq!(
+            spliced.segments().len(),
+            5,
+            "1.15 W merges within the tape only"
+        );
+        // A fresh meter has no boundary segment to merge into.
+        let (stepped, spliced) = stepped_and_spliced(&[], &[(200, 1.15), (300, 0.15)]);
+        assert_same(&stepped, &spliced);
+    }
+
+    #[test]
+    fn splicing_an_empty_tape_changes_nothing() {
+        let (stepped, spliced) = stepped_and_spliced(&[(700, 1.25), (100, 0.63)], &[]);
+        assert_same(&stepped, &spliced);
+        assert_eq!(MeterTape::default().duration(), SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "must start where the tape ends")]
+    fn meter_tape_rejects_a_gap() {
+        let mut tape = MeterTape::default();
+        tape.push(SimTime::from_secs(1), SimTime::from_secs(2), 1.0, 1.0);
     }
 
     #[test]

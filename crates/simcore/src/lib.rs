@@ -46,7 +46,7 @@ mod time;
 pub mod dist;
 pub mod stats;
 
-pub use energy::EnergyMeter;
+pub use energy::{EnergyMeter, MeterTape};
 pub use events::{EventEntry, EventQueue};
 pub use exact::ExactSum;
 pub use rng::{SplitMix64, Xoshiro256};
