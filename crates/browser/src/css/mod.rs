@@ -10,6 +10,12 @@
 //!   selectors and declarations, match rules against the DOM, produce
 //!   computed styles. The paper notes rule extraction "takes a lot of
 //!   processing time" — the cost model prices it accordingly.
+//!
+//! Every style pass is counted as a full pass, so the cost model prices
+//! each of the original browser's redraws as a whole-document restyle.
+//! The host does less: within one load, `StyleMemo` matches each
+//! (element, rule) pair once and reports the same counters and styles as
+//! [`compute_styles`] would.
 
 mod parser;
 mod scan;
@@ -19,4 +25,5 @@ mod style;
 pub use parser::{parse, CssParseResult, Declaration, Rule, Selector, SimpleSelector, Stylesheet};
 pub use scan::{scan_urls, CssScanResult};
 pub use selector::matches;
+pub(crate) use style::StyleMemo;
 pub use style::{compute_styles, compute_styles_for, ComputedStyle, StyleResult};

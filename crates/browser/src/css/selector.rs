@@ -9,22 +9,22 @@ use crate::dom::{Document, NodeId, NodeKind};
 ///
 /// Non-element nodes never match.
 pub fn matches(doc: &Document, id: NodeId, selector: &Selector) -> bool {
-    let Some(subject) = selector.parts.last() else {
+    let Some((subject, ancestors)) = selector.parts.split_last() else {
         return false;
     };
     if !matches_simple(doc, id, subject) {
         return false;
     }
-    // Walk ancestors matching the remaining chain right-to-left.
-    let mut remaining: Vec<&SimpleSelector> =
-        selector.parts[..selector.parts.len() - 1].iter().collect();
+    // Walk ancestors matching the remaining chain right-to-left;
+    // `ancestors[..remaining]` is still unmatched.
+    let mut remaining = ancestors.len();
     let mut current = doc.node(id).parent;
-    while let Some(part) = remaining.last() {
+    while remaining > 0 {
         let Some(anc) = current else {
             return false; // ran out of ancestors with parts unmatched
         };
-        if matches_simple(doc, anc, part) {
-            remaining.pop();
+        if matches_simple(doc, anc, &ancestors[remaining - 1]) {
+            remaining -= 1;
         }
         current = doc.node(anc).parent;
     }
@@ -52,9 +52,8 @@ fn matches_simple(doc: &Document, id: NodeId, simple: &SimpleSelector) -> bool {
             .find(|(k, _)| k == "class")
             .map(|(_, v)| v.as_str())
             .unwrap_or("");
-        let classes: Vec<&str> = class_attr.split_whitespace().collect();
         for want in &simple.classes {
-            if !classes.contains(&want.as_str()) {
+            if !class_attr.split_whitespace().any(|c| c == want) {
                 return false;
             }
         }

@@ -5,8 +5,16 @@
 //! here is simplified (specificity, then source order) but real: every
 //! element is matched against every rule, which is exactly the cost the
 //! paper's layout-computation category pays.
+//!
+//! The counted work and the host work differ on purpose. Every style pass
+//! reports the match attempts and applied declarations of a full pass,
+//! because that is what the simulated browser spends on each redraw. The
+//! host, though, matches each (element, rule) pair only once per load:
+//! `StyleMemo` keeps each element's winning rules across restyles and
+//! matches only what is new, since within a load the document only grows
+//! and the sheets only append.
 
-use super::parser::Stylesheet;
+use super::parser::{Rule, Stylesheet};
 use super::selector::matches;
 use crate::dom::{Document, NodeId, NodeKind};
 use std::collections::HashMap;
@@ -45,16 +53,23 @@ impl Default for ComputedStyle {
 }
 
 /// The output of [`compute_styles`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StyleResult {
     /// Computed style per element node.
     pub styles: HashMap<NodeId, ComputedStyle>,
-    /// Total selector-match attempts (elements × selectors) — the work
-    /// unit priced by the cost model.
+    /// Total selector-match attempts — the work unit priced by the cost
+    /// model. Each (element, rule) pair costs one attempt per selector
+    /// tried: a rule stops at its first matching selector, so this is at
+    /// most elements × selectors.
     pub match_attempts: usize,
     /// Total declarations applied.
     pub declarations_applied: usize,
 }
+
+/// The cascade key of one rule that matched an element: the matching
+/// selector's specificity, then the rule's index in the sheet-ordered
+/// rule list. The index makes it unique per rule.
+type Winner = ((usize, usize, usize), usize);
 
 /// Matches every element against every rule of every sheet and folds the
 /// winning declarations into computed styles.
@@ -68,53 +83,153 @@ pub fn compute_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
 /// results merged: the style maps are disjoint and the counters sum to
 /// exactly the whole-document totals.
 pub fn compute_styles_for(doc: &Document, sheets: &[&Stylesheet], ids: &[NodeId]) -> StyleResult {
-    let mut styles = HashMap::new();
-    let mut match_attempts = 0usize;
-    let mut declarations_applied = 0usize;
-
-    // Collect (specificity, source_index, rule) across sheets for cascade
-    // ordering.
-    let mut indexed = Vec::new();
-    for sheet in sheets {
-        for rule in &sheet.rules {
-            indexed.push(rule);
-        }
-    }
-
+    let rules = rule_list(sheets);
+    let mut out = StyleResult::default();
+    let mut winners = Vec::new();
     for &id in ids {
-        if !matches!(doc.node(id).kind, NodeKind::Element { .. }) {
+        if !is_element(doc, id) {
             continue;
         }
-        let mut style = ComputedStyle::default();
-        // Gather matching declarations with cascade keys.
-        let mut winners: Vec<((usize, usize, usize), usize, &super::parser::Declaration)> =
-            Vec::new();
-        for (src_idx, rule) in indexed.iter().enumerate() {
-            for sel in &rule.selectors {
-                match_attempts += 1;
-                if matches(doc, id, sel) {
-                    let spec = sel.specificity();
-                    for d in &rule.declarations {
-                        winners.push((spec, src_idx, d));
-                    }
-                    break; // one matching selector per rule suffices
-                }
+        winners.clear();
+        out.match_attempts += match_rules(doc, id, &rules, 0, &mut winners);
+        let style = fold(&rules, &mut winners);
+        out.declarations_applied += style.applied;
+        out.styles.insert(id, style);
+    }
+    out
+}
+
+/// Incremental restyling of one page load.
+///
+/// [`StyleMemo::restyle`] returns exactly what [`compute_styles`] returns
+/// for the same document and sheets, counters included, but it matches
+/// each (element, rule) pair only once over the memo's life: an element
+/// styled before is matched only against the rules of sheets appended
+/// since, and its style is refolded only when that adds a winning rule.
+///
+/// That is exact because within one load the document only grows (nodes
+/// are appended under existing ones, never removed or edited) and the
+/// sheets only append. So an element's tag, attributes and ancestors are
+/// fixed once it exists, and a rule is fixed once its sheet is pushed.
+/// `restyle` asserts the checkable half of this: the node count and the
+/// sheet count never shrink, and every sheet seen before keeps its rule
+/// count.
+#[derive(Debug, Default)]
+pub(crate) struct StyleMemo {
+    /// Per node id: the winning rules among those matched so far (empty
+    /// for non-elements). Every node below `winners.len()` has been
+    /// matched against every rule of the sheets in `sheet_rules`.
+    winners: Vec<Vec<Winner>>,
+    /// Rule count of every sheet seen so far, in order.
+    sheet_rules: Vec<usize>,
+    /// The styles and the full-pass counters, kept up to date.
+    result: StyleResult,
+}
+
+impl StyleMemo {
+    /// Styles `doc` under `sheets`, matching only the (element, rule)
+    /// pairs not matched before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doc` has fewer nodes or `sheets` fewer sheets than at
+    /// the previous restyle, or if a sheet seen before changed its rule
+    /// count.
+    pub(crate) fn restyle(&mut self, doc: &Document, sheets: &[&Stylesheet]) -> &StyleResult {
+        let old_nodes = self.winners.len();
+        let old_rules: usize = self.sheet_rules.iter().sum();
+        assert!(
+            doc.len() >= old_nodes,
+            "restyle: the document shrank from {old_nodes} to {} nodes",
+            doc.len()
+        );
+        assert!(
+            sheets.len() >= self.sheet_rules.len(),
+            "restyle: the sheet list shrank from {} to {}",
+            self.sheet_rules.len(),
+            sheets.len()
+        );
+        for (i, (sheet, &n)) in sheets.iter().zip(&self.sheet_rules).enumerate() {
+            let now = sheet.rules.len();
+            assert_eq!(now, n, "restyle: sheet {i} changed its rule count");
+        }
+        self.sheet_rules = sheets.iter().map(|s| s.rules.len()).collect();
+        let rules = rule_list(sheets);
+        self.winners.resize_with(doc.len(), Vec::new);
+        // With no new rules, only the new nodes have anything to match.
+        let first = if rules.len() == old_rules {
+            old_nodes
+        } else {
+            0
+        };
+        for id in first..doc.len() {
+            if !is_element(doc, id) {
+                continue;
+            }
+            let is_new = id >= old_nodes;
+            let winners = &mut self.winners[id];
+            let before = winners.len();
+            let from = if is_new { 0 } else { old_rules };
+            self.result.match_attempts += match_rules(doc, id, &rules, from, winners);
+            if !is_new && winners.len() == before {
+                continue;
+            }
+            let style = fold(&rules, winners);
+            self.result.declarations_applied += style.applied;
+            if let Some(old) = self.result.styles.insert(id, style) {
+                self.result.declarations_applied -= old.applied;
             }
         }
-        winners.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (_, _, d) in winners {
+        &self.result
+    }
+}
+
+/// Every rule of every sheet, in cascade source order.
+fn rule_list<'s>(sheets: &[&'s Stylesheet]) -> Vec<&'s Rule> {
+    sheets.iter().flat_map(|s| &s.rules).collect()
+}
+
+fn is_element(doc: &Document, id: NodeId) -> bool {
+    matches!(doc.node(id).kind, NodeKind::Element { .. })
+}
+
+/// Matches element `id` against `rules[from..]`, pushing the cascade key
+/// of each rule that matches onto `winners`, and returns the match
+/// attempts spent: one per selector tried, stopping at a rule's first
+/// matching selector.
+fn match_rules(
+    doc: &Document,
+    id: NodeId,
+    rules: &[&Rule],
+    from: usize,
+    winners: &mut Vec<Winner>,
+) -> usize {
+    let mut attempts = 0;
+    for (src_idx, rule) in rules.iter().enumerate().skip(from) {
+        for sel in &rule.selectors {
+            attempts += 1;
+            if matches(doc, id, sel) {
+                winners.push((sel.specificity(), src_idx));
+                break; // one matching selector per rule suffices
+            }
+        }
+    }
+    attempts
+}
+
+/// Folds an element's winning rules into its computed style: rules in
+/// cascade order (specificity, then source order), each rule's
+/// declarations in its own order. Sorts `winners` in place.
+fn fold(rules: &[&Rule], winners: &mut [Winner]) -> ComputedStyle {
+    winners.sort_unstable();
+    let mut style = ComputedStyle::default();
+    for &(_, src_idx) in winners.iter() {
+        for d in &rules[src_idx].declarations {
             apply(&mut style, &d.name, &d.value);
             style.applied += 1;
-            declarations_applied += 1;
         }
-        styles.insert(id, style);
     }
-
-    StyleResult {
-        styles,
-        match_attempts,
-        declarations_applied,
-    }
+    style
 }
 
 fn apply(style: &mut ComputedStyle, name: &str, value: &str) {
@@ -270,5 +385,155 @@ mod tests {
         assert_eq!(first_px("0 auto 3px"), Some(3.0));
         assert_eq!(first_px("red"), None);
         assert_eq!(first_px("-5px"), None, "negative rejected");
+    }
+
+    /// Restyles through `memo` and checks the result against a full pass.
+    fn check(memo: &mut StyleMemo, doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
+        let got = memo.restyle(doc, sheets).clone();
+        assert_eq!(got, compute_styles(doc, sheets));
+        got
+    }
+
+    fn first_tag(doc: &Document, tag: &str) -> NodeId {
+        doc.descendants()
+            .into_iter()
+            .find(|&id| doc.tag(id) == Some(tag))
+            .unwrap()
+    }
+
+    #[test]
+    fn memo_equals_a_full_pass_as_the_document_and_sheets_grow() {
+        let mut doc = html::parse(
+            "<div class=\"wrap\"><p class=\"c1\">x</p><span>no rule matches</span></div>",
+        )
+        .document;
+        let s1 = parse(".wrap p { font-size: 20px; } .c1 { padding: 3px; }").sheet;
+        let s2 = parse("p { font-size: 10px; margin: 1px; }").sheet;
+        let empty = parse("").sheet;
+        let s3 = parse(".c1 { display: none; }").sheet;
+        let s4 = parse("h1, span { margin: 5px; }").sheet;
+        let mut memo = StyleMemo::default();
+
+        check(&mut memo, &doc, &[]);
+        let first = check(&mut memo, &doc, &[&s1]);
+        let span = first_tag(&doc, "span");
+        assert_eq!(first.styles[&span], ComputedStyle::default());
+        // Nothing new: the same result, no extra work counted.
+        assert_eq!(check(&mut memo, &doc, &[&s1]), first);
+
+        // A later sheet's lower-specificity rule sorts before the earlier
+        // `.wrap p` winner, so the font size stays 20px.
+        let out = check(&mut memo, &doc, &[&s1, &s2]);
+        let p = first_tag(&doc, "p");
+        assert_eq!(out.styles[&p].font_size_px, 20.0);
+        assert_eq!(out.styles[&p].margin_px, 2.0);
+        check(&mut memo, &doc, &[&s1, &s2, &empty]);
+
+        // Nodes adopted under the root after earlier restyles.
+        let root = doc.root();
+        doc.adopt(
+            root,
+            &html::parse("<p class=\"c1\">new</p><em>bare</em>").document,
+        );
+        check(&mut memo, &doc, &[&s1, &s2, &empty]);
+
+        let out = check(&mut memo, &doc, &[&s1, &s2, &empty, &s3]);
+        assert!(out.styles[&p].display_none);
+
+        // `h1, span`: no h1 exists, so every element tries both selectors.
+        let before = out.match_attempts;
+        let out = check(&mut memo, &doc, &[&s1, &s2, &empty, &s3, &s4]);
+        let elements = doc.element_count();
+        assert_eq!(out.match_attempts - before, 2 * elements);
+        assert_eq!(out.styles[&span].margin_px, 10.0);
+    }
+
+    #[test]
+    fn memo_equals_a_full_pass_over_the_corpus() {
+        use crate::js::{self, JsEffect};
+        use ewb_webpage::{benchmark_corpus, ObjectKind, PageVersion};
+
+        let (mut pages, mut writes) = (0, 0);
+        for seed in [1, 7] {
+            let corpus = benchmark_corpus(seed);
+            for version in [PageVersion::Mobile, PageVersion::Full] {
+                for page in corpus.pages(version) {
+                    let root = html::parse(&page.object(page.root_url()).unwrap().body);
+                    let mut doc = root.document;
+                    let mut sheets = Vec::new();
+                    pages += 1;
+                    let mut memo = StyleMemo::default();
+                    let mut restyle = |doc: &Document, sheets: &[Stylesheet]| {
+                        let refs: Vec<&Stylesheet> = sheets.iter().collect();
+                        check(&mut memo, doc, &refs);
+                    };
+                    restyle(&doc, &sheets);
+                    for style in &root.inline_styles {
+                        sheets.push(parse(style).sheet);
+                        restyle(&doc, &sheets);
+                    }
+                    let mut scripts = root.inline_scripts.clone();
+                    for obj in page.objects() {
+                        match obj.kind {
+                            ObjectKind::Css => {
+                                sheets.push(parse(&obj.body).sheet);
+                                restyle(&doc, &sheets);
+                            }
+                            ObjectKind::Js => scripts.push(obj.body.clone()),
+                            _ => {}
+                        }
+                    }
+                    for script in &scripts {
+                        for effect in js::execute(script, None).effects {
+                            let JsEffect::DocumentWrite(fragment) = effect else {
+                                continue;
+                            };
+                            writes += 1;
+                            let written = html::parse(&fragment);
+                            let at = doc.root();
+                            doc.adopt(at, &written.document);
+                            restyle(&doc, &sheets);
+                            for style in &written.inline_styles {
+                                sheets.push(parse(style).sheet);
+                                restyle(&doc, &sheets);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(pages, 40);
+        assert!(writes > 20, "only {writes} document.write fragments");
+    }
+
+    #[test]
+    #[should_panic(expected = "the document shrank")]
+    fn memo_rejects_a_shrinking_document() {
+        let big = html::parse("<p>a</p><p>b</p>").document;
+        let small = html::parse("<p>a</p>").document;
+        let mut memo = StyleMemo::default();
+        memo.restyle(&big, &[]);
+        memo.restyle(&small, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the sheet list shrank")]
+    fn memo_rejects_a_shrinking_sheet_list() {
+        let doc = html::parse("<p>a</p>").document;
+        let (a, b) = (parse("p { margin: 1px; }").sheet, parse("").sheet);
+        let mut memo = StyleMemo::default();
+        memo.restyle(&doc, &[&a, &b]);
+        memo.restyle(&doc, &[&a]);
+    }
+
+    #[test]
+    #[should_panic(expected = "changed its rule count")]
+    fn memo_rejects_a_sheet_that_changed() {
+        let doc = html::parse("<p>a</p>").document;
+        let a = parse("p { margin: 1px; }").sheet;
+        let b = parse("p { margin: 1px; } p { padding: 2px; }").sheet;
+        let mut memo = StyleMemo::default();
+        memo.restyle(&doc, &[&a]);
+        memo.restyle(&doc, &[&b]);
     }
 }

@@ -1,8 +1,35 @@
-//! The tree-walking interpreter with host effects and an operation budget.
+//! The interpreter: resolves a parsed program once, then walks it with
+//! host effects and an operation budget.
+//!
+//! Resolution turns every name into indices before anything runs. A
+//! variable reference becomes its slot in the enclosing scope's frame (if
+//! that scope ever declares the name) plus its slot in the program-wide
+//! globals; a call target becomes a builtin or a function-table index;
+//! a function body becomes a shared [`Rc`]. Execution then
+//! indexes `Vec`s: no name is hashed or cloned and no body is copied, so
+//! no per-operation cost grows with the number of distinct names.
+//!
+//! The scoping rules are those of the name-keyed interpreter this
+//! replaces:
+//!
+//! * A name is local to a scope (the top level or one function call)
+//!   only as a parameter, or once its `var` has run in that scope.
+//! * A read takes the local if bound, else the global if bound, else
+//!   `undefined`. An assignment writes the local if bound, else the
+//!   global. So top-level `var`s are invisible inside functions.
+//! * `loadImage`, `loadScript` and `document.write` are builtins and win
+//!   over a user function of the same name.
+//! * Top-level function declarations are hoisted; every declaration also
+//!   registers when it runs, and the latest registration wins. Calling a
+//!   name no declaration has registered yields `undefined`, after its
+//!   arguments are evaluated.
+//! * A parameter binds the argument at its position (`undefined` if
+//!   missing); with duplicate parameter names the last one wins.
 
 use super::ast::{parse_program, Expr, Stmt};
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// A side effect a script asked the browser for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,16 +119,280 @@ enum Flow {
     OutOfGas,
 }
 
+/// Why an expression stopped: the budget ran out, or the call depth
+/// limit was hit (reported the same way).
+struct OutOfGas;
+
+const MAX_CALL_DEPTH: usize = 64;
+
+/// A resolved variable reference.
+#[derive(Clone, Copy)]
+struct Var {
+    /// Slot in the enclosing scope's frame, if the scope declares the
+    /// name as a parameter or `var`.
+    local: Option<usize>,
+    /// Slot in the program-wide globals.
+    global: usize,
+}
+
+/// A binary operator, resolved from its source text.
+#[derive(Clone, Copy)]
+enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    Eq,
+    Ne,
+    /// Text the parser never produces; evaluates to `undefined`.
+    Other,
+}
+
+impl BinOp {
+    fn resolve(op: &str) -> BinOp {
+        match op {
+            "+" => BinOp::Add,
+            "-" => BinOp::Sub,
+            "*" => BinOp::Mul,
+            "/" => BinOp::Div,
+            "%" => BinOp::Rem,
+            "<" => BinOp::Lt,
+            ">" => BinOp::Gt,
+            "<=" => BinOp::Le,
+            ">=" => BinOp::Ge,
+            "==" => BinOp::Eq,
+            "!=" => BinOp::Ne,
+            _ => BinOp::Other,
+        }
+    }
+}
+
+/// A resolved call target.
+#[derive(Clone, Copy)]
+enum Callee {
+    /// A host builtin; the effect it records from its first argument.
+    Builtin(fn(String) -> JsEffect),
+    /// An index into the function table. A name no declaration has
+    /// registered (yet) has an empty entry.
+    Function(usize),
+}
+
+/// [`Expr`] with its names resolved.
+enum RExpr {
+    Num(f64),
+    Str(String),
+    Bool(bool),
+    Var(Var),
+    Binary {
+        op: BinOp,
+        left: Box<RExpr>,
+        right: Box<RExpr>,
+    },
+    Unary {
+        op: &'static str,
+        operand: Box<RExpr>,
+    },
+    Assign {
+        var: Var,
+        value: Box<RExpr>,
+    },
+    Call {
+        callee: Callee,
+        args: Vec<RExpr>,
+    },
+}
+
+/// [`Stmt`] with its names resolved.
+enum RStmt {
+    VarDecl {
+        slot: usize,
+        init: Option<RExpr>,
+    },
+    Expr(RExpr),
+    If {
+        cond: RExpr,
+        then_branch: Vec<RStmt>,
+        else_branch: Vec<RStmt>,
+    },
+    While {
+        cond: RExpr,
+        body: Vec<RStmt>,
+    },
+    FunctionDecl {
+        index: usize,
+        function: Rc<Function>,
+    },
+    Return(Option<RExpr>),
+}
+
+/// One resolved function declaration.
+struct Function {
+    /// Frame slot of each parameter, in order.
+    params: Vec<usize>,
+    /// Slots in a call's frame: distinct parameter and `var` names.
+    frame_len: usize,
+    body: Vec<RStmt>,
+}
+
+/// A resolved program: the top-level scope plus table sizes.
+struct Resolved {
+    body: Vec<RStmt>,
+    frame_len: usize,
+    globals: usize,
+    functions: usize,
+}
+
+/// Program-wide name tables built during resolution.
+#[derive(Default)]
+struct Resolver<'p> {
+    globals: HashMap<&'p str, usize>,
+    functions: HashMap<&'p str, usize>,
+}
+
+fn resolve(statements: &[Stmt]) -> Resolved {
+    let mut r = Resolver::default();
+    let mut frame = HashMap::new();
+    declare_vars(statements, &mut frame);
+    let body = r.block(statements, &frame);
+    Resolved {
+        body,
+        frame_len: frame.len(),
+        globals: r.globals.len(),
+        functions: r.functions.len(),
+    }
+}
+
+/// Gives `name` the next slot in `table` unless it has one.
+fn intern<'p>(table: &mut HashMap<&'p str, usize>, name: &'p str) -> usize {
+    let next = table.len();
+    *table.entry(name).or_insert(next)
+}
+
+/// Adds every `var` name of one scope's statements to its frame, without
+/// entering nested function bodies (each call has its own frame).
+fn declare_vars<'p>(statements: &'p [Stmt], frame: &mut HashMap<&'p str, usize>) {
+    for stmt in statements {
+        match stmt {
+            Stmt::VarDecl { name, .. } => {
+                intern(frame, name);
+            }
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                declare_vars(then_branch, frame);
+                declare_vars(else_branch, frame);
+            }
+            Stmt::While { body, .. } => declare_vars(body, frame),
+            Stmt::Expr(_) | Stmt::FunctionDecl { .. } | Stmt::Return(_) => {}
+        }
+    }
+}
+
+impl<'p> Resolver<'p> {
+    fn block(&mut self, statements: &'p [Stmt], frame: &HashMap<&'p str, usize>) -> Vec<RStmt> {
+        statements.iter().map(|s| self.stmt(s, frame)).collect()
+    }
+
+    fn stmt(&mut self, stmt: &'p Stmt, frame: &HashMap<&'p str, usize>) -> RStmt {
+        match stmt {
+            Stmt::VarDecl { name, init } => RStmt::VarDecl {
+                slot: frame[name.as_str()],
+                init: init.as_ref().map(|e| self.expr(e, frame)),
+            },
+            Stmt::Expr(e) => RStmt::Expr(self.expr(e, frame)),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => RStmt::If {
+                cond: self.expr(cond, frame),
+                then_branch: self.block(then_branch, frame),
+                else_branch: self.block(else_branch, frame),
+            },
+            Stmt::While { cond, body } => RStmt::While {
+                cond: self.expr(cond, frame),
+                body: self.block(body, frame),
+            },
+            Stmt::FunctionDecl { name, params, body } => {
+                let mut own = HashMap::new();
+                let params = params.iter().map(|p| intern(&mut own, p)).collect();
+                declare_vars(body, &mut own);
+                let body = self.block(body, &own);
+                RStmt::FunctionDecl {
+                    index: intern(&mut self.functions, name),
+                    function: Rc::new(Function {
+                        params,
+                        frame_len: own.len(),
+                        body,
+                    }),
+                }
+            }
+            Stmt::Return(value) => RStmt::Return(value.as_ref().map(|e| self.expr(e, frame))),
+        }
+    }
+
+    fn var(&mut self, name: &'p str, frame: &HashMap<&'p str, usize>) -> Var {
+        Var {
+            local: frame.get(name).copied(),
+            global: intern(&mut self.globals, name),
+        }
+    }
+
+    fn expr(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> RExpr {
+        match expr {
+            Expr::Num(v) => RExpr::Num(*v),
+            Expr::Str(s) => RExpr::Str(s.clone()),
+            Expr::Bool(b) => RExpr::Bool(*b),
+            Expr::Var(name) => RExpr::Var(self.var(name, frame)),
+            Expr::Binary { op, left, right } => RExpr::Binary {
+                op: BinOp::resolve(op),
+                left: Box::new(self.expr(left, frame)),
+                right: Box::new(self.expr(right, frame)),
+            },
+            Expr::Unary { op, operand } => RExpr::Unary {
+                op,
+                operand: Box::new(self.expr(operand, frame)),
+            },
+            Expr::Assign { name, value } => RExpr::Assign {
+                var: self.var(name, frame),
+                value: Box::new(self.expr(value, frame)),
+            },
+            Expr::Call { target, args } => {
+                let callee = match target.as_str() {
+                    "loadImage" => Callee::Builtin(JsEffect::LoadImage),
+                    "loadScript" => Callee::Builtin(JsEffect::LoadScript),
+                    "document.write" => Callee::Builtin(JsEffect::DocumentWrite),
+                    name => Callee::Function(intern(&mut self.functions, name)),
+                };
+                RExpr::Call {
+                    callee,
+                    args: args.iter().map(|a| self.expr(a, frame)).collect(),
+                }
+            }
+        }
+    }
+}
+
 struct Interp {
-    globals: HashMap<String, Value>,
-    functions: HashMap<String, (Vec<String>, Vec<Stmt>)>,
+    globals: Vec<Option<Value>>,
+    /// The latest registered declaration of each function name.
+    functions: Vec<Option<Rc<Function>>>,
+    /// Call frames and pending arguments. The running scope's frame
+    /// starts at the `base` its statements execute with; `None` marks an
+    /// unbound local.
+    stack: Vec<Option<Value>>,
     effects: Vec<JsEffect>,
     gas: u64,
     ops: u64,
     call_depth: usize,
 }
-
-const MAX_CALL_DEPTH: usize = 64;
 
 /// Parses and executes `source` with the given operation budget
 /// (`None` = [`DEFAULT_GAS`]).
@@ -120,39 +411,28 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
             }
         }
     };
-    let tokens = program.tokens;
+    let resolved = resolve(&program.statements);
     let mut interp = Interp {
-        globals: HashMap::new(),
-        functions: HashMap::new(),
+        globals: vec![None; resolved.globals],
+        functions: vec![None; resolved.functions],
+        stack: vec![None; resolved.frame_len],
         effects: Vec::new(),
         gas: gas.unwrap_or(DEFAULT_GAS),
         ops: 0,
         call_depth: 0,
     };
-    let mut hit_gas_limit = false;
-    // Hoist function declarations (simplified hoisting).
-    for stmt in &program.statements {
-        if let Stmt::FunctionDecl { name, params, body } = stmt {
-            interp
-                .functions
-                .insert(name.clone(), (params.clone(), body.clone()));
+    // Hoist top-level function declarations.
+    for stmt in &resolved.body {
+        if let RStmt::FunctionDecl { index, function } = stmt {
+            interp.functions[*index] = Some(Rc::clone(function));
         }
     }
-    let mut locals = HashMap::new();
-    for stmt in &program.statements {
-        match interp.exec(stmt, &mut locals) {
-            Flow::Normal => {}
-            Flow::Return(_) => break,
-            Flow::OutOfGas => {
-                hit_gas_limit = true;
-                break;
-            }
-        }
-    }
+    // A top-level `return` ends the script like running out of statements.
+    let hit_gas_limit = matches!(interp.exec_block(&resolved.body, 0), Flow::OutOfGas);
     JsOutcome {
         effects: interp.effects,
         ops: interp.ops,
-        tokens,
+        tokens: program.tokens,
         bytes,
         parse_ok: true,
         hit_gas_limit,
@@ -169,71 +449,74 @@ impl Interp {
         true
     }
 
-    fn exec(&mut self, stmt: &Stmt, locals: &mut HashMap<String, Value>) -> Flow {
+    /// Runs `statements` in the frame at `base`, stopping at the first
+    /// non-normal flow.
+    fn exec_block(&mut self, statements: &[RStmt], base: usize) -> Flow {
+        for s in statements {
+            match self.exec(s, base) {
+                Flow::Normal => {}
+                other => return other,
+            }
+        }
+        Flow::Normal
+    }
+
+    fn exec(&mut self, stmt: &RStmt, base: usize) -> Flow {
         if !self.charge() {
             return Flow::OutOfGas;
         }
         match stmt {
-            Stmt::VarDecl { name, init } => {
+            RStmt::VarDecl { slot, init } => {
                 let value = match init {
-                    Some(e) => match self.eval(e, locals) {
+                    Some(e) => match self.eval(e, base) {
                         Ok(v) => v,
-                        Err(flow) => return flow,
+                        Err(OutOfGas) => return Flow::OutOfGas,
                     },
                     None => Value::Undefined,
                 };
-                locals.insert(name.clone(), value);
+                self.stack[base + slot] = Some(value);
                 Flow::Normal
             }
-            Stmt::Expr(e) => match self.eval(e, locals) {
+            RStmt::Expr(e) => match self.eval(e, base) {
                 Ok(_) => Flow::Normal,
-                Err(flow) => flow,
+                Err(OutOfGas) => Flow::OutOfGas,
             },
-            Stmt::If {
+            RStmt::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let c = match self.eval(cond, locals) {
+                let c = match self.eval(cond, base) {
                     Ok(v) => v,
-                    Err(flow) => return flow,
+                    Err(OutOfGas) => return Flow::OutOfGas,
                 };
                 let branch = if c.truthy() { then_branch } else { else_branch };
-                for s in branch {
-                    match self.exec(s, locals) {
-                        Flow::Normal => {}
-                        other => return other,
-                    }
-                }
-                Flow::Normal
+                self.exec_block(branch, base)
             }
-            Stmt::While { cond, body } => loop {
-                let c = match self.eval(cond, locals) {
+            RStmt::While { cond, body } => loop {
+                let c = match self.eval(cond, base) {
                     Ok(v) => v,
-                    Err(flow) => return flow,
+                    Err(OutOfGas) => return Flow::OutOfGas,
                 };
                 if !c.truthy() {
                     return Flow::Normal;
                 }
-                for s in body {
-                    match self.exec(s, locals) {
-                        Flow::Normal => {}
-                        other => return other,
-                    }
+                match self.exec_block(body, base) {
+                    Flow::Normal => {}
+                    other => return other,
                 }
             },
-            Stmt::FunctionDecl { name, params, body } => {
-                // Re-registration at execution time is a no-op thanks to
-                // hoisting, but nested declarations register here.
-                self.functions
-                    .insert(name.clone(), (params.clone(), body.clone()));
+            RStmt::FunctionDecl { index, function } => {
+                // Hoisting already registered top-level declarations;
+                // nested ones register here, and the latest one wins.
+                self.functions[*index] = Some(Rc::clone(function));
                 Flow::Normal
             }
-            Stmt::Return(value) => {
+            RStmt::Return(value) => {
                 let v = match value {
-                    Some(e) => match self.eval(e, locals) {
+                    Some(e) => match self.eval(e, base) {
                         Ok(v) => v,
-                        Err(flow) => return flow,
+                        Err(OutOfGas) => return Flow::OutOfGas,
                     },
                     None => Value::Undefined,
                 };
@@ -242,111 +525,101 @@ impl Interp {
         }
     }
 
-    fn eval(&mut self, expr: &Expr, locals: &mut HashMap<String, Value>) -> Result<Value, Flow> {
+    fn eval(&mut self, expr: &RExpr, base: usize) -> Result<Value, OutOfGas> {
         if !self.charge() {
-            return Err(Flow::OutOfGas);
+            return Err(OutOfGas);
         }
         match expr {
-            Expr::Num(v) => Ok(Value::Num(*v)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Var(name) => Ok(locals
-                .get(name)
-                .or_else(|| self.globals.get(name))
-                .cloned()
-                .unwrap_or(Value::Undefined)),
-            Expr::Assign { name, value } => {
-                let v = self.eval(value, locals)?;
-                // Assignment updates the innermost binding that exists;
-                // otherwise creates a global (JS semantics, simplified).
-                if locals.contains_key(name) {
-                    locals.insert(name.clone(), v.clone());
-                } else {
-                    self.globals.insert(name.clone(), v.clone());
+            RExpr::Num(v) => Ok(Value::Num(*v)),
+            RExpr::Str(s) => Ok(Value::Str(s.clone())),
+            RExpr::Bool(b) => Ok(Value::Bool(*b)),
+            RExpr::Var(var) => {
+                let local = var.local.and_then(|s| self.stack[base + s].as_ref());
+                Ok(local
+                    .or(self.globals[var.global].as_ref())
+                    .cloned()
+                    .unwrap_or(Value::Undefined))
+            }
+            RExpr::Assign { var, value } => {
+                let v = self.eval(value, base)?;
+                // Assignment updates the local binding if it exists;
+                // otherwise it writes the global (JS semantics, simplified).
+                match var.local.map(|s| &mut self.stack[base + s]) {
+                    Some(slot @ Some(_)) => *slot = Some(v.clone()),
+                    _ => self.globals[var.global] = Some(v.clone()),
                 }
                 Ok(v)
             }
-            Expr::Unary { op, operand } => {
-                let v = self.eval(operand, locals)?;
+            RExpr::Unary { op, operand } => {
+                let v = self.eval(operand, base)?;
                 Ok(match *op {
                     "-" => Value::Num(-v.to_num()),
                     "!" => Value::Bool(!v.truthy()),
                     _ => Value::Undefined,
                 })
             }
-            Expr::Binary { op, left, right } => {
-                let l = self.eval(left, locals)?;
-                let r = self.eval(right, locals)?;
-                Ok(binary(op, &l, &r))
+            RExpr::Binary { op, left, right } => {
+                let l = self.eval(left, base)?;
+                let r = self.eval(right, base)?;
+                Ok(binary(*op, &l, &r))
             }
-            Expr::Call { target, args } => {
-                let mut values = Vec::with_capacity(args.len());
+            RExpr::Call { callee, args } => {
+                // Arguments wait on the stack above the caller's frame.
+                let args_base = self.stack.len();
                 for a in args {
-                    values.push(self.eval(a, locals)?);
+                    let v = self.eval(a, base)?;
+                    self.stack.push(Some(v));
                 }
-                self.call(target, values)
+                let result = self.call(*callee, args_base);
+                self.stack.truncate(args_base);
+                result
             }
         }
     }
 
-    fn call(&mut self, target: &str, args: Vec<Value>) -> Result<Value, Flow> {
-        match target {
-            "loadImage" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::LoadImage(v.to_string()));
+    /// Calls `callee` with the arguments at `stack[args_base..]`.
+    fn call(&mut self, callee: Callee, args_base: usize) -> Result<Value, OutOfGas> {
+        let index = match callee {
+            Callee::Builtin(effect) => {
+                if let Some(Some(v)) = self.stack.get(args_base) {
+                    self.effects.push(effect(v.to_string()));
                 }
-                Ok(Value::Undefined)
+                return Ok(Value::Undefined);
             }
-            "loadScript" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::LoadScript(v.to_string()));
-                }
-                Ok(Value::Undefined)
-            }
-            "document.write" => {
-                if let Some(v) = args.first() {
-                    self.effects.push(JsEffect::DocumentWrite(v.to_string()));
-                }
-                Ok(Value::Undefined)
-            }
-            name => {
-                let Some((params, body)) = self.functions.get(name).cloned() else {
-                    // Unknown function: evaluate to undefined, as a lenient
-                    // engine does for missing host APIs.
-                    return Ok(Value::Undefined);
-                };
-                if self.call_depth >= MAX_CALL_DEPTH {
-                    return Err(Flow::OutOfGas);
-                }
-                self.call_depth += 1;
-                let mut frame: HashMap<String, Value> = HashMap::new();
-                for (i, p) in params.iter().enumerate() {
-                    frame.insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Undefined));
-                }
-                let mut result = Value::Undefined;
-                for s in &body {
-                    match self.exec(s, &mut frame) {
-                        Flow::Normal => {}
-                        Flow::Return(v) => {
-                            result = v;
-                            break;
-                        }
-                        Flow::OutOfGas => {
-                            self.call_depth -= 1;
-                            return Err(Flow::OutOfGas);
-                        }
-                    }
-                }
-                self.call_depth -= 1;
-                Ok(result)
-            }
+            Callee::Function(index) => index,
+        };
+        let Some(function) = self.functions[index].clone() else {
+            // Unknown function: evaluate to undefined, as a lenient
+            // engine does for missing host APIs.
+            return Ok(Value::Undefined);
+        };
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return Err(OutOfGas);
         }
+        self.call_depth += 1;
+        let base = self.stack.len();
+        self.stack.resize(base + function.frame_len, None);
+        for (i, &slot) in function.params.iter().enumerate() {
+            let arg = if args_base + i < base {
+                self.stack[args_base + i].take()
+            } else {
+                None
+            };
+            self.stack[base + slot] = Some(arg.unwrap_or(Value::Undefined));
+        }
+        let result = match self.exec_block(&function.body, base) {
+            Flow::Normal => Ok(Value::Undefined),
+            Flow::Return(v) => Ok(v),
+            Flow::OutOfGas => Err(OutOfGas),
+        };
+        self.call_depth -= 1;
+        result
     }
 }
 
-fn binary(op: &str, l: &Value, r: &Value) -> Value {
+fn binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
-        "+" => {
+        BinOp::Add => {
             // String concatenation wins if either side is a string.
             if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) {
                 Value::Str(format!("{l}{r}"))
@@ -354,17 +627,17 @@ fn binary(op: &str, l: &Value, r: &Value) -> Value {
                 Value::Num(l.to_num() + r.to_num())
             }
         }
-        "-" => Value::Num(l.to_num() - r.to_num()),
-        "*" => Value::Num(l.to_num() * r.to_num()),
-        "/" => Value::Num(l.to_num() / r.to_num()),
-        "%" => Value::Num(l.to_num() % r.to_num()),
-        "<" => Value::Bool(l.to_num() < r.to_num()),
-        ">" => Value::Bool(l.to_num() > r.to_num()),
-        "<=" => Value::Bool(l.to_num() <= r.to_num()),
-        ">=" => Value::Bool(l.to_num() >= r.to_num()),
-        "==" => Value::Bool(js_eq(l, r)),
-        "!=" => Value::Bool(!js_eq(l, r)),
-        _ => Value::Undefined,
+        BinOp::Sub => Value::Num(l.to_num() - r.to_num()),
+        BinOp::Mul => Value::Num(l.to_num() * r.to_num()),
+        BinOp::Div => Value::Num(l.to_num() / r.to_num()),
+        BinOp::Rem => Value::Num(l.to_num() % r.to_num()),
+        BinOp::Lt => Value::Bool(l.to_num() < r.to_num()),
+        BinOp::Gt => Value::Bool(l.to_num() > r.to_num()),
+        BinOp::Le => Value::Bool(l.to_num() <= r.to_num()),
+        BinOp::Ge => Value::Bool(l.to_num() >= r.to_num()),
+        BinOp::Eq => Value::Bool(js_eq(l, r)),
+        BinOp::Ne => Value::Bool(!js_eq(l, r)),
+        BinOp::Other => Value::Undefined,
     }
 }
 

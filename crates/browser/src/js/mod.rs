@@ -1,4 +1,5 @@
-//! A small JavaScript engine: lexer, parser, tree-walking interpreter.
+//! A small JavaScript engine: lexer, parser, name resolution,
+//! tree-walking interpreter.
 //!
 //! §4.1 of the paper: "JavaScript codes are much more complex than HTML or
 //! CSS codes, and there is no simple approach to find out if they will
@@ -12,6 +13,13 @@
 //! numbers, strings, booleans, arithmetic, comparison, assignment, string
 //! concatenation, and the host API `loadImage(url)`, `loadScript(url)`,
 //! `document.write(html)`.
+//!
+//! Before running, [`execute`] resolves the parsed program once: every
+//! variable reference becomes a frame slot and a global slot, every call
+//! target a builtin or a function-table index, and every function body a
+//! shared pointer. The interpreter then indexes vectors instead of hashing
+//! names, with the same scoping rules and the same operation count as a
+//! name-keyed walk (see `interp.rs`).
 //!
 //! Safety: execution is bounded by an operation budget (gas), so arbitrary
 //! input — including infinite loops — always terminates.

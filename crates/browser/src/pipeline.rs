@@ -322,6 +322,7 @@ pub fn load_page_with<F: ResourceFetcher + ?Sized>(
         in_flight: 0,
         doc: None,
         sheets: Vec::new(),
+        styles: css::StyleMemo::default(),
         css_bodies: Vec::new(),
         undecoded_images: Vec::new(),
         css_discovered: 0,
@@ -412,6 +413,9 @@ struct Loader<'a, F: ResourceFetcher + ?Sized> {
     in_flight: usize,
     doc: Option<Document>,
     sheets: Vec<css::Stylesheet>,
+    /// The load's restyle memo: the progressive redraws and the
+    /// sequential final pass restyle through it.
+    styles: css::StyleMemo,
     css_bodies: Vec<String>,
     /// Per-object byte sizes of deferred (undecoded) images, in arrival
     /// order — the decode units a parallel plan fans out.
@@ -703,6 +707,11 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     /// stylesheets are in, redraw/reflow every `progressive_batch` objects
     /// (§4.2: "the browser wastes a lot of computation resource to
     /// frequently redraw and reflow the intermediate display").
+    ///
+    /// Each redraw is priced as a full restyle of the whole document, as
+    /// the original browser pays it; the host restyles through the load's
+    /// `css::StyleMemo` and matches only the elements and rules that are
+    /// new since the previous redraw.
     fn maybe_progressive_display(&mut self) {
         self.since_display += 1;
         let css_ready = self.css_processed >= self.css_discovered;
@@ -722,8 +731,8 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
         let Some(doc) = &self.doc else { return };
         let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
-        let styles = css::compute_styles(doc, &sheet_refs);
-        let lr = layout::layout(doc, Some(&styles), self.cfg.viewport_px);
+        let styles = self.styles.restyle(doc, &sheet_refs);
+        let lr = layout::layout(doc, Some(styles), self.cfg.viewport_px);
         let d = self
             .cost
             .style(styles.match_attempts, styles.declarations_applied)
@@ -795,8 +804,8 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
         let doc = self.doc.take().unwrap_or_default();
         let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
-        let styles = css::compute_styles(&doc, &sheet_refs);
-        let lr = layout::layout(&doc, Some(&styles), self.cfg.viewport_px);
+        let styles = self.styles.restyle(&doc, &sheet_refs);
+        let lr = layout::layout(&doc, Some(styles), self.cfg.viewport_px);
         let d_style = self
             .cost
             .style(styles.match_attempts, styles.declarations_applied);
@@ -859,11 +868,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             .map(|p| cost.style(p.match_attempts, p.declarations_applied))
             .collect();
         self.parallel_stage(&durs, plan.style_threads, "style");
-        let mut styles = css::StyleResult {
-            styles: Default::default(),
-            match_attempts: 0,
-            declarations_applied: 0,
-        };
+        let mut styles = css::StyleResult::default();
         for p in partials {
             styles.match_attempts += p.match_attempts;
             styles.declarations_applied += p.declarations_applied;
