@@ -14,9 +14,12 @@
 //! Every style pass is counted as a full pass, so the cost model prices
 //! each of the original browser's redraws as a whole-document restyle.
 //! The host does less: within one load, `StyleMemo` matches each
-//! (element, rule) pair once and reports the same counters and styles as
-//! [`compute_styles`] would.
+//! (element, rule) pair once, and every pass tests only the selectors a
+//! rule index files under the element's own keys whose ancestor keys its
+//! ancestors hold. Both report the same counters and styles as a full
+//! scan of every selector against every element would.
 
+mod index;
 mod parser;
 mod scan;
 mod selector;

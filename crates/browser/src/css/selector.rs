@@ -1,4 +1,10 @@
 //! Selector matching against the DOM.
+//!
+//! [`matches`] is the definition of a match. The style pass calls it only
+//! on the candidates its rule index leaves (see `index.rs`), and the
+//! index is exact because it drops only selectors `matches` would reject:
+//! a subject's id, classes and tag are each necessary here, and so is
+//! every key of every ancestor part.
 
 use super::parser::{Selector, SimpleSelector};
 use crate::dom::{Document, NodeId, NodeKind};

@@ -9,13 +9,19 @@
 //! The counted work and the host work differ on purpose. Every style pass
 //! reports the match attempts and applied declarations of a full pass,
 //! because that is what the simulated browser spends on each redraw. The
-//! host, though, matches each (element, rule) pair only once per load:
-//! `StyleMemo` keeps each element's winning rules across restyles and
-//! matches only what is new, since within a load the document only grows
-//! and the sheets only append.
+//! host does much less, in two ways:
+//!
+//! * It matches each (element, rule) pair only once per load:
+//!   `StyleMemo` keeps each element's winning rules across restyles and
+//!   matches only what is new, since within a load the document only
+//!   grows and the sheets only append.
+//! * Matching goes through a rule index (`index.rs`): an element tests
+//!   only the selectors filed under its own id, class and tag keys, and
+//!   only those whose ancestor keys its ancestors' Bloom filter holds.
+//!   The attempts a full scan spends are computed, not performed.
 
+use super::index::{Matcher, Winner};
 use super::parser::{Rule, Stylesheet};
-use super::selector::matches;
 use crate::dom::{Document, NodeId, NodeKind};
 use std::collections::HashMap;
 
@@ -66,11 +72,6 @@ pub struct StyleResult {
     pub declarations_applied: usize,
 }
 
-/// The cascade key of one rule that matched an element: the matching
-/// selector's specificity, then the rule's index in the sheet-ordered
-/// rule list. The index makes it unique per rule.
-type Winner = ((usize, usize, usize), usize);
-
 /// Matches every element against every rule of every sheet and folds the
 /// winning declarations into computed styles.
 pub fn compute_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
@@ -81,9 +82,12 @@ pub fn compute_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
 /// skipped). Each node is styled independently, so a document's node list
 /// can be split into chunks, resolved on separate cores, and the partial
 /// results merged: the style maps are disjoint and the counters sum to
-/// exactly the whole-document totals.
+/// exactly the whole-document totals. Each call builds its own rule
+/// index.
 pub fn compute_styles_for(doc: &Document, sheets: &[&Stylesheet], ids: &[NodeId]) -> StyleResult {
     let rules = rule_list(sheets);
+    let mut matcher = Matcher::default();
+    matcher.update(doc, &rules);
     let mut out = StyleResult::default();
     let mut winners = Vec::new();
     for &id in ids {
@@ -91,7 +95,7 @@ pub fn compute_styles_for(doc: &Document, sheets: &[&Stylesheet], ids: &[NodeId]
             continue;
         }
         winners.clear();
-        out.match_attempts += match_rules(doc, id, &rules, 0, &mut winners);
+        out.match_attempts += matcher.match_rules(doc, id, &rules, 0, &mut winners);
         let style = fold(&rules, &mut winners);
         out.declarations_applied += style.applied;
         out.styles.insert(id, style);
@@ -113,7 +117,8 @@ pub fn compute_styles_for(doc: &Document, sheets: &[&Stylesheet], ids: &[NodeId]
 /// fixed once it exists, and a rule is fixed once its sheet is pushed.
 /// `restyle` asserts the checkable half of this: the node count and the
 /// sheet count never shrink, and every sheet seen before keeps its rule
-/// count.
+/// count. The same facts let the memo keep its rule index and its node
+/// filters across restyles, adding only the new rules and nodes.
 #[derive(Debug, Default)]
 pub(crate) struct StyleMemo {
     /// Per node id: the winning rules among those matched so far (empty
@@ -122,6 +127,8 @@ pub(crate) struct StyleMemo {
     winners: Vec<Vec<Winner>>,
     /// Rule count of every sheet seen so far, in order.
     sheet_rules: Vec<usize>,
+    /// The rule index and node filters of the rules and nodes seen so far.
+    matcher: Matcher,
     /// The styles and the full-pass counters, kept up to date.
     result: StyleResult,
 }
@@ -155,6 +162,7 @@ impl StyleMemo {
         }
         self.sheet_rules = sheets.iter().map(|s| s.rules.len()).collect();
         let rules = rule_list(sheets);
+        self.matcher.update(doc, &rules);
         self.winners.resize_with(doc.len(), Vec::new);
         // With no new rules, only the new nodes have anything to match.
         let first = if rules.len() == old_rules {
@@ -170,7 +178,7 @@ impl StyleMemo {
             let winners = &mut self.winners[id];
             let before = winners.len();
             let from = if is_new { 0 } else { old_rules };
-            self.result.match_attempts += match_rules(doc, id, &rules, from, winners);
+            self.result.match_attempts += self.matcher.match_rules(doc, id, &rules, from, winners);
             if !is_new && winners.len() == before {
                 continue;
             }
@@ -191,30 +199,6 @@ fn rule_list<'s>(sheets: &[&'s Stylesheet]) -> Vec<&'s Rule> {
 
 fn is_element(doc: &Document, id: NodeId) -> bool {
     matches!(doc.node(id).kind, NodeKind::Element { .. })
-}
-
-/// Matches element `id` against `rules[from..]`, pushing the cascade key
-/// of each rule that matches onto `winners`, and returns the match
-/// attempts spent: one per selector tried, stopping at a rule's first
-/// matching selector.
-fn match_rules(
-    doc: &Document,
-    id: NodeId,
-    rules: &[&Rule],
-    from: usize,
-    winners: &mut Vec<Winner>,
-) -> usize {
-    let mut attempts = 0;
-    for (src_idx, rule) in rules.iter().enumerate().skip(from) {
-        for sel in &rule.selectors {
-            attempts += 1;
-            if matches(doc, id, sel) {
-                winners.push((sel.specificity(), src_idx));
-                break; // one matching selector per rule suffices
-            }
-        }
-    }
-    attempts
 }
 
 /// Folds an element's winning rules into its computed style: rules in

@@ -9,6 +9,16 @@
 //! indexes `Vec`s: no name is hashed or cloned and no body is copied, so
 //! no per-operation cost grows with the number of distinct names.
 //!
+//! Resolution also marks each largest subtree with no call and no
+//! assignment as pure, with its node count. Evaluating such a subtree has
+//! no effect but its value, so `eval` charges the count in one step: the
+//! whole count when the budget covers it, and otherwise what charging
+//! node by node leaves observable, `ops += gas + 1` and `gas = 0` (the
+//! charge that finds the budget empty counts too) with an out-of-gas
+//! stop. It then evaluates the subtree uncharged on `f64`s and `bool`s,
+//! and as soon as an operand is not a number, again on [`Value`]s with
+//! the same `binary` and `unary` the charged path uses.
+//!
 //! The scoping rules are those of the name-keyed interpreter this
 //! replaces:
 //!
@@ -182,19 +192,40 @@ enum Callee {
     Function(usize),
 }
 
+/// A unary operator, resolved from its source text.
+#[derive(Clone, Copy)]
+enum UnOp {
+    Neg,
+    Not,
+    /// Text the parser never produces; evaluates to `undefined`.
+    Other,
+}
+
+impl UnOp {
+    fn resolve(op: &str) -> UnOp {
+        match op {
+            "-" => UnOp::Neg,
+            "!" => UnOp::Not,
+            _ => UnOp::Other,
+        }
+    }
+}
+
 /// [`Expr`] with its names resolved.
 enum RExpr {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Var(Var),
+    /// A largest subtree with no call and no assignment, and its node
+    /// count: it is charged in one step.
+    Pure {
+        nodes: u64,
+        expr: PureExpr,
+    },
     Binary {
         op: BinOp,
         left: Box<RExpr>,
         right: Box<RExpr>,
     },
     Unary {
-        op: &'static str,
+        op: UnOp,
         operand: Box<RExpr>,
     },
     Assign {
@@ -205,6 +236,41 @@ enum RExpr {
         callee: Callee,
         args: Vec<RExpr>,
     },
+}
+
+/// A resolved subtree with no call and no assignment: evaluating it has
+/// no effect but its value.
+enum PureExpr {
+    Num(f64),
+    Str(String),
+    Bool(bool),
+    Var(Var),
+    Binary {
+        op: BinOp,
+        left: Box<PureExpr>,
+        right: Box<PureExpr>,
+    },
+    Unary {
+        op: UnOp,
+        operand: Box<PureExpr>,
+    },
+}
+
+/// The value of a pure subtree whose operands are all numbers: a
+/// number, or the boolean a comparison or `!` gives.
+#[derive(Clone, Copy)]
+enum Scalar {
+    Num(f64),
+    Bool(bool),
+}
+
+impl From<Scalar> for Value {
+    fn from(s: Scalar) -> Value {
+        match s {
+            Scalar::Num(n) => Value::Num(n),
+            Scalar::Bool(b) => Value::Bool(b),
+        }
+    }
 }
 
 /// [`Stmt`] with its names resolved.
@@ -345,21 +411,58 @@ impl<'p> Resolver<'p> {
         }
     }
 
+    /// Resolves `expr`, wrapping each largest subtree with no call and no
+    /// assignment in [`RExpr::Pure`].
     fn expr(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> RExpr {
+        let leaf = |expr| RExpr::Pure { nodes: 1, expr };
         match expr {
-            Expr::Num(v) => RExpr::Num(*v),
-            Expr::Str(s) => RExpr::Str(s.clone()),
-            Expr::Bool(b) => RExpr::Bool(*b),
-            Expr::Var(name) => RExpr::Var(self.var(name, frame)),
-            Expr::Binary { op, left, right } => RExpr::Binary {
-                op: BinOp::resolve(op),
-                left: Box::new(self.expr(left, frame)),
-                right: Box::new(self.expr(right, frame)),
-            },
-            Expr::Unary { op, operand } => RExpr::Unary {
-                op,
-                operand: Box::new(self.expr(operand, frame)),
-            },
+            Expr::Num(v) => leaf(PureExpr::Num(*v)),
+            Expr::Str(s) => leaf(PureExpr::Str(s.clone())),
+            Expr::Bool(b) => leaf(PureExpr::Bool(*b)),
+            Expr::Var(name) => leaf(PureExpr::Var(self.var(name, frame))),
+            Expr::Binary { op, left, right } => {
+                let op = BinOp::resolve(op);
+                match (self.expr(left, frame), self.expr(right, frame)) {
+                    (
+                        RExpr::Pure {
+                            nodes: l,
+                            expr: left,
+                        },
+                        RExpr::Pure {
+                            nodes: r,
+                            expr: right,
+                        },
+                    ) => RExpr::Pure {
+                        nodes: l + r + 1,
+                        expr: PureExpr::Binary {
+                            op,
+                            left: Box::new(left),
+                            right: Box::new(right),
+                        },
+                    },
+                    (left, right) => RExpr::Binary {
+                        op,
+                        left: Box::new(left),
+                        right: Box::new(right),
+                    },
+                }
+            }
+            Expr::Unary { op, operand } => {
+                let op = UnOp::resolve(op);
+                match self.expr(operand, frame) {
+                    RExpr::Pure { nodes, expr } => RExpr::Pure {
+                        nodes: nodes + 1,
+                        expr: PureExpr::Unary {
+                            op,
+                            operand: Box::new(expr),
+                        },
+                    },
+                    operand => RExpr::Unary {
+                        op,
+                        operand: Box::new(operand),
+                    },
+                }
+            }
             Expr::Assign { name, value } => RExpr::Assign {
                 var: self.var(name, frame),
                 value: Box::new(self.expr(value, frame)),
@@ -440,13 +543,20 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
 }
 
 impl Interp {
-    fn charge(&mut self) -> bool {
-        self.ops += 1;
-        if self.gas == 0 {
-            return false;
+    /// Charges `cost` operations in one step, with the outcome of charging
+    /// them one at a time: if the budget runs out partway, the charge
+    /// that finds it empty still counts, so `ops` grows by `gas + 1` and
+    /// the budget ends at zero.
+    fn charge(&mut self, cost: u64) -> Result<(), OutOfGas> {
+        if self.gas >= cost {
+            self.gas -= cost;
+            self.ops += cost;
+            Ok(())
+        } else {
+            self.ops += self.gas + 1;
+            self.gas = 0;
+            Err(OutOfGas)
         }
-        self.gas -= 1;
-        true
     }
 
     /// Runs `statements` in the frame at `base`, stopping at the first
@@ -462,7 +572,7 @@ impl Interp {
     }
 
     fn exec(&mut self, stmt: &RStmt, base: usize) -> Flow {
-        if !self.charge() {
+        if self.charge(1).is_err() {
             return Flow::OutOfGas;
         }
         match stmt {
@@ -526,20 +636,13 @@ impl Interp {
     }
 
     fn eval(&mut self, expr: &RExpr, base: usize) -> Result<Value, OutOfGas> {
-        if !self.charge() {
-            return Err(OutOfGas);
-        }
+        // A pure subtree is charged whole; any other node charges itself.
+        self.charge(match expr {
+            RExpr::Pure { nodes, .. } => *nodes,
+            _ => 1,
+        })?;
         match expr {
-            RExpr::Num(v) => Ok(Value::Num(*v)),
-            RExpr::Str(s) => Ok(Value::Str(s.clone())),
-            RExpr::Bool(b) => Ok(Value::Bool(*b)),
-            RExpr::Var(var) => {
-                let local = var.local.and_then(|s| self.stack[base + s].as_ref());
-                Ok(local
-                    .or(self.globals[var.global].as_ref())
-                    .cloned()
-                    .unwrap_or(Value::Undefined))
-            }
+            RExpr::Pure { expr, .. } => Ok(self.pure(expr, base)),
             RExpr::Assign { var, value } => {
                 let v = self.eval(value, base)?;
                 // Assignment updates the local binding if it exists;
@@ -552,11 +655,7 @@ impl Interp {
             }
             RExpr::Unary { op, operand } => {
                 let v = self.eval(operand, base)?;
-                Ok(match *op {
-                    "-" => Value::Num(-v.to_num()),
-                    "!" => Value::Bool(!v.truthy()),
-                    _ => Value::Undefined,
-                })
+                Ok(unary(*op, &v))
             }
             RExpr::Binary { op, left, right } => {
                 let l = self.eval(left, base)?;
@@ -574,6 +673,72 @@ impl Interp {
                 self.stack.truncate(args_base);
                 result
             }
+        }
+    }
+
+    /// The bound value of `var`: the local if bound, else the global.
+    fn read(&self, var: Var, base: usize) -> Option<&Value> {
+        let local = var.local.and_then(|s| self.stack[base + s].as_ref());
+        local.or(self.globals[var.global].as_ref())
+    }
+
+    /// Evaluates a pure subtree, already charged: on numbers alone when
+    /// every operand is one, else again on [`Value`]s.
+    fn pure(&self, expr: &PureExpr, base: usize) -> Value {
+        match self.scalar(expr, base) {
+            Some(s) => s.into(),
+            None => self.pure_value(expr, base),
+        }
+    }
+
+    /// A pure subtree's value on `f64`s and `bool`s, or `None` as soon as
+    /// an operand is not a number (or an operator yields `undefined`).
+    fn scalar(&self, expr: &PureExpr, base: usize) -> Option<Scalar> {
+        match expr {
+            PureExpr::Num(v) => Some(Scalar::Num(*v)),
+            PureExpr::Bool(b) => Some(Scalar::Bool(*b)),
+            PureExpr::Str(_) => None,
+            PureExpr::Var(var) => match self.read(*var, base)? {
+                Value::Num(n) => Some(Scalar::Num(*n)),
+                Value::Bool(b) => Some(Scalar::Bool(*b)),
+                Value::Str(_) | Value::Undefined => None,
+            },
+            PureExpr::Unary { op, operand } => {
+                let Scalar::Num(n) = self.scalar(operand, base)? else {
+                    return None;
+                };
+                match op {
+                    UnOp::Neg => Some(Scalar::Num(-n)),
+                    UnOp::Not => Some(Scalar::Bool(!Value::Num(n).truthy())),
+                    UnOp::Other => None,
+                }
+            }
+            PureExpr::Binary { op, left, right } => {
+                let Scalar::Num(l) = self.scalar(left, base)? else {
+                    return None;
+                };
+                let Scalar::Num(r) = self.scalar(right, base)? else {
+                    return None;
+                };
+                numeric(*op, l, r)
+            }
+        }
+    }
+
+    /// A pure subtree's value on [`Value`]s, with the semantics of the
+    /// charged path.
+    fn pure_value(&self, expr: &PureExpr, base: usize) -> Value {
+        match expr {
+            PureExpr::Num(v) => Value::Num(*v),
+            PureExpr::Str(s) => Value::Str(s.clone()),
+            PureExpr::Bool(b) => Value::Bool(*b),
+            PureExpr::Var(var) => self.read(*var, base).cloned().unwrap_or(Value::Undefined),
+            PureExpr::Unary { op, operand } => unary(*op, &self.pure_value(operand, base)),
+            PureExpr::Binary { op, left, right } => binary(
+                *op,
+                &self.pure_value(left, base),
+                &self.pure_value(right, base),
+            ),
         }
     }
 
@@ -617,28 +782,43 @@ impl Interp {
     }
 }
 
+fn unary(op: UnOp, v: &Value) -> Value {
+    match op {
+        UnOp::Neg => Value::Num(-v.to_num()),
+        UnOp::Not => Value::Bool(!v.truthy()),
+        UnOp::Other => Value::Undefined,
+    }
+}
+
 fn binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
-        BinOp::Add => {
-            // String concatenation wins if either side is a string.
-            if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) {
-                Value::Str(format!("{l}{r}"))
-            } else {
-                Value::Num(l.to_num() + r.to_num())
-            }
+        // String concatenation wins if either side is a string.
+        BinOp::Add if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) => {
+            Value::Str(format!("{l}{r}"))
         }
-        BinOp::Sub => Value::Num(l.to_num() - r.to_num()),
-        BinOp::Mul => Value::Num(l.to_num() * r.to_num()),
-        BinOp::Div => Value::Num(l.to_num() / r.to_num()),
-        BinOp::Rem => Value::Num(l.to_num() % r.to_num()),
-        BinOp::Lt => Value::Bool(l.to_num() < r.to_num()),
-        BinOp::Gt => Value::Bool(l.to_num() > r.to_num()),
-        BinOp::Le => Value::Bool(l.to_num() <= r.to_num()),
-        BinOp::Ge => Value::Bool(l.to_num() >= r.to_num()),
         BinOp::Eq => Value::Bool(js_eq(l, r)),
         BinOp::Ne => Value::Bool(!js_eq(l, r)),
-        BinOp::Other => Value::Undefined,
+        _ => numeric(op, l.to_num(), r.to_num()).map_or(Value::Undefined, Value::from),
     }
+}
+
+/// `op` on two numbers, or `None` where it yields `undefined`.
+fn numeric(op: BinOp, l: f64, r: f64) -> Option<Scalar> {
+    Some(match op {
+        BinOp::Add => Scalar::Num(l + r),
+        BinOp::Sub => Scalar::Num(l - r),
+        BinOp::Mul => Scalar::Num(l * r),
+        BinOp::Div => Scalar::Num(l / r),
+        BinOp::Rem => Scalar::Num(l % r),
+        BinOp::Lt => Scalar::Bool(l < r),
+        BinOp::Gt => Scalar::Bool(l > r),
+        BinOp::Le => Scalar::Bool(l <= r),
+        BinOp::Ge => Scalar::Bool(l >= r),
+        // `js_eq` on two numbers.
+        BinOp::Eq => Scalar::Bool(l == r),
+        BinOp::Ne => Scalar::Bool(l != r),
+        BinOp::Other => return None,
+    })
 }
 
 fn js_eq(l: &Value, r: &Value) -> bool {

@@ -17,9 +17,12 @@
 //! Before running, [`execute`] resolves the parsed program once: every
 //! variable reference becomes a frame slot and a global slot, every call
 //! target a builtin or a function-table index, and every function body a
-//! shared pointer. The interpreter then indexes vectors instead of hashing
-//! names, with the same scoping rules and the same operation count as a
-//! name-keyed walk (see `interp.rs`).
+//! shared pointer. Each largest subtree with no call and no assignment is
+//! marked pure with its node count. The interpreter then indexes vectors
+//! instead of hashing names, and charges a pure subtree in one step and
+//! evaluates it on numbers where it can, with the same scoping rules and
+//! the same operation count as a name-keyed walk that charges node by
+//! node (see `interp.rs`).
 //!
 //! Safety: execution is bounded by an operation budget (gas), so arbitrary
 //! input — including infinite loops — always terminates.

@@ -855,6 +855,9 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                 self.parallel_stage(&durs, plan.decode_threads, "image_decode");
             }
         }
+        // The chunked pass matches every element anew: free the memo's
+        // index and winners before each chunk builds its own index.
+        self.styles = css::StyleMemo::default();
         let doc = self.doc.take().unwrap_or_default();
         let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
         let ids = doc.descendants();

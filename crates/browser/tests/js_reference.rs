@@ -3,9 +3,13 @@
 //!
 //! The reference below is the interpreter `js::execute` ran before it
 //! resolved names to slots: it walks the public AST, keeps variables and
-//! functions in `HashMap`s keyed by name, and copies a function's body on
-//! every call. Both must return the same `JsOutcome` (effects, op count,
-//! tokens, parse and gas outcome) on every corpus script and on seeded
+//! functions in `HashMap`s keyed by name, copies a function's body on
+//! every call, and charges one operation per node. `js::execute` charges
+//! each pure subtree (no call, no assignment) in one step and evaluates
+//! it on numbers where it can. Both must return the same `JsOutcome`
+//! (effects, op count, tokens, parse and gas outcome) on every corpus
+//! script, on gas budgets that run out on every node of the corpus loop
+//! shapes, on pure subtrees that leave the number path, and on seeded
 //! random programs. Debug builds run a few thousand random programs;
 //! release builds run 100 000.
 
@@ -428,6 +432,77 @@ fn gas_running_out_mid_loop_matches_the_reference() {
                   while (i < 1000) { loadImage(\"l\" + f(i)); i = i + 1; }";
     for gas in 0..400 {
         assert_same(source, Some(gas));
+    }
+}
+
+/// Asserts both interpreters agree on `source` under every budget from
+/// 0 to one past its full run, so the budget runs out on every node.
+fn assert_same_at_every_gas(source: &str) {
+    let full = assert_same(source, None);
+    assert!(!full.hit_gas_limit, "source must finish:\n{source}");
+    for gas in 0..=full.ops + 1 {
+        let out = assert_same(source, Some(gas));
+        assert_eq!(out.hit_gas_limit, gas < full.ops, "gas {gas}");
+    }
+}
+
+#[test]
+fn gas_running_out_inside_bulk_charged_subtrees_matches_the_reference() {
+    // The corpus scripts' two loops (`ewb_webpage`'s script generator)
+    // with a few iterations each: the URL-building loop and its
+    // `document.write`, then the filler loop, whose condition, call
+    // arguments, returned expression and increment are pure subtrees.
+    let url_loop = "var base0 = \"http://s/img/dyn\";\nvar n0 = 3;\n\
+                    while (n0 < 6) {\n  loadImage(base0 + n0 + \".jpg\");\n  n0 = n0 + 1;\n}\n\
+                    document.write(\"<img src='\" + base0 + \"6.jpg'>\");\n";
+    let mix_loop = "function mix0(a, b) { return a * 31 + b % 97; }\n\
+                    var acc0 = 0;\nvar k0 = 0;\n\
+                    while (k0 < 4) { acc0 = mix0(acc0, k0); k0 = k0 + 1; }\n\
+                    if (acc0 < 0) { document.write(\"<p>unreachable</p>\"); }\n";
+    for source in [url_loop, mix_loop, &format!("{url_loop}{mix_loop}")] {
+        assert_same_at_every_gas(source);
+    }
+    // The inline script every corpus page carries.
+    assert_same_at_every_gas(
+        "var inlineAcc = 0;\nvar q = 0;\nwhile (q < 4) { inlineAcc = inlineAcc + q; q = q + 1; }\n",
+    );
+}
+
+#[test]
+fn pure_subtrees_that_leave_the_number_path_match_the_reference() {
+    let programs = [
+        // String operands: concatenation, and arithmetic and comparison
+        // that convert them.
+        "var s = \"7\"; var t = \"x\"; var a = s + 1; var b = s * 2; var c = s < 10; \
+         var d = t * 2; var e = s == 7; var f = s + t; var g = 1 + 2 + s; var h = s - -s; \
+         loadImage(a + \"/\" + b + c + d + e + f + g + h + (s != \"7\"));",
+        // Boolean operands.
+        "var t = true; var f = false; var a = t + 1; var b = t * f; var c = t == 1; \
+         var d = f < t; var e = !t; var g = -t; var h = !!f; var i = (1 < 2) + (2 < 1); \
+         loadImage(\"\" + a + b + c + d + e + g + h + i + (t == true) + (f != 0));",
+        // `undefined` operands: unbound names.
+        "var a = u + 1; var b = u == u; var c = u != 0; var d = -u; var e = !u; var f = u < 1; \
+         var g = u + \"s\"; loadImage(\"\" + a + b + c + d + e + f + g + (u == 0));",
+        // NaN.
+        "var n = 0 / 0; var a = n == n; var b = n != n; var c = !n; var d = -n; var e = n < 1; \
+         var f = n + 1; var g = n >= n; loadImage(\"\" + a + b + c + d + e + f + g);",
+        // Unary minus and not, on numbers and on their results.
+        "var x = 5; var a = -x; var b = !x; var c = - -x; var d = !!x; var e = -(x - 5); \
+         var f = !(x - 5); var g = -0; var h = !(x < 3); var i = -(x < 3); \
+         loadImage(\"\" + a + b + c + d + e + f + (1 / g) + h + i);",
+        // Division and remainder by zero.
+        "var z = 0; var a = 1 / z; var b = -1 / z; var c = 5 % z; var d = z / z; var e = 1 / -z; \
+         var f = 5.5 % 2; var g = -7 % 3; \
+         loadImage(\"\" + a + b + c + d + e + f + g + (a > 100000) + (c == c) + (a == -b));",
+        // A number subtree inside a string expression, and a deep chain.
+        "var k = 3; loadImage(\"p\" + (k * 2 + 1) + \"_\" + (k < 2) + (k % 0) + (k - -k * k / 2));",
+        "var v = 1; var w = v + v + v + v + v + v + v + v + v + v + \"!\" + v + v;\n\
+         if (v * 2 - 2) { loadImage(\"no\"); } else { loadImage(w + (v + v * (v + v))); }",
+    ];
+    for source in programs {
+        let out = assert_same(source, None);
+        assert_eq!(out.effects.len(), 1, "{source}");
+        assert_same_at_every_gas(source);
     }
 }
 

@@ -552,11 +552,12 @@ pub struct ProfiledVisit {
     pub page_idx: usize,
     /// Actual reading time after the page opens, seconds.
     pub reading_s: f64,
-    /// Predicted reading time for this visit, when the case needs one.
-    /// The fleet computes these in feature-batches up front
-    /// ([`predict_rows`](ewb_traces::ReadingTimePredictor::predict_rows));
-    /// the value is only consulted for engaged visits under a predicted
-    /// policy.
+    /// Predicted reading time for this visit, when a session reads one:
+    /// the visit is engaged (`reading_s > alpha_s`), its policy is a
+    /// predicted one, and no predictor outage has begun. The fleet
+    /// predicts exactly those visits in one feature batch
+    /// ([`predict_rows`](ewb_traces::ReadingTimePredictor::predict_rows))
+    /// and leaves the others `None`.
     pub predicted_s: Option<f64>,
 }
 

@@ -230,7 +230,7 @@ pub struct PlannedVisit {
 
 /// Fills `scratch` with user `user_id`'s day: visit pages, feature rows,
 /// and reading times. Returns the visit count. Predictions are left
-/// `None`; [`simulate_user`] batches them when a case needs them.
+/// `None`; [`simulate_user`] batches the ones a session reads.
 fn fill_plan(env: &FleetEnv, cfg: &FleetConfig, user_id: u64, scratch: &mut WorkerScratch) -> u64 {
     let user_rng = Xoshiro256::seed_from_u64(cfg.seed).fork(user_id);
 
@@ -300,6 +300,11 @@ pub fn predictor_outage_from(cfg: &FleetConfig, user_id: u64, visits: u64) -> Op
 /// radio machines, whose meter-segment and transition histories grow
 /// with the visits (see [`run_profiled_session_with`]; ROADMAP item 5,
 /// "one energy history").
+///
+/// Only the visits whose prediction a session reads are predicted: the
+/// engaged ones (`reading_s > alpha_s`) before the user's predictor
+/// outage, if any (see [`release_decision`](ewb_core::session::release_decision)).
+/// The others keep `predicted_s = None`.
 pub fn simulate_user(
     env: &FleetEnv,
     cfg: &FleetConfig,
@@ -308,20 +313,37 @@ pub fn simulate_user(
     summary: &mut FleetSummary,
 ) {
     let n = fill_plan(env, cfg, user_id, scratch) as usize;
+    let outage_from = predictor_outage_from(cfg, user_id, n as u64);
 
     if cfg.baseline.needs_predictor() || cfg.optimized.needs_predictor() {
+        let alpha_s = env.cfg.alg.alpha_s;
+        let reads = |i: usize, visit: &ProfiledVisit| {
+            visit.reading_s > alpha_s && outage_from.is_none_or(|from| i < from)
+        };
+        // Move the rows that are read to the front, in visit order.
+        let mut read = 0;
+        for (i, visit) in scratch.visits.iter().enumerate() {
+            if reads(i, visit) {
+                let row = i * N_FEATURES..(i + 1) * N_FEATURES;
+                scratch.rows.copy_within(row, read * N_FEATURES);
+                read += 1;
+            }
+        }
         scratch.preds.clear();
-        scratch.preds.resize(n, 0.0);
+        scratch.preds.resize(read, 0.0);
         env.predictor
-            .predict_rows(&scratch.rows, &mut scratch.preds);
-        for (visit, &tr) in scratch.visits.iter_mut().zip(&scratch.preds) {
-            visit.predicted_s = Some(tr);
+            .predict_rows(&scratch.rows[..read * N_FEATURES], &mut scratch.preds);
+        let mut preds = scratch.preds.iter();
+        for (i, visit) in scratch.visits.iter_mut().enumerate() {
+            if reads(i, visit) {
+                visit.predicted_s = preds.next().copied();
+            }
         }
     }
 
     let opts = ProfiledSessionOpts {
         tier: cfg.tier,
-        predictor_outage_from: predictor_outage_from(cfg, user_id, n as u64),
+        predictor_outage_from: outage_from,
         ..ProfiledSessionOpts::default()
     };
     let baseline = run_profiled_session_with(

@@ -8,9 +8,15 @@
 //!    produces: same energies (to the bit, via the µJ ledger), same load
 //!    times, same counters, same histograms.
 
-use ewb_core::profile::ProfiledOutcome;
+use ewb_core::cases::Case;
+use ewb_core::profile::{
+    run_profiled_session_with, ProfiledOutcome, ProfiledSessionOpts, ProfiledVisit,
+};
 use ewb_core::session::{simulate_session, SessionOpts, Visit};
-use ewb_fleet::{plan_user, run_fleet, FleetConfig, FleetEnv, FleetSummary};
+use ewb_fleet::{
+    plan_user, predictor_outage_from, run_fleet, simulate_user, FleetConfig, FleetEnv,
+    FleetSummary, WorkerScratch,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -114,6 +120,77 @@ fn fleet_matches_full_session_simulation_per_user() {
     }
     let fleet = run_fleet(env, &cfg);
     assert_eq!(fleet, expected);
+}
+
+/// Rebuilds user `user_id` from the public layer calls the way the
+/// benchmark harness does: plan, predict every row, draw the outage,
+/// replay both sessions, fold.
+fn rebuild_predicting_every_row(env: &FleetEnv, cfg: &FleetConfig, user_id: u64) -> FleetSummary {
+    let plan = plan_user(env, cfg, user_id);
+    let rows: Vec<f64> = plan.iter().flat_map(|v| v.features.0).collect();
+    let mut preds = vec![0.0; plan.len()];
+    env.predictor.predict_rows(&rows, &mut preds);
+    let visits: Vec<ProfiledVisit> = plan
+        .iter()
+        .zip(preds)
+        .map(|(v, p)| ProfiledVisit {
+            page_idx: v.page_idx,
+            reading_s: v.reading_s,
+            predicted_s: Some(p),
+        })
+        .collect();
+    let opts = ProfiledSessionOpts {
+        tier: cfg.tier,
+        predictor_outage_from: predictor_outage_from(cfg, user_id, plan.len() as u64),
+        ..ProfiledSessionOpts::default()
+    };
+    let mut summary = FleetSummary::default();
+    let baseline =
+        run_profiled_session_with(&env.table, &env.cfg, cfg.baseline, opts, &visits, |v| {
+            summary.fold_baseline_load(v.load)
+        });
+    let optimized =
+        run_profiled_session_with(&env.table, &env.cfg, cfg.optimized, opts, &visits, |v| {
+            summary.fold_optimized_load(v.load)
+        });
+    summary.fold_user(&baseline, &optimized, plan.len() as u64);
+    summary
+}
+
+/// `simulate_user` predicts only the engaged visits before an outage;
+/// users with bounces (visits that end before α) and users whose
+/// predictor fails partway must fold exactly as when every row is
+/// predicted.
+#[test]
+fn predicting_only_the_rows_read_folds_like_predicting_every_row() {
+    let env = env();
+    let alpha_s = env.cfg.alg.alpha_s;
+    let mut scratch = WorkerScratch::new();
+    for (baseline, optimized, outage) in [
+        (Case::Original, Case::Predict9, 0.0),
+        (Case::Original, Case::Predict9, 0.6),
+        (Case::Predict9, Case::Predict20, 1.0),
+    ] {
+        let cfg = FleetConfig {
+            baseline,
+            optimized,
+            predictor_outage_prob: outage,
+            ..FleetConfig::paper(40)
+        };
+        let (mut bounced, mut outages) = (0, 0);
+        for user_id in 0..cfg.users {
+            let mut direct = FleetSummary::default();
+            simulate_user(env, &cfg, user_id, &mut scratch, &mut direct);
+            let rebuilt = rebuild_predicting_every_row(env, &cfg, user_id);
+            assert_eq!(direct, rebuilt, "user {user_id}, {cfg:?}");
+            let plan = plan_user(env, &cfg, user_id);
+            bounced += usize::from(plan.iter().any(|v| v.reading_s <= alpha_s));
+            outages +=
+                usize::from(predictor_outage_from(&cfg, user_id, plan.len() as u64).is_some());
+        }
+        assert!(bounced > 10, "{bounced} users with a bounce");
+        assert_eq!(outages > 0, outage > 0.0, "{outages} users with an outage");
+    }
 }
 
 /// An oracle-policy fleet (no predictor in the loop) is also invariant —
