@@ -30,14 +30,8 @@ pub fn fig01(ctx: &Context) -> String {
         SimDuration::from_secs(5),
     );
     let _ = writeln!(out, "state transitions:");
-    for t in &transitions {
-        let _ = writeln!(
-            out,
-            "  {:>9.2} s  {} -> {}",
-            t.at.as_secs_f64(),
-            t.from,
-            t.to
-        );
+    for (at, from, to) in transitions {
+        let _ = writeln!(out, "  {:>9.2} s  {from} -> {to}", at.as_secs_f64());
     }
     let _ = writeln!(out, "\n4 Hz power samples (t, W):");
     for (i, w) in trace.samples().iter().enumerate() {

@@ -24,7 +24,7 @@
 //! and the teeth tests prove each dies within a two-step
 //! counterexample, mirroring the PR 4 mutants.
 
-use crate::run::{RunReport, Violation, ENERGY_REL_TOL};
+use crate::run::{check_transitions, RunReport, Violation, ENERGY_REL_TOL};
 use crate::scenario::{Scenario, Step};
 use ewb_obs::{ledger, Event, RadioState as Obs, Recorder, Timer};
 use ewb_rrc::{
@@ -810,32 +810,28 @@ where
             format!("machine {m_res:?}, reference {:?}", r.residency()),
         );
     }
-    let m_trans: Vec<RefTransition> = m
-        .transitions()
-        .iter()
-        .map(|t| (t.at, t.from, t.to))
-        .collect();
-    if m_trans != r.transitions() {
+    let events = recorder.events();
+    let transitions = ledger::transitions(&events);
+    if transitions != r.transitions() {
         push(
             &mut violations,
             "differential-transitions",
-            format!("machine took {m_trans:?}, reference {:?}", r.transitions()),
+            format!(
+                "machine took {transitions:?}, reference {:?}",
+                r.transitions()
+            ),
         );
     }
 
     // ---- invariants over the machine's own record ---------------------
-    check_ladder_invariants(
-        &m,
-        &spec,
-        &recorder.events(),
-        &transfer_windows,
-        &mut |inv, d| push(&mut violations, inv, d),
-    );
+    check_ladder_invariants(&m, &spec, &events, &transfer_windows, &mut |inv, d| {
+        push(&mut violations, inv, d)
+    });
 
     // Coverage from the machine's own record.
     coverage.insert(format!("state:{}", m.state_label()));
-    for t in m.transitions() {
-        coverage.insert(format!("trans:{}->{}", t.from, t.to));
+    for (_, from, to) in transitions {
+        coverage.insert(format!("trans:{from}->{to}"));
     }
     let c = m.counters();
     for (key, v) in [
@@ -870,37 +866,7 @@ pub fn check_ladder_invariants<B: LadderBackend>(
     transfer_windows: &[(SimTime, SimTime)],
     push: &mut dyn FnMut(&'static str, String),
 ) {
-    let legal = ladder_legal_edges(spec);
-    for (i, t) in m.transitions().iter().enumerate() {
-        if !legal.contains(&(t.from, t.to)) {
-            push(
-                "legal-transitions",
-                format!(
-                    "illegal transition #{i}: {} -> {} at {}",
-                    t.from, t.to, t.at
-                ),
-            );
-        }
-    }
-    for (i, w) in m.transitions().windows(2).enumerate() {
-        if w[0].to != w[1].from {
-            push(
-                "legal-transitions",
-                format!(
-                    "discontinuous transition chain at #{}: ... -> {} then {} -> ...",
-                    i + 1,
-                    w[0].to,
-                    w[1].from
-                ),
-            );
-        }
-        if w[0].at > w[1].at {
-            push(
-                "legal-transitions",
-                format!("transitions out of order at #{}", i + 1),
-            );
-        }
-    }
+    check_transitions(events, &ladder_legal_edges(spec), push);
 
     // Dwell timers fire only in dwell-bearing (non-bottom, non-promoting)
     // states; the 3G timers never fire here at all.

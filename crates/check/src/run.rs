@@ -19,6 +19,10 @@
 //! 6. **residency-accounts-time** — per-state residency sums to elapsed
 //!    time.
 //!
+//! Invariant 1 is [`check_transitions`], the one routine both this 3G
+//! driver and the ladder-backend driver run over the `StateTransition`
+//! events: the machines keep no transition list of their own.
+//!
 //! The differential layer then compares state, clock, transition log,
 //! counters, residency, per-transfer `data_start`, and total energy
 //! (exact for integers, 1 nJ/J relative tolerance for the f64 energy,
@@ -82,16 +86,17 @@ impl RunReport {
 }
 
 /// The legal edges of the Fig. 2 RRC transition matrix, as enforced by
-/// invariant 1. `Promoting→Idle` is deliberately absent: a promotion
-/// cannot be abandoned.
-pub const LEGAL_TRANSITIONS: [(RrcState, RrcState); 7] = [
-    (RrcState::Idle, RrcState::Promoting),
-    (RrcState::Promoting, RrcState::Fach),
-    (RrcState::Promoting, RrcState::Dch),
-    (RrcState::Fach, RrcState::Promoting),
-    (RrcState::Dch, RrcState::Fach),
-    (RrcState::Fach, RrcState::Idle),
-    (RrcState::Dch, RrcState::Idle),
+/// invariant 1, in the `ewb-obs` state names the machine's events carry.
+/// `Promoting→Idle` is deliberately absent: a promotion cannot be
+/// abandoned.
+pub const LEGAL_TRANSITIONS: [(RadioState, RadioState); 7] = [
+    (RadioState::Idle, RadioState::Promoting),
+    (RadioState::Promoting, RadioState::Fach),
+    (RadioState::Promoting, RadioState::Dch),
+    (RadioState::Fach, RadioState::Promoting),
+    (RadioState::Dch, RadioState::Fach),
+    (RadioState::Fach, RadioState::Idle),
+    (RadioState::Dch, RadioState::Idle),
 ];
 
 /// Runs `scenario` against a machine built from `mutant.doctor(cfg)`
@@ -226,27 +231,28 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
             format!("machine {:?}, reference {:?}", m.residency(), r.residency()),
         );
     }
-    if m.transitions() != r.transitions() {
+    let events = recorder.events();
+    let transitions = ledger::transitions(&events);
+    if transitions != r.transitions() {
         push(
             &mut violations,
             "differential-transitions",
             format!(
-                "machine took {:?}, reference {:?}",
-                m.transitions(),
+                "machine took {transitions:?}, reference {:?}",
                 r.transitions()
             ),
         );
     }
 
     // ---- invariants over the machine's own record ---------------------
-    check_machine_invariants(&m, &recorder.events(), &transfer_windows, &mut |inv, d| {
+    check_machine_invariants(&m, &events, &transfer_windows, &mut |inv, d| {
         push(&mut violations, inv, d)
     });
 
     // Coverage from the machine's own record.
     coverage.insert(format!("state:{}", m.state()));
-    for t in m.transitions() {
-        coverage.insert(format!("trans:{}->{}", t.from, t.to));
+    for (_, from, to) in transitions {
+        coverage.insert(format!("trans:{from}->{to}"));
     }
     let c = m.counters();
     for (key, v) in [
@@ -282,36 +288,7 @@ pub fn check_machine_invariants(
     push: &mut dyn FnMut(&'static str, String),
 ) {
     // 1. Legal-transition matrix, continuity, and time ordering.
-    for (i, t) in m.transitions().iter().enumerate() {
-        if !LEGAL_TRANSITIONS.contains(&(t.from, t.to)) {
-            push(
-                "legal-transitions",
-                format!(
-                    "illegal transition #{i}: {} -> {} at {}",
-                    t.from, t.to, t.at
-                ),
-            );
-        }
-    }
-    for (i, w) in m.transitions().windows(2).enumerate() {
-        if w[0].to != w[1].from {
-            push(
-                "legal-transitions",
-                format!(
-                    "discontinuous transition chain at #{}: ... -> {} then {} -> ...",
-                    i + 1,
-                    w[0].to,
-                    w[1].from
-                ),
-            );
-        }
-        if w[0].at > w[1].at {
-            push(
-                "legal-transitions",
-                format!("transitions out of order at #{}", i + 1),
-            );
-        }
-    }
+    check_transitions(events, &LEGAL_TRANSITIONS, push);
 
     // 2. Timers fire only in their arming state. The energy segment
     // ending at the expiry instant shows the state the radio was in
@@ -410,6 +387,45 @@ pub fn check_machine_invariants(
                 elapsed
             ),
         );
+    }
+}
+
+/// Invariant 1 over the `StateTransition` events of any backend's
+/// stream: every state change is one of the `legal` edges, each starts
+/// in the state the previous one ended in, and none comes before the
+/// previous one.
+pub fn check_transitions(
+    events: &[Event],
+    legal: &[(RadioState, RadioState)],
+    push: &mut dyn FnMut(&'static str, String),
+) {
+    let transitions = ledger::transitions(events);
+    for (i, &(at, from, to)) in transitions.iter().enumerate() {
+        if !legal.contains(&(from, to)) {
+            push(
+                "legal-transitions",
+                format!("illegal transition #{i}: {from} -> {to} at {at}"),
+            );
+        }
+    }
+    for (i, w) in transitions.windows(2).enumerate() {
+        if w[0].2 != w[1].1 {
+            push(
+                "legal-transitions",
+                format!(
+                    "discontinuous transition chain at #{}: ... -> {} then {} -> ...",
+                    i + 1,
+                    w[0].2,
+                    w[1].1
+                ),
+            );
+        }
+        if w[0].0 > w[1].0 {
+            push(
+                "legal-transitions",
+                format!("transitions out of order at #{}", i + 1),
+            );
+        }
     }
 }
 

@@ -5,9 +5,10 @@
 //! energy-aware browser finishes at 100 (25 s) and switches to IDLE at
 //! 110 (27.5 s), after which it draws almost nothing.
 
-use super::single_visit;
 use crate::cases::Case;
 use crate::config::CoreConfig;
+use crate::session::{simulate_session, SessionOpts, Visit};
+use ewb_obs::{ledger, Recorder};
 use ewb_simcore::PowerTrace;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
 
@@ -25,7 +26,8 @@ pub struct PowerTraces {
     pub energy_aware_opened_s: f64,
 }
 
-/// Produces both traces for one page with a fixed reading window.
+/// Produces both traces for one page with a fixed reading window, each
+/// sampled from the energy ledger of its session's replayed radio.
 pub fn espn_power_traces(
     corpus: &Corpus,
     server: &OriginServer,
@@ -33,13 +35,29 @@ pub fn espn_power_traces(
     reading_s: f64,
 ) -> PowerTraces {
     let page = corpus.page("espn", PageVersion::Full).expect("espn exists");
-    let orig = single_visit(server, page, Case::Original, cfg, reading_s);
-    let ea = single_visit(server, page, Case::Accurate9, cfg, reading_s);
+    let visit = [Visit {
+        page,
+        reading_s,
+        features: None,
+    }];
+    let traced = |case: Case| {
+        let recorder = Recorder::ledger(Recorder::disabled());
+        let opts = SessionOpts {
+            recorder: recorder.clone(),
+            ..SessionOpts::three_g(cfg)
+        };
+        let opened = simulate_session(server, &visit, case, cfg, opts).pages[0].opened;
+        let entries = ledger::entries(&recorder.events());
+        let trace = ledger::power_trace(&entries, PowerTrace::PAPER_INTERVAL);
+        (trace, opened.as_secs_f64())
+    };
+    let (original, original_opened_s) = traced(Case::Original);
+    let (energy_aware, energy_aware_opened_s) = traced(Case::Accurate9);
     PowerTraces {
-        original: PowerTrace::sample_meter(orig.radio.meter(), PowerTrace::PAPER_INTERVAL),
-        original_opened_s: orig.pages[0].opened.as_secs_f64(),
-        energy_aware: PowerTrace::sample_meter(ea.radio.meter(), PowerTrace::PAPER_INTERVAL),
-        energy_aware_opened_s: ea.pages[0].opened.as_secs_f64(),
+        original,
+        original_opened_s,
+        energy_aware,
+        energy_aware_opened_s,
     }
 }
 

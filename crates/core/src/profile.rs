@@ -18,12 +18,15 @@
 //! 3G — and stores each load's radio events shifted to a click-relative
 //! clock. It also compiles each load into a [`LoadTape`]: the events,
 //! replayed once onto a machine in the key's click state, fix the load's
-//! whole effect on the machine — its meter addends and segments, its
-//! transitions, its residency and counter deltas, and its end state with
-//! click-relative deadlines. [`run_profiled_session_with`] replays whole
-//! 3G sessions on one incremental [`RrcMachine`] by playing each visit's
-//! tape at its click, so a visit costs one pass over the tape's addends
-//! instead of one machine call per event: the hot path of `ewb-fleet`.
+//! whole effect on the machine — its meter addends and duration, its
+//! residency and counter deltas, and its end state with click-relative
+//! deadlines. [`run_profiled_session_with`] replays whole 3G sessions on
+//! one incremental [`RrcMachine`] by playing each visit's tape at its
+//! click, so a visit costs one pass over the tape's addends instead of
+//! one machine call per event: the hot path of `ewb-fleet`. Neither the
+//! tape nor the machine keeps a history of power segments or state
+//! transitions; that history is the `ewb-obs` energy ledger, which only a
+//! machine with a recorder attached emits.
 //!
 //! The replayed session is **bit-identical** to
 //! [`simulate_session`](crate::session::simulate_session): that path
@@ -638,11 +641,8 @@ impl Default for ProfiledSessionOpts {
 /// click — runs on the live machine. `opts` picks the fault tier and plan
 /// to replay and can inject a mid-session predictor outage.
 ///
-/// The session allocates only as the machine's history grows: its meter
-/// keeps every merged power segment and it keeps every state transition
-/// (about 41 and 2.5 per visit, or 730 and 44 per session, in the
-/// fleet's smoke population). No caller reads either history; ROADMAP
-/// item 5 ("one energy history") would drop both.
+/// The machine keeps no history — its meter is a clock and a running
+/// total — so playing a session allocates no history.
 ///
 /// During an outage, predicted-threshold visits run the intuitive
 /// release-after-load policy instead; each such visit is flagged in its

@@ -26,7 +26,7 @@ use ewb_browser::pipeline::{load_page_with, PipelineConfig};
 use ewb_browser::CpuWork;
 use ewb_net::replay::{events_of_load_parallel, replay, RadioEvent};
 use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
-use ewb_obs::{Event as ObsEvent, Recorder};
+use ewb_obs::{ledger, Event as ObsEvent, Recorder};
 use ewb_rrc::{RadioModel, RrcMachine};
 use ewb_simcore::{SimDuration, SimTime, SplitMix64};
 use ewb_traces::{FeatureVector, ReadingTimePredictor};
@@ -140,8 +140,8 @@ pub struct RadioSessionOutcome<R: RadioModel> {
     pub duration: SimDuration,
     /// Radio event counters from the energy replay.
     pub counters: R::Counters,
-    /// The replayed radio — exact power segments for trace plotting
-    /// (Fig. 9).
+    /// The replayed radio at the session's end. Its history is the energy
+    /// ledger of a recorder passed in [`SessionOpts::recorder`].
     pub radio: R,
 }
 
@@ -427,15 +427,21 @@ pub fn simulate_session<R: RadioModel>(
     }
 
     // Exact energy: replay radio + CPU events on a fresh machine. The
-    // recorder rides on the *replay* machine — the one whose energy is
-    // reported — so the emitted ledger folds to `total_joules` exactly.
-    let radio: R = replay(radio_cfg, start, events, t, recorder);
-    let meter = radio.meter();
+    // ledger recorder rides on the *replay* machine — the one whose energy
+    // is reported — and passes every event on to the caller's recorder,
+    // so the emitted ledger folds to `total_joules` exactly and the
+    // per-visit windows are read off the same ledger.
+    let ledger_recorder = Recorder::ledger(recorder.clone());
+    let mut radio: R = replay(radio_cfg, start, events, t, ledger_recorder.clone());
+    // The outcome's radio keeps the caller's recorder; the ledger goes
+    // with `ledger_recorder` once the windows are read.
+    radio.set_recorder(recorder);
+    let entries = ledger::entries(&ledger_recorder.events());
     for (i, record) in partial.iter_mut().enumerate() {
         let (page_start, opened) = boundaries[i];
         let next = boundaries.get(i + 1).map_or(t, |b| b.0);
-        record.load_joules = meter.joules_between(page_start, opened);
-        record.reading_joules = meter.joules_between(opened, next);
+        record.load_joules = ledger::joules_between(&entries, page_start, opened);
+        record.reading_joules = ledger::joules_between(&entries, opened, next);
     }
 
     RadioSessionOutcome {

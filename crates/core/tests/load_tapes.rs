@@ -3,25 +3,28 @@
 //!
 //! A profile's tape, played at a click, must leave the machine exactly as
 //! replaying the profile's events one machine call at a time does: the
-//! energy to the bit, the meter with its segments, the transitions, the
-//! counters, the residency, the state and the clock. The reference here
-//! is that event loop, kept in this file independent of the dispatch the
-//! tapes are compiled through.
+//! energy to the bit, the counters, the residency, the state and the
+//! clock — and, since a tape carries no history, the machine must then
+//! emit the same event stream as the live one when a recorder watches
+//! what follows the load. The reference here is that event loop, kept in
+//! this file independent of the dispatch the tapes are compiled through.
 //!
 //! Every captured key is checked from its click state, on clean and lossy
 //! tiers under the sequential and one parallel plan. Then proptest chains
 //! loads with random dwell times and fast-dormancy releases, so tapes
-//! play onto machines whose history and meter differ from the capture's.
+//! play onto machines whose history and energy differ from the
+//! capture's.
 
 use ewb_core::browser::parallel::ParallelismPlan;
 use ewb_core::browser::pipeline::PipelineMode;
 use ewb_core::net::replay::RadioEvent;
+use ewb_core::obs::{Event, Recorder};
 use ewb_core::profile::{FaultTier, ProfileTable};
 use ewb_core::rrc::{
     FiveGConfig, FiveGMachine, LadderBackend, LadderMachine, LteConfig, LteMachine, RadioModel,
     RrcMachine, WifiConfig, WifiMachine,
 };
-use ewb_core::simcore::{EnergyMeter, SimDuration, SimTime};
+use ewb_core::simcore::{SimDuration, SimTime};
 use ewb_core::webpage::{benchmark_corpus, OriginServer};
 use ewb_core::CoreConfig;
 use proptest::prelude::*;
@@ -77,52 +80,44 @@ trait Observed: RadioModel {
     fn view(&self) -> Self::View;
 }
 
-/// The energy's bits, the meter (total, clock and segments), the state
-/// label and the clock; each backend adds its transitions, counters and
-/// residency.
-type Common = (u64, EnergyMeter, &'static str, SimTime);
+/// The energy's bits, the state label and the clock; each backend adds
+/// its counters and residency.
+type Common = (u64, &'static str, SimTime);
 
 fn common<R: RadioModel>(m: &R) -> Common {
-    (
-        m.energy_j().to_bits(),
-        m.meter().clone(),
-        m.state_label(),
-        m.now(),
-    )
+    (m.energy_j().to_bits(), m.state_label(), m.now())
 }
 
 impl Observed for RrcMachine {
     type View = (
         Common,
-        Vec<ewb_core::rrc::Transition>,
         ewb_core::rrc::RrcCounters,
         ewb_core::rrc::StateResidency,
     );
     fn view(&self) -> Self::View {
-        (
-            common(self),
-            self.transitions().to_vec(),
-            self.counters(),
-            self.residency(),
-        )
+        (common(self), self.counters(), self.residency())
     }
 }
 
 impl<B: LadderBackend> Observed for LadderMachine<B> {
     type View = (
         Common,
-        Vec<ewb_core::rrc::LadderTransition>,
         ewb_core::rrc::LadderCounters,
         ewb_core::rrc::LadderResidency,
     );
     fn view(&self) -> Self::View {
-        (
-            common(self),
-            self.transitions().to_vec(),
-            self.counters(),
-            self.residency(),
-        )
+        (common(self), self.counters(), self.residency())
     }
+}
+
+/// Runs `after` on `m` with a memory recorder attached and returns what
+/// it recorded; the machine leaves untraced, ready for the next tape.
+fn traced<R: RadioModel>(m: &mut R, after: impl FnOnce(&mut R)) -> Vec<Event> {
+    let recorder = Recorder::memory();
+    m.set_recorder(recorder.clone());
+    after(m);
+    m.set_recorder(Recorder::disabled());
+    recorder.events()
 }
 
 /// The reference: the load's events, one machine call each, `click`
@@ -171,9 +166,10 @@ fn every_key_matches<R: Observed>(table: &ProfileTable<R>) {
                             format!("{} page {page} {mode:?} {state} {tier} {plan}", R::BACKEND);
                         assert_eq!(live.view(), taped.view(), "{key}: after the load");
                         let later = click + profile.opened + SimDuration::from_secs(60);
-                        live.advance_to(later);
-                        taped.advance_to(later);
+                        let live_tail = traced(&mut live, |m| m.advance_to(later));
+                        let taped_tail = traced(&mut taped, |m| m.advance_to(later));
                         assert_eq!(live.view(), taped.view(), "{key}: after the tail");
+                        assert_eq!(live_tail, taped_tail, "{key}: the tail's events");
                         keys += 1;
                     }
                 }
@@ -216,16 +212,19 @@ fn chain_matches<R: Observed>(table: &ProfileTable<R>, chain: &[Step]) -> Result
 
         let opened = click + profile.opened;
         let next = opened + dwell;
-        if let Some(frac) = release {
-            let at = opened + dwell.mul_f64(frac);
-            if at + R::release_latency(&cfg) <= next {
-                live.release_to_idle(at);
-                taped.release_to_idle(at);
+        let release_at = release
+            .map(|frac| opened + dwell.mul_f64(frac))
+            .filter(|&at| at + R::release_latency(&cfg) <= next);
+        let dwell = |m: &mut R| {
+            if let Some(at) = release_at {
+                m.release_to_idle(at);
             }
-        }
-        live.advance_to(next);
-        taped.advance_to(next);
+            m.advance_to(next);
+        };
+        let live_dwell = traced(&mut live, dwell);
+        let taped_dwell = traced(&mut taped, dwell);
         prop_assert_eq!(live.view(), taped.view(), "visit {i}: after the dwell");
+        prop_assert_eq!(live_dwell, taped_dwell, "visit {i}: the dwell's events");
     }
     Ok(())
 }

@@ -9,7 +9,11 @@
 //!
 //! - **RRC** ([`Layer::Rrc`]): state transitions, promotion windows,
 //!   T1/T2 expiries, fast-dormancy releases, and [`Event::EnergySegment`]
-//!   entries forming the **energy ledger**.
+//!   entries forming the **energy ledger** — the only record of a
+//!   radio's power and state over time. The machines keep just a clock
+//!   and a running total; Figs. 1, 3 and 9, Table 5, a session's
+//!   per-visit joules and the model checker all attach a recorder and
+//!   read the ledger ([`ledger`]).
 //! - **Net** ([`Layer::Net`]): transfer begin/end, injected faults,
 //!   retry scheduling.
 //! - **Browser** ([`Layer::Browser`]): per-stage computation [`Event::Span`]s
@@ -29,9 +33,10 @@
 //!
 //! [`Recorder::memory`] retains everything (tests, timeline export),
 //! [`Recorder::ring`] keeps a bounded tail, [`Recorder::summarizing`]
-//! folds a constant-memory [`Summary`], and [`Recorder::disabled`] is
-//! free: a single branch per emit, with [`Recorder::emit_with`] skipping
-//! event construction entirely.
+//! folds a constant-memory [`Summary`], [`Recorder::ledger`] keeps the
+//! energy ledger while passing every event on to another recorder, and
+//! [`Recorder::disabled`] is free: a single branch per emit, with
+//! [`Recorder::emit_with`] skipping event construction entirely.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -104,6 +104,28 @@ impl Sink for SummarySink {
     }
 }
 
+/// Retains only the energy ledger ([`Event::EnergySegment`] events) and
+/// passes every event on to another recorder: the sink behind
+/// [`Recorder::ledger`].
+#[derive(Debug)]
+struct LedgerSink {
+    segments: Vec<Event>,
+    forward: Recorder,
+}
+
+impl Sink for LedgerSink {
+    fn record(&mut self, event: &Event) {
+        if matches!(event, Event::EnergySegment { .. }) {
+            self.segments.push(event.clone());
+        }
+        self.forward.emit_with(|| event.clone());
+    }
+
+    fn events(&self) -> Vec<Event> {
+        self.segments.clone()
+    }
+}
+
 type SinkBox = Box<dyn Sink + Send>;
 
 /// A cloneable handle to an event sink — or to nothing at all.
@@ -136,6 +158,20 @@ impl Recorder {
     /// A recorder folding events into a running [`Summary`] only.
     pub fn summarizing() -> Self {
         Recorder::custom(Box::new(SummarySink::default()))
+    }
+
+    /// A recorder retaining only the energy ledger
+    /// ([`Event::EnergySegment`] events) and passing every event on to
+    /// `forward` in order. The recorder a reader of a machine's history
+    /// attaches: it keeps the ledger without every transition, timer and
+    /// promotion event as well, and without taking those events from
+    /// the caller's own recorder. `forward` must not be this recorder or
+    /// feed back into it.
+    pub fn ledger(forward: Recorder) -> Self {
+        Recorder::custom(Box::new(LedgerSink {
+            segments: Vec::new(),
+            forward,
+        }))
     }
 
     /// A recorder backed by a caller-provided sink.
@@ -257,6 +293,28 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].at(), SimTime::from_secs(4));
         assert_eq!(evs[1].at(), SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn ledger_recorder_keeps_segments_and_forwards_everything() {
+        let forward = Recorder::memory();
+        let r = Recorder::ledger(forward.clone());
+        let segment = Event::EnergySegment {
+            start: SimTime::ZERO,
+            end: SimTime::from_secs(1),
+            state: crate::event::RadioState::Idle,
+            watts: 0.15,
+            joules: 0.15,
+        };
+        r.emit(timer_event(1));
+        r.emit(segment.clone());
+        r.emit(timer_event(2));
+        assert_eq!(
+            forward.events(),
+            [timer_event(1), segment.clone(), timer_event(2)]
+        );
+        assert_eq!(r.events(), [segment]);
+        Recorder::ledger(Recorder::disabled()).emit(timer_event(3));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::machine::{RrcLoadEnd, RrcMachine};
 use crate::state::RrcState;
 use crate::tape::LoadTape;
 use ewb_obs::Recorder;
-use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
+use ewb_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -96,8 +96,8 @@ pub trait RadioModel: Sized + Clone {
     /// The backend's event counters.
     type Counters: Clone + fmt::Debug + PartialEq + Default + Serialize;
     /// What a page load leaves in the machine besides its meter: the
-    /// backend's part of a [`LoadTape`] (the load's transitions, its
-    /// residency and counter deltas, and its end state).
+    /// backend's part of a [`LoadTape`] (the load's residency and counter
+    /// deltas, and its end state).
     type LoadEnd: Clone + fmt::Debug + PartialEq;
 
     /// Which radio technology this machine models.
@@ -169,9 +169,6 @@ pub trait RadioModel: Sized + Clone {
     /// Total energy so far, joules.
     fn energy_j(&self) -> f64;
 
-    /// The embedded energy meter (read access).
-    fn meter(&self) -> &EnergyMeter;
-
     /// Event counters so far.
     fn counters(&self) -> Self::Counters;
 
@@ -239,9 +236,9 @@ pub trait RadioModel: Sized + Clone {
     fn load_end(&self, at_click: &Self, click: SimTime) -> Self::LoadEnd;
 
     /// Plays `tape` at `click`. Every observable of the machine — its
-    /// meter (total and segments), transitions, counters, residency,
-    /// state and pending deadlines — ends exactly as if the stimuli the
-    /// tape was compiled from had been applied `click` later.
+    /// energy total and clock, counters, residency, state and pending
+    /// deadlines — ends exactly as if the stimuli the tape was compiled
+    /// from had been applied `click` later.
     ///
     /// # Panics
     ///
@@ -333,10 +330,6 @@ impl RadioModel for RrcMachine {
 
     fn energy_j(&self) -> f64 {
         RrcMachine::energy_j(self)
-    }
-
-    fn meter(&self) -> &EnergyMeter {
-        RrcMachine::meter(self)
     }
 
     fn counters(&self) -> Self::Counters {
@@ -454,14 +447,15 @@ mod tests {
             m.advance_to(s2 + SimDuration::from_secs(20));
         }
         let cfg = RrcConfig::paper();
-        let mut a = RrcMachine::new(cfg, SimTime::ZERO);
-        let mut b = <RrcMachine as RadioModel>::new(cfg, SimTime::ZERO);
+        let (ra, rb) = (Recorder::memory(), Recorder::memory());
+        let mut a = RrcMachine::with_recorder(cfg, SimTime::ZERO, ra.clone());
+        let mut b = <RrcMachine as RadioModel>::with_recorder(cfg, SimTime::ZERO, rb.clone());
         drive_inherent(&mut a);
         drive_trait(&mut b);
         assert_eq!(a.energy_j().to_bits(), b.energy_j().to_bits());
         assert_eq!(a.counters(), b.counters());
         assert_eq!(a.residency(), b.residency());
-        assert_eq!(a.transitions(), b.transitions());
+        assert_eq!(ra.events(), rb.events());
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! [`RrcMachine`] and flags any disagreement.
 
 use crate::config::RrcConfig;
-use crate::machine::{RrcCounters, RrcMachine, StateResidency, Transition};
+use crate::machine::{RrcCounters, RrcMachine, StateResidency};
 use crate::state::RrcState;
+use ewb_obs::{ledger, RadioState, Recorder};
 use ewb_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -87,7 +88,8 @@ fn run_cycles(
     release_after_each: bool,
 ) -> (f64, f64) {
     const CYCLES: usize = 5;
-    let mut m = RrcMachine::new(*cfg, SimTime::ZERO);
+    let recorder = Recorder::ledger(Recorder::disabled());
+    let mut m = RrcMachine::with_recorder(*cfg, SimTime::ZERO, recorder.clone());
     let mut request_marks = Vec::with_capacity(CYCLES + 1);
     let mut delays = Vec::with_capacity(CYCLES);
     let mut t = SimTime::ZERO;
@@ -107,9 +109,11 @@ fn run_cycles(
     // Second-to-last full cycle: cold-start effects are gone, and the
     // cycle's trailing promotion (if the next request finds IDLE) is
     // attributed to the next cycle's window consistently for both modes.
-    let j = m
-        .meter()
-        .joules_between(request_marks[CYCLES - 2], request_marks[CYCLES - 1]);
+    let j = ledger::joules_between(
+        &ledger::entries(&recorder.events()),
+        request_marks[CYCLES - 2],
+        request_marks[CYCLES - 1],
+    );
     // Steady-state delay: the last transfer's promotion wait.
     (j, *delays.last().expect("at least one cycle"))
 }
@@ -150,8 +154,9 @@ pub fn break_even(cfg: &RrcConfig, transfer: SimDuration) -> f64 {
 /// The interpreter supports exactly the *sequential* stimulus alphabet
 /// the `ewb-check` scenarios use — wait, one-at-a-time transfers, fast
 /// dormancy, CPU-load changes — and reproduces the machine's observable
-/// surface: state at step boundaries, transition log, counters,
-/// residency, promotion `data_start` instants, and total energy.
+/// surface: state at step boundaries, transition log (in the `ewb-obs`
+/// state names the machine's events carry), counters, residency,
+/// promotion `data_start` instants, and total energy.
 ///
 /// Everything is written as straight-line arithmetic so the
 /// implementation can be audited against the paper directly:
@@ -172,7 +177,7 @@ pub struct ReferenceRrc {
     cpu_load: f64,
     joules: f64,
     residency: StateResidency,
-    transitions: Vec<Transition>,
+    transitions: Vec<(SimTime, RadioState, RadioState)>,
     counters: RrcCounters,
 }
 
@@ -225,8 +230,8 @@ impl ReferenceRrc {
         self.counters
     }
 
-    /// The recorded transitions, oldest first.
-    pub fn transitions(&self) -> &[Transition] {
+    /// The recorded transitions as `(at, from, to)`, oldest first.
+    pub fn transitions(&self) -> &[(SimTime, RadioState, RadioState)] {
         &self.transitions
     }
 
@@ -356,11 +361,7 @@ impl ReferenceRrc {
 
     fn enter(&mut self, at: SimTime, to: RrcState) {
         if self.state != to {
-            self.transitions.push(Transition {
-                at,
-                from: self.state,
-                to,
-            });
+            self.transitions.push((at, self.state.into(), to.into()));
             self.state = to;
         }
     }
@@ -483,7 +484,8 @@ mod tests {
     #[test]
     fn reference_agrees_with_machine_on_a_mixed_scenario() {
         let cfg = RrcConfig::paper();
-        let mut m = RrcMachine::new(cfg, SimTime::ZERO);
+        let recorder = Recorder::memory();
+        let mut m = RrcMachine::with_recorder(cfg, SimTime::ZERO, recorder.clone());
         let mut r = ReferenceRrc::new(cfg, SimTime::ZERO);
 
         // transfer → partial tail → small FACH transfer → dormancy → idle.
@@ -512,7 +514,7 @@ mod tests {
         assert_eq!(m.state(), r.state());
         assert_eq!(m.counters(), r.counters());
         assert_eq!(m.residency(), r.residency());
-        assert_eq!(m.transitions(), r.transitions());
+        assert_eq!(ledger::transitions(&recorder.events()), r.transitions());
         assert!((m.energy_j() - r.energy_j()).abs() < 1e-9);
     }
 }

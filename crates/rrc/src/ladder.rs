@@ -20,7 +20,7 @@
 //! test, not the oracle.
 
 use crate::backend::{RadioBackend, RadioModel};
-use crate::tape::{at_click, field_deltas, since_click, LoadTape};
+use crate::tape::{field_deltas, LoadTape};
 use ewb_obs::{Event as ObsEvent, RadioState as ObsState, Recorder, Timer as ObsTimer};
 use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -213,26 +213,13 @@ field_deltas!(LadderCounters {
 });
 
 /// What a page load leaves in a [`LadderMachine`] besides its meter: the
-/// ladder part of a [`LoadTape`]. Instants and deadlines are relative to
-/// the click.
+/// ladder part of a [`LoadTape`]. The deadline is relative to the click.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderLoadEnd {
-    transitions: Vec<LadderTransition>,
     residency: LadderResidency,
     counters: LadderCounters,
     level: usize,
     dwell_deadline: Option<SimDuration>,
-}
-
-/// One recorded level change, in `ewb-obs` state vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderTransition {
-    /// When the change took effect.
-    pub at: SimTime,
-    /// State before.
-    pub from: ObsState,
-    /// State after.
-    pub to: ObsState,
 }
 
 /// A ladder radio machine: the table-driven interpreter of a
@@ -250,7 +237,9 @@ pub struct LadderMachine<B: LadderBackend> {
     active_transfers: u32,
     cpu_load: f64,
     residency: LadderResidency,
-    transitions: Vec<LadderTransition>,
+    /// The `ewb-obs` state the last state change moved to (a level's
+    /// state, or `Promoting`): the `from` of the next `StateTransition`.
+    shown: ObsState,
     counters: LadderCounters,
     recorder: Recorder,
     _backend: PhantomData<B>,
@@ -290,7 +279,7 @@ impl<B: LadderBackend> LadderMachine<B> {
             active_transfers: 0,
             cpu_load: 0.0,
             residency: LadderResidency::default(),
-            transitions: Vec::new(),
+            shown: spec.obs_states[0],
             counters: LadderCounters::default(),
             recorder,
             _backend: PhantomData,
@@ -333,11 +322,6 @@ impl<B: LadderBackend> LadderMachine<B> {
         self.active_transfers > 0
     }
 
-    /// The embedded energy meter (read access).
-    pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
     /// Total energy so far, joules.
     pub fn energy_j(&self) -> f64 {
         self.meter.total_joules()
@@ -351,11 +335,6 @@ impl<B: LadderBackend> LadderMachine<B> {
     /// Event counters so far.
     pub fn counters(&self) -> LadderCounters {
         self.counters
-    }
-
-    /// The recorded level changes, oldest first.
-    pub fn transitions(&self) -> &[LadderTransition] {
-        &self.transitions
     }
 
     /// Completed duty cycles (beacon/DRX wakeups) spent at `level`,
@@ -554,15 +533,6 @@ impl<B: LadderBackend> LadderMachine<B> {
         // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
         assert!(self.cpu_load == 0.0, "a load must end with the CPU idle");
         LadderLoadEnd {
-            // The ladder reads its last transition to find the state it
-            // leaves, so the list is state: the tape carries it whole.
-            transitions: self.transitions[at_click.transitions.len()..]
-                .iter()
-                .map(|t| LadderTransition {
-                    at: since_click(click, t.at),
-                    ..*t
-                })
-                .collect(),
             residency: self.residency.since(at_click.residency),
             counters: self.counters.since(at_click.counters),
             level: self.level,
@@ -596,14 +566,10 @@ impl<B: LadderBackend> LadderMachine<B> {
         );
         let end = tape.end();
         self.meter.splice(tape.meter());
-        self.transitions
-            .extend(end.transitions.iter().map(|t| LadderTransition {
-                at: at_click(click, t.at),
-                ..*t
-            }));
         self.residency.add_delta(end.residency);
         self.counters.add_delta(end.counters);
         self.level = end.level;
+        self.shown = self.display_state();
         self.dwell_deadline = end.dwell_deadline.map(|d| click + d);
     }
 
@@ -677,12 +643,9 @@ impl<B: LadderBackend> LadderMachine<B> {
     }
 
     fn note_transition(&mut self, at: SimTime, to: ObsState) {
-        let from = match self.transitions.last() {
-            Some(t) => t.to,
-            None => self.spec.obs_states[0],
-        };
+        let from = self.shown;
         if from != to {
-            self.transitions.push(LadderTransition { at, from, to });
+            self.shown = to;
             self.recorder
                 .emit_with(|| ObsEvent::StateTransition { at, from, to });
         }
@@ -748,10 +711,6 @@ impl<B: LadderBackend> RadioModel for LadderMachine<B> {
 
     fn energy_j(&self) -> f64 {
         LadderMachine::energy_j(self)
-    }
-
-    fn meter(&self) -> &EnergyMeter {
-        LadderMachine::meter(self)
     }
 
     fn counters(&self) -> LadderCounters {
@@ -1497,7 +1456,7 @@ mod tests {
         }
         assert_eq!(traced.energy_j().to_bits(), plain.energy_j().to_bits());
         assert_eq!(traced.counters(), plain.counters());
-        assert_eq!(traced.transitions(), plain.transitions());
+        assert_eq!(traced.residency(), plain.residency());
         let events = recorder.events();
         let entries = ewb_obs::ledger::entries(&events);
         assert!(ewb_obs::ledger::audit(&entries).is_empty());

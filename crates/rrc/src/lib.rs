@@ -16,7 +16,8 @@
 //! §4.4) lets the application force FACH/DCH→IDLE early.
 //!
 //! [`RrcMachine`] is an exact discrete-event model of all of the above with
-//! built-in energy metering; [`PowerModel`] carries the paper's Table 5
+//! built-in energy metering (its history of states and powers is the
+//! `ewb-obs` energy ledger its recorder receives); [`PowerModel`] carries the paper's Table 5
 //! measurements; [`intuitive`] reproduces the §3.1 motivation experiment
 //! (Fig. 3); [`scenario`] generates the Fig. 1 state-tour power trace.
 //!
@@ -34,7 +35,7 @@
 //! // Let the inactivity timers run their course.
 //! radio.advance_to(data_start + SimDuration::from_secs(30));
 //! assert_eq!(radio.state(), RrcState::Idle);
-//! assert!(radio.meter().total_joules() > 0.0);
+//! assert!(radio.energy_j() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,10 +56,9 @@ pub use backend::{RadioBackend, RadioModel};
 pub use config::RrcConfig;
 pub use ladder::{
     FiveG, FiveGConfig, FiveGMachine, LadderBackend, LadderCounters, LadderLoadEnd, LadderMachine,
-    LadderResidency, LadderSpec, LadderTransition, Lte, LteConfig, LteMachine, Wifi, WifiConfig,
-    WifiMachine,
+    LadderResidency, LadderSpec, Lte, LteConfig, LteMachine, Wifi, WifiConfig, WifiMachine,
 };
-pub use machine::{RrcCounters, RrcLoadEnd, RrcMachine, StateResidency, Transition};
+pub use machine::{RrcCounters, RrcLoadEnd, RrcMachine, StateResidency};
 pub use power::{PowerModel, MAX_CPU_CORES};
 pub use state::RrcState;
 pub use tape::LoadTape;

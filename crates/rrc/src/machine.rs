@@ -11,34 +11,16 @@
 //!   machine fires T1/T2 expirations and finishes promotions on its own.
 //!
 //! Between stimuli the handset's power draw is piecewise constant, so the
-//! embedded [`EnergyMeter`] integrates energy exactly.
+//! embedded [`EnergyMeter`] integrates energy exactly. The machine keeps
+//! no history of its states or powers: it emits both into its recorder,
+//! whose energy ledger ([`ewb_obs::ledger`]) is the one record of them.
 
 use crate::config::RrcConfig;
 use crate::state::RrcState;
-use crate::tape::{at_click, field_deltas, since_click, LoadTape};
+use crate::tape::{field_deltas, LoadTape};
 use ewb_obs::{Event as ObsEvent, RadioState as ObsState, Recorder, Timer as ObsTimer};
 use ewb_simcore::{EnergyMeter, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-fn obs_state(s: RrcState) -> ObsState {
-    match s {
-        RrcState::Idle => ObsState::Idle,
-        RrcState::Promoting => ObsState::Promoting,
-        RrcState::Fach => ObsState::Fach,
-        RrcState::Dch => ObsState::Dch,
-    }
-}
-
-/// One recorded state change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Transition {
-    /// When the change took effect.
-    pub at: SimTime,
-    /// State before.
-    pub from: RrcState,
-    /// State after.
-    pub to: RrcState,
-}
 
 /// Cumulative time spent in each state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -111,11 +93,9 @@ field_deltas!(RrcCounters {
 });
 
 /// What a page load leaves in an [`RrcMachine`] besides its meter: the
-/// 3G part of a [`LoadTape`]. Instants and deadlines are relative to the
-/// click.
+/// 3G part of a [`LoadTape`]. Deadlines are relative to the click.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RrcLoadEnd {
-    transitions: Vec<Transition>,
     residency: StateResidency,
     counters: RrcCounters,
     state: RrcState,
@@ -145,7 +125,6 @@ pub struct RrcMachine {
     active_transfers: u32,
     cpu_load: f64,
     residency: StateResidency,
-    transitions: Vec<Transition>,
     counters: RrcCounters,
     recorder: Recorder,
 }
@@ -183,7 +162,6 @@ impl RrcMachine {
             active_transfers: 0,
             cpu_load: 0.0,
             residency: StateResidency::default(),
-            transitions: Vec::new(),
             counters: RrcCounters::default(),
             recorder,
         }
@@ -215,11 +193,6 @@ impl RrcMachine {
         self.active_transfers > 0
     }
 
-    /// The embedded energy meter (read access).
-    pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
-    }
-
     /// Total energy so far, in joules.
     pub fn energy_j(&self) -> f64 {
         self.meter.total_joules()
@@ -233,11 +206,6 @@ impl RrcMachine {
     /// Event counters so far.
     pub fn counters(&self) -> RrcCounters {
         self.counters
-    }
-
-    /// The recorded transitions, oldest first.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
     }
 
     /// The machine's configuration.
@@ -389,7 +357,7 @@ impl RrcMachine {
                     self.counters.promotion_retries += u64::from(retries);
                     self.recorder.emit_with(|| ObsEvent::PromotionStart {
                         at: t,
-                        from: obs_state(from),
+                        from: from.into(),
                         target: ObsState::Dch,
                         done: new_end,
                         retries,
@@ -481,13 +449,6 @@ impl RrcMachine {
         // lint:allow(api/float-eq) loads set integer core counts; idle is exactly 0
         assert!(self.cpu_load == 0.0, "a load must end with the CPU idle");
         RrcLoadEnd {
-            transitions: self.transitions[at_click.transitions.len()..]
-                .iter()
-                .map(|t| Transition {
-                    at: since_click(click, t.at),
-                    ..*t
-                })
-                .collect(),
             residency: self.residency.since(at_click.residency),
             counters: self.counters.since(at_click.counters),
             state: self.state,
@@ -522,11 +483,6 @@ impl RrcMachine {
         );
         let end = tape.end();
         self.meter.splice(tape.meter());
-        self.transitions
-            .extend(end.transitions.iter().map(|t| Transition {
-                at: at_click(click, t.at),
-                ..*t
-            }));
         self.residency.add_delta(end.residency);
         self.counters.add_delta(end.counters);
         self.state = end.state;
@@ -602,8 +558,8 @@ impl RrcMachine {
         self.promotion = Some((end, target, from));
         self.recorder.emit_with(|| ObsEvent::PromotionStart {
             at: t,
-            from: obs_state(from),
-            target: obs_state(target),
+            from: from.into(),
+            target: target.into(),
             done: end,
             retries,
         });
@@ -624,7 +580,7 @@ impl RrcMachine {
             self.recorder.emit_with(|| ObsEvent::EnergySegment {
                 start: before,
                 end: t,
-                state: obs_state(state),
+                state: state.into(),
                 watts,
                 joules: watts * (t - before).as_secs_f64(),
             });
@@ -633,16 +589,11 @@ impl RrcMachine {
 
     fn change_state(&mut self, at: SimTime, to: RrcState) {
         if self.state != to {
-            self.transitions.push(Transition {
-                at,
-                from: self.state,
-                to,
-            });
             let from = self.state;
             self.recorder.emit_with(|| ObsEvent::StateTransition {
                 at,
-                from: obs_state(from),
-                to: obs_state(to),
+                from: from.into(),
+                to: to.into(),
             });
             self.state = to;
         }
@@ -886,23 +837,24 @@ mod tests {
 
     #[test]
     fn transitions_are_recorded_in_order() {
-        let mut m = machine();
+        let recorder = Recorder::memory();
+        let mut m = RrcMachine::with_recorder(RrcConfig::paper(), SimTime::ZERO, recorder.clone());
         let s = m.begin_transfer(SimTime::ZERO, true);
         m.end_transfer(s + SimDuration::from_secs(1));
         m.advance_to(secs(60.0));
-        let seq: Vec<(RrcState, RrcState)> =
-            m.transitions().iter().map(|t| (t.from, t.to)).collect();
+        let transitions = ewb_obs::ledger::transitions(&recorder.events());
+        let seq: Vec<(ObsState, ObsState)> = transitions.iter().map(|t| (t.1, t.2)).collect();
         assert_eq!(
             seq,
             vec![
-                (RrcState::Idle, RrcState::Promoting),
-                (RrcState::Promoting, RrcState::Dch),
-                (RrcState::Dch, RrcState::Fach),
-                (RrcState::Fach, RrcState::Idle),
+                (ObsState::Idle, ObsState::Promoting),
+                (ObsState::Promoting, ObsState::Dch),
+                (ObsState::Dch, ObsState::Fach),
+                (ObsState::Fach, ObsState::Idle),
             ]
         );
-        for w in m.transitions().windows(2) {
-            assert!(w[0].at <= w[1].at);
+        for w in transitions.windows(2) {
+            assert!(w[0].0 <= w[1].0);
         }
     }
 
@@ -1092,7 +1044,7 @@ mod edge_case_tests {
         // Observer effect = 0: tracing changes nothing observable.
         assert_eq!(traced.energy_j().to_bits(), plain.energy_j().to_bits());
         assert_eq!(traced.counters(), plain.counters());
-        assert_eq!(traced.transitions(), plain.transitions());
+        assert_eq!(traced.residency(), plain.residency());
         // The ledger folds back to the reported energy exactly.
         let events = recorder.events();
         let entries = ewb_obs::ledger::entries(&events);
@@ -1101,9 +1053,10 @@ mod edge_case_tests {
             ewb_obs::ledger::total(&entries).to_bits(),
             traced.energy_j().to_bits()
         );
-        // Transitions, timers, promotions, and the release all surfaced.
+        // Transitions (IDLE → PROMOTING → DCH → FACH → IDLE), timers,
+        // promotions, and the release all surfaced.
         let summary = recorder.summary();
-        assert_eq!(summary.transitions, traced.transitions().len() as u64);
+        assert_eq!(summary.transitions, 4);
         assert_eq!(summary.events_by_kind["fast_dormancy"], 1);
         assert_eq!(summary.events_by_kind["promotion_start"], 1);
         assert_eq!(summary.events_by_kind["timer_expired"], 1);

@@ -7,22 +7,26 @@
 //!   the machine through each state and reports the mean sampled power, so
 //!   the "measured" column of the Table 5 binary comes from the model
 //!   rather than from the constants directly.
+//!
+//! Both read the machine's energy ledger through an attached recorder.
 
 use crate::config::RrcConfig;
-use crate::machine::{RrcMachine, Transition};
+use crate::machine::RrcMachine;
 use crate::state::RrcState;
+use ewb_obs::{ledger, RadioState, Recorder};
 use ewb_simcore::{PowerTrace, SimDuration, SimTime};
 
 /// The Fig. 1 state tour: `idle_lead` of IDLE, one transfer of length
 /// `transfer`, then the full timer tails and `idle_tail` of IDLE. Returns
-/// the 4 Hz power trace and the state transitions.
+/// the 4 Hz power trace and the state transitions as `(at, from, to)`.
 pub fn state_tour(
     cfg: &RrcConfig,
     idle_lead: SimDuration,
     transfer: SimDuration,
     idle_tail: SimDuration,
-) -> (PowerTrace, Vec<Transition>) {
-    let mut m = RrcMachine::new(*cfg, SimTime::ZERO);
+) -> (PowerTrace, Vec<(SimTime, RadioState, RadioState)>) {
+    let recorder = Recorder::memory();
+    let mut m = RrcMachine::with_recorder(*cfg, SimTime::ZERO, recorder.clone());
     let request = SimTime::ZERO + idle_lead;
     m.advance_to(request);
     let data_start = m.begin_transfer(request, true);
@@ -31,9 +35,10 @@ pub fn state_tour(
     // Ride the tails to IDLE, then linger.
     let settle = data_end + cfg.t1 + cfg.t2 + idle_tail;
     m.advance_to(settle);
+    let events = recorder.events();
     (
-        PowerTrace::sample_meter(m.meter(), PowerTrace::PAPER_INTERVAL),
-        m.transitions().to_vec(),
+        ledger::power_trace(&ledger::entries(&events), PowerTrace::PAPER_INTERVAL),
+        ledger::transitions(&events),
     )
 }
 
@@ -42,54 +47,49 @@ pub fn state_tour(
 /// `(state, mean_watts)` pairs for IDLE, FACH, DCH-without-transmission
 /// and DCH-with-transmission, plus the fully-running-CPU-at-IDLE figure.
 pub fn measured_state_powers(cfg: &RrcConfig) -> Vec<(String, f64)> {
-    let mut m = RrcMachine::new(*cfg, SimTime::ZERO);
-    let mut rows = Vec::new();
+    let recorder = Recorder::ledger(Recorder::disabled());
+    let mut m = RrcMachine::with_recorder(*cfg, SimTime::ZERO, recorder.clone());
 
     // IDLE: [0, 10).
-    m.advance_to(SimTime::from_secs(10));
-    rows.push((
-        "IDLE state".to_string(),
-        m.meter()
-            .joules_between(SimTime::ZERO, SimTime::from_secs(10))
-            / 10.0,
-    ));
+    let idle_end = SimTime::from_secs(10);
+    m.advance_to(idle_end);
 
     // Transfer: promotion, then DCH with transmission for 5 s.
-    let data_start = m.begin_transfer(SimTime::from_secs(10), true);
+    let data_start = m.begin_transfer(idle_end, true);
     let data_end = data_start + SimDuration::from_secs(5);
     m.end_transfer(data_end);
-    rows.push((
-        "DCH state with transmission".to_string(),
-        m.meter().joules_between(data_start, data_end) / 5.0,
-    ));
 
     // DCH hold: the T1 window.
     let t1_end = data_end + cfg.t1;
     m.advance_to(t1_end);
-    rows.push((
-        "DCH state without transmission".to_string(),
-        m.meter().joules_between(data_end, t1_end) / cfg.t1.as_secs_f64(),
-    ));
 
     // FACH: the T2 window.
     let t2_end = t1_end + cfg.t2;
     m.advance_to(t2_end);
-    rows.push((
-        "FACH state".to_string(),
-        m.meter().joules_between(t1_end, t2_end) / cfg.t2.as_secs_f64(),
-    ));
 
     // Fully running CPU at IDLE.
     debug_assert_eq!(m.state(), RrcState::Idle);
     m.set_cpu_load(t2_end, 1.0);
     let cpu_end = t2_end + SimDuration::from_secs(10);
     m.advance_to(cpu_end);
-    rows.push((
-        "Fully running CPU (IDLE state)".to_string(),
-        m.meter().joules_between(t2_end, cpu_end) / 10.0,
-    ));
 
-    rows
+    let entries = ledger::entries(&recorder.events());
+    [
+        ("IDLE state", SimTime::ZERO, idle_end),
+        ("DCH state with transmission", data_start, data_end),
+        ("DCH state without transmission", data_end, t1_end),
+        ("FACH state", t1_end, t2_end),
+        ("Fully running CPU (IDLE state)", t2_end, cpu_end),
+    ]
+    .into_iter()
+    .map(|(name, from, to)| {
+        let secs = (to - from).as_secs_f64();
+        (
+            name.to_string(),
+            ledger::joules_between(&entries, from, to) / secs,
+        )
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -105,14 +105,14 @@ mod tests {
             SimDuration::from_secs(3),
             SimDuration::from_secs(5),
         );
-        let seq: Vec<(RrcState, RrcState)> = transitions.iter().map(|t| (t.from, t.to)).collect();
+        let seq: Vec<(RadioState, RadioState)> = transitions.iter().map(|t| (t.1, t.2)).collect();
         assert_eq!(
             seq,
             vec![
-                (RrcState::Idle, RrcState::Promoting),
-                (RrcState::Promoting, RrcState::Dch),
-                (RrcState::Dch, RrcState::Fach),
-                (RrcState::Fach, RrcState::Idle),
+                (RadioState::Idle, RadioState::Promoting),
+                (RadioState::Promoting, RadioState::Dch),
+                (RadioState::Dch, RadioState::Fach),
+                (RadioState::Fach, RadioState::Idle),
             ]
         );
     }

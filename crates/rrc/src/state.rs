@@ -1,5 +1,6 @@
 //! The RRC protocol states.
 
+use ewb_obs::RadioState;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -44,6 +45,18 @@ impl fmt::Display for RrcState {
             RrcState::Dch => "DCH",
         };
         f.write_str(name)
+    }
+}
+
+/// The `ewb-obs` name of a 3G state, which the machine's events carry.
+impl From<RrcState> for RadioState {
+    fn from(s: RrcState) -> Self {
+        match s {
+            RrcState::Idle => RadioState::Idle,
+            RrcState::Promoting => RadioState::Promoting,
+            RrcState::Fach => RadioState::Fach,
+            RrcState::Dch => RadioState::Dch,
+        }
     }
 }
 

@@ -10,23 +10,25 @@
 //! addend `watts × duration` has exactly the same bits.
 //!
 //! A [`LoadTape`] is that effect compiled once:
-//! - the meter addends, in order, and the segments they form
+//! - the meter addends, in order, and the load's duration
 //!   ([`MeterTape`]);
-//! - the load's state transitions, on a click-relative clock;
 //! - its residency and counter deltas, which add exactly as integers;
 //! - its end state, with inactivity deadlines relative to the click.
 //!
 //! [`RadioModel::play_tape`] replays it onto a live machine at a click:
 //! the meter continues its `f64` sum over the same addends in the same
 //! order, so the result is bit-identical to stimulating the machine one
-//! event at a time.
+//! event at a time. A tape carries no history — no power segments, no
+//! state transitions — because the machines keep none: that history is
+//! the energy ledger of a recorder, and a machine with a recorder
+//! attached refuses tapes.
 //!
 //! Compilation takes the addends from the machine's own energy ledger
 //! ([`ObsEvent::EnergySegment`], whose `joules` is the meter's addend), so
 //! the machines need no tape-specific instrumentation.
 
 use crate::backend::RadioModel;
-use ewb_obs::{Event as ObsEvent, Recorder, Sink};
+use ewb_obs::{Event as ObsEvent, Recorder};
 use ewb_simcore::{MeterTape, SimDuration, SimTime};
 
 /// One page load's whole effect on a machine of backend `R`, compiled
@@ -59,7 +61,7 @@ impl<R: RadioModel> LoadTape<R> {
     ) -> Self {
         let (mut machine, click) = R::in_click_state(cfg, click_state);
         let at_click = machine.clone();
-        let ledger = Recorder::custom(Box::<LedgerSink>::default());
+        let ledger = Recorder::ledger(Recorder::disabled());
         machine.set_recorder(ledger.clone());
         drive(&mut machine, click - SimTime::ZERO);
         machine.set_recorder(Recorder::disabled());
@@ -67,19 +69,10 @@ impl<R: RadioModel> LoadTape<R> {
         let mut meter = MeterTape::default();
         for e in ledger.events() {
             if let ObsEvent::EnergySegment {
-                start,
-                end,
-                watts,
-                joules,
-                ..
+                start, end, joules, ..
             } = e
             {
-                meter.push(
-                    since_click(click, start),
-                    since_click(click, end),
-                    watts,
-                    joules,
-                );
+                meter.push(since_click(click, start), since_click(click, end), joules);
             }
         }
         assert_eq!(
@@ -100,45 +93,21 @@ impl<R: RadioModel> LoadTape<R> {
         self.click_state
     }
 
-    /// The load's meter addends and merged segments.
+    /// The load's meter addends and duration.
     pub(crate) fn meter(&self) -> &MeterTape {
         &self.meter
     }
 
-    /// The backend-specific rest: transitions, residency and counter
-    /// deltas, and the end state.
+    /// The backend-specific rest: residency and counter deltas, and the
+    /// end state.
     pub(crate) fn end(&self) -> &R::LoadEnd {
         &self.end
     }
 }
 
-/// Keeps only the energy ledger, so compiling does not retain every
-/// transition, timer and promotion event as well.
-#[derive(Debug, Default)]
-struct LedgerSink {
-    segments: Vec<ObsEvent>,
-}
-
-impl Sink for LedgerSink {
-    fn record(&mut self, event: &ObsEvent) {
-        if matches!(event, ObsEvent::EnergySegment { .. }) {
-            self.segments.push(event.clone());
-        }
-    }
-
-    fn events(&self) -> Vec<ObsEvent> {
-        self.segments.clone()
-    }
-}
-
 /// The instant `t` on the click-relative clock of a click at `click`.
-pub(crate) fn since_click(click: SimTime, t: SimTime) -> SimTime {
+fn since_click(click: SimTime, t: SimTime) -> SimTime {
     SimTime::ZERO + (t - click)
-}
-
-/// The click-relative instant `rel` on the clock of a click at `click`.
-pub(crate) fn at_click(click: SimTime, rel: SimTime) -> SimTime {
-    click + (rel - SimTime::ZERO)
 }
 
 /// Field-wise `since` (the delta from an earlier value) and `add_delta`

@@ -4,6 +4,7 @@
 //! sequences and check global invariants that must hold for *any* workload:
 //! residency accounting, energy bounds, and legal state transitions.
 
+use ewb_obs::{ledger, RadioState, Recorder};
 use ewb_rrc::{RrcConfig, RrcMachine, RrcState};
 use ewb_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -20,7 +21,12 @@ fn stimulus() -> impl Strategy<Value = (u64, u64, bool, bool)> {
 }
 
 fn run(seq: &[(u64, u64, bool, bool)]) -> RrcMachine {
-    let mut m = RrcMachine::new(RrcConfig::paper(), SimTime::ZERO);
+    run_traced(seq, Recorder::disabled())
+}
+
+/// [`run`] with `recorder` attached to the machine.
+fn run_traced(seq: &[(u64, u64, bool, bool)], recorder: Recorder) -> RrcMachine {
+    let mut m = RrcMachine::with_recorder(RrcConfig::paper(), SimTime::ZERO, recorder);
     let mut t = SimTime::ZERO;
     for &(gap, xfer, needs_dch, release) in seq {
         t += SimDuration::from_micros(gap);
@@ -62,18 +68,19 @@ proptest! {
     /// recorded transition is a legal RRC edge.
     #[test]
     fn settles_to_idle_via_legal_edges(seq in proptest::collection::vec(stimulus(), 1..20)) {
-        let m = run(&seq);
+        let recorder = Recorder::memory();
+        let m = run_traced(&seq, recorder.clone());
         prop_assert_eq!(m.state(), RrcState::Idle);
-        for tr in m.transitions() {
+        for tr in ledger::transitions(&recorder.events()) {
             let legal = matches!(
-                (tr.from, tr.to),
-                (RrcState::Idle, RrcState::Promoting)
-                    | (RrcState::Fach, RrcState::Promoting)
-                    | (RrcState::Promoting, RrcState::Dch)
-                    | (RrcState::Promoting, RrcState::Fach)
-                    | (RrcState::Dch, RrcState::Fach)
-                    | (RrcState::Dch, RrcState::Idle)
-                    | (RrcState::Fach, RrcState::Idle)
+                (tr.1, tr.2),
+                (RadioState::Idle, RadioState::Promoting)
+                    | (RadioState::Fach, RadioState::Promoting)
+                    | (RadioState::Promoting, RadioState::Dch)
+                    | (RadioState::Promoting, RadioState::Fach)
+                    | (RadioState::Dch, RadioState::Fach)
+                    | (RadioState::Dch, RadioState::Idle)
+                    | (RadioState::Fach, RadioState::Idle)
             );
             prop_assert!(legal, "illegal transition {:?}", tr);
         }
@@ -82,9 +89,10 @@ proptest! {
     /// Transition timestamps are non-decreasing.
     #[test]
     fn transitions_are_chronological(seq in proptest::collection::vec(stimulus(), 1..20)) {
-        let m = run(&seq);
-        for w in m.transitions().windows(2) {
-            prop_assert!(w[0].at <= w[1].at);
+        let recorder = Recorder::memory();
+        run_traced(&seq, recorder.clone());
+        for w in ledger::transitions(&recorder.events()).windows(2) {
+            prop_assert!(w[0].0 <= w[1].0);
         }
     }
 
@@ -118,16 +126,18 @@ proptest! {
     /// power step per transition).
     #[test]
     fn sampled_trace_approximates_exact_energy(seq in proptest::collection::vec(stimulus(), 1..10)) {
-        let m = run(&seq);
-        let trace = ewb_simcore::PowerTrace::sample_meter(
-            m.meter(),
+        let recorder = Recorder::memory();
+        let m = run_traced(&seq, recorder.clone());
+        let events = recorder.events();
+        let trace = ledger::power_trace(
+            &ledger::entries(&events),
             ewb_simcore::PowerTrace::PAPER_INTERVAL,
         );
         let exact = m.energy_j();
         let sampled = trace.estimated_joules();
         // Each state change can misattribute at most one 0.25 s sample at
         // the maximum power delta (~4.45 W).
-        let bound = (m.transitions().len() as f64 + 2.0) * 0.25 * 4.45;
+        let bound = (ledger::transitions(&events).len() as f64 + 2.0) * 0.25 * 4.45;
         prop_assert!(
             (exact - sampled).abs() <= bound,
             "exact {exact} vs sampled {sampled}, bound {bound}"

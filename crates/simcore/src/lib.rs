@@ -16,9 +16,9 @@
 //!   version churn.
 //! * [`stats`] — Welford summaries, empirical CDFs, percentiles and the
 //!   Pearson correlation used by Table 4 of the paper.
-//! * [`EnergyMeter`] and [`PowerTrace`] — integration of a piecewise-constant
-//!   power function over virtual time, plus the 4 Hz sampled traces the
-//!   paper's Agilent testbed produced (Figs. 1 and 9).
+//! * [`EnergyMeter`] and [`PowerTrace`] — exact integration of a
+//!   piecewise-constant power function over virtual time, plus the 4 Hz
+//!   sampled traces the paper's Agilent testbed produced (Figs. 1 and 9).
 //!
 //! # Example
 //!
@@ -30,7 +30,7 @@
 //! meter.advance_to(SimTime::from_secs_f64(2.0), 1.25);
 //! meter.advance_to(SimTime::from_secs_f64(6.0), 1.15);
 //! assert!((meter.total_joules() - (2.0 * 1.25 + 4.0 * 1.15)).abs() < 1e-9);
-//! assert_eq!(meter.elapsed(), SimDuration::from_secs_f64(6.0));
+//! assert_eq!(meter.now(), SimTime::ZERO + SimDuration::from_secs_f64(6.0));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,9 +7,10 @@
 //! * [`TimeSeries`] — an append-only `(time, value)` log with bucketed
 //!   aggregation (for traffic-per-interval plots).
 //! * [`PowerTrace`] — fixed-rate samples of a piecewise-constant power
-//!   function, i.e. what the Agilent supply would have seen.
+//!   function, i.e. what the Agilent supply would have seen;
+//!   `ewb_obs::ledger::power_trace` samples one from a radio's energy
+//!   ledger.
 
-use crate::energy::EnergyMeter;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -123,27 +124,13 @@ impl PowerTrace {
     /// The paper's capture interval: 0.25 seconds (4 Hz).
     pub const PAPER_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
-    /// Samples the piecewise-constant power recorded by `meter` every
-    /// `interval`, from the meter's first segment to its current time. A
-    /// sample falling in a gap (or past the end) reads 0 W.
+    /// A trace of `samples` taken every `interval`, oldest first.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
-    pub fn sample_meter(meter: &EnergyMeter, interval: SimDuration) -> Self {
+    pub fn new(interval: SimDuration, samples: Vec<f64>) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be positive");
-        let start = meter
-            .segments()
-            .first()
-            .map(|s| s.start)
-            .unwrap_or(SimTime::ZERO);
-        let end = meter.now();
-        let mut samples = Vec::new();
-        let mut t = start;
-        while t < end {
-            samples.push(meter.power_at(t).unwrap_or(0.0));
-            t += interval;
-        }
         PowerTrace { interval, samples }
     }
 
@@ -178,7 +165,7 @@ impl PowerTrace {
 
     /// Riemann-sum energy estimate from the samples — what the paper's
     /// LabVIEW integration computes. Close to, but not exactly, the exact
-    /// [`EnergyMeter::total_joules`].
+    /// [`EnergyMeter::total_joules`](crate::EnergyMeter::total_joules).
     pub fn estimated_joules(&self) -> f64 {
         self.samples.iter().sum::<f64>() * self.interval.as_secs_f64()
     }
@@ -224,27 +211,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(ts.len(), 2);
-    }
-
-    #[test]
-    fn power_trace_samples_meter() {
-        let mut m = EnergyMeter::new(SimTime::ZERO);
-        m.advance_to(SimTime::from_secs(1), 1.0);
-        m.advance_to(SimTime::from_secs(2), 0.5);
-        let trace = PowerTrace::sample_meter(&m, SimDuration::from_millis(250));
-        assert_eq!(trace.len(), 8);
-        assert_eq!(&trace.samples()[..4], &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(&trace.samples()[4..], &[0.5, 0.5, 0.5, 0.5]);
-        assert!((trace.mean_watts() - 0.75).abs() < 1e-12);
-        assert!((trace.estimated_joules() - m.total_joules()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_trace_of_empty_meter() {
-        let m = EnergyMeter::new(SimTime::ZERO);
-        let trace = PowerTrace::sample_meter(&m, PowerTrace::PAPER_INTERVAL);
-        assert!(trace.is_empty());
-        assert_eq!(trace.mean_watts(), 0.0);
     }
 
     #[test]
