@@ -213,6 +213,20 @@ mod tests {
         assert_eq!(ts.len(), 2);
     }
 
+    /// The 4 Hz trace of a meter driven at 1 W for 1 s, then 0.5 W for
+    /// 1 s: its mean is the time-average power and its Riemann sum is the
+    /// meter's total.
+    #[test]
+    fn power_trace_samples_meter() {
+        let mut m = crate::EnergyMeter::new(SimTime::ZERO);
+        m.advance_to(SimTime::from_secs(1), 1.0);
+        m.advance_to(SimTime::from_secs(2), 0.5);
+        let trace = PowerTrace::new(PowerTrace::PAPER_INTERVAL, [[1.0; 4], [0.5; 4]].concat());
+        assert_eq!(trace.len(), 8);
+        assert_eq!(trace.mean_watts(), 0.75);
+        assert_eq!(trace.estimated_joules(), m.total_joules());
+    }
+
     #[test]
     fn paper_interval_is_quarter_second() {
         assert_eq!(PowerTrace::PAPER_INTERVAL, SimDuration::from_millis(250));
