@@ -3,12 +3,11 @@
 //!
 //! Usage: `parallel_sweep [--write-golden]`
 //!
-//! Before printing anything the binary runs the parallel differential
-//! oracle (`ewb_check::parallel::check_parallel_all`): host-parallel vs
-//! host-sequential execution of every grid plan must be bit-identical
-//! per page and per session, under clean and lossy-10% streams, on all
-//! four radio backends. A red differential bit can never ship inside a
-//! green sweep.
+//! Before printing anything the binary runs the plan-invariance oracle
+//! (`ewb_check::parallel::check_parallel_all`): on a clean link, every
+//! grid plan must load the same bytes, object set and decode units as
+//! the sequential plan and fail nothing, on three pages in both pipeline
+//! modes. A red differential bit can never ship inside a green sweep.
 //!
 //! The sweep writes `BENCH_parallel.json` into the working directory.
 //! `--write-golden` also refreshes
@@ -22,17 +21,17 @@ fn main() {
     let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
     let ctx = ewb_bench::Context::new();
 
-    // -- Differential oracle before any reporting. -----------------------
+    // -- Plan-invariance oracle before any reporting. --------------------
     let violations = ewb_check::parallel::check_parallel_all(ewb_bench::REPORT_SEED);
     assert!(
         violations.is_empty(),
-        "parallel differential oracle found {} violations, first: {:?}",
+        "parallel plan-invariance oracle found {} violations, first: {:?}",
         violations.len(),
         violations.first()
     );
     println!(
-        "differential: host-parallel == host-sequential to the bit across \
-         plans {{1,2,4,8}}t x {{clean,lossy10}} x {{3g,lte,wifi,5g}}"
+        "differential: every plan {{1,2,4,8}}t x {{overlap off,on}} loads what \
+         the sequential plan loads (3 pages x 2 modes, clean link)"
     );
 
     // -- The sweep. ------------------------------------------------------

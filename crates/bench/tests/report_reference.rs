@@ -18,17 +18,28 @@ const REGENERATE: &str =
 fn first_difference(actual: &str, expected: &str) -> String {
     let mut expected_lines = expected.lines();
     for (i, line) in actual.lines().enumerate() {
-        match expected_lines.next() {
-            Some(want) if want == line => {}
-            want => {
-                return format!(
-                    "line {} of the report:\n  printed:   {line:?}\n  reference: {want:?}",
-                    i + 1
-                )
-            }
+        let want = expected_lines.next();
+        if want != Some(line) {
+            return format!(
+                "line {} of the report:\n  printed:   {line}\n  reference: {}",
+                i + 1,
+                want.unwrap_or("(end of reference)")
+            );
         }
     }
     "the reference ends inside the report".to_string()
+}
+
+#[test]
+fn first_difference_prints_bare_lines() {
+    assert_eq!(
+        first_difference("same\nprinted\n", "same\nwanted\nmore\n"),
+        "line 2 of the report:\n  printed:   printed\n  reference: wanted"
+    );
+    assert_eq!(
+        first_difference("same\nprinted\n", "same\n"),
+        "line 2 of the report:\n  printed:   printed\n  reference: (end of reference)"
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Intra-page parallelism: the [`ParallelismPlan`] knob, a deterministic
-//! multi-core stage scheduler, and the host-side parallel executor.
+//! Intra-page parallelism: the [`ParallelismPlan`] knob and a
+//! deterministic multi-core stage scheduler.
 //!
 //! The paper reorganizes *when* computation happens relative to the
 //! radio; the pipeline stages themselves still run one after another.
@@ -9,25 +9,16 @@
 //! cores, shortening the critical path at the price of extra concurrent
 //! CPU draw and a per-worker fork overhead.
 //!
-//! Two layers are kept strictly apart:
-//!
-//! * **Simulated parallelism** (what the plan changes): stage units are
-//!   placed on `k` simulated cores by [`schedule_jobs`], a deterministic
-//!   earliest-free-core list scheduler. The main core's interval extends
-//!   the ordinary `cpu_busy` stream; helper-core intervals land in
-//!   `LoadMetrics::aux_busy` and raise the CPU power draw concurrently
-//!   (see `ewb_net::replay::events_of_load_parallel`).
-//! * **Host parallelism** (how the simulator itself runs): [`run_jobs`]
-//!   executes the per-unit engine work (real CSS parsing, real selector
-//!   matching) on the vendored crossbeam scoped threads with the PR-1
-//!   deterministic join-order pattern — workers are joined in spawn
-//!   order and results are slotted by unit index, so the outcome is
-//!   bit-identical to running the same units on one host thread. The
-//!   differential oracle in `ewb-check` proves exactly that.
-//!
-//! Seeded defects behind the `sabotage` feature give the oracle teeth:
-//! a join that ignores unit order and an unsynchronized decode counter
-//! must both be caught within a single page.
+//! The parallelism is simulated only. Stage units are placed on `k`
+//! simulated cores by [`schedule_jobs`], a deterministic
+//! earliest-free-core list scheduler. The main core's interval extends
+//! the ordinary `cpu_busy` stream; helper-core intervals land in
+//! `LoadMetrics::aux_busy` and raise the CPU power draw concurrently
+//! (see `ewb_net::replay::events_of_load_parallel`). The host runs a
+//! plan's units (real CSS parsing, real selector matching) on the
+//! calling thread, in unit order. A unit takes from nanoseconds to a few
+//! hundred microseconds; host threads around such units cost more CPU
+//! and wall time than they saved.
 
 use ewb_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -188,147 +179,6 @@ pub fn schedule_jobs(durations: &[SimDuration], cores: usize) -> StageSchedule {
     }
 }
 
-/// Which seeded parallel-path defect is active (all teeth-test only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMutant {
-    /// No defect: the correct executor.
-    #[default]
-    None,
-    /// Join ignores unit indices and collects worker results in a
-    /// "completion order" (emulated deterministically as reversed worker
-    /// order) — the classic unordered-join race.
-    UnorderedJoin,
-    /// Per-worker decode byte counts merged with an unsynchronized
-    /// read-modify-write (emulated as `max`, the canonical lost-update
-    /// outcome) instead of a sum.
-    RacyDecodeCounter,
-}
-
-/// Test-only switchboard for the seeded parallel-path defects. Only
-/// compiled with the `sabotage` feature; the differential oracle's teeth
-/// tests flip these and must observe a violation within one page.
-#[cfg(feature = "sabotage")]
-pub mod sabotage {
-    use super::ParallelMutant;
-    use std::cell::Cell;
-
-    thread_local! {
-        static ACTIVE: Cell<ParallelMutant> = const { Cell::new(ParallelMutant::None) };
-    }
-
-    /// Activates `m` for parallel executions on this thread.
-    pub fn set(m: ParallelMutant) {
-        ACTIVE.with(|c| c.set(m));
-    }
-
-    /// The defect currently active on this thread.
-    pub fn get() -> ParallelMutant {
-        ACTIVE.with(|c| c.get())
-    }
-}
-
-#[cfg(feature = "sabotage")]
-fn active_mutant() -> ParallelMutant {
-    sabotage::get()
-}
-
-#[cfg(not(feature = "sabotage"))]
-fn active_mutant() -> ParallelMutant {
-    ParallelMutant::None
-}
-
-/// Runs `n` independent stage units through `f`, fanned out over at most
-/// `workers` host threads when `host_parallel` is set, and returns the
-/// results in unit order.
-///
-/// Worker `w` takes units `w, w + k, w + 2k, …`; workers are joined in
-/// spawn order and results are slotted by unit index (the PR-1
-/// deterministic join-order pattern), so the output is bit-identical to
-/// the single-threaded run regardless of host scheduling.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_jobs<T, F>(n: usize, workers: usize, host_parallel: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let k = workers.min(n).max(1);
-    if !host_parallel || k == 1 {
-        return (0..n).map(f).collect();
-    }
-    let f = &f;
-    let per_worker: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|w| {
-                scope.spawn(move |_| {
-                    (w..n)
-                        .step_by(k)
-                        .map(|i| (i, f(i)))
-                        .collect::<Vec<(usize, T)>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel pipeline worker panicked"))
-            .collect()
-    })
-    .expect("thread scope");
-    collect_worker_results(n, per_worker)
-}
-
-fn collect_worker_results<T>(n: usize, mut per_worker: Vec<Vec<(usize, T)>>) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    match active_mutant() {
-        ParallelMutant::UnorderedJoin => {
-            // lint:allow(parallel/unordered-join) this arm IS the seeded UnorderedJoin defect; the mutant-teeth test strips this allow and requires the rule to flag both shapes below
-            // Seeded defect: drop the unit indices and fill positionally
-            // in (emulated) completion order.
-            per_worker.reverse();
-            let mut pos = 0usize;
-            for chunk in per_worker {
-                for (_, v) in chunk {
-                    slots[pos] = Some(v);
-                    pos += 1;
-                }
-            }
-        }
-        _ => {
-            for chunk in per_worker {
-                for (i, v) in chunk {
-                    slots[i] = Some(v);
-                }
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every unit index filled exactly once"))
-        .collect()
-}
-
-/// Splits per-unit byte counts into the per-worker subtotals the
-/// executor's workers would accumulate (worker `w` owns units
-/// `w, w + k, …`).
-pub fn worker_byte_counts(bytes: &[u64], workers: usize) -> Vec<u64> {
-    let k = workers.min(bytes.len()).max(1);
-    (0..k)
-        .map(|w| (w..bytes.len()).step_by(k).map(|i| bytes[i]).sum())
-        .collect()
-}
-
-/// Merges per-worker decode byte subtotals into the page total. The
-/// correct merge is a sum; the [`ParallelMutant::RacyDecodeCounter`]
-/// defect models the lost updates of an unsynchronized shared counter.
-pub fn merge_worker_byte_counts(per_worker: &[u64]) -> u64 {
-    match active_mutant() {
-        ParallelMutant::RacyDecodeCounter => per_worker.iter().copied().max().unwrap_or(0), // lint:allow(parallel/lossy-merge) this arm IS the seeded RacyDecodeCounter defect; the mutant-teeth test strips this allow and requires the rule to flag it
-        _ => per_worker.iter().sum(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,36 +241,5 @@ mod tests {
         let s = schedule_jobs(&[us(3), us(4), us(5)], 1);
         assert_eq!(s.makespan, us(12));
         assert_eq!(s.assignment, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn run_jobs_preserves_unit_order_across_thread_counts() {
-        let inputs: Vec<u64> = (0..37).map(|i| i * 17 + 3).collect();
-        let expected: Vec<u64> = inputs.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 4, 8] {
-            for host_parallel in [false, true] {
-                let got = run_jobs(inputs.len(), workers, host_parallel, |i| {
-                    inputs[i] * inputs[i]
-                });
-                assert_eq!(got, expected, "workers={workers} hp={host_parallel}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_byte_counts_partition_the_total() {
-        let bytes: Vec<u64> = (1..=11).collect();
-        for k in 1..=8 {
-            let per = worker_byte_counts(&bytes, k);
-            assert_eq!(per.iter().sum::<u64>(), bytes.iter().sum::<u64>());
-            assert_eq!(per.len(), k.min(bytes.len()));
-        }
-        assert_eq!(merge_worker_byte_counts(&worker_byte_counts(&bytes, 4)), 66);
-    }
-
-    #[test]
-    fn run_jobs_empty_and_single() {
-        assert_eq!(run_jobs(0, 4, true, |i| i), Vec::<usize>::new());
-        assert_eq!(run_jobs(1, 4, true, |i| i + 1), vec![1]);
     }
 }

@@ -70,11 +70,6 @@ pub struct PipelineConfig {
     /// cores (see [`crate::parallel`]). [`ParallelismPlan::SEQUENTIAL`]
     /// reproduces the legacy single-core schedule bit-for-bit.
     pub plan: ParallelismPlan,
-    /// Whether the *host* executor may actually use threads for the
-    /// fanned-out engine work. Results are bit-identical either way
-    /// (the differential oracle in `ewb-check` proves it); `false`
-    /// forces the single-threaded reference execution.
-    pub host_parallel: bool,
 }
 
 impl PipelineConfig {
@@ -98,7 +93,6 @@ impl PipelineConfig {
                 PipelineMode::EnergyAware => 3,
             },
             plan: ParallelismPlan::SEQUENTIAL,
-            host_parallel: true,
         }
     }
 }
@@ -823,14 +817,11 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     /// dependent tail after the merged styles exist.
     fn layout_phase_parallel(&mut self) {
         let plan = self.cfg.plan;
-        let hp = self.cfg.host_parallel;
         let cost = self.cost;
         if self.cfg.mode == PipelineMode::EnergyAware {
             let bodies = std::mem::take(&mut self.css_bodies);
             if !bodies.is_empty() {
-                let parsed = parallel::run_jobs(bodies.len(), plan.style_threads, hp, |i| {
-                    css::parse(&bodies[i])
-                });
+                let parsed: Vec<_> = bodies.iter().map(|b| css::parse(b)).collect();
                 let durs: Vec<SimDuration> = parsed
                     .iter()
                     .map(|p| cost.css_parse(p.bytes, p.sheet.rules.len()))
@@ -840,18 +831,9 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             }
             let images = std::mem::take(&mut self.undecoded_images);
             if !images.is_empty() {
-                let k = plan.decode_threads.min(images.len()).max(1);
-                let durs = parallel::run_jobs(images.len(), plan.decode_threads, hp, |i| {
-                    cost.image_decode(images[i])
-                });
+                let durs: Vec<SimDuration> = images.iter().map(|&b| cost.image_decode(b)).collect();
                 self.m.decode_jobs += images.len();
-                // Workers accumulate their own decoded-byte subtotals;
-                // the merge is where the seeded racy-counter defect bites.
-                self.m.decoded_bytes += if hp && k > 1 {
-                    parallel::merge_worker_byte_counts(&parallel::worker_byte_counts(&images, k))
-                } else {
-                    images.iter().sum::<u64>()
-                };
+                self.m.decoded_bytes += images.iter().sum::<u64>();
                 self.parallel_stage(&durs, plan.decode_threads, "image_decode");
             }
         }
@@ -862,10 +844,10 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         let sheet_refs: Vec<&css::Stylesheet> = self.sheets.iter().collect();
         let ids = doc.descendants();
         let k = plan.style_threads.min(ids.len()).max(1);
-        let chunks: Vec<_> = ids.chunks(ids.len().div_ceil(k).max(1)).collect();
-        let partials = parallel::run_jobs(chunks.len(), k, hp, |i| {
-            css::compute_styles_for(&doc, &sheet_refs, chunks[i])
-        });
+        let partials: Vec<_> = ids
+            .chunks(ids.len().div_ceil(k).max(1))
+            .map(|c| css::compute_styles_for(&doc, &sheet_refs, c))
+            .collect();
         let durs: Vec<SimDuration> = partials
             .iter()
             .map(|p| cost.style(p.match_attempts, p.declarations_applied))

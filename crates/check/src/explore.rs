@@ -80,8 +80,8 @@ pub fn exhaustive(
 
 /// Backend-agnostic exhaustive sweep: runs every sequence over
 /// `alphabet` of length 1..=`max_depth` through an arbitrary scenario
-/// checker (`check` returns the [`RunReport`] for one scenario). This is
-/// what [`exhaustive`] uses for 3G and what
+/// checker (`check` returns the [`RunReport`](crate::run::RunReport) for
+/// one scenario). This is what [`exhaustive`] uses for 3G and what
 /// [`crate::backend::check_lte_scenario`]-style checkers plug into for
 /// the ladder backends.
 ///

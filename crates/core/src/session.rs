@@ -237,10 +237,6 @@ pub struct SessionOpts<'a, R: RadioModel = RrcMachine> {
     /// simulated cores, and helper-core CPU power rides into the energy
     /// replay.
     pub plan: ParallelismPlan,
-    /// Whether the host may run the plan's fanned-out engine work on
-    /// threads. The outcome is bit-identical either way (the `ewb-check`
-    /// parallel differential oracle proves it).
-    pub host_parallel: bool,
     /// Receives the cross-layer event stream: one
     /// [`PageVisit`](ewb_obs::Event::PageVisit) per visit, transfer
     /// events from the fetcher, per-stage browser spans, and, from the
@@ -261,7 +257,6 @@ impl<R: RadioModel> SessionOpts<'_, R> {
             faults: None,
             visit_seeds: None,
             plan: ParallelismPlan::SEQUENTIAL,
-            host_parallel: true,
             recorder: Recorder::disabled(),
         }
     }
@@ -269,8 +264,7 @@ impl<R: RadioModel> SessionOpts<'_, R> {
 
 impl SessionOpts<'_> {
     /// The paper's setup: the 3G radio as `cfg.rrc` configures it, no
-    /// predictor, a clean link, the sequential plan, host threads
-    /// allowed, and no recorder.
+    /// predictor, a clean link, the sequential plan, and no recorder.
     pub fn three_g(cfg: &CoreConfig) -> Self {
         SessionOpts::new(cfg.rrc)
     }
@@ -299,7 +293,6 @@ pub fn simulate_session<R: RadioModel>(
         faults,
         visit_seeds,
         plan,
-        host_parallel,
         recorder,
     } = opts;
     if let Some(seeds) = visit_seeds {
@@ -338,7 +331,6 @@ pub fn simulate_session<R: RadioModel>(
         );
         let mut pipe_cfg = PipelineConfig::new(case.pipeline_mode());
         pipe_cfg.plan = plan;
-        pipe_cfg.host_parallel = host_parallel;
         if visit.page.spec().version == PageVersion::Mobile {
             // §4.2: mobile pages get no intermediate display.
             pipe_cfg.draw_intermediate = false;

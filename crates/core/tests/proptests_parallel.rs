@@ -1,14 +1,11 @@
 //! Property-based tests of the intra-page parallelism layer: over
-//! arbitrary visit schedules, parallelism plans, policies, and fault
-//! seeds, (a) executing a plan with host worker threads is bit-identical
-//! to executing the same plan on the host sequentially, and (b) the plan
+//! arbitrary visit schedules, parallelism plans and policies, the plan
 //! is a pure timing/energy knob — it never changes what the browser
 //! fetches or whether objects fail.
 
 use ewb_core::browser::parallel::ParallelismPlan;
 use ewb_core::cases::Case;
-use ewb_core::net::FaultConfig;
-use ewb_core::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
+use ewb_core::session::{simulate_session, SessionOpts, SessionOutcome, Visit};
 use ewb_core::webpage::{benchmark_corpus, Corpus, OriginServer, PageVersion};
 use ewb_core::CoreConfig;
 use proptest::prelude::*;
@@ -34,12 +31,6 @@ fn parallelism_plan() -> impl Strategy<Value = ParallelismPlan> {
         const THREADS: [usize; 4] = [1, 2, 4, 8];
         ParallelismPlan::new(THREADS[d], THREADS[s], overlap)
     })
-}
-
-/// None, or a lossy fault model with the given seed.
-fn fault_plan() -> impl Strategy<Value = Option<(f64, u64)>> {
-    (any::<bool>(), 0.0f64..0.3, any::<u64>())
-        .prop_map(|(on, loss, seed)| on.then_some((loss, seed)))
 }
 
 fn build_visits(plan: &[(usize, bool, f64)]) -> Vec<Visit<'static>> {
@@ -71,13 +62,7 @@ fn pick_case(case_idx: usize) -> Option<Case> {
     (!case.needs_predictor()).then_some(case)
 }
 
-fn run(
-    visits: &[Visit<'_>],
-    case: Case,
-    faults: Option<&SessionFaults>,
-    plan: ParallelismPlan,
-    host_parallel: bool,
-) -> SessionOutcome {
+fn run(visits: &[Visit<'_>], case: Case, plan: ParallelismPlan) -> SessionOutcome {
     let (_, server) = corpus();
     let cfg = CoreConfig::paper();
     simulate_session(
@@ -86,53 +71,14 @@ fn run(
         case,
         &cfg,
         SessionOpts {
-            faults,
             plan,
-            host_parallel,
             ..SessionOpts::three_g(&cfg)
         },
     )
 }
 
-fn assert_bit_identical(a: &SessionOutcome, b: &SessionOutcome) -> Result<(), String> {
-    prop_assert_eq!(a.total_joules.to_bits(), b.total_joules.to_bits());
-    prop_assert_eq!(a.total_load_time_s.to_bits(), b.total_load_time_s.to_bits());
-    prop_assert_eq!(a.duration, b.duration);
-    prop_assert_eq!(&a.counters, &b.counters);
-    prop_assert_eq!(a.pages.len(), b.pages.len());
-    for (pa, pb) in a.pages.iter().zip(&b.pages) {
-        prop_assert_eq!(&pa.url, &pb.url);
-        prop_assert_eq!(pa.opened, pb.opened);
-        prop_assert_eq!(pa.released_at, pb.released_at);
-        prop_assert_eq!(pa.load_joules.to_bits(), pb.load_joules.to_bits());
-        prop_assert_eq!(pa.reading_joules.to_bits(), pb.reading_joules.to_bits());
-        prop_assert_eq!(pa.bytes, pb.bytes);
-        prop_assert_eq!(pa.failed_objects, pb.failed_objects);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Host-parallel execution of any plan is bit-identical to executing
-    /// the same plan sequentially on the host — for any schedule, policy,
-    /// and fault stream. Worker threads are an implementation detail of
-    /// the simulator, never an input to the simulation.
-    #[test]
-    fn host_parallelism_is_invisible(
-        plan in visit_plan(),
-        par in parallelism_plan(),
-        case_idx in 0usize..7,
-        faults in fault_plan(),
-    ) {
-        let Some(case) = pick_case(case_idx) else { return Ok(()) };
-        let visits = build_visits(&plan);
-        let sf = faults.map(|(loss, seed)| SessionFaults::new(FaultConfig::lossy(loss), seed));
-        let threaded = run(&visits, case, sf.as_ref(), par, true);
-        let serial = run(&visits, case, sf.as_ref(), par, false);
-        assert_bit_identical(&threaded, &serial)?;
-    }
 
     /// On clean links the parallelism plan is a pure timing/energy knob:
     /// whatever plan runs, every visit fetches the same bytes and fails
@@ -145,8 +91,8 @@ proptest! {
     ) {
         let Some(case) = pick_case(case_idx) else { return Ok(()) };
         let visits = build_visits(&plan);
-        let planned = run(&visits, case, None, par, true);
-        let sequential = run(&visits, case, None, ParallelismPlan::SEQUENTIAL, true);
+        let planned = run(&visits, case, par);
+        let sequential = run(&visits, case, ParallelismPlan::SEQUENTIAL);
         prop_assert_eq!(planned.pages.len(), sequential.pages.len());
         for (pa, pb) in planned.pages.iter().zip(&sequential.pages) {
             prop_assert_eq!(&pa.url, &pb.url);

@@ -370,9 +370,9 @@ pub struct RunIdentity {
     pub users: u64,
     /// Shard count (fixes every shard's user range).
     pub shards: u64,
-    /// [`case_id`] of the baseline case.
+    /// Stable numeric id (`case_id`) of the baseline case.
     pub baseline: u8,
-    /// [`case_id`] of the optimized case.
+    /// Stable numeric id (`case_id`) of the optimized case.
     pub optimized: u8,
     /// [`FaultTier::index`](ewb_core::profile::FaultTier::index) of the
     /// run's link-quality tier.

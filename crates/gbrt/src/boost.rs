@@ -226,9 +226,10 @@ impl Gbrt {
     }
 
     /// Trains with the original implementation (per-node re-sorting tree
-    /// trainer, `HashMap` region map, per-sample tree walks) — see
-    /// [`crate::reference`]. Bit-identical to [`Gbrt::fit`] and kept as
-    /// the baseline for golden tests and the training benchmark.
+    /// trainer, `HashMap` region map, per-sample tree walks) — see the
+    /// crate's private `reference` module. Bit-identical to [`Gbrt::fit`]
+    /// and kept as the baseline for golden tests and the training
+    /// benchmark.
     ///
     /// # Panics
     ///

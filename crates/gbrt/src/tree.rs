@@ -96,8 +96,8 @@ impl RegressionTree {
         crate::splitter::fit_presorted(data.columns(), &pre, data.targets(), None, params)
     }
 
-    /// Fits a tree with the original per-node re-sorting trainer (see
-    /// [`crate::reference`]'s module docs). Slower than
+    /// Fits a tree with the original per-node re-sorting trainer (see the
+    /// docs of the crate's private `reference` module). Slower than
     /// [`RegressionTree::fit`] but produces bit-identical trees — kept as
     /// the baseline for equivalence tests and the training benchmark.
     ///

@@ -12,9 +12,8 @@
 //!   findings per rule). Asserts `parse_errors == 0`: an unparsed
 //!   expression is an unchecked expression, so a parse failure over the
 //!   real workspace is a lint bug, not a data point.
-//! * `--no-allow`  ignore in-source `lint:allow` directives. CI's
-//!   mutant-detection check runs this way to prove the justified allows
-//!   in `crates/browser/src/parallel.rs` still sit on live findings.
+//! * `--no-allow`  ignore in-source `lint:allow` directives, to check
+//!   that each justified allow still sits on a live finding.
 //! * `--root PATH` workspace root (default: auto-detected from the crate's
 //!   manifest directory, falling back to the current directory)
 //! * `--rule ID`   only report diagnostics for one rule id

@@ -49,8 +49,8 @@ pub fn lint_files(files: &[SourceFile], policy: &Policy) -> Outcome {
 
 /// [`lint_files`] with the allowlist made optional: `honor_allows =
 /// false` reports findings that in-source `lint:allow` directives would
-/// suppress (the mutant-detection teeth check runs this way to prove the
-/// par-safety rules see the seeded defects under their justifications).
+/// suppress (the fixture teeth tests run this way to prove a rule still
+/// fires under an allow's justification).
 pub fn lint_files_opts(files: &[SourceFile], policy: &Policy, honor_allows: bool) -> Outcome {
     // Lex and parse every file once; group files by crate for the taint
     // analysis.
@@ -123,8 +123,8 @@ pub fn lint_root(root: &Path) -> Result<Outcome, String> {
 
 /// [`lint_root`] with the allowlist made optional — the workspace-wide
 /// counterpart of [`lint_files_opts`]. `lint_all --no-allow` runs this
-/// with `honor_allows = false` so CI can prove the justified allows
-/// still sit on real findings (mutant-detection check).
+/// with `honor_allows = false` to show whether the justified allows
+/// still sit on real findings.
 pub fn lint_root_opts(root: &Path, honor_allows: bool) -> Result<Outcome, String> {
     let policy = load_policy(root)?;
     let mut files = Vec::new();

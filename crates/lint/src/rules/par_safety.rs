@@ -1,6 +1,7 @@
 //! Parallel/determinism-safety family: the three ways a scoped-thread
-//! fan-out (the `run_jobs`/crossbeam regions of PRs 1/6/9) silently
-//! stops being a pure function of its inputs.
+//! fan-out (the crossbeam regions of the fleet runner, the GBRT splitter
+//! and the report fan-outs) silently stops being a pure function of its
+//! inputs.
 //!
 //! The documented-correct pattern in this workspace is: each spawned
 //! closure builds and returns its own `(unit index, value)` vec, workers
@@ -12,11 +13,10 @@
 //!   of returning values (the raw data race, or at best a
 //!   scheduling-order-dependent result);
 //! * [`unordered_join`] — a reduce that destroys worker order or fills
-//!   slots positionally while discarding the unit index (PR 9's
-//!   `UnorderedJoin` mutant);
+//!   slots positionally while discarding the unit index;
 //! * [`lossy_merge`] — per-worker counters merged with `max()`/`min()`
 //!   instead of a sum — the canonical lost-update outcome of an
-//!   unsynchronized shared counter (PR 9's `RacyDecodeCounter` mutant).
+//!   unsynchronized shared counter.
 //!
 //! Known false-negative boundaries (by design, documented in DESIGN.md):
 //! mutation through a `Mutex`/channel is not flagged (synchronized, even
@@ -210,7 +210,7 @@ pub fn shared_mut(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
                 "parallel/shared-mut",
                 format!("spawn closure {what} captured `{name}`"),
                 "return per-worker values from the closure and reduce after the join \
-                 (the run_jobs per-worker-vec pattern)",
+                 (the per-worker-vec pattern)",
             ));
         });
     });
@@ -220,7 +220,7 @@ pub fn shared_mut(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// longer honors the deterministic join order. Two shapes:
 ///
 /// 1. reordering a worker-named collection in place
-///    (`per_worker.reverse()` — the mutant's emulated completion order);
+///    (`per_worker.reverse()`, an emulated completion order);
 /// 2. a `for (_, v) in …` loop that discards the unit index while
 ///    filling result slots through a self-incremented cursor
 ///    (`slots[pos] = …; pos += 1`) — positional completion-order
@@ -303,9 +303,9 @@ fn positional_cursor(body: &Block) -> Option<String> {
 /// `parallel/lossy-merge` — merging per-worker counter subtotals with a
 /// `max()`/`min()` iterator terminal instead of a sum. `max` of
 /// subtotals is exactly what an unsynchronized read-modify-write counter
-/// converges to when updates are lost, so the mutant-shaped merge is
-/// flagged even though it is "deterministic" here: the number it
-/// produces is wrong the moment more than one worker contributes.
+/// converges to when updates are lost, so such a merge is flagged even
+/// though it is "deterministic" here: the number it produces is wrong
+/// the moment more than one worker contributes.
 pub fn lossy_merge(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.kind == FileKind::Test {
         return;
