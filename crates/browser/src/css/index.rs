@@ -26,7 +26,7 @@
 //! Candidates are tested in source order, so the first one of a rule
 //! that matches is that first matching selector.
 
-use super::parser::{Rule, SimpleSelector};
+use super::parser::{RuleRef, SimpleSelector};
 use super::selector::matches;
 use crate::dom::{Document, NodeId, NodeKind};
 use std::collections::HashMap;
@@ -96,13 +96,13 @@ fn for_each_key(doc: &Document, id: NodeId, mut f: impl FnMut(u64)) {
 
 /// The bucket a selector with this subject is filed under: its id, else
 /// its first class, else its tag; `None` files it as universal.
-fn subject_key(subject: &SimpleSelector) -> Option<u64> {
-    if let Some(id) = &subject.id {
+fn subject_key(subject: SimpleSelector<'_>) -> Option<u64> {
+    if let Some(id) = subject.id() {
         Some(key(ID, id))
-    } else if let Some(class) = subject.classes.first() {
+    } else if let Some(class) = subject.classes().next() {
         Some(key(CLASS, class))
     } else {
-        subject.tag.as_ref().map(|tag| key(TAG, tag))
+        subject.tag().map(|tag| key(TAG, tag))
     }
 }
 
@@ -130,16 +130,16 @@ impl Matcher {
     /// Files the rules of `rules` beyond those filed so far and the nodes
     /// of `doc` beyond those seen so far. The rules filed before must be
     /// a prefix of `rules`, and the nodes seen before must be unchanged.
-    pub(super) fn update(&mut self, doc: &Document, rules: &[&Rule]) {
+    pub(super) fn update(&mut self, doc: &Document, rules: &[RuleRef<'_>]) {
         for rule in rules.iter().skip(self.rule_first.len()) {
             self.rule_first.push(self.ancestor_keys.len());
-            for sel in &rule.selectors {
+            for sel in rule.selectors() {
                 let n = self.ancestor_keys.len();
                 let mut keys = Filter::default();
                 // A selector without parts never matches; it is filed
                 // nowhere but still numbered, since a scan tries it.
-                if let Some((subject, parts)) = sel.parts.split_last() {
-                    for part in parts {
+                if let Some((subject, parts)) = sel.split_last() {
+                    for part in parts.parts() {
                         part_keys(part, &mut keys);
                     }
                     match subject_key(subject) {
@@ -170,7 +170,7 @@ impl Matcher {
         &mut self,
         doc: &Document,
         id: NodeId,
-        rules: &[&Rule],
+        rules: &[RuleRef<'_>],
         from: usize,
         winners: &mut Vec<Winner>,
     ) -> usize {
@@ -219,11 +219,11 @@ impl Matcher {
             if matched == Some(rule) {
                 continue; // a scan stops at the rule's first match
             }
-            let sel = &rules[rule].selectors[pos];
+            let sel = rules[rule].selector(pos);
             if matches(doc, id, sel) {
                 matched = Some(rule);
                 winners.push((sel.specificity(), rule));
-                attempts -= rules[rule].selectors.len() - pos - 1;
+                attempts -= rules[rule].selector_count() - pos - 1;
             }
         }
         attempts
@@ -231,14 +231,14 @@ impl Matcher {
 }
 
 /// Inserts every key of one ancestor part into `filter`.
-fn part_keys(part: &SimpleSelector, filter: &mut Filter) {
-    if let Some(tag) = &part.tag {
+fn part_keys(part: SimpleSelector<'_>, filter: &mut Filter) {
+    if let Some(tag) = part.tag() {
         filter.insert(key(TAG, tag));
     }
-    if let Some(id) = &part.id {
+    if let Some(id) = part.id() {
         filter.insert(key(ID, id));
     }
-    for class in &part.classes {
+    for class in part.classes() {
         filter.insert(key(CLASS, class));
     }
 }
@@ -249,19 +249,21 @@ mod tests {
     use crate::css::parse;
     use crate::html;
 
-    fn subject(text: &str) -> SimpleSelector {
+    /// The bucket of the selector `text`'s subject.
+    fn subject_key_of(text: &str) -> Option<u64> {
         let sheet = parse(&format!("{text} {{ color: red; }}")).sheet;
-        sheet.rules[0].selectors[0].parts.last().unwrap().clone()
+        let (subject, _) = sheet.rule(0).selector(0).split_last().unwrap();
+        subject_key(subject)
     }
 
     #[test]
     fn subjects_are_filed_under_id_then_first_class_then_tag() {
-        assert_eq!(subject_key(&subject("p.a#x.b")), Some(key(ID, "x")));
-        assert_eq!(subject_key(&subject("p.a.b")), Some(key(CLASS, "a")));
-        assert_eq!(subject_key(&subject("div p")), Some(key(TAG, "p")));
-        assert_eq!(subject_key(&subject("a:hover")), Some(key(TAG, "a")));
-        assert_eq!(subject_key(&subject("*")), None);
-        assert_eq!(subject_key(&subject(":hover")), None);
+        assert_eq!(subject_key_of("p.a#x.b"), Some(key(ID, "x")));
+        assert_eq!(subject_key_of("p.a.b"), Some(key(CLASS, "a")));
+        assert_eq!(subject_key_of("div p"), Some(key(TAG, "p")));
+        assert_eq!(subject_key_of("a:hover"), Some(key(TAG, "a")));
+        assert_eq!(subject_key_of("*"), None);
+        assert_eq!(subject_key_of(":hover"), None);
         assert_ne!(key(ID, "x"), key(CLASS, "x"));
         assert_ne!(key(CLASS, "x"), key(TAG, "x"));
     }

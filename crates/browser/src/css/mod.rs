@@ -11,6 +11,15 @@
 //!   computed styles. The paper notes rule extraction "takes a lot of
 //!   processing time" — the cost model prices it accordingly.
 //!
+//! A parsed [`Stylesheet`] is one comment-free copy of the sheet's text
+//! plus flat index arrays of rules, selectors, simple selectors, classes
+//! and declarations; every name and value is a byte span of that text,
+//! read through borrowed views. The scan and the parser share one
+//! `url(` reader, and the scan jumps between the only bytes that can
+//! start a reference or a comment. `tests/css_reference.rs` keeps the
+//! owned-`String` parser and the byte-by-byte scan these replaced as the
+//! reference both must match field by field.
+//!
 //! Every style pass is counted as a full pass, so the cost model prices
 //! each of the original browser's redraws as a whole-document restyle.
 //! The host does less: within one load, `StyleMemo` matches each
@@ -25,7 +34,9 @@ mod scan;
 mod selector;
 mod style;
 
-pub use parser::{parse, CssParseResult, Declaration, Rule, Selector, SimpleSelector, Stylesheet};
+pub use parser::{
+    parse, CssParseResult, Declaration, Rule, RuleRef, Selector, SimpleSelector, Stylesheet,
+};
 pub use scan::{scan_urls, CssScanResult};
 pub use selector::matches;
 pub(crate) use style::StyleMemo;

@@ -4,7 +4,8 @@
 //! them to fetch the objects (images and CSS files) referred by URLs, but
 //! do not parse them." This module is that scan: one pass over the bytes,
 //! no rule construction, roughly an order of magnitude cheaper than
-//! [`super::parse`] under the cost model.
+//! [`super::parse`] under the cost model. Its URL reader is also the one
+//! the parser reads `url(...)` values with.
 
 /// The output of [`scan_urls`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,113 +19,112 @@ pub struct CssScanResult {
 }
 
 /// Scans stylesheet text for fetchable references without parsing rules.
+///
+/// A comment, an `@import` or a `url(` can only start at a `/`, `@`, `u`
+/// or `U` byte, so the scan jumps from one such byte to the next.
 pub fn scan_urls(input: &str) -> CssScanResult {
     let mut urls = Vec::new();
     let mut imports = Vec::new();
-    let bytes = input.len();
-
     let b = input.as_bytes();
     let mut i = 0;
-    while i < b.len() {
-        // The scan advances byte-wise; only slice on char boundaries.
-        if !input.is_char_boundary(i) {
-            i += 1;
-            continue;
-        }
-        // Skip comments so commented-out references are not fetched.
-        if input[i..].starts_with("/*") {
+    while let Some(p) = b[i.min(b.len())..]
+        .iter()
+        .position(|&c| CANDIDATE[usize::from(c)])
+    {
+        i += p;
+        if b[i..].starts_with(b"/*") {
+            // Skip comments so commented-out references are not fetched.
             match input[i + 2..].find("*/") {
                 Some(end) => i += 2 + end + 2,
                 None => break,
             }
-            continue;
-        }
-        if input[i..].starts_with("@import") {
+        } else if b[i..].starts_with(b"@import") {
             let end = input[i..].find(';').map_or(input.len(), |p| i + p);
-            let head = &input[i + 7..end.min(input.len())];
-            if let Some(u) = urls_in_value(head).into_iter().next() {
-                imports.push(u);
-            } else if let Some(u) = quoted_string(head) {
-                imports.push(u);
+            let head = &input[i + 7..end];
+            if let Some(u) = urls_in(head).next().or_else(|| quoted_string(head)) {
+                imports.push(u.to_string());
             }
             i = end + 1;
-            continue;
-        }
-        if has_url_at(input, i) {
+        } else if has_url_at(b, i) {
             let (url, next) = read_url(input, i + 4);
-            if let Some(u) = url {
-                urls.push(u);
-            }
-            i = next;
-            continue;
-        }
-        i += 1;
-    }
-
-    CssScanResult {
-        urls,
-        imports,
-        bytes,
-    }
-}
-
-fn has_url_at(input: &str, i: usize) -> bool {
-    input[i..].len() >= 4
-        && input.as_bytes()[i..i + 3].eq_ignore_ascii_case(b"url")
-        && input.as_bytes()[i + 3] == b'('
-}
-
-/// Reads the contents of `url( ... )` starting just past `url(`.
-/// Returns `(url, index_after_close_paren)`.
-fn read_url(input: &str, start: usize) -> (Option<String>, usize) {
-    let rest = &input[start..];
-    let close = match rest.find(')') {
-        Some(p) => p,
-        None => return (None, input.len()),
-    };
-    let raw = rest[..close].trim();
-    let url = raw
-        .trim_start_matches(['"', '\''])
-        .trim_end_matches(['"', '\''])
-        .trim();
-    let next = start + close + 1;
-    if url.is_empty() {
-        (None, next)
-    } else {
-        (Some(url.to_string()), next)
-    }
-}
-
-/// All `url(...)` values inside a declaration value (used by the full
-/// parser too, so both paths agree on what counts as a reference).
-pub(super) fn urls_in_value(value: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < value.len() {
-        if !value.is_char_boundary(i) {
-            i += 1;
-            continue;
-        }
-        if has_url_at(value, i) {
-            let (url, next) = read_url(value, i + 4);
-            if let Some(u) = url {
-                out.push(u);
-            }
+            urls.extend(url.map(str::to_string));
             i = next;
         } else {
             i += 1;
         }
     }
-    out
+
+    CssScanResult {
+        urls,
+        imports,
+        bytes: input.len(),
+    }
 }
 
-fn quoted_string(text: &str) -> Option<String> {
+/// The bytes [`scan_urls`] stops at: the first byte of `/*`, `@import`
+/// and `url(` (either case).
+const CANDIDATE: [bool; 256] = {
+    let mut t = [false; 256];
+    t[b'/' as usize] = true;
+    t[b'@' as usize] = true;
+    t[b'u' as usize] = true;
+    t[b'U' as usize] = true;
+    t
+};
+
+/// Whether `url(` (the keyword in any case) starts at byte `i`.
+fn has_url_at(b: &[u8], i: usize) -> bool {
+    b.len() - i >= 4 && b[i..i + 3].eq_ignore_ascii_case(b"url") && b[i + 3] == b'('
+}
+
+/// Reads the contents of `url( ... )` starting just past `url(`: the
+/// target with spaces and quotes trimmed (`None` if that leaves nothing)
+/// and the index just past the closing `)`, or the end of `text` when
+/// there is none.
+fn read_url(text: &str, start: usize) -> (Option<&str>, usize) {
+    let rest = &text[start..];
+    let Some(close) = rest.find(')') else {
+        return (None, text.len());
+    };
+    let url = rest[..close]
+        .trim()
+        .trim_start_matches(['"', '\''])
+        .trim_end_matches(['"', '\''])
+        .trim();
+    (Some(url).filter(|u| !u.is_empty()), start + close + 1)
+}
+
+/// The non-empty `url(...)` targets in `window`, in order, each read to
+/// its `)` within the window. The full parser reads declaration values
+/// and `@import` heads with it, so both paths agree on what counts as a
+/// reference.
+pub(super) fn urls_in(window: &str) -> impl Iterator<Item = &str> {
+    let b = window.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || loop {
+        // `url(` can only start at a `u` or `U`.
+        i += b.get(i..)?.iter().position(|&c| (c | 0x20) == b'u')?;
+        if has_url_at(b, i) {
+            let (url, next) = read_url(window, i + 4);
+            i = next;
+            if url.is_some() {
+                return url;
+            }
+        } else {
+            i += 1;
+        }
+    })
+}
+
+/// The text between the first quote of `text` and the next quote of the
+/// same kind.
+fn quoted_string(text: &str) -> Option<&str> {
     let t = text.trim();
     let first = t.find(['"', '\''])?;
     let quote = t.as_bytes()[first] as char;
     let rest = &t[first + 1..];
     let end = rest.find(quote)?;
-    Some(rest[..end].to_string())
+    Some(&rest[..end])
 }
 
 #[cfg(test)]

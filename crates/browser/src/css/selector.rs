@@ -14,22 +14,22 @@ use crate::dom::{Document, NodeId, NodeKind};
 /// order — descendant combinator semantics).
 ///
 /// Non-element nodes never match.
-pub fn matches(doc: &Document, id: NodeId, selector: &Selector) -> bool {
-    let Some((subject, ancestors)) = selector.parts.split_last() else {
+pub fn matches(doc: &Document, id: NodeId, selector: Selector<'_>) -> bool {
+    let Some((subject, ancestors)) = selector.split_last() else {
         return false;
     };
     if !matches_simple(doc, id, subject) {
         return false;
     }
     // Walk ancestors matching the remaining chain right-to-left;
-    // `ancestors[..remaining]` is still unmatched.
+    // parts `0..remaining` of `ancestors` are still unmatched.
     let mut remaining = ancestors.len();
     let mut current = doc.node(id).parent;
     while remaining > 0 {
         let Some(anc) = current else {
             return false; // ran out of ancestors with parts unmatched
         };
-        if matches_simple(doc, anc, &ancestors[remaining - 1]) {
+        if matches_simple(doc, anc, ancestors.part(remaining - 1)) {
             remaining -= 1;
         }
         current = doc.node(anc).parent;
@@ -37,31 +37,28 @@ pub fn matches(doc: &Document, id: NodeId, selector: &Selector) -> bool {
     true
 }
 
-fn matches_simple(doc: &Document, id: NodeId, simple: &SimpleSelector) -> bool {
+fn matches_simple(doc: &Document, id: NodeId, simple: SimpleSelector<'_>) -> bool {
     let NodeKind::Element { tag, attrs } = &doc.node(id).kind else {
         return false;
     };
-    if let Some(want) = &simple.tag {
-        if tag != want {
-            return false;
-        }
+    if simple.tag().is_some_and(|want| tag != want) {
+        return false;
     }
-    if let Some(want_id) = &simple.id {
+    if let Some(want_id) = simple.id() {
         let has = attrs.iter().any(|(k, v)| k == "id" && v == want_id);
         if !has {
             return false;
         }
     }
-    if !simple.classes.is_empty() {
+    let mut classes = simple.classes();
+    if classes.len() > 0 {
         let class_attr = attrs
             .iter()
             .find(|(k, _)| k == "class")
             .map(|(_, v)| v.as_str())
             .unwrap_or("");
-        for want in &simple.classes {
-            if !class_attr.split_whitespace().any(|c| c == want) {
-                return false;
-            }
+        if !classes.all(|want| class_attr.split_whitespace().any(|c| c == want)) {
+            return false;
         }
     }
     true
@@ -85,48 +82,47 @@ mod tests {
         (d, div, p, a)
     }
 
-    fn sel(text: &str) -> Selector {
-        parse(&format!("{text} {{ color: red; }}")).sheet.rules[0].selectors[0].clone()
+    /// Whether the selector `text` matches element `id`.
+    fn hits(d: &Document, id: NodeId, text: &str) -> bool {
+        let sheet = parse(&format!("{text} {{ color: red; }}")).sheet;
+        matches(d, id, sheet.rule(0).selector(0))
     }
 
     #[test]
     fn tag_class_id_matching() {
         let (d, div, p, _) = doc();
-        assert!(matches(&d, p, &sel("p")));
-        assert!(matches(&d, p, &sel(".c1")));
-        assert!(matches(&d, p, &sel("p.big")));
-        assert!(!matches(&d, p, &sel("p.missing")));
-        assert!(matches(&d, div, &sel("#top")));
-        assert!(matches(&d, div, &sel("div#top.wrap")));
-        assert!(!matches(&d, p, &sel("#top")));
+        assert!(hits(&d, p, "p"));
+        assert!(hits(&d, p, ".c1"));
+        assert!(hits(&d, p, "p.big"));
+        assert!(!hits(&d, p, "p.missing"));
+        assert!(hits(&d, div, "#top"));
+        assert!(hits(&d, div, "div#top.wrap"));
+        assert!(!hits(&d, p, "#top"));
     }
 
     #[test]
     fn descendant_combinator() {
         let (d, _, p, a) = doc();
-        assert!(matches(&d, p, &sel(".wrap p")));
-        assert!(matches(&d, a, &sel("#top a")));
-        assert!(matches(&d, a, &sel("div p a")));
-        assert!(!matches(&d, a, &sel("span a")));
-        assert!(
-            !matches(&d, p, &sel("p a")),
-            "subject must be the element itself"
-        );
+        assert!(hits(&d, p, ".wrap p"));
+        assert!(hits(&d, a, "#top a"));
+        assert!(hits(&d, a, "div p a"));
+        assert!(!hits(&d, a, "span a"));
+        assert!(!hits(&d, p, "p a"), "subject must be the element itself");
     }
 
     #[test]
     fn universal_matches_all_elements() {
         let (d, div, p, a) = doc();
         for id in [div, p, a] {
-            assert!(matches(&d, id, &sel("*")));
+            assert!(hits(&d, id, "*"));
         }
-        assert!(!matches(&d, d.root(), &sel("*")), "root is not an element");
+        assert!(!hits(&d, d.root(), "*"), "root is not an element");
     }
 
     #[test]
     fn multi_class_requirement() {
         let (d, _, p, _) = doc();
-        assert!(matches(&d, p, &sel(".c1.big")));
-        assert!(!matches(&d, p, &sel(".c1.small")));
+        assert!(hits(&d, p, ".c1.big"));
+        assert!(!hits(&d, p, ".c1.small"));
     }
 }

@@ -21,7 +21,7 @@
 //!   The attempts a full scan spends are computed, not performed.
 
 use super::index::{Matcher, Winner};
-use super::parser::{Rule, Stylesheet};
+use super::parser::{RuleRef, Stylesheet};
 use crate::dom::{Document, NodeId, NodeKind};
 use std::collections::HashMap;
 
@@ -193,8 +193,8 @@ impl StyleMemo {
 }
 
 /// Every rule of every sheet, in cascade source order.
-fn rule_list<'s>(sheets: &[&'s Stylesheet]) -> Vec<&'s Rule> {
-    sheets.iter().flat_map(|s| &s.rules).collect()
+fn rule_list<'s>(sheets: &[&'s Stylesheet]) -> Vec<RuleRef<'s>> {
+    sheets.iter().flat_map(|s| s.iter_rules()).collect()
 }
 
 fn is_element(doc: &Document, id: NodeId) -> bool {
@@ -204,12 +204,12 @@ fn is_element(doc: &Document, id: NodeId) -> bool {
 /// Folds an element's winning rules into its computed style: rules in
 /// cascade order (specificity, then source order), each rule's
 /// declarations in its own order. Sorts `winners` in place.
-fn fold(rules: &[&Rule], winners: &mut [Winner]) -> ComputedStyle {
+fn fold(rules: &[RuleRef<'_>], winners: &mut [Winner]) -> ComputedStyle {
     winners.sort_unstable();
     let mut style = ComputedStyle::default();
     for &(_, src_idx) in winners.iter() {
-        for d in &rules[src_idx].declarations {
-            apply(&mut style, &d.name, &d.value);
+        for d in rules[src_idx].declarations() {
+            apply(&mut style, d.name, d.value);
             style.applied += 1;
         }
     }

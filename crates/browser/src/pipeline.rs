@@ -451,7 +451,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             self.m.objects_fetched += 1;
             match obj.kind {
                 ObjectKind::Html => self.on_html(&obj.body, obj.bytes),
-                ObjectKind::Css => self.on_css(&obj.body, obj.bytes),
+                ObjectKind::Css => self.on_css(obj.body, obj.bytes),
                 ObjectKind::Js => self.on_js(&obj.body, obj.bytes),
                 ObjectKind::Image | ObjectKind::Flash => self.on_image(obj.bytes),
             }
@@ -531,7 +531,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             let root = doc.root();
             doc.adopt(root, &parsed.document);
         }
-        for style in &parsed.inline_styles {
+        for style in parsed.inline_styles {
             self.on_inline_style(style);
         }
         for script in &parsed.inline_scripts {
@@ -548,13 +548,13 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
     }
 
-    fn on_css(&mut self, body: &str, bytes: u64) {
+    fn on_css(&mut self, body: String, bytes: u64) {
         self.m.text_bytes_fetched += bytes;
         self.css_processed += 1;
         match self.cfg.mode {
             PipelineMode::Original => {
                 // Full parse now (rule extraction on the critical path).
-                let parsed = css::parse(body);
+                let parsed = css::parse(&body);
                 let d = self.cost.css_parse(parsed.bytes, parsed.sheet.rules.len());
                 self.busy(d, Cat::Layout, "css_parse");
                 for u in parsed.urls.iter().chain(&parsed.sheet.imports) {
@@ -575,9 +575,9 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     /// Energy-aware CSS handling: cheap URL scan now — on the main core,
     /// or concurrently on a helper core when the plan overlaps it with
     /// the HTML parsing and transfer wait — full parse deferred to the
-    /// layout phase.
-    fn ea_scan_css(&mut self, body: &str) {
-        let scan = css::scan_urls(body);
+    /// layout phase, which gets `body` itself.
+    fn ea_scan_css(&mut self, body: String) {
+        let scan = css::scan_urls(&body);
         let d = self.cost.css_scan(scan.bytes);
         if self.cfg.plan.overlap_css {
             self.side_scan(d);
@@ -587,7 +587,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         for u in scan.urls.iter().chain(&scan.imports) {
             self.request(&u.clone());
         }
-        self.css_bodies.push(body.to_string());
+        self.css_bodies.push(body);
     }
 
     /// Runs a transmission-generating scan on a helper core, off the
@@ -619,10 +619,10 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     /// energy-aware browser scans for URLs now and parses in the layout
     /// phase. They are not fetched objects, so they touch no byte or
     /// progressive-display accounting.
-    fn on_inline_style(&mut self, body: &str) {
+    fn on_inline_style(&mut self, body: String) {
         match self.cfg.mode {
             PipelineMode::Original => {
-                let parsed = css::parse(body);
+                let parsed = css::parse(&body);
                 let d = self.cost.css_parse(parsed.bytes, parsed.sheet.rules.len());
                 self.busy(d, Cat::Layout, "css_parse");
                 for u in parsed.urls.iter().chain(&parsed.sheet.imports) {
@@ -668,7 +668,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                         let root = doc.root();
                         doc.adopt(root, &parsed.document);
                     }
-                    for style in &parsed.inline_styles {
+                    for style in parsed.inline_styles {
                         self.on_inline_style(style);
                     }
                 }

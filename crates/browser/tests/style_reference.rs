@@ -14,7 +14,7 @@
 //!   builds, 20 000 in release).
 
 use ewb_browser::css::{
-    compute_styles, compute_styles_for, matches, parse, ComputedStyle, Rule, StyleResult,
+    compute_styles, compute_styles_for, matches, parse, ComputedStyle, RuleRef, StyleResult,
     Stylesheet,
 };
 use ewb_browser::dom::{Document, NodeId, NodeKind};
@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 /// the winners: rules in (specificity, source index) order, each rule's
 /// declarations in its own order.
 fn reference_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
-    let rules: Vec<&Rule> = sheets.iter().flat_map(|s| &s.rules).collect();
+    let rules: Vec<RuleRef<'_>> = sheets.iter().flat_map(|s| s.iter_rules()).collect();
     let mut out = StyleResult::default();
     for id in doc.descendants() {
         if !matches!(doc.node(id).kind, NodeKind::Element { .. }) {
@@ -41,7 +41,7 @@ fn reference_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
         }
         let mut winners = Vec::new();
         for (src_idx, rule) in rules.iter().enumerate() {
-            for sel in &rule.selectors {
+            for sel in rule.selectors() {
                 out.match_attempts += 1;
                 if matches(doc, id, sel) {
                     winners.push((sel.specificity(), src_idx));
@@ -52,8 +52,8 @@ fn reference_styles(doc: &Document, sheets: &[&Stylesheet]) -> StyleResult {
         winners.sort_unstable();
         let mut style = ComputedStyle::default();
         for (_, src_idx) in winners {
-            for d in &rules[src_idx].declarations {
-                apply(&mut style, &d.name, &d.value);
+            for d in rules[src_idx].declarations() {
+                apply(&mut style, d.name, d.value);
                 style.applied += 1;
             }
         }
@@ -272,7 +272,7 @@ fn a_failing_candidate_before_a_matching_selector_costs_both_attempts() {
         let out = assert_same(&doc, &[&s], Chunkings::All);
         let p = element(&doc, "p", 0);
         assert_eq!(out.styles[&p].applied, 1, "{css}");
-        let selectors = s.rules[0].selectors.len();
+        let selectors = s.rule(0).selector_count();
         // <p> stops at its second selector; the others try them all.
         assert_eq!(
             out.match_attempts,

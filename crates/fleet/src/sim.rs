@@ -296,10 +296,10 @@ pub fn predictor_outage_from(cfg: &FleetConfig, user_id: u64, visits: u64) -> Op
 /// Simulates one user's baseline and optimized sessions and folds both
 /// into `summary`. The plan lives in `scratch`, predictions run as one
 /// batch, and the sessions play memoized load tapes (of the config's
-/// [`FaultTier`]). The only per-user allocations are the two sessions'
-/// radio machines, whose meter-segment and transition histories grow
-/// with the visits (see [`run_profiled_session_with`]; ROADMAP item 5,
-/// "one energy history").
+/// [`FaultTier`]). Once `scratch` has held the longest day so far, a
+/// user allocates nothing: the sessions' radio machines keep no history
+/// (see [`run_profiled_session_with`]), and `tests/bounded_memory.rs`
+/// counts the allocations of warm users under Predict-9 and Accurate-9.
 ///
 /// Only the visits whose prediction a session reads are predicted: the
 /// engaged ones (`reading_s > alpha_s`) before the user's predictor

@@ -1,22 +1,35 @@
 //! The O(shards) memory claim, measured: a counting global allocator
 //! shows that (a) growing the population does not grow peak heap — only
 //! shard summaries and worker scratch are live, never per-user state —
-//! and (b) a fleet run returns the heap to its starting level, i.e. the
-//! steady-state per-session heap growth is zero.
+//! (b) a fleet run returns the heap to its starting level, i.e. the
+//! steady-state per-session heap growth is zero, and (c) a warm user
+//! makes no allocation at all.
 
-use ewb_fleet::{run_fleet, FleetConfig, FleetEnv};
+use ewb_core::cases::Case;
+use ewb_fleet::{run_fleet, simulate_user, FleetConfig, FleetEnv, FleetSummary, WorkerScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 static CURRENT: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
 
-/// Wraps the system allocator with a byte ledger (current + peak).
+thread_local! {
+    /// Allocations made by this thread so far.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The tests share the byte ledger, so they run one at a time.
+static LEDGER: Mutex<()> = Mutex::new(());
+
+/// Wraps the system allocator with a byte ledger (current + peak) and a
+/// per-thread allocation count.
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         let p = System.alloc(layout);
         if !p.is_null() {
             let now = CURRENT.fetch_add(layout.size() as isize, Ordering::SeqCst)
@@ -66,6 +79,7 @@ fn cfg(users: u64) -> FleetConfig {
 
 #[test]
 fn peak_memory_is_o_shards_and_sessions_leak_nothing() {
+    let _ledger = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
     let env = env();
     // Warm up: scratch capacities, lazy std/runtime allocations.
     run_fleet(env, &cfg(100));
@@ -101,4 +115,37 @@ fn peak_memory_is_o_shards_and_sessions_leak_nothing() {
         "peak heap grew with the population: {small_peak} bytes at 200 users \
          vs {big_peak} bytes at 1600 users"
     );
+}
+
+/// Allocations made by this thread so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+#[test]
+fn a_warm_user_makes_no_allocation() {
+    let _ledger = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
+    let env = env();
+    for optimized in [Case::Predict9, Case::Accurate9] {
+        let cfg = FleetConfig {
+            optimized,
+            ..cfg(0)
+        };
+        let mut scratch = WorkerScratch::new();
+        let mut summary = FleetSummary::default();
+        // Warm-up: the scratch grows to the longest day among these.
+        for user in 0..200 {
+            simulate_user(env, &cfg, user, &mut scratch, &mut summary);
+        }
+        let before = thread_allocs();
+        for user in 200..2_200 {
+            simulate_user(env, &cfg, user, &mut scratch, &mut summary);
+        }
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs, 0,
+            "{optimized:?}: {allocs} allocations over 2 000 warm users"
+        );
+        assert_eq!(summary.users, 2_200, "{optimized:?}");
+    }
 }

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run -p ewb-lint --release -- [--deny-all] [--json] [--timing]
 //!                                    [--no-allow] [--root PATH] [--rule ID]
+//! cargo run -p ewb-lint --release -- --loc [--root PATH]
 //! ```
 //!
 //! * `--deny-all`  exit nonzero if *any* diagnostic survives (CI mode)
@@ -17,6 +18,11 @@
 //! * `--root PATH` workspace root (default: auto-detected from the crate's
 //!   manifest directory, falling back to the current directory)
 //! * `--rule ID`   only report diagnostics for one rule id
+//! * `--loc`       lint nothing; print the non-blank Rust lines (comments
+//!   included) of the files the lint pass walks, `perfbench/` left out,
+//!   as `production N` and `tests N`. Test code is a file under a
+//!   `tests/` directory or a line inside an item the AST marks as test
+//!   code (see `ewb_lint::count_lines`).
 
 use ewb_lint::engine;
 use serde::Serialize;
@@ -47,6 +53,7 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut timing = false;
     let mut honor_allows = true;
+    let mut loc = false;
     let mut root: Option<PathBuf> = None;
     let mut only_rule: Option<String> = None;
 
@@ -57,6 +64,7 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--timing" => timing = true,
             "--no-allow" => honor_allows = false,
+            "--loc" => loc = true,
             "--root" | "--rule" => match args.next().filter(|v| !v.starts_with("--")) {
                 Some(v) if arg == "--root" => root = Some(PathBuf::from(v)),
                 Some(v) => only_rule = Some(v),
@@ -68,7 +76,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lint_all [--deny-all] [--json] [--timing] [--no-allow] \
-                     [--root PATH] [--rule ID]"
+                     [--root PATH] [--rule ID] | lint_all --loc [--root PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -80,6 +88,19 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(default_root);
+    if loc {
+        return match ewb_lint::count_lines(&root) {
+            Ok(count) => {
+                println!("production {}", count.production);
+                println!("tests {}", count.tests);
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("lint_all: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
     let started = Instant::now();
     let mut outcome = match engine::lint_root_opts(&root, honor_allows) {
         Ok(o) => o,

@@ -127,11 +127,78 @@ pub fn lint_root(root: &Path) -> Result<Outcome, String> {
 /// still sit on real findings.
 pub fn lint_root_opts(root: &Path, honor_allows: bool) -> Result<Outcome, String> {
     let policy = load_policy(root)?;
-    let mut files = Vec::new();
+    let files = read_files(root, &policy)?;
+    Ok(lint_files_opts(&files, &policy, honor_allows))
+}
+
+/// Non-blank lines of Rust source, comments included, split as
+/// [`count_lines`] splits them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCount {
+    /// Lines of production code.
+    pub production: usize,
+    /// Lines of test code.
+    pub tests: usize,
+}
+
+/// Counts the non-blank lines of the files [`lint_root`] walks, except
+/// the benchmark package under `perfbench/`. A line is test code when
+/// its file is an integration-test file (under a `tests/` directory) or
+/// the line overlaps an item [`Ast::for_each_item`] reports as test
+/// code; every other line is production code.
+pub fn count_lines(root: &Path) -> Result<LineCount, String> {
+    let policy = load_policy(root)?;
+    let mut total = LineCount::default();
+    for file in read_files(root, &policy)? {
+        if !file.rel_path.starts_with("perfbench/") {
+            let count = count_file(&file);
+            total.production += count.production;
+            total.tests += count.tests;
+        }
+    }
+    Ok(total)
+}
+
+/// The [`LineCount`] of one file, by the rule of [`count_lines`].
+fn count_file(file: &SourceFile) -> LineCount {
+    let text = &file.text;
+    // The byte offset at which each line starts.
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+        .collect();
+    let mut test = vec![kind_of(&file.rel_path) == FileKind::Test; starts.len()];
+    if !test[0] {
+        let tokens = lexer::lex(text);
+        ast::parse_file(text, &tokens).for_each_item(&mut |item, in_test| {
+            if in_test && item.span.end > item.span.start {
+                let first = starts.partition_point(|&s| s <= item.span.start) - 1;
+                let last = starts.partition_point(|&s| s < item.span.end) - 1;
+                test[first..=last].fill(true);
+            }
+        });
+    }
+    let mut count = LineCount::default();
+    for (line, &is_test) in text.lines().zip(&test) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        if is_test {
+            count.tests += 1;
+        } else {
+            count.production += 1;
+        }
+    }
+    count
+}
+
+/// Reads every `.rs` file under `root` that `policy` does not exclude,
+/// in sorted path order.
+fn read_files(root: &Path, policy: &Policy) -> Result<Vec<SourceFile>, String> {
     let excludes = policy.list("paths.exclude");
     let mut paths = Vec::new();
     collect_rs(root, root, &excludes, &mut paths)?;
     paths.sort();
+    let mut files = Vec::new();
     for p in paths {
         let rel = p
             .strip_prefix(root)
@@ -144,7 +211,7 @@ pub fn lint_root_opts(root: &Path, honor_allows: bool) -> Result<Outcome, String
             text,
         });
     }
-    Ok(lint_files_opts(&files, &policy, honor_allows))
+    Ok(files)
 }
 
 /// Loads `root/lint.toml`, or the built-in policy when absent.

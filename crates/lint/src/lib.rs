@@ -60,5 +60,5 @@ pub mod rules;
 
 pub use config::Policy;
 pub use diag::Diagnostic;
-pub use engine::{lint_files, lint_root, Outcome, SourceFile};
+pub use engine::{count_lines, lint_files, lint_root, LineCount, Outcome, SourceFile};
 pub use rules::ALL_RULES;
