@@ -15,9 +15,22 @@
 //! whole count when the budget covers it, and otherwise what charging
 //! node by node leaves observable, `ops += gas + 1` and `gas = 0` (the
 //! charge that finds the budget empty counts too) with an out-of-gas
-//! stop. It then evaluates the subtree uncharged on `f64`s and `bool`s,
-//! and as soon as an operand is not a number, again on [`Value`]s with
-//! the same `binary` and `unary` the charged path uses.
+//! stop. A pure subtree that is arithmetic (number literals and
+//! variables under `+ - * / %` and unary `-`, with at most one
+//! comparison, at its root) is also compiled to [`NumCode`], register
+//! code on `f64`s. It runs uncharged on the variables' values, and as
+//! soon as one is not a number the subtree is evaluated again on
+//! [`Value`]s with the same `binary` and `unary` the charged path uses.
+//!
+//! A `while` loop whose condition is arithmetic and whose body only
+//! assigns arithmetic, or the result of calling a function whose whole
+//! body is `return <arithmetic>`, runs in the numeric loop tier: its
+//! pieces and its callees' returned expressions are linked into one
+//! register file and one instruction list, and each iteration charges
+//! its static op count in one step. Guards at entry, a whole-step gas
+//! rule and a write-back before any hand-over keep `ops`, the gas
+//! outcome, the effects and every value those of the walk (see
+//! [`Interp::numeric_loop`]).
 //!
 //! The scoping rules are those of the name-keyed interpreter this
 //! replaces:
@@ -148,17 +161,8 @@ struct Var {
 /// A binary operator, resolved from its source text.
 #[derive(Clone, Copy)]
 enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Rem,
-    Lt,
-    Gt,
-    Le,
-    Ge,
-    Eq,
-    Ne,
+    Arith(Arith),
+    Cmp(Cmp),
     /// Text the parser never produces; evaluates to `undefined`.
     Other,
 }
@@ -166,18 +170,65 @@ enum BinOp {
 impl BinOp {
     fn resolve(op: &str) -> BinOp {
         match op {
-            "+" => BinOp::Add,
-            "-" => BinOp::Sub,
-            "*" => BinOp::Mul,
-            "/" => BinOp::Div,
-            "%" => BinOp::Rem,
-            "<" => BinOp::Lt,
-            ">" => BinOp::Gt,
-            "<=" => BinOp::Le,
-            ">=" => BinOp::Ge,
-            "==" => BinOp::Eq,
-            "!=" => BinOp::Ne,
+            "+" => BinOp::Arith(Arith::Add),
+            "-" => BinOp::Arith(Arith::Sub),
+            "*" => BinOp::Arith(Arith::Mul),
+            "/" => BinOp::Arith(Arith::Div),
+            "%" => BinOp::Arith(Arith::Rem),
+            "<" => BinOp::Cmp(Cmp::Lt),
+            ">" => BinOp::Cmp(Cmp::Gt),
+            "<=" => BinOp::Cmp(Cmp::Le),
+            ">=" => BinOp::Cmp(Cmp::Ge),
+            "==" => BinOp::Cmp(Cmp::Eq),
+            "!=" => BinOp::Cmp(Cmp::Ne),
             _ => BinOp::Other,
+        }
+    }
+}
+
+/// An arithmetic operator: on numbers, a number.
+#[derive(Clone, Copy)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+}
+
+impl Arith {
+    fn apply(self, l: f64, r: f64) -> f64 {
+        match self {
+            Arith::Add => l + r,
+            Arith::Sub => l - r,
+            Arith::Mul => l * r,
+            Arith::Div => l / r,
+            Arith::Rem => l % r,
+        }
+    }
+}
+
+/// A comparison operator: on numbers, a boolean.
+#[derive(Clone, Copy)]
+enum Cmp {
+    Lt,
+    Gt,
+    Le,
+    Ge,
+    Eq,
+    Ne,
+}
+
+impl Cmp {
+    fn test(self, l: f64, r: f64) -> bool {
+        match self {
+            Cmp::Lt => l < r,
+            Cmp::Gt => l > r,
+            Cmp::Le => l <= r,
+            Cmp::Ge => l >= r,
+            // `js_eq` on two numbers.
+            Cmp::Eq => l == r,
+            Cmp::Ne => l != r,
         }
     }
 }
@@ -214,10 +265,12 @@ impl UnOp {
 /// [`Expr`] with its names resolved.
 enum RExpr {
     /// A largest subtree with no call and no assignment, and its node
-    /// count: it is charged in one step.
+    /// count: it is charged in one step. `num` is its register code if
+    /// it is arithmetic.
     Pure {
         nodes: u64,
         expr: PureExpr,
+        num: Option<Box<NumCode>>,
     },
     Binary {
         op: BinOp,
@@ -256,20 +309,148 @@ enum PureExpr {
     },
 }
 
-/// The value of a pure subtree whose operands are all numbers: a
-/// number, or the boolean a comparison or `!` gives.
+/// One register instruction: `regs[dst] = regs[a] op regs[b]`; `Neg`
+/// and `Copy` use `a` only (their `b` is `a`).
 #[derive(Clone, Copy)]
-enum Scalar {
-    Num(f64),
-    Bool(bool),
+struct Instr {
+    op: Op,
+    dst: usize,
+    a: usize,
+    b: usize,
 }
 
-impl From<Scalar> for Value {
-    fn from(s: Scalar) -> Value {
-        match s {
-            Scalar::Num(n) => Value::Num(n),
-            Scalar::Bool(b) => Value::Bool(b),
+#[derive(Clone, Copy)]
+enum Op {
+    Arith(Arith),
+    Neg,
+    Copy,
+}
+
+/// Runs register instructions in order.
+fn run(code: &[Instr], regs: &mut [f64]) {
+    for i in code {
+        let (a, b) = (regs[i.a], regs[i.b]);
+        regs[i.dst] = match i.op {
+            Op::Arith(op) => op.apply(a, b),
+            Op::Neg => -a,
+            Op::Copy => a,
+        };
+    }
+}
+
+/// Where register code leaves its value: a register, or the root
+/// comparison of that register with a second one.
+#[derive(Clone, Copy)]
+struct Out {
+    result: usize,
+    cmp: Option<(Cmp, usize)>,
+}
+
+impl Out {
+    /// The register of a number, or `None` for a comparison.
+    fn number(self) -> Option<usize> {
+        self.cmp.is_none().then_some(self.result)
+    }
+
+    fn value(self, regs: &[f64]) -> Value {
+        match self.cmp {
+            Some((cmp, right)) => Value::Bool(cmp.test(regs[self.result], regs[right])),
+            None => Value::Num(regs[self.result]),
         }
+    }
+}
+
+/// Register code for an arithmetic pure subtree: number literals and
+/// variables under `+ - * / %` and unary `-`, with at most one
+/// comparison, at its root. Every literal, variable name and operator
+/// has a register of its own in `0..regs`, and every operator one
+/// instruction, in evaluation order.
+struct NumCode {
+    /// The register each variable name is read into.
+    vars: Vec<(usize, Var)>,
+    /// The register each literal is held in.
+    consts: Vec<(usize, f64)>,
+    code: Vec<Instr>,
+    regs: usize,
+    out: Out,
+}
+
+impl NumCode {
+    /// Compiles `expr`, or `None` if it is not arithmetic.
+    fn compile(expr: &PureExpr) -> Option<Box<NumCode>> {
+        let mut c = NumCode {
+            vars: Vec::new(),
+            consts: Vec::new(),
+            code: Vec::new(),
+            regs: 0,
+            out: Out {
+                result: 0,
+                cmp: None,
+            },
+        };
+        c.out = match expr {
+            PureExpr::Binary {
+                op: BinOp::Cmp(cmp),
+                left,
+                right,
+            } => Out {
+                result: c.arith(left)?,
+                cmp: Some((*cmp, c.arith(right)?)),
+            },
+            _ => Out {
+                result: c.arith(expr)?,
+                cmp: None,
+            },
+        };
+        Some(Box::new(c))
+    }
+
+    /// Emits the code of an arithmetic `expr` and returns the register
+    /// of its value, or `None` if it is not arithmetic.
+    fn arith(&mut self, expr: &PureExpr) -> Option<usize> {
+        Some(match expr {
+            PureExpr::Num(v) => {
+                let r = self.reg();
+                self.consts.push((r, *v));
+                r
+            }
+            // One scope resolves a name to one `Var`.
+            PureExpr::Var(var) => match self.vars.iter().find(|(_, v)| v.global == var.global) {
+                Some(&(r, _)) => r,
+                None => {
+                    let r = self.reg();
+                    self.vars.push((r, *var));
+                    r
+                }
+            },
+            PureExpr::Binary {
+                op: BinOp::Arith(op),
+                left,
+                right,
+            } => {
+                let (a, b) = (self.arith(left)?, self.arith(right)?);
+                self.emit(Op::Arith(*op), a, b)
+            }
+            PureExpr::Unary {
+                op: UnOp::Neg,
+                operand,
+            } => {
+                let a = self.arith(operand)?;
+                self.emit(Op::Neg, a, a)
+            }
+            _ => return None,
+        })
+    }
+
+    fn reg(&mut self) -> usize {
+        self.regs += 1;
+        self.regs - 1
+    }
+
+    fn emit(&mut self, op: Op, a: usize, b: usize) -> usize {
+        let dst = self.reg();
+        self.code.push(Instr { op, dst, a, b });
+        dst
     }
 }
 
@@ -361,6 +542,27 @@ fn declare_vars<'p>(statements: &'p [Stmt], frame: &mut HashMap<&'p str, usize>)
     }
 }
 
+/// A resolved expression whose largest pure subtrees may still grow.
+enum Subtree {
+    /// No call and no assignment: the subtree and its node count.
+    Pure(u64, PureExpr),
+    Mixed(RExpr),
+}
+
+impl Subtree {
+    /// The expression, with a pure root compiled if it is arithmetic.
+    fn finish(self) -> RExpr {
+        match self {
+            Subtree::Pure(nodes, expr) => RExpr::Pure {
+                nodes,
+                num: NumCode::compile(&expr),
+                expr,
+            },
+            Subtree::Mixed(expr) => expr,
+        }
+    }
+}
+
 impl<'p> Resolver<'p> {
     fn block(&mut self, statements: &'p [Stmt], frame: &HashMap<&'p str, usize>) -> Vec<RStmt> {
         statements.iter().map(|s| self.stmt(s, frame)).collect()
@@ -414,59 +616,53 @@ impl<'p> Resolver<'p> {
     /// Resolves `expr`, wrapping each largest subtree with no call and no
     /// assignment in [`RExpr::Pure`].
     fn expr(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> RExpr {
-        let leaf = |expr| RExpr::Pure { nodes: 1, expr };
+        self.subtree(expr, frame).finish()
+    }
+
+    fn subtree(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> Subtree {
         match expr {
-            Expr::Num(v) => leaf(PureExpr::Num(*v)),
-            Expr::Str(s) => leaf(PureExpr::Str(s.clone())),
-            Expr::Bool(b) => leaf(PureExpr::Bool(*b)),
-            Expr::Var(name) => leaf(PureExpr::Var(self.var(name, frame))),
+            Expr::Num(v) => Subtree::Pure(1, PureExpr::Num(*v)),
+            Expr::Str(s) => Subtree::Pure(1, PureExpr::Str(s.clone())),
+            Expr::Bool(b) => Subtree::Pure(1, PureExpr::Bool(*b)),
+            Expr::Var(name) => Subtree::Pure(1, PureExpr::Var(self.var(name, frame))),
             Expr::Binary { op, left, right } => {
                 let op = BinOp::resolve(op);
-                match (self.expr(left, frame), self.expr(right, frame)) {
-                    (
-                        RExpr::Pure {
-                            nodes: l,
-                            expr: left,
-                        },
-                        RExpr::Pure {
-                            nodes: r,
-                            expr: right,
-                        },
-                    ) => RExpr::Pure {
-                        nodes: l + r + 1,
-                        expr: PureExpr::Binary {
+                match (self.subtree(left, frame), self.subtree(right, frame)) {
+                    (Subtree::Pure(l, left), Subtree::Pure(r, right)) => Subtree::Pure(
+                        l + r + 1,
+                        PureExpr::Binary {
                             op,
                             left: Box::new(left),
                             right: Box::new(right),
                         },
-                    },
-                    (left, right) => RExpr::Binary {
+                    ),
+                    (left, right) => Subtree::Mixed(RExpr::Binary {
                         op,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
+                        left: Box::new(left.finish()),
+                        right: Box::new(right.finish()),
+                    }),
                 }
             }
             Expr::Unary { op, operand } => {
                 let op = UnOp::resolve(op);
-                match self.expr(operand, frame) {
-                    RExpr::Pure { nodes, expr } => RExpr::Pure {
-                        nodes: nodes + 1,
-                        expr: PureExpr::Unary {
+                match self.subtree(operand, frame) {
+                    Subtree::Pure(nodes, operand) => Subtree::Pure(
+                        nodes + 1,
+                        PureExpr::Unary {
                             op,
-                            operand: Box::new(expr),
+                            operand: Box::new(operand),
                         },
-                    },
-                    operand => RExpr::Unary {
+                    ),
+                    Subtree::Mixed(operand) => Subtree::Mixed(RExpr::Unary {
                         op,
                         operand: Box::new(operand),
-                    },
+                    }),
                 }
             }
-            Expr::Assign { name, value } => RExpr::Assign {
+            Expr::Assign { name, value } => Subtree::Mixed(RExpr::Assign {
                 var: self.var(name, frame),
                 value: Box::new(self.expr(value, frame)),
-            },
+            }),
             Expr::Call { target, args } => {
                 let callee = match target.as_str() {
                     "loadImage" => Callee::Builtin(JsEffect::LoadImage),
@@ -474,13 +670,60 @@ impl<'p> Resolver<'p> {
                     "document.write" => Callee::Builtin(JsEffect::DocumentWrite),
                     name => Callee::Function(intern(&mut self.functions, name)),
                 };
-                RExpr::Call {
+                Subtree::Mixed(RExpr::Call {
                     callee,
                     args: args.iter().map(|a| self.expr(a, frame)).collect(),
-                }
+                })
             }
         }
     }
+}
+
+/// Where a variable the numeric loop tier loaded lives.
+#[derive(Clone, Copy, PartialEq)]
+enum Home {
+    /// An absolute stack slot.
+    Local(usize),
+    Global(usize),
+}
+
+/// The scope a piece of register code is linked into a loop from.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// The loop's own scope, whose frame starts at this base.
+    Loop(usize),
+    /// An inlined callee with distinct parameters: parameter slot `s`
+    /// reads the register at `args[s]`.
+    Callee(&'a [usize]),
+}
+
+/// A numeric loop linked for one entry: its register file and its
+/// code, the condition's instructions first. The buffers are reused
+/// from entry to entry.
+#[derive(Default)]
+struct Tier {
+    regs: Vec<f64>,
+    code: Vec<Instr>,
+    /// Every variable loaded, and its register; written back on exit.
+    homes: Vec<(Home, usize)>,
+}
+
+/// What one linked entry of a numeric loop charges and tests.
+struct Linked {
+    /// Instructions of the condition, at the start of `Tier::code`.
+    cond_len: usize,
+    cond: Out,
+    /// Ops the condition charges.
+    cond_ops: u64,
+    /// Ops one iteration charges: the condition and the body.
+    step_ops: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Numeric loop entries whose guards passed, and the ops their
+    /// iterations charged, on this thread.
+    static TIERED: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 struct Interp {
@@ -495,6 +738,9 @@ struct Interp {
     gas: u64,
     ops: u64,
     call_depth: usize,
+    /// Registers of a pure subtree's [`NumCode`].
+    regs: Vec<f64>,
+    tier: Tier,
 }
 
 /// Parses and executes `source` with the given operation budget
@@ -523,6 +769,8 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
         gas: gas.unwrap_or(DEFAULT_GAS),
         ops: 0,
         call_depth: 0,
+        regs: Vec::new(),
+        tier: Tier::default(),
     };
     // Hoist top-level function declarations.
     for stmt in &resolved.body {
@@ -603,19 +851,24 @@ impl Interp {
                 let branch = if c.truthy() { then_branch } else { else_branch };
                 self.exec_block(branch, base)
             }
-            RStmt::While { cond, body } => loop {
-                let c = match self.eval(cond, base) {
-                    Ok(v) => v,
-                    Err(OutOfGas) => return Flow::OutOfGas,
-                };
-                if !c.truthy() {
+            RStmt::While { cond, body } => {
+                if self.numeric_loop(cond, body, base) {
                     return Flow::Normal;
                 }
-                match self.exec_block(body, base) {
-                    Flow::Normal => {}
-                    other => return other,
+                loop {
+                    let c = match self.eval(cond, base) {
+                        Ok(v) => v,
+                        Err(OutOfGas) => return Flow::OutOfGas,
+                    };
+                    if !c.truthy() {
+                        return Flow::Normal;
+                    }
+                    match self.exec_block(body, base) {
+                        Flow::Normal => {}
+                        other => return other,
+                    }
                 }
-            },
+            }
             RStmt::FunctionDecl { index, function } => {
                 // Hoisting already registered top-level declarations;
                 // nested ones register here, and the latest one wins.
@@ -642,7 +895,10 @@ impl Interp {
             _ => 1,
         })?;
         match expr {
-            RExpr::Pure { expr, .. } => Ok(self.pure(expr, base)),
+            RExpr::Pure { expr, num, .. } => Ok(num
+                .as_deref()
+                .and_then(|num| self.run_num(num, base))
+                .unwrap_or_else(|| self.pure_value(expr, base))),
             RExpr::Assign { var, value } => {
                 let v = self.eval(value, base)?;
                 // Assignment updates the local binding if it exists;
@@ -682,47 +938,21 @@ impl Interp {
         local.or(self.globals[var.global].as_ref())
     }
 
-    /// Evaluates a pure subtree, already charged: on numbers alone when
-    /// every operand is one, else again on [`Value`]s.
-    fn pure(&self, expr: &PureExpr, base: usize) -> Value {
-        match self.scalar(expr, base) {
-            Some(s) => s.into(),
-            None => self.pure_value(expr, base),
+    /// Runs an arithmetic pure subtree's register code, already charged,
+    /// or returns `None` if a variable it reads is not a number.
+    fn run_num(&mut self, num: &NumCode, base: usize) -> Option<Value> {
+        self.regs.resize(num.regs, 0.0);
+        for &(r, var) in &num.vars {
+            let Some(&Value::Num(n)) = self.read(var, base) else {
+                return None;
+            };
+            self.regs[r] = n;
         }
-    }
-
-    /// A pure subtree's value on `f64`s and `bool`s, or `None` as soon as
-    /// an operand is not a number (or an operator yields `undefined`).
-    fn scalar(&self, expr: &PureExpr, base: usize) -> Option<Scalar> {
-        match expr {
-            PureExpr::Num(v) => Some(Scalar::Num(*v)),
-            PureExpr::Bool(b) => Some(Scalar::Bool(*b)),
-            PureExpr::Str(_) => None,
-            PureExpr::Var(var) => match self.read(*var, base)? {
-                Value::Num(n) => Some(Scalar::Num(*n)),
-                Value::Bool(b) => Some(Scalar::Bool(*b)),
-                Value::Str(_) | Value::Undefined => None,
-            },
-            PureExpr::Unary { op, operand } => {
-                let Scalar::Num(n) = self.scalar(operand, base)? else {
-                    return None;
-                };
-                match op {
-                    UnOp::Neg => Some(Scalar::Num(-n)),
-                    UnOp::Not => Some(Scalar::Bool(!Value::Num(n).truthy())),
-                    UnOp::Other => None,
-                }
-            }
-            PureExpr::Binary { op, left, right } => {
-                let Scalar::Num(l) = self.scalar(left, base)? else {
-                    return None;
-                };
-                let Scalar::Num(r) = self.scalar(right, base)? else {
-                    return None;
-                };
-                numeric(*op, l, r)
-            }
+        for &(r, c) in &num.consts {
+            self.regs[r] = c;
         }
+        run(&num.code, &mut self.regs);
+        Some(num.out.value(&self.regs))
     }
 
     /// A pure subtree's value on [`Value`]s, with the semantics of the
@@ -740,6 +970,239 @@ impl Interp {
                 &self.pure_value(right, base),
             ),
         }
+    }
+
+    /// Runs the `while` loop `cond`/`body` in the numeric loop tier, its
+    /// `while` statement already charged. Returns `true` once the loop
+    /// has ended there, and `false` with every variable as the walk would
+    /// have left it, for the walk to go on at the condition.
+    ///
+    /// The loop is linked if its condition is arithmetic and every body
+    /// statement assigns arithmetic (no comparison), or the result of a
+    /// call whose argument expressions are such arithmetic. The guards
+    /// at entry: every variable the loop, and its callees' returned
+    /// expressions, read or write holds a number in the slot the walk
+    /// would use (the local if bound, else the global); the registered
+    /// declaration of each callee has distinct parameters, one per
+    /// argument, and a body of `return <arithmetic>` alone; and the call
+    /// depth is below [`MAX_CALL_DEPTH`]. The body then assigns only
+    /// numbers, registers no function and calls no deeper, so the
+    /// guards hold for the whole loop and the iterations run on
+    /// registers.
+    ///
+    /// One iteration charges what the walk charges: the condition's
+    /// nodes; then, per statement, 2 + the value's nodes for arithmetic,
+    /// or 4 + the arguments' nodes + the returned nodes for a call (the
+    /// statement, the assignment, the call and the `return`). It runs
+    /// only while the gas covers a whole iteration, so the budget never
+    /// runs out inside the tier; a final condition that fails charges
+    /// only its own nodes. When the gas is short, or a guard fails, the
+    /// registers are written back and the walk, charging node by node,
+    /// takes over at the condition.
+    fn numeric_loop(&mut self, cond: &RExpr, body: &[RStmt], base: usize) -> bool {
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return false;
+        }
+        let mut tier = std::mem::take(&mut self.tier);
+        let done = match self.link(&mut tier, cond, body, base) {
+            Some(linked) => self.run_tier(&mut tier, &linked),
+            None => false,
+        };
+        self.tier = tier;
+        done
+    }
+
+    /// Links one entry of a numeric loop into `t`, loading every variable
+    /// it touches, or returns `None` if the loop's shape or a guard
+    /// rules the tier out.
+    fn link(&self, t: &mut Tier, cond: &RExpr, body: &[RStmt], base: usize) -> Option<Linked> {
+        t.regs.clear();
+        t.code.clear();
+        t.homes.clear();
+        let RExpr::Pure {
+            nodes: cond_ops,
+            num: Some(num),
+            ..
+        } = cond
+        else {
+            return None;
+        };
+        let cond = self.splice(t, num, Scope::Loop(base))?;
+        let cond_len = t.code.len();
+        let mut step_ops = *cond_ops;
+        for stmt in body {
+            let RStmt::Expr(RExpr::Assign { var, value }) = stmt else {
+                return None;
+            };
+            let start = t.code.len();
+            let (result, ops) = match &**value {
+                RExpr::Call {
+                    callee: Callee::Function(index),
+                    args,
+                } => self.inline(t, *index, args, base)?,
+                value => {
+                    let (result, nodes) = self.splice_number(t, value, Scope::Loop(base))?;
+                    (result, 2 + nodes)
+                }
+            };
+            let target = self.register(t, *var, Scope::Loop(base))?;
+            // The value's last instruction writes the target directly;
+            // a literal or a variable is copied.
+            match t.code[start..].last_mut() {
+                Some(last) if last.dst == result => last.dst = target,
+                _ => t.code.push(Instr {
+                    op: Op::Copy,
+                    dst: target,
+                    a: result,
+                    b: result,
+                }),
+            }
+            step_ops += ops;
+        }
+        Some(Linked {
+            cond_len,
+            cond,
+            cond_ops: *cond_ops,
+            step_ops,
+        })
+    }
+
+    /// Splices a call of the function registered at `index`, its body
+    /// inlined, and returns the register of its result and the ops the
+    /// statement assigning it charges: the statement, the assignment,
+    /// the call and the `return`, and the nodes of the arguments and of
+    /// the returned expression.
+    fn inline(
+        &self,
+        t: &mut Tier,
+        index: usize,
+        args: &[RExpr],
+        base: usize,
+    ) -> Option<(usize, u64)> {
+        let function = self.functions[index].as_deref()?;
+        let [RStmt::Return(Some(RExpr::Pure {
+            nodes,
+            num: Some(returned),
+            ..
+        }))] = function.body.as_slice()
+        else {
+            return None;
+        };
+        // Parameter slots are interned in order, so distinct parameters
+        // have slots 0, 1, 2, ...
+        let distinct = function.params.iter().enumerate().all(|(i, &s)| s == i);
+        if !distinct || function.params.len() != args.len() {
+            return None;
+        }
+        let mut ops = 4 + nodes;
+        let mut regs = Vec::with_capacity(args.len());
+        for arg in args {
+            let (r, nodes) = self.splice_number(t, arg, Scope::Loop(base))?;
+            regs.push(r);
+            ops += nodes;
+        }
+        Some((
+            self.splice(t, returned, Scope::Callee(&regs))?.number()?,
+            ops,
+        ))
+    }
+
+    /// Splices a pure arithmetic `expr` with no comparison and returns
+    /// its register and its node count.
+    fn splice_number(&self, t: &mut Tier, expr: &RExpr, scope: Scope<'_>) -> Option<(usize, u64)> {
+        let RExpr::Pure {
+            nodes,
+            num: Some(num),
+            ..
+        } = expr
+        else {
+            return None;
+        };
+        Some((self.splice(t, num, scope)?.number()?, *nodes))
+    }
+
+    /// Appends `num`'s code to `t`, each of its registers renamed to a
+    /// fresh one except its variables, which get their scope's loaded
+    /// registers, and returns where its value ends up.
+    fn splice(&self, t: &mut Tier, num: &NumCode, scope: Scope<'_>) -> Option<Out> {
+        let first = t.regs.len();
+        t.regs.resize(first + num.regs, 0.0);
+        for &(r, c) in &num.consts {
+            t.regs[first + r] = c;
+        }
+        let mut vars = Vec::with_capacity(num.vars.len());
+        for &(r, var) in &num.vars {
+            vars.push((r, self.register(t, var, scope)?));
+        }
+        let rename = |r: usize| vars.iter().find(|v| v.0 == r).map_or(first + r, |v| v.1);
+        for i in &num.code {
+            t.code.push(Instr {
+                op: i.op,
+                dst: rename(i.dst),
+                a: rename(i.a),
+                b: rename(i.b),
+            });
+        }
+        Some(Out {
+            result: rename(num.out.result),
+            cmp: num.out.cmp.map(|(cmp, r)| (cmp, rename(r))),
+        })
+    }
+
+    /// The register of `var` in `scope`, loading it on first use, or
+    /// `None` if the slot the walk would use does not hold a number.
+    fn register(&self, t: &mut Tier, var: Var, scope: Scope<'_>) -> Option<usize> {
+        let home = match (scope, var.local) {
+            (Scope::Callee(args), Some(s)) => return args.get(s).copied(),
+            (Scope::Loop(base), Some(s)) if self.stack[base + s].is_some() => Home::Local(base + s),
+            _ => Home::Global(var.global),
+        };
+        if let Some(&(_, r)) = t.homes.iter().find(|(h, _)| *h == home) {
+            return Some(r);
+        }
+        let slot = match home {
+            Home::Local(i) => &self.stack[i],
+            Home::Global(g) => &self.globals[g],
+        };
+        let Some(Value::Num(n)) = slot else {
+            return None;
+        };
+        t.regs.push(*n);
+        t.homes.push((home, t.regs.len() - 1));
+        Some(t.regs.len() - 1)
+    }
+
+    /// Runs a linked numeric loop while the gas covers whole iterations,
+    /// then writes its variables back.
+    fn run_tier(&mut self, t: &mut Tier, linked: &Linked) -> bool {
+        let (cond, body) = t.code.split_at(linked.cond_len);
+        let gas = self.gas;
+        let done = loop {
+            if self.gas < linked.step_ops {
+                break false;
+            }
+            run(cond, &mut t.regs);
+            if !linked.cond.value(&t.regs).truthy() {
+                self.gas -= linked.cond_ops;
+                break true;
+            }
+            self.gas -= linked.step_ops;
+            run(body, &mut t.regs);
+        };
+        self.ops += gas - self.gas;
+        #[cfg(test)]
+        TIERED.with(|c| {
+            let (entries, ops) = c.get();
+            c.set((entries + 1, ops + gas - self.gas));
+        });
+        for &(home, r) in &t.homes {
+            let value = Some(Value::Num(t.regs[r]));
+            match home {
+                Home::Local(i) => self.stack[i] = value,
+                Home::Global(g) => self.globals[g] = value,
+            }
+        }
+        done
     }
 
     /// Calls `callee` with the arguments at `stack[args_base..]`.
@@ -793,32 +1256,15 @@ fn unary(op: UnOp, v: &Value) -> Value {
 fn binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
         // String concatenation wins if either side is a string.
-        BinOp::Add if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) => {
+        BinOp::Arith(Arith::Add) if matches!(l, Value::Str(_)) || matches!(r, Value::Str(_)) => {
             Value::Str(format!("{l}{r}"))
         }
-        BinOp::Eq => Value::Bool(js_eq(l, r)),
-        BinOp::Ne => Value::Bool(!js_eq(l, r)),
-        _ => numeric(op, l.to_num(), r.to_num()).map_or(Value::Undefined, Value::from),
+        BinOp::Arith(op) => Value::Num(op.apply(l.to_num(), r.to_num())),
+        BinOp::Cmp(Cmp::Eq) => Value::Bool(js_eq(l, r)),
+        BinOp::Cmp(Cmp::Ne) => Value::Bool(!js_eq(l, r)),
+        BinOp::Cmp(op) => Value::Bool(op.test(l.to_num(), r.to_num())),
+        BinOp::Other => Value::Undefined,
     }
-}
-
-/// `op` on two numbers, or `None` where it yields `undefined`.
-fn numeric(op: BinOp, l: f64, r: f64) -> Option<Scalar> {
-    Some(match op {
-        BinOp::Add => Scalar::Num(l + r),
-        BinOp::Sub => Scalar::Num(l - r),
-        BinOp::Mul => Scalar::Num(l * r),
-        BinOp::Div => Scalar::Num(l / r),
-        BinOp::Rem => Scalar::Num(l % r),
-        BinOp::Lt => Scalar::Bool(l < r),
-        BinOp::Gt => Scalar::Bool(l > r),
-        BinOp::Le => Scalar::Bool(l <= r),
-        BinOp::Ge => Scalar::Bool(l >= r),
-        // `js_eq` on two numbers.
-        BinOp::Eq => Scalar::Bool(l == r),
-        BinOp::Ne => Scalar::Bool(l != r),
-        BinOp::Other => return None,
-    })
 }
 
 fn js_eq(l: &Value, r: &Value) -> bool {
@@ -1018,5 +1464,72 @@ mod edge_case_tests {
             None,
         );
         assert_eq!(out.effects.len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod tier_tests {
+    use super::*;
+    use crate::html;
+    use ewb_webpage::{benchmark_corpus, ObjectKind, PageVersion};
+
+    /// Executes `source` and returns its outcome, the numeric loop
+    /// entries it made and the ops their iterations charged.
+    fn tiered(source: &str) -> (JsOutcome, u64, u64) {
+        let (entries, ops) = TIERED.with(std::cell::Cell::get);
+        let out = execute(source, None);
+        let (entries_after, ops_after) = TIERED.with(std::cell::Cell::get);
+        (out, entries_after - entries, ops_after - ops)
+    }
+
+    #[test]
+    fn corpus_filler_and_accumulator_loops_enter_the_tier() {
+        // Every corpus script has one `mix` filler loop, and every page
+        // one inline accumulator loop; the URL loops call `loadImage`
+        // and stay on the walk.
+        let (mut scripts, mut ops, mut tier_ops) = (0, 0, 0);
+        for seed in [1, 7] {
+            let corpus = benchmark_corpus(seed);
+            for version in [PageVersion::Mobile, PageVersion::Full] {
+                for page in corpus.pages(version) {
+                    for obj in page.objects() {
+                        let sources = match obj.kind {
+                            ObjectKind::Js => vec![obj.body.clone()],
+                            ObjectKind::Html => html::parse(&obj.body).inline_scripts,
+                            _ => continue,
+                        };
+                        for source in &sources {
+                            let (out, entries, charged) = tiered(source);
+                            assert_eq!(entries, 1, "{source}");
+                            scripts += 1;
+                            ops += out.ops;
+                            tier_ops += charged;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(scripts > 100, "only {scripts} corpus scripts");
+        // The two loops are nearly all of the corpus's script work.
+        assert!(tier_ops * 100 > ops * 99, "{tier_ops} of {ops} ops tiered");
+    }
+
+    #[test]
+    fn loops_outside_the_tier_shape_stay_on_the_walk() {
+        for source in [
+            "var i = 0; while (i < 3) { var x = i; i = i + 1; }",
+            "var i = 0; while (i < 3) { if (i) { i = i + 1; } i = i + 1; }",
+            "var i = 0; while (i < 3) { loadImage(\"a\" + i); i = i + 1; }",
+            "var i = 0; while (i < 3 == true) { i = i + 1; }",
+            "var i = 0; while (i < 3) { i = i < 2; }",
+            "var i = \"0\"; while (i < 3) { i = i + 1; }",
+        ] {
+            assert_eq!(tiered(source).1, 0, "{source}");
+        }
+        let (out, entries, charged) = tiered("var i = 0; while (i < 3) { i = i + 1; }");
+        // Three steps of `i < 3` (3 ops) and `i = i + 1` (5), then the
+        // failing condition; the `var` (2) and the `while` (1) outside.
+        assert_eq!((entries, charged), (1, 3 * (3 + 5) + 3));
+        assert_eq!(out.ops, 2 + 1 + charged);
     }
 }

@@ -18,11 +18,15 @@
 //! variable reference becomes a frame slot and a global slot, every call
 //! target a builtin or a function-table index, and every function body a
 //! shared pointer. Each largest subtree with no call and no assignment is
-//! marked pure with its node count. The interpreter then indexes vectors
-//! instead of hashing names, and charges a pure subtree in one step and
-//! evaluates it on numbers where it can, with the same scoping rules and
-//! the same operation count as a name-keyed walk that charges node by
-//! node (see `interp.rs`).
+//! marked pure with its node count, and compiled to `f64` register code
+//! if it is arithmetic. The interpreter then indexes vectors instead of
+//! hashing names, and charges a pure subtree in one step and evaluates it
+//! on numbers where it can. A `while` loop whose condition and body are
+//! arithmetic (with calls to functions that only `return` arithmetic)
+//! runs on an `f64` register file with those calls inlined, charging each
+//! iteration's op count in one step. All of it keeps the scoping rules
+//! and the operation count of a name-keyed walk that charges node by node
+//! (see `interp.rs`).
 //!
 //! Safety: execution is bounded by an operation budget (gas), so arbitrary
 //! input — including infinite loops — always terminates.

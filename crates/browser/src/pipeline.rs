@@ -35,6 +35,7 @@ use ewb_obs::{Event as ObsEvent, Layer as ObsLayer, Recorder};
 use ewb_simcore::{SimDuration, SimTime, TimeSeries};
 use ewb_webpage::ObjectKind;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 /// Which computation schedule to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -401,9 +402,10 @@ struct Loader<'a, F: ResourceFetcher + ?Sized> {
     root_url: String,
     t: SimTime,
     m: LoadMetrics,
-    requested: HashSet<String>,
+    /// Every URL requested so far; `queue` shares their text.
+    requested: HashSet<Rc<str>>,
     /// Discovered-but-not-yet-issued requests (connection-limited).
-    queue: std::collections::VecDeque<String>,
+    queue: std::collections::VecDeque<Rc<str>>,
     in_flight: usize,
     doc: Option<Document>,
     sheets: Vec<css::Stylesheet>,
@@ -494,11 +496,16 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
     }
 
+    /// Queues `url` unless it was requested before: one allocation per
+    /// new URL, none for a repeat.
     fn request(&mut self, url: &str) {
-        if self.requested.insert(url.to_string()) {
-            self.queue.push_back(url.to_string());
-            self.pump();
+        if self.requested.contains(url) {
+            return;
         }
+        let url: Rc<str> = Rc::from(url);
+        self.requested.insert(Rc::clone(&url));
+        self.queue.push_back(url);
+        self.pump();
     }
 
     /// Issues queued requests up to the connection limit.
@@ -522,7 +529,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             if r.kind == ObjectKind::Css {
                 self.css_discovered += 1;
             }
-            self.request(&r.url.clone());
+            self.request(&r.url);
         }
         let is_root = self.doc.is_none();
         if is_root {
@@ -561,7 +568,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     if u.ends_with(".css") {
                         self.css_discovered += 1;
                     }
-                    self.request(&u.clone());
+                    self.request(u);
                 }
                 self.sheets.push(parsed.sheet);
             }
@@ -585,7 +592,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             self.busy(d, Cat::Dtc, "css_scan");
         }
         for u in scan.urls.iter().chain(&scan.imports) {
-            self.request(&u.clone());
+            self.request(u);
         }
         self.css_bodies.push(body);
     }
@@ -629,7 +636,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     if u.ends_with(".css") {
                         self.css_discovered += 1;
                     }
-                    self.request(&u.clone());
+                    self.request(u);
                 }
                 self.sheets.push(parsed.sheet);
             }
@@ -662,7 +669,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                         if r.kind == ObjectKind::Css {
                             self.css_discovered += 1;
                         }
-                        self.request(&r.url.clone());
+                        self.request(&r.url);
                     }
                     if let Some(doc) = &mut self.doc {
                         let root = doc.root();

@@ -6,12 +6,14 @@
 //! functions in `HashMap`s keyed by name, copies a function's body on
 //! every call, and charges one operation per node. `js::execute` charges
 //! each pure subtree (no call, no assignment) in one step and evaluates
-//! it on numbers where it can. Both must return the same `JsOutcome`
-//! (effects, op count, tokens, parse and gas outcome) on every corpus
-//! script, on gas budgets that run out on every node of the corpus loop
-//! shapes, on pure subtrees that leave the number path, and on seeded
-//! random programs. Debug builds run a few thousand random programs;
-//! release builds run 100 000.
+//! it on numbers where it can, and runs arithmetic `while` loops on `f64`
+//! registers, one charge per iteration. Both must return the same
+//! `JsOutcome` (effects, op count, tokens, parse and gas outcome) on
+//! every corpus script, on gas budgets that run out on every node of the
+//! corpus loop shapes, on pure subtrees that leave the number path, on
+//! loops inside and outside the numeric loop tier's shape and guards,
+//! and on seeded random programs. Debug builds run a few thousand random
+//! programs; release builds run 100 000.
 
 use ewb_browser::html;
 use ewb_browser::js::{execute, parse_program, Expr, JsEffect, JsOutcome, Stmt, DEFAULT_GAS};
@@ -503,6 +505,93 @@ fn pure_subtrees_that_leave_the_number_path_match_the_reference() {
         let out = assert_same(source, None);
         assert_eq!(out.effects.len(), 1, "{source}");
         assert_same_at_every_gas(source);
+    }
+}
+
+#[test]
+fn numeric_loops_match_the_reference() {
+    let programs = [
+        // Tiered over a function's locals, and over top-level globals.
+        "function run(n) { var k = 0; var acc = 1; \
+         while (k < n) { acc = acc * 3 - k / 2; k = k + 1; } return acc; } \
+         loadImage(\"r\" + run(5));",
+        "k = 0; acc = 0; while (k < 5) { acc = acc + k * k; k = -(-k - 1); } \
+         loadImage(\"g\" + acc + \"/\" + k);",
+        // A leaf reads a global the loop writes; inside `g` the loop's
+        // `step` is a local, so the leaf reads another slot.
+        "function bump(a) { return a + step; } step = 2; total = 0; i = 0; \
+         while (i < 4) { total = bump(total); step = step * 2; i = i + 1; } \
+         function g() { var step = 1; var t = 0; var i = 0; \
+         while (i < 3) { t = bump(t); step = step + 1; i = i + 1; } return t * 1000 + step; } \
+         loadImage(\"s\" + total + \"/\" + step + \"/\" + g());",
+        // Variables unbound at entry, or holding a string, a bool or
+        // `undefined`.
+        "var i = 0; while (i < 3) { u = i * 2; i = i + 1; } loadImage(\"u\" + u + i);",
+        "var i = 0; while (i < 3) { i = i + 1 + w; } loadImage(\"w\" + i);",
+        "var i = 0; var s = \"7\"; while (i < 3) { s = s * 2; i = i + 1; } loadImage(\"s\" + s);",
+        "var i = 0; var b = true; while (i < 3) { b = b + i; i = i + 1; } loadImage(\"b\" + b);",
+        "var i = 0; var v; while (i < 3) { v = v + 1; i = i + 1; } loadImage(\"v\" + v);",
+        "var i = \"1\"; while (i < 3) { i = i + 1; } var j = false; while (j < 3) { j = j + 1; } \
+         loadImage(\"i\" + i + j);",
+        // An inner loop whose variable is a string at its first entries
+        // and a number at the later ones.
+        "var x = \"a\"; var j = 0; while (j < 4) { var k = 0; \
+         while (k < 2) { x = x + 1; k = k + 1; } j = j + 1; if (j == 2) { x = 5; } } \
+         loadImage(\"x\" + x);",
+        // Callees: unregistered; registered by the statement before the
+        // loop (after hoisting picked the later declaration); nested.
+        "var k = 0; var a = 0; while (k < 3) { a = nope(k); k = k + 1; } loadImage(\"n\" + a);",
+        "function f(a) { return a + 1; } var k = 0; var a = 1; \
+         while (k < 3) { a = f(a); k = k + 1; } \
+         function f(a) { return a * 2 + 1; } k = 0; while (k < 3) { a = f(a); k = k + 1; } \
+         if (true) { function f(a) { return a - 1; } } k = 0; while (k < 3) { a = f(a); k = k + 1; } \
+         loadImage(\"f\" + a);",
+        // Duplicate parameters; too few and too many arguments.
+        "function d(a, a) { return a * 2; } var k = 0; var x = 1; \
+         while (k < 3) { x = d(x, k); k = k + 1; } loadImage(\"d\" + x);",
+        "function two(a, b) { return a + b; } var k = 0; var x = 1; \
+         while (k < 3) { x = two(k); k = k + 1; } loadImage(\"t\" + x);",
+        "function one(a) { return a * 3; } var k = 0; var x = 1; \
+         while (k < 3) { x = one(k, x, 5); k = k + 1; } loadImage(\"o\" + x);",
+        // Callee bodies that are not one `return <arithmetic>`.
+        "function two(a) { var t = a * 2; return t + 1; } var k = 0; var x = 1; \
+         while (k < 3) { x = two(x); k = k + 1; } loadImage(\"2\" + x);",
+        "function c(a) { return a < 2; } function e(a) { return; } var k = 0; var x = 1; \
+         while (k < 3) { x = c(k); k = k + 1; } while (k < 5) { x = e(k); k = k + 1; } \
+         loadImage(\"c\" + x);",
+        // NaN, infinities, -0, `/ 0` and `% 0`; conditions with no
+        // comparison, and `!=`.
+        "var k = 0; var z = 0; var a = 1; var b = -1; var c = 5; var n = 0; var m = 0; \
+         while (k < 4) { a = a / z; b = b / z; c = c % z; n = z / z; m = -z; k = k + 1; } \
+         loadImage(\"\" + a + b + c + n + (1 / m) + (m == 0) + (n == n));",
+        "var q = 1; while (q) { q = q * -0; } var n = 5; while (n) { n = n * 0 / 0; } \
+         var v = 1; while (v < 1 / 0) { v = v * v + 9; } var i = 0; while (i != 5) { i = i + 1; } \
+         loadImage(\"\" + (1 / q) + n + v + i);",
+        // Bodies with a `var`, an `if` or a `loadImage` are not tiered.
+        "var i = 0; while (i < 3) { var x = i * 2; i = i + 1; } loadImage(\"x\" + x);",
+        "var i = 0; var y = 0; while (i < 3) { if (i > 1) { y = y + 1; } i = i + 1; } \
+         loadImage(\"y\" + y);",
+        "var i = 0; while (i < 3) { loadImage(\"l\" + i); i = i + 1; }",
+    ];
+    for source in programs {
+        assert_same_at_every_gas(source);
+    }
+    // A leaf loop entered at call depth 63 finishes; at 64 its first
+    // call is past the depth limit, which stops the script.
+    let at_depth = |n: usize| {
+        format!(
+            "function leaf(a, b) {{ return a * 31 + b % 97; }} \
+             function r(n) {{ if (n > 0) {{ return r(n - 1); }} var k = 0; var acc = 0; \
+             while (k < 3) {{ acc = leaf(acc, k); k = k + 1; }} return acc; }} \
+             loadImage(\"d\" + r({n}));"
+        )
+    };
+    assert_same_at_every_gas(&at_depth(62));
+    let deep = at_depth(63);
+    let full = assert_same(&deep, None);
+    assert!(full.hit_gas_limit && full.effects.is_empty() && full.ops < DEFAULT_GAS);
+    for gas in 0..=full.ops + 1 {
+        assert_same(&deep, Some(gas));
     }
 }
 
