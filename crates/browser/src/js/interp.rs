@@ -9,28 +9,18 @@
 //! indexes `Vec`s: no name is hashed or cloned and no body is copied, so
 //! no per-operation cost grows with the number of distinct names.
 //!
-//! Resolution also marks each largest subtree with no call and no
-//! assignment as pure, with its node count. Evaluating such a subtree has
-//! no effect but its value, so `eval` charges the count in one step: the
-//! whole count when the budget covers it, and otherwise what charging
-//! node by node leaves observable, `ops += gas + 1` and `gas = 0` (the
-//! charge that finds the budget empty counts too) with an out-of-gas
-//! stop. A pure subtree that is arithmetic (number literals and
-//! variables under `+ - * / %` and unary `-`, with at most one
-//! comparison, at its root) is also compiled to [`NumCode`], register
-//! code on `f64`s. It runs uncharged on the variables' values, and as
-//! soon as one is not a number the subtree is evaluated again on
-//! [`Value`]s with the same `binary` and `unary` the charged path uses.
-//!
-//! A `while` loop whose condition is arithmetic and whose body only
+//! The walk charges one op per statement and one per expression node, as
+//! the name-keyed walk does. A `while` loop whose condition is
+//! arithmetic (number literals and variables under `+ - * / %` and unary
+//! `-`, with at most one comparison, at its root) and whose body only
 //! assigns arithmetic, or the result of calling a function whose whole
-//! body is `return <arithmetic>`, runs in the numeric loop tier: its
-//! pieces and its callees' returned expressions are linked into one
-//! register file and one instruction list, and each iteration charges
-//! its static op count in one step. Guards at entry, a whole-step gas
-//! rule and a write-back before any hand-over keep `ops`, the gas
-//! outcome, the effects and every value those of the walk (see
-//! [`Interp::numeric_loop`]).
+//! body is `return <arithmetic>`, runs in the numeric loop tier: at each
+//! entry its pieces and its callees' returned expressions are compiled
+//! from the resolved tree into one `f64` register file and one
+//! instruction list, and each iteration charges its static op count in
+//! one step. Guards at entry, a whole-step gas rule and a write-back
+//! before any hand-over keep `ops`, the gas outcome, the effects and
+//! every value those of the walk (see [`Interp::numeric_loop`]).
 //!
 //! The scoping rules are those of the name-keyed interpreter this
 //! replaces:
@@ -262,16 +252,12 @@ impl UnOp {
     }
 }
 
-/// [`Expr`] with its names resolved.
+/// [`Expr`] with its names resolved, node for node.
 enum RExpr {
-    /// A largest subtree with no call and no assignment, and its node
-    /// count: it is charged in one step. `num` is its register code if
-    /// it is arithmetic.
-    Pure {
-        nodes: u64,
-        expr: PureExpr,
-        num: Option<Box<NumCode>>,
-    },
+    Num(f64),
+    Str(String),
+    Bool(bool),
+    Var(Var),
     Binary {
         op: BinOp,
         left: Box<RExpr>,
@@ -288,24 +274,6 @@ enum RExpr {
     Call {
         callee: Callee,
         args: Vec<RExpr>,
-    },
-}
-
-/// A resolved subtree with no call and no assignment: evaluating it has
-/// no effect but its value.
-enum PureExpr {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Var(Var),
-    Binary {
-        op: BinOp,
-        left: Box<PureExpr>,
-        right: Box<PureExpr>,
-    },
-    Unary {
-        op: UnOp,
-        operand: Box<PureExpr>,
     },
 }
 
@@ -338,7 +306,7 @@ fn run(code: &[Instr], regs: &mut [f64]) {
     }
 }
 
-/// Where register code leaves its value: a register, or the root
+/// Where a loop condition leaves its value: a register, or the root
 /// comparison of that register with a second one.
 #[derive(Clone, Copy)]
 struct Out {
@@ -347,110 +315,11 @@ struct Out {
 }
 
 impl Out {
-    /// The register of a number, or `None` for a comparison.
-    fn number(self) -> Option<usize> {
-        self.cmp.is_none().then_some(self.result)
-    }
-
     fn value(self, regs: &[f64]) -> Value {
         match self.cmp {
             Some((cmp, right)) => Value::Bool(cmp.test(regs[self.result], regs[right])),
             None => Value::Num(regs[self.result]),
         }
-    }
-}
-
-/// Register code for an arithmetic pure subtree: number literals and
-/// variables under `+ - * / %` and unary `-`, with at most one
-/// comparison, at its root. Every literal, variable name and operator
-/// has a register of its own in `0..regs`, and every operator one
-/// instruction, in evaluation order.
-struct NumCode {
-    /// The register each variable name is read into.
-    vars: Vec<(usize, Var)>,
-    /// The register each literal is held in.
-    consts: Vec<(usize, f64)>,
-    code: Vec<Instr>,
-    regs: usize,
-    out: Out,
-}
-
-impl NumCode {
-    /// Compiles `expr`, or `None` if it is not arithmetic.
-    fn compile(expr: &PureExpr) -> Option<Box<NumCode>> {
-        let mut c = NumCode {
-            vars: Vec::new(),
-            consts: Vec::new(),
-            code: Vec::new(),
-            regs: 0,
-            out: Out {
-                result: 0,
-                cmp: None,
-            },
-        };
-        c.out = match expr {
-            PureExpr::Binary {
-                op: BinOp::Cmp(cmp),
-                left,
-                right,
-            } => Out {
-                result: c.arith(left)?,
-                cmp: Some((*cmp, c.arith(right)?)),
-            },
-            _ => Out {
-                result: c.arith(expr)?,
-                cmp: None,
-            },
-        };
-        Some(Box::new(c))
-    }
-
-    /// Emits the code of an arithmetic `expr` and returns the register
-    /// of its value, or `None` if it is not arithmetic.
-    fn arith(&mut self, expr: &PureExpr) -> Option<usize> {
-        Some(match expr {
-            PureExpr::Num(v) => {
-                let r = self.reg();
-                self.consts.push((r, *v));
-                r
-            }
-            // One scope resolves a name to one `Var`.
-            PureExpr::Var(var) => match self.vars.iter().find(|(_, v)| v.global == var.global) {
-                Some(&(r, _)) => r,
-                None => {
-                    let r = self.reg();
-                    self.vars.push((r, *var));
-                    r
-                }
-            },
-            PureExpr::Binary {
-                op: BinOp::Arith(op),
-                left,
-                right,
-            } => {
-                let (a, b) = (self.arith(left)?, self.arith(right)?);
-                self.emit(Op::Arith(*op), a, b)
-            }
-            PureExpr::Unary {
-                op: UnOp::Neg,
-                operand,
-            } => {
-                let a = self.arith(operand)?;
-                self.emit(Op::Neg, a, a)
-            }
-            _ => return None,
-        })
-    }
-
-    fn reg(&mut self) -> usize {
-        self.regs += 1;
-        self.regs - 1
-    }
-
-    fn emit(&mut self, op: Op, a: usize, b: usize) -> usize {
-        let dst = self.reg();
-        self.code.push(Instr { op, dst, a, b });
-        dst
     }
 }
 
@@ -542,27 +411,6 @@ fn declare_vars<'p>(statements: &'p [Stmt], frame: &mut HashMap<&'p str, usize>)
     }
 }
 
-/// A resolved expression whose largest pure subtrees may still grow.
-enum Subtree {
-    /// No call and no assignment: the subtree and its node count.
-    Pure(u64, PureExpr),
-    Mixed(RExpr),
-}
-
-impl Subtree {
-    /// The expression, with a pure root compiled if it is arithmetic.
-    fn finish(self) -> RExpr {
-        match self {
-            Subtree::Pure(nodes, expr) => RExpr::Pure {
-                nodes,
-                num: NumCode::compile(&expr),
-                expr,
-            },
-            Subtree::Mixed(expr) => expr,
-        }
-    }
-}
-
 impl<'p> Resolver<'p> {
     fn block(&mut self, statements: &'p [Stmt], frame: &HashMap<&'p str, usize>) -> Vec<RStmt> {
         statements.iter().map(|s| self.stmt(s, frame)).collect()
@@ -613,56 +461,25 @@ impl<'p> Resolver<'p> {
         }
     }
 
-    /// Resolves `expr`, wrapping each largest subtree with no call and no
-    /// assignment in [`RExpr::Pure`].
     fn expr(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> RExpr {
-        self.subtree(expr, frame).finish()
-    }
-
-    fn subtree(&mut self, expr: &'p Expr, frame: &HashMap<&'p str, usize>) -> Subtree {
         match expr {
-            Expr::Num(v) => Subtree::Pure(1, PureExpr::Num(*v)),
-            Expr::Str(s) => Subtree::Pure(1, PureExpr::Str(s.clone())),
-            Expr::Bool(b) => Subtree::Pure(1, PureExpr::Bool(*b)),
-            Expr::Var(name) => Subtree::Pure(1, PureExpr::Var(self.var(name, frame))),
-            Expr::Binary { op, left, right } => {
-                let op = BinOp::resolve(op);
-                match (self.subtree(left, frame), self.subtree(right, frame)) {
-                    (Subtree::Pure(l, left), Subtree::Pure(r, right)) => Subtree::Pure(
-                        l + r + 1,
-                        PureExpr::Binary {
-                            op,
-                            left: Box::new(left),
-                            right: Box::new(right),
-                        },
-                    ),
-                    (left, right) => Subtree::Mixed(RExpr::Binary {
-                        op,
-                        left: Box::new(left.finish()),
-                        right: Box::new(right.finish()),
-                    }),
-                }
-            }
-            Expr::Unary { op, operand } => {
-                let op = UnOp::resolve(op);
-                match self.subtree(operand, frame) {
-                    Subtree::Pure(nodes, operand) => Subtree::Pure(
-                        nodes + 1,
-                        PureExpr::Unary {
-                            op,
-                            operand: Box::new(operand),
-                        },
-                    ),
-                    Subtree::Mixed(operand) => Subtree::Mixed(RExpr::Unary {
-                        op,
-                        operand: Box::new(operand),
-                    }),
-                }
-            }
-            Expr::Assign { name, value } => Subtree::Mixed(RExpr::Assign {
+            Expr::Num(v) => RExpr::Num(*v),
+            Expr::Str(s) => RExpr::Str(s.clone()),
+            Expr::Bool(b) => RExpr::Bool(*b),
+            Expr::Var(name) => RExpr::Var(self.var(name, frame)),
+            Expr::Binary { op, left, right } => RExpr::Binary {
+                op: BinOp::resolve(op),
+                left: Box::new(self.expr(left, frame)),
+                right: Box::new(self.expr(right, frame)),
+            },
+            Expr::Unary { op, operand } => RExpr::Unary {
+                op: UnOp::resolve(op),
+                operand: Box::new(self.expr(operand, frame)),
+            },
+            Expr::Assign { name, value } => RExpr::Assign {
                 var: self.var(name, frame),
                 value: Box::new(self.expr(value, frame)),
-            }),
+            },
             Expr::Call { target, args } => {
                 let callee = match target.as_str() {
                     "loadImage" => Callee::Builtin(JsEffect::LoadImage),
@@ -670,10 +487,10 @@ impl<'p> Resolver<'p> {
                     "document.write" => Callee::Builtin(JsEffect::DocumentWrite),
                     name => Callee::Function(intern(&mut self.functions, name)),
                 };
-                Subtree::Mixed(RExpr::Call {
+                RExpr::Call {
                     callee,
                     args: args.iter().map(|a| self.expr(a, frame)).collect(),
-                })
+                }
             }
         }
     }
@@ -687,7 +504,7 @@ enum Home {
     Global(usize),
 }
 
-/// The scope a piece of register code is linked into a loop from.
+/// The scope an expression is compiled into a loop from.
 #[derive(Clone, Copy)]
 enum Scope<'a> {
     /// The loop's own scope, whose frame starts at this base.
@@ -698,14 +515,27 @@ enum Scope<'a> {
 }
 
 /// A numeric loop linked for one entry: its register file and its
-/// code, the condition's instructions first. The buffers are reused
-/// from entry to entry.
+/// code, the condition's instructions first. Every literal, variable
+/// slot and operator has a register of its own, and every operator one
+/// instruction, in evaluation order. The buffers are reused from entry
+/// to entry.
 #[derive(Default)]
 struct Tier {
     regs: Vec<f64>,
     code: Vec<Instr>,
     /// Every variable loaded, and its register; written back on exit.
     homes: Vec<(Home, usize)>,
+}
+
+impl Tier {
+    /// Appends `op` on the registers `a` and `b` into a fresh register,
+    /// and returns it.
+    fn emit(&mut self, op: Op, a: usize, b: usize) -> usize {
+        let dst = self.regs.len();
+        self.regs.push(0.0);
+        self.code.push(Instr { op, dst, a, b });
+        dst
+    }
 }
 
 /// What one linked entry of a numeric loop charges and tests.
@@ -738,8 +568,6 @@ struct Interp {
     gas: u64,
     ops: u64,
     call_depth: usize,
-    /// Registers of a pure subtree's [`NumCode`].
-    regs: Vec<f64>,
     tier: Tier,
 }
 
@@ -769,7 +597,6 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
         gas: gas.unwrap_or(DEFAULT_GAS),
         ops: 0,
         call_depth: 0,
-        regs: Vec::new(),
         tier: Tier::default(),
     };
     // Hoist top-level function declarations.
@@ -791,20 +618,15 @@ pub fn execute(source: &str, gas: Option<u64>) -> JsOutcome {
 }
 
 impl Interp {
-    /// Charges `cost` operations in one step, with the outcome of charging
-    /// them one at a time: if the budget runs out partway, the charge
-    /// that finds it empty still counts, so `ops` grows by `gas + 1` and
-    /// the budget ends at zero.
-    fn charge(&mut self, cost: u64) -> Result<(), OutOfGas> {
-        if self.gas >= cost {
-            self.gas -= cost;
-            self.ops += cost;
-            Ok(())
-        } else {
-            self.ops += self.gas + 1;
-            self.gas = 0;
-            Err(OutOfGas)
+    /// Charges one operation. The charge that finds the budget empty
+    /// still counts.
+    fn charge(&mut self) -> Result<(), OutOfGas> {
+        self.ops += 1;
+        if self.gas == 0 {
+            return Err(OutOfGas);
         }
+        self.gas -= 1;
+        Ok(())
     }
 
     /// Runs `statements` in the frame at `base`, stopping at the first
@@ -820,7 +642,7 @@ impl Interp {
     }
 
     fn exec(&mut self, stmt: &RStmt, base: usize) -> Flow {
-        if self.charge(1).is_err() {
+        if self.charge().is_err() {
             return Flow::OutOfGas;
         }
         match stmt {
@@ -889,16 +711,12 @@ impl Interp {
     }
 
     fn eval(&mut self, expr: &RExpr, base: usize) -> Result<Value, OutOfGas> {
-        // A pure subtree is charged whole; any other node charges itself.
-        self.charge(match expr {
-            RExpr::Pure { nodes, .. } => *nodes,
-            _ => 1,
-        })?;
+        self.charge()?;
         match expr {
-            RExpr::Pure { expr, num, .. } => Ok(num
-                .as_deref()
-                .and_then(|num| self.run_num(num, base))
-                .unwrap_or_else(|| self.pure_value(expr, base))),
+            RExpr::Num(v) => Ok(Value::Num(*v)),
+            RExpr::Str(s) => Ok(Value::Str(s.clone())),
+            RExpr::Bool(b) => Ok(Value::Bool(*b)),
+            RExpr::Var(var) => Ok(self.read(*var, base).cloned().unwrap_or(Value::Undefined)),
             RExpr::Assign { var, value } => {
                 let v = self.eval(value, base)?;
                 // Assignment updates the local binding if it exists;
@@ -938,57 +756,22 @@ impl Interp {
         local.or(self.globals[var.global].as_ref())
     }
 
-    /// Runs an arithmetic pure subtree's register code, already charged,
-    /// or returns `None` if a variable it reads is not a number.
-    fn run_num(&mut self, num: &NumCode, base: usize) -> Option<Value> {
-        self.regs.resize(num.regs, 0.0);
-        for &(r, var) in &num.vars {
-            let Some(&Value::Num(n)) = self.read(var, base) else {
-                return None;
-            };
-            self.regs[r] = n;
-        }
-        for &(r, c) in &num.consts {
-            self.regs[r] = c;
-        }
-        run(&num.code, &mut self.regs);
-        Some(num.out.value(&self.regs))
-    }
-
-    /// A pure subtree's value on [`Value`]s, with the semantics of the
-    /// charged path.
-    fn pure_value(&self, expr: &PureExpr, base: usize) -> Value {
-        match expr {
-            PureExpr::Num(v) => Value::Num(*v),
-            PureExpr::Str(s) => Value::Str(s.clone()),
-            PureExpr::Bool(b) => Value::Bool(*b),
-            PureExpr::Var(var) => self.read(*var, base).cloned().unwrap_or(Value::Undefined),
-            PureExpr::Unary { op, operand } => unary(*op, &self.pure_value(operand, base)),
-            PureExpr::Binary { op, left, right } => binary(
-                *op,
-                &self.pure_value(left, base),
-                &self.pure_value(right, base),
-            ),
-        }
-    }
-
     /// Runs the `while` loop `cond`/`body` in the numeric loop tier, its
     /// `while` statement already charged. Returns `true` once the loop
     /// has ended there, and `false` with every variable as the walk would
     /// have left it, for the walk to go on at the condition.
     ///
-    /// The loop is linked if its condition is arithmetic and every body
-    /// statement assigns arithmetic (no comparison), or the result of a
-    /// call whose argument expressions are such arithmetic. The guards
-    /// at entry: every variable the loop, and its callees' returned
-    /// expressions, read or write holds a number in the slot the walk
-    /// would use (the local if bound, else the global); the registered
-    /// declaration of each callee has distinct parameters, one per
-    /// argument, and a body of `return <arithmetic>` alone; and the call
-    /// depth is below [`MAX_CALL_DEPTH`]. The body then assigns only
-    /// numbers, registers no function and calls no deeper, so the
-    /// guards hold for the whole loop and the iterations run on
-    /// registers.
+    /// The loop is compiled at every entry if its condition is arithmetic
+    /// and every body statement assigns arithmetic (no comparison), or
+    /// the result of a call whose argument expressions are such
+    /// arithmetic. The guards at entry: every variable the loop, and its
+    /// callees' returned expressions, read or write holds a number in the
+    /// slot the walk would use (the local if bound, else the global); the
+    /// registered declaration of each callee has distinct parameters, one
+    /// per argument, and a body of `return <arithmetic>` alone; and the
+    /// call depth is below [`MAX_CALL_DEPTH`]. The body then assigns only
+    /// numbers, registers no function and calls no deeper, so the guards
+    /// hold for the whole loop and the iterations run on registers.
     ///
     /// One iteration charges what the walk charges: the condition's
     /// nodes; then, per statement, 2 + the value's nodes for arithmetic,
@@ -996,9 +779,9 @@ impl Interp {
     /// statement, the assignment, the call and the `return`). It runs
     /// only while the gas covers a whole iteration, so the budget never
     /// runs out inside the tier; a final condition that fails charges
-    /// only its own nodes. When the gas is short, or a guard fails, the
-    /// registers are written back and the walk, charging node by node,
-    /// takes over at the condition.
+    /// only its own nodes. When the gas is short the registers are
+    /// written back; a failed guard has written no slot. Either way the
+    /// walk, charging node by node, takes over at the condition.
     fn numeric_loop(&mut self, cond: &RExpr, body: &[RStmt], base: usize) -> bool {
         if self.call_depth >= MAX_CALL_DEPTH {
             return false;
@@ -1012,24 +795,16 @@ impl Interp {
         done
     }
 
-    /// Links one entry of a numeric loop into `t`, loading every variable
-    /// it touches, or returns `None` if the loop's shape or a guard
-    /// rules the tier out.
+    /// Compiles one entry of a numeric loop into `t`, loading every
+    /// variable it touches, or returns `None` if the loop's shape or a
+    /// guard rules the tier out.
     fn link(&self, t: &mut Tier, cond: &RExpr, body: &[RStmt], base: usize) -> Option<Linked> {
         t.regs.clear();
         t.code.clear();
         t.homes.clear();
-        let RExpr::Pure {
-            nodes: cond_ops,
-            num: Some(num),
-            ..
-        } = cond
-        else {
-            return None;
-        };
-        let cond = self.splice(t, num, Scope::Loop(base))?;
+        let (cond, cond_ops) = self.condition(t, cond, base)?;
         let cond_len = t.code.len();
-        let mut step_ops = *cond_ops;
+        let mut step_ops = cond_ops;
         for stmt in body {
             let RStmt::Expr(RExpr::Assign { var, value }) = stmt else {
                 return None;
@@ -1041,7 +816,7 @@ impl Interp {
                     args,
                 } => self.inline(t, *index, args, base)?,
                 value => {
-                    let (result, nodes) = self.splice_number(t, value, Scope::Loop(base))?;
+                    let (result, nodes) = self.arith(t, value, Scope::Loop(base))?;
                     (result, 2 + nodes)
                 }
             };
@@ -1062,12 +837,12 @@ impl Interp {
         Some(Linked {
             cond_len,
             cond,
-            cond_ops: *cond_ops,
+            cond_ops,
             step_ops,
         })
     }
 
-    /// Splices a call of the function registered at `index`, its body
+    /// Compiles a call of the function registered at `index`, its body
     /// inlined, and returns the register of its result and the ops the
     /// statement assigning it charges: the statement, the assignment,
     /// the call and the `return`, and the nodes of the arguments and of
@@ -1080,12 +855,7 @@ impl Interp {
         base: usize,
     ) -> Option<(usize, u64)> {
         let function = self.functions[index].as_deref()?;
-        let [RStmt::Return(Some(RExpr::Pure {
-            nodes,
-            num: Some(returned),
-            ..
-        }))] = function.body.as_slice()
-        else {
+        let [RStmt::Return(Some(returned))] = function.body.as_slice() else {
             return None;
         };
         // Parameter slots are interned in order, so distinct parameters
@@ -1094,58 +864,65 @@ impl Interp {
         if !distinct || function.params.len() != args.len() {
             return None;
         }
-        let mut ops = 4 + nodes;
+        let mut ops = 4;
         let mut regs = Vec::with_capacity(args.len());
         for arg in args {
-            let (r, nodes) = self.splice_number(t, arg, Scope::Loop(base))?;
+            let (r, nodes) = self.arith(t, arg, Scope::Loop(base))?;
             regs.push(r);
             ops += nodes;
         }
-        Some((
-            self.splice(t, returned, Scope::Callee(&regs))?.number()?,
-            ops,
-        ))
+        let (result, nodes) = self.arith(t, returned, Scope::Callee(&regs))?;
+        Some((result, ops + nodes))
     }
 
-    /// Splices a pure arithmetic `expr` with no comparison and returns
-    /// its register and its node count.
-    fn splice_number(&self, t: &mut Tier, expr: &RExpr, scope: Scope<'_>) -> Option<(usize, u64)> {
-        let RExpr::Pure {
-            nodes,
-            num: Some(num),
-            ..
-        } = expr
-        else {
-            return None;
-        };
-        Some((self.splice(t, num, scope)?.number()?, *nodes))
+    /// Compiles a loop condition, arithmetic with at most one comparison
+    /// at its root, and returns where its value ends up and its node
+    /// count.
+    fn condition(&self, t: &mut Tier, cond: &RExpr, base: usize) -> Option<(Out, u64)> {
+        let scope = Scope::Loop(base);
+        if let RExpr::Binary {
+            op: BinOp::Cmp(cmp),
+            left,
+            right,
+        } = cond
+        {
+            let (result, l) = self.arith(t, left, scope)?;
+            let (right, r) = self.arith(t, right, scope)?;
+            let cmp = Some((*cmp, right));
+            return Some((Out { result, cmp }, l + r + 1));
+        }
+        let (result, nodes) = self.arith(t, cond, scope)?;
+        Some((Out { result, cmp: None }, nodes))
     }
 
-    /// Appends `num`'s code to `t`, each of its registers renamed to a
-    /// fresh one except its variables, which get their scope's loaded
-    /// registers, and returns where its value ends up.
-    fn splice(&self, t: &mut Tier, num: &NumCode, scope: Scope<'_>) -> Option<Out> {
-        let first = t.regs.len();
-        t.regs.resize(first + num.regs, 0.0);
-        for &(r, c) in &num.consts {
-            t.regs[first + r] = c;
-        }
-        let mut vars = Vec::with_capacity(num.vars.len());
-        for &(r, var) in &num.vars {
-            vars.push((r, self.register(t, var, scope)?));
-        }
-        let rename = |r: usize| vars.iter().find(|v| v.0 == r).map_or(first + r, |v| v.1);
-        for i in &num.code {
-            t.code.push(Instr {
-                op: i.op,
-                dst: rename(i.dst),
-                a: rename(i.a),
-                b: rename(i.b),
-            });
-        }
-        Some(Out {
-            result: rename(num.out.result),
-            cmp: num.out.cmp.map(|(cmp, r)| (cmp, rename(r))),
+    /// Compiles an arithmetic `expr`, number literals and variables under
+    /// `+ - * / %` and unary `-`, and returns the register of its value
+    /// and its node count, or `None` if it is not arithmetic or a
+    /// variable it reads fails the number guard.
+    fn arith(&self, t: &mut Tier, expr: &RExpr, scope: Scope<'_>) -> Option<(usize, u64)> {
+        Some(match expr {
+            RExpr::Num(v) => {
+                t.regs.push(*v);
+                (t.regs.len() - 1, 1)
+            }
+            RExpr::Var(var) => (self.register(t, *var, scope)?, 1),
+            RExpr::Binary {
+                op: BinOp::Arith(op),
+                left,
+                right,
+            } => {
+                let (a, l) = self.arith(t, left, scope)?;
+                let (b, r) = self.arith(t, right, scope)?;
+                (t.emit(Op::Arith(*op), a, b), l + r + 1)
+            }
+            RExpr::Unary {
+                op: UnOp::Neg,
+                operand,
+            } => {
+                let (a, nodes) = self.arith(t, operand, scope)?;
+                (t.emit(Op::Neg, a, a), nodes + 1)
+            }
+            _ => return None,
         })
     }
 
@@ -1512,6 +1289,49 @@ mod tier_tests {
         assert!(scripts > 100, "only {scripts} corpus scripts");
         // The two loops are nearly all of the corpus's script work.
         assert!(tier_ops * 100 > ops * 99, "{tier_ops} of {ops} ops tiered");
+    }
+
+    #[test]
+    fn eligible_shapes_the_corpus_lacks_enter_the_tier() {
+        // Each loop runs three steps and a failing condition; the URL
+        // loaded after it shows the written-back values.
+        for (source, charged, url) in [
+            // `-i > -3` is 5 ops and `i = i + 1` 5.
+            (
+                "var i = 0; while (-i > -3) { i = i + 1; } loadImage(\"i\" + i);",
+                3 * (5 + 5) + 5,
+                "i3",
+            ),
+            // A bare literal or variable assigned is 2 + 1 ops.
+            (
+                "var i = 0; var x = 0; var y = 0; while (i < 3) { x = 7; y = i; i = i + 1; } \
+                 loadImage(x + \"/\" + y + \"/\" + i);",
+                3 * (3 + 3 + 3 + 5) + 3,
+                "7/2/3",
+            ),
+            // A call is 4 + the argument's nodes + the returned nodes.
+            (
+                "function id(a) { return a; } var i = 0; while (i < 3) { i = id(i + 1); } \
+                 loadImage(\"i\" + i);",
+                3 * (3 + 4 + 3 + 1) + 3,
+                "i3",
+            ),
+            // The callee reads the global `g` the loop writes.
+            (
+                "function add(a) { return a + g; } g = 1; t = 0; i = 0; \
+                 while (i < 3) { t = add(t); g = g + 1; i = i + 1; } loadImage(t + \"/\" + g);",
+                3 * (3 + 4 + 1 + 3 + 5 + 5) + 3,
+                "6/4",
+            ),
+        ] {
+            let (out, entries, tier_ops) = tiered(source);
+            assert_eq!((entries, tier_ops), (1, charged), "{source}");
+            assert_eq!(
+                out.effects,
+                vec![JsEffect::LoadImage(url.into())],
+                "{source}"
+            );
+        }
     }
 
     #[test]

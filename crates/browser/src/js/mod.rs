@@ -17,16 +17,14 @@
 //! Before running, [`execute`] resolves the parsed program once: every
 //! variable reference becomes a frame slot and a global slot, every call
 //! target a builtin or a function-table index, and every function body a
-//! shared pointer. Each largest subtree with no call and no assignment is
-//! marked pure with its node count, and compiled to `f64` register code
-//! if it is arithmetic. The interpreter then indexes vectors instead of
-//! hashing names, and charges a pure subtree in one step and evaluates it
-//! on numbers where it can. A `while` loop whose condition and body are
-//! arithmetic (with calls to functions that only `return` arithmetic)
-//! runs on an `f64` register file with those calls inlined, charging each
-//! iteration's op count in one step. All of it keeps the scoping rules
-//! and the operation count of a name-keyed walk that charges node by node
-//! (see `interp.rs`).
+//! shared pointer. The interpreter then indexes vectors instead of
+//! hashing names, and charges one op per statement and per expression
+//! node. A `while` loop whose condition and body are arithmetic (with
+//! calls to functions that only `return` arithmetic) is compiled at each
+//! entry to an `f64` register file with those calls inlined, and charges
+//! each iteration's op count in one step. All of it keeps the scoping
+//! rules and the operation count of a name-keyed walk that charges node
+//! by node (see `interp.rs`).
 //!
 //! Safety: execution is bounded by an operation budget (gas), so arbitrary
 //! input — including infinite loops — always terminates.

@@ -53,14 +53,9 @@ pub struct PipelineConfig {
     pub mode: PipelineMode,
     /// Layout viewport in px (980 = the classic mobile "desktop viewport").
     pub viewport_px: f64,
-    /// Original mode: redraw the intermediate display every this many
-    /// processed objects.
-    pub progressive_batch: usize,
     /// Energy-aware mode: draw the cheap text-only intermediate display.
     /// The paper disables it for mobile-version pages (§4.2).
     pub draw_intermediate: bool,
-    /// Gas budget per script.
-    pub js_gas: u64,
     /// Maximum concurrent requests (2009-era mobile browsers used two
     /// connections). This is what makes browser-paced downloads slow
     /// (Fig. 4): while the CPU processes an object, at most this many
@@ -86,9 +81,7 @@ impl PipelineConfig {
         PipelineConfig {
             mode,
             viewport_px: 980.0,
-            progressive_batch: 3,
             draw_intermediate: true,
-            js_gas: js::DEFAULT_GAS,
             max_parallel: match mode {
                 PipelineMode::Original => 2,
                 PipelineMode::EnergyAware => 3,
@@ -97,6 +90,10 @@ impl PipelineConfig {
         }
     }
 }
+
+/// Original mode: redraw the intermediate display every this many
+/// processed objects.
+const PROGRESSIVE_BATCH: usize = 3;
 
 /// The paper's Table 1 feature vector, extracted from a load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -539,7 +536,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
             doc.adopt(root, &parsed.document);
         }
         for style in parsed.inline_styles {
-            self.on_inline_style(style);
+            self.on_stylesheet(style);
         }
         for script in &parsed.inline_scripts {
             self.run_script(script);
@@ -555,46 +552,13 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         }
     }
 
+    /// A fetched stylesheet. Only fetched ones count their bytes and
+    /// toward the progressive display's wait for stylesheets; an inline
+    /// `<style>` block goes to [`Self::on_stylesheet`] directly.
     fn on_css(&mut self, body: String, bytes: u64) {
         self.m.text_bytes_fetched += bytes;
         self.css_processed += 1;
-        match self.cfg.mode {
-            PipelineMode::Original => {
-                // Full parse now (rule extraction on the critical path).
-                let parsed = css::parse(&body);
-                let d = self.cost.css_parse(parsed.bytes, parsed.sheet.rules.len());
-                self.busy(d, Cat::Layout, "css_parse");
-                for u in parsed.urls.iter().chain(&parsed.sheet.imports) {
-                    if u.ends_with(".css") {
-                        self.css_discovered += 1;
-                    }
-                    self.request(u);
-                }
-                self.sheets.push(parsed.sheet);
-            }
-            PipelineMode::EnergyAware => {
-                // Cheap scan only; parsing waits for the layout phase.
-                self.ea_scan_css(body);
-            }
-        }
-    }
-
-    /// Energy-aware CSS handling: cheap URL scan now — on the main core,
-    /// or concurrently on a helper core when the plan overlaps it with
-    /// the HTML parsing and transfer wait — full parse deferred to the
-    /// layout phase, which gets `body` itself.
-    fn ea_scan_css(&mut self, body: String) {
-        let scan = css::scan_urls(&body);
-        let d = self.cost.css_scan(scan.bytes);
-        if self.cfg.plan.overlap_css {
-            self.side_scan(d);
-        } else {
-            self.busy(d, Cat::Dtc, "css_scan");
-        }
-        for u in scan.urls.iter().chain(&scan.imports) {
-            self.request(u);
-        }
-        self.css_bodies.push(body);
+        self.on_stylesheet(body);
     }
 
     /// Runs a transmission-generating scan on a helper core, off the
@@ -621,12 +585,13 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
         self.m.parallel_work += d;
     }
 
-    /// Inline `<style>` blocks follow the same §4.1 split as external
-    /// stylesheets: the original browser extracts rules on the spot, the
-    /// energy-aware browser scans for URLs now and parses in the layout
-    /// phase. They are not fetched objects, so they touch no byte or
-    /// progressive-display accounting.
-    fn on_inline_style(&mut self, body: String) {
+    /// A stylesheet's text, fetched or from an inline `<style>` block,
+    /// follows §4.1's split. The original browser parses it now, rule
+    /// extraction on the critical path. The energy-aware browser only
+    /// scans it for URLs now, on the main core or concurrently on a
+    /// helper core when the plan overlaps the scan with the HTML parsing
+    /// and transfer wait, and parses `body` itself in the layout phase.
+    fn on_stylesheet(&mut self, body: String) {
         match self.cfg.mode {
             PipelineMode::Original => {
                 let parsed = css::parse(&body);
@@ -641,7 +606,17 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                 self.sheets.push(parsed.sheet);
             }
             PipelineMode::EnergyAware => {
-                self.ea_scan_css(body);
+                let scan = css::scan_urls(&body);
+                let d = self.cost.css_scan(scan.bytes);
+                if self.cfg.plan.overlap_css {
+                    self.side_scan(d);
+                } else {
+                    self.busy(d, Cat::Dtc, "css_scan");
+                }
+                for u in scan.urls.iter().chain(&scan.imports) {
+                    self.request(u);
+                }
+                self.css_bodies.push(body);
             }
         }
     }
@@ -653,7 +628,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     }
 
     fn run_script(&mut self, source: &str) {
-        let out = js::execute(source, Some(self.cfg.js_gas));
+        let out = js::execute(source, None);
         let d = self.cost.js_run(out.bytes, out.ops);
         self.busy(d, Cat::Dtc, "js_run");
         self.m.work.js += d;
@@ -676,7 +651,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                         doc.adopt(root, &parsed.document);
                     }
                     for style in parsed.inline_styles {
-                        self.on_inline_style(style);
+                        self.on_stylesheet(style);
                     }
                 }
             }
@@ -705,7 +680,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     }
 
     /// The original browser's progressive intermediate display: once the
-    /// stylesheets are in, redraw/reflow every `progressive_batch` objects
+    /// stylesheets are in, redraw/reflow every `PROGRESSIVE_BATCH` objects
     /// (§4.2: "the browser wastes a lot of computation resource to
     /// frequently redraw and reflow the intermediate display").
     ///
@@ -716,7 +691,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
     fn maybe_progressive_display(&mut self) {
         self.since_display += 1;
         let css_ready = self.css_processed >= self.css_discovered;
-        if !css_ready || self.since_display < self.cfg.progressive_batch {
+        if !css_ready || self.since_display < PROGRESSIVE_BATCH {
             return;
         }
         // The *first* intermediate display additionally waits for a

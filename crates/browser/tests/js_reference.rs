@@ -4,16 +4,15 @@
 //! The reference below is the interpreter `js::execute` ran before it
 //! resolved names to slots: it walks the public AST, keeps variables and
 //! functions in `HashMap`s keyed by name, copies a function's body on
-//! every call, and charges one operation per node. `js::execute` charges
-//! each pure subtree (no call, no assignment) in one step and evaluates
-//! it on numbers where it can, and runs arithmetic `while` loops on `f64`
-//! registers, one charge per iteration. Both must return the same
-//! `JsOutcome` (effects, op count, tokens, parse and gas outcome) on
-//! every corpus script, on gas budgets that run out on every node of the
-//! corpus loop shapes, on pure subtrees that leave the number path, on
-//! loops inside and outside the numeric loop tier's shape and guards,
-//! and on seeded random programs. Debug builds run a few thousand random
-//! programs; release builds run 100 000.
+//! every call, and charges one operation per node. `js::execute` walks a
+//! slot-resolved tree with the same per-node charges, and runs arithmetic
+//! `while` loops on `f64` registers, one charge per iteration. Both must
+//! return the same `JsOutcome` (effects, op count, tokens, parse and gas
+//! outcome) on every corpus script, on gas budgets that run out on every
+//! node of the corpus loop shapes, on expressions with string, bool,
+//! `undefined` and NaN operands, on loops inside and outside the numeric
+//! loop tier's shape and guards, and on seeded random programs. Debug
+//! builds run a few thousand random programs; release builds run 100 000.
 
 use ewb_browser::html;
 use ewb_browser::js::{execute, parse_program, Expr, JsEffect, JsOutcome, Stmt, DEFAULT_GAS};
