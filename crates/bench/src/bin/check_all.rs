@@ -23,8 +23,8 @@
 use ewb_bench::cli;
 use ewb_check::corpus;
 use ewb_check::pipeline::check_all_sites;
-use ewb_check::{default_alphabet, exhaustive, fuzz, Counterexample, Mutant};
-use ewb_rrc::RrcConfig;
+use ewb_check::{default_alphabet, exhaustive, fuzz, CheckedRadio, Counterexample, Mutant};
+use ewb_rrc::{RrcConfig, RrcMachine};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
     let mut failed = false;
 
     // Stage 1: exhaustive sweep on the real machine.
-    let sweep = exhaustive(&cfg, &default_alphabet(), depth, Mutant::None);
+    let sweep = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), depth, Mutant::None);
     println!(
         "exhaustive: depth {depth}, {} runs, {} failing, {} coverage keys",
         sweep.runs,
@@ -81,8 +81,8 @@ fn main() -> ExitCode {
     }
 
     // Stage 2: harness teeth — every mutant must die, quickly.
-    for m in Mutant::ALL_FAULTY {
-        let r = exhaustive(&cfg, &default_alphabet(), 3, m);
+    for &m in RrcMachine::MUTANTS {
+        let r = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, m);
         match r.counterexample {
             Some(cex) if cex.scenario.steps.len() <= 8 => {
                 println!(

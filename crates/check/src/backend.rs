@@ -1,48 +1,50 @@
-//! Cross-backend differential oracles for the ladder radios.
+//! The radio backends the harness checks, and their reference
+//! interpreters.
 //!
-//! Mirrors the 3G harness exactly, one layer up: each non-3G backend
-//! gets its own *straight-line reference interpreter* written directly
-//! from the backend's named-field config ([`ReferenceLte`],
-//! [`ReferenceWifi`], [`ReferenceFiveG`]) — no [`ewb_rrc::LadderSpec`]
-//! table, no event queue, no recorder — and [`check_ladder_scenario`]
-//! drives the real [`ewb_rrc::LadderMachine`] and the reference through
-//! the same [`Scenario`] in lock-step. The comparison surface is the
-//! same as 3G's: state label and clock at every step boundary,
-//! per-transfer `data_start` instants (integer-exact), transitions,
-//! counters, per-state residency (integer-exact), and total energy
-//! (1 nJ/J relative tolerance).
+//! Every backend gets its own *straight-line reference interpreter*,
+//! written directly from its named-field config — no event queue, no
+//! recorder, no [`LadderSpec`] table: [`ReferenceRrc`] for the paper's
+//! 3G RRC machine (Fig. 2), and [`ReferenceLte`], [`ReferenceWifi`] and
+//! [`ReferenceFiveG`] for the ladder radios. They implement
+//! [`Reference`], the surface the lock-step driver
+//! ([`crate::run::check_scenario`]) compares with the machine's.
 //!
-//! On top of the differential layer, the generic invariant set from the
-//! 3G checker is re-derived per backend from its lowered spec: legal
-//! transition edges, `Dwell` timers firing only in dwell-bearing states,
-//! monotone energy, bit-identical ledger folds, transfers confined to
-//! the transmit-capable level, and residency accounting for elapsed
-//! time.
-//!
-//! [`BackendMutant`] seeds one characteristic defect per backend
-//! (transposed DRX dwells, beacon-skipping PSM, an over-eager 5G tail)
-//! and the teeth tests prove each dies within a two-step
-//! counterexample, mirroring the PR 4 mutants.
+//! [`CheckedRadio`] states the rest of what the driver and the invariant
+//! set need to know about a backend: its reference, the seeded
+//! [`Mutant`]s aimed at it and how they doctor its config, its legal
+//! transition edges, which timer may expire in which states, the states
+//! data may flow in, its residency in the reference's shape, and its
+//! coverage keys. It is implemented once for [`RrcMachine`] and once for
+//! every [`LadderMachine`], whose facts come from its lowered spec and
+//! whose reference and mutants come from [`CheckedLadder`].
 
-use crate::run::{check_transitions, RunReport, Violation, ENERGY_REL_TOL};
-use crate::scenario::{Scenario, Step};
-use ewb_obs::{ledger, Event, RadioState as Obs, Recorder, Timer};
+use crate::mutant::Mutant;
+use crate::scenario::Step;
+use ewb_obs::{RadioState as Obs, Timer};
 use ewb_rrc::{
     FiveG, FiveGConfig, LadderBackend, LadderCounters, LadderMachine, LadderSpec, Lte, LteConfig,
-    Wifi, WifiConfig,
+    RadioModel, RrcConfig, RrcCounters, RrcMachine, RrcState, StateResidency, Wifi, WifiConfig,
 };
 use ewb_simcore::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// A recorded reference transition: `(at, from, to)`.
 pub type RefTransition = (SimTime, Obs, Obs);
 
-/// The observable surface every backend reference interpreter exposes
-/// to the lock-step driver. Implementations are deliberately
-/// *independent* reimplementations of their backend's semantics — they
-/// read the named config fields directly and never touch
-/// [`LadderSpec`].
-pub trait BackendReference {
+/// The observable surface of a backend's reference interpreter.
+/// Implementations are deliberately *independent* reimplementations of
+/// their backend's semantics: they read the named config fields
+/// directly and never touch the machines or [`LadderSpec`].
+pub trait Reference {
+    /// The backend's named-field configuration.
+    type Config;
+    /// The backend's event counters.
+    type Counters;
+    /// Per-state residency, in the shape the interpreter keeps it.
+    type Residency: PartialEq + fmt::Debug;
+    /// An interpreter in the backend's deepest sleep state at time zero.
+    fn new(cfg: Self::Config) -> Self;
     /// Current interpreter time.
     fn now(&self) -> SimTime;
     /// Stable name of the current state (never mid-promotion at a step
@@ -51,21 +53,446 @@ pub trait BackendReference {
     /// Total accrued energy, joules.
     fn energy_j(&self) -> f64;
     /// Event counters so far.
-    fn counters(&self) -> LadderCounters;
-    /// Residency per state label (all labels present, `PROMOTING`
-    /// included), integer-exact.
-    fn residency(&self) -> BTreeMap<&'static str, SimDuration>;
+    fn counters(&self) -> Self::Counters;
+    /// Residency per state so far, integer-exact.
+    fn residency(&self) -> Self::Residency;
     /// The recorded transitions, oldest first.
     fn transitions(&self) -> &[RefTransition];
-    /// Lets `d` of inactivity pass, firing any dwell cascade inside.
+    /// Lets `d` of inactivity pass, firing any timer cascade inside.
     fn wait(&mut self, d: SimDuration);
-    /// One complete transfer (promote if needed, move data for `d`,
-    /// re-arm the inactivity dwell). Returns the data-start instant.
-    fn transfer(&mut self, d: SimDuration, retries: u32) -> SimTime;
+    /// One complete transfer: promote if needed (to the fast channel if
+    /// `needs_fast` and the backend has a slower one), move data for
+    /// `d`, re-arm the inactivity timer. Returns the data-start instant.
+    fn transfer(&mut self, needs_fast: bool, d: SimDuration, retries: u32) -> SimTime;
     /// Application-initiated fast release to the deepest sleep state.
     fn release(&mut self) -> SimTime;
     /// Sets the simulated CPU load in `[0, 1]`.
     fn set_cpu_load(&mut self, load: f64);
+}
+
+/// A radio machine the harness checks: the facts of its backend that
+/// the lock-step driver and the invariant set read.
+pub trait CheckedRadio: RadioModel {
+    /// The backend's reference interpreter.
+    type Reference: Reference<Config = Self::Config, Counters = Self::Counters>;
+    /// The seeded defects aimed at this backend, in severity order.
+    const MUTANTS: &'static [Mutant];
+    /// The configuration a machine under `mutant` is built from (the
+    /// reference always gets the undoctored `cfg`). A mutant aimed at
+    /// another backend leaves it unchanged.
+    fn doctor(cfg: &Self::Config, mutant: Mutant) -> Self::Config;
+    /// The coverage key of a transfer that does or does not need the
+    /// fast channel.
+    fn transfer_key(needs_fast: bool) -> &'static str;
+    /// The legal edges of the transition matrix (invariant 1), in the
+    /// `ewb-obs` state names the machine's events carry.
+    fn legal_edges(&self) -> Vec<(Obs, Obs)>;
+    /// The states `timer` runs down in (invariant 2); empty when the
+    /// backend has no such timer.
+    fn arming_states(&self, timer: Timer) -> &[Obs];
+    /// The states data may flow in (invariant 5).
+    fn transmit_states(&self) -> &[Obs];
+    /// Per-state residency in the reference's shape.
+    fn reference_residency(&self) -> <Self::Reference as Reference>::Residency;
+    /// The counters that are coverage keys once nonzero, with their
+    /// values.
+    fn counter_keys(&self) -> Vec<(&'static str, u64)>;
+}
+
+impl CheckedRadio for RrcMachine {
+    type Reference = ReferenceRrc;
+
+    const MUTANTS: &'static [Mutant] = &[
+        Mutant::SwappedTimers,
+        Mutant::IgnoredDormancy,
+        Mutant::EagerPromotion,
+    ];
+
+    fn doctor(cfg: &RrcConfig, mutant: Mutant) -> RrcConfig {
+        let mut c = *cfg;
+        match mutant {
+            Mutant::SwappedTimers => std::mem::swap(&mut c.t1, &mut c.t2),
+            Mutant::EagerPromotion => c.idle_to_dch_latency = c.idle_to_dch_latency / 2,
+            _ => {}
+        }
+        c
+    }
+
+    fn transfer_key(needs_fast: bool) -> &'static str {
+        if needs_fast {
+            "transfer:dch"
+        } else {
+            "transfer:fach"
+        }
+    }
+
+    /// The Fig. 2 matrix. `Promoting→Idle` is deliberately absent: a
+    /// promotion cannot be abandoned.
+    fn legal_edges(&self) -> Vec<(Obs, Obs)> {
+        vec![
+            (Obs::Idle, Obs::Promoting),
+            (Obs::Promoting, Obs::Fach),
+            (Obs::Promoting, Obs::Dch),
+            (Obs::Fach, Obs::Promoting),
+            (Obs::Dch, Obs::Fach),
+            (Obs::Fach, Obs::Idle),
+            (Obs::Dch, Obs::Idle),
+        ]
+    }
+
+    /// T1 runs down in DCH, T2 in FACH; the ladders' dwell never fires.
+    fn arming_states(&self, timer: Timer) -> &[Obs] {
+        match timer {
+            Timer::T1 => &[Obs::Dch],
+            Timer::T2 => &[Obs::Fach],
+            Timer::Dwell => &[],
+        }
+    }
+
+    fn transmit_states(&self) -> &[Obs] {
+        &[Obs::Fach, Obs::Dch]
+    }
+
+    fn reference_residency(&self) -> StateResidency {
+        self.residency()
+    }
+
+    fn counter_keys(&self) -> Vec<(&'static str, u64)> {
+        let c = self.counters();
+        vec![
+            ("ctr:t1_expirations", c.t1_expirations),
+            ("ctr:t2_expirations", c.t2_expirations),
+            ("ctr:idle_to_dch", c.idle_to_dch),
+            ("ctr:idle_to_fach", c.idle_to_fach),
+            ("ctr:fach_to_dch", c.fach_to_dch),
+            ("ctr:fast_dormancy_releases", c.fast_dormancy_releases),
+            ("ctr:promotion_retries", c.promotion_retries),
+        ]
+    }
+}
+
+/// A ladder backend the harness checks: its reference interpreter and
+/// the mutants aimed at it. Every other fact of a [`LadderMachine`]
+/// comes from its lowered spec.
+pub trait CheckedLadder: LadderBackend {
+    /// The backend's reference interpreter.
+    type Reference: Reference<
+        Config = Self::Config,
+        Counters = LadderCounters,
+        Residency = BTreeMap<&'static str, SimDuration>,
+    >;
+    /// See [`CheckedRadio::MUTANTS`].
+    const MUTANTS: &'static [Mutant];
+    /// See [`CheckedRadio::doctor`].
+    fn doctor(cfg: &Self::Config, mutant: Mutant) -> Self::Config;
+}
+
+impl<B: CheckedLadder> CheckedRadio for LadderMachine<B> {
+    type Reference = B::Reference;
+
+    const MUTANTS: &'static [Mutant] = B::MUTANTS;
+
+    fn doctor(cfg: &B::Config, mutant: Mutant) -> B::Config {
+        B::doctor(cfg, mutant)
+    }
+
+    fn transfer_key(_needs_fast: bool) -> &'static str {
+        "transfer"
+    }
+
+    /// One-level dwell descents, wake starts from any non-top level,
+    /// promotion completion into the top level, and fast releases from
+    /// any level to the bottom.
+    fn legal_edges(&self) -> Vec<(Obs, Obs)> {
+        let spec = self.spec();
+        let (n, obs) = (spec.n_levels, &spec.obs_states);
+        let mut edges = Vec::new();
+        for i in 1..n {
+            edges.push((obs[i], obs[i - 1])); // dwell descent
+            edges.push((obs[i], obs[0])); // fast release
+        }
+        for o in obs.iter().take(n - 1) {
+            edges.push((*o, Obs::Promoting)); // wake start
+        }
+        edges.push((Obs::Promoting, obs[n - 1])); // wake completion
+        edges
+    }
+
+    /// Dwell timers run down in every level but the bottom; the 3G
+    /// timers never fire.
+    fn arming_states(&self, timer: Timer) -> &[Obs] {
+        let spec = self.spec();
+        match timer {
+            Timer::Dwell => &spec.obs_states[1..spec.n_levels],
+            Timer::T1 | Timer::T2 => &[],
+        }
+    }
+
+    /// Only the top level transmits.
+    fn transmit_states(&self) -> &[Obs] {
+        let spec = self.spec();
+        &spec.obs_states[spec.active()..spec.n_levels]
+    }
+
+    fn reference_residency(&self) -> BTreeMap<&'static str, SimDuration> {
+        let (spec, res) = (self.spec(), self.residency());
+        let mut by_label: BTreeMap<_, _> = (0..spec.n_levels)
+            .map(|i| (spec.level_names[i], res.levels[i]))
+            .collect();
+        by_label.insert("PROMOTING", res.promoting);
+        by_label
+    }
+
+    fn counter_keys(&self) -> Vec<(&'static str, u64)> {
+        let c = self.counters();
+        vec![
+            ("ctr:promotions", c.promotions),
+            ("ctr:promotion_retries", c.promotion_retries),
+            ("ctr:dwell_expirations", c.dwell_expirations),
+            ("ctr:releases", c.releases),
+        ]
+    }
+}
+
+impl CheckedLadder for Lte {
+    type Reference = ReferenceLte;
+
+    const MUTANTS: &'static [Mutant] = &[Mutant::SwappedDrxCycles];
+
+    fn doctor(cfg: &LteConfig, mutant: Mutant) -> LteConfig {
+        let mut c = *cfg;
+        if mutant == Mutant::SwappedDrxCycles {
+            std::mem::swap(&mut c.short_drx_s, &mut c.long_drx_s);
+        }
+        c
+    }
+}
+
+impl CheckedLadder for Wifi {
+    type Reference = ReferenceWifi;
+
+    const MUTANTS: &'static [Mutant] = &[Mutant::IgnoredPsmBeacon];
+
+    fn doctor(cfg: &WifiConfig, mutant: Mutant) -> WifiConfig {
+        let mut c = *cfg;
+        if mutant == Mutant::IgnoredPsmBeacon {
+            c.beacon_on_s = 0.0;
+            c.beacon_wake_mj = 0.0;
+        }
+        c
+    }
+}
+
+impl CheckedLadder for FiveG {
+    type Reference = ReferenceFiveG;
+
+    const MUTANTS: &'static [Mutant] = &[Mutant::EagerFiveGRelease];
+
+    fn doctor(cfg: &FiveGConfig, mutant: Mutant) -> FiveGConfig {
+        let mut c = *cfg;
+        if mutant == Mutant::EagerFiveGRelease {
+            c.cdrx_tail_s /= 4.0;
+        }
+        c
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 3G reference: IDLE → PROMOTING → FACH/DCH, T1 and T2 tails.
+// ---------------------------------------------------------------------------
+
+/// An obviously-correct reference interpreter of the Fig. 2 RRC
+/// semantics, for differential testing against [`RrcMachine`].
+///
+/// Everything is written as straight-line arithmetic so the
+/// implementation can be audited against the paper directly:
+///
+/// * T1 (DCH→FACH) and T2 (FACH→IDLE) arm when the last transfer ends
+///   and are cancelled by any new data activity or fast dormancy;
+/// * promotions cost their full latency up front at promotion power
+///   (cold from IDLE) or DCH-hold power (warm FACH→DCH), scaled by
+///   `retries + 1` failed-signaling attempts;
+/// * energy is `Σ watts × seconds` over the piecewise-constant spans.
+#[derive(Debug, Clone)]
+pub struct ReferenceRrc {
+    cfg: RrcConfig,
+    now: SimTime,
+    state: RrcState,
+    t1: Option<SimTime>,
+    t2: Option<SimTime>,
+    cpu_load: f64,
+    joules: f64,
+    residency: StateResidency,
+    transitions: Vec<RefTransition>,
+    counters: RrcCounters,
+}
+
+impl ReferenceRrc {
+    fn promote(&mut self, target: RrcState, latency: SimDuration, watts: f64) -> SimTime {
+        let requested = self.now;
+        let done = requested + latency;
+        self.enter(requested, RrcState::Promoting);
+        self.accrue(done, watts);
+        self.enter(done, target);
+        done
+    }
+
+    fn accrue(&mut self, to: SimTime, base_watts: f64) {
+        if to > self.now {
+            let d = to - self.now;
+            let watts = base_watts + self.cfg.power.cpu_full_extra_w * self.cpu_load;
+            self.joules += watts * d.as_secs_f64();
+            match self.state {
+                RrcState::Idle => self.residency.idle += d,
+                RrcState::Promoting => self.residency.promoting += d,
+                RrcState::Fach => self.residency.fach += d,
+                RrcState::Dch => self.residency.dch += d,
+            }
+            self.now = to;
+        }
+    }
+
+    fn enter(&mut self, at: SimTime, to: RrcState) {
+        if self.state != to {
+            self.transitions.push((at, self.state.into(), to.into()));
+            self.state = to;
+        }
+    }
+}
+
+impl Reference for ReferenceRrc {
+    type Config = RrcConfig;
+    type Counters = RrcCounters;
+    type Residency = StateResidency;
+
+    fn new(cfg: RrcConfig) -> Self {
+        ReferenceRrc {
+            cfg,
+            now: SimTime::ZERO,
+            state: RrcState::Idle,
+            t1: None,
+            t2: None,
+            cpu_load: 0.0,
+            joules: 0.0,
+            residency: StateResidency::default(),
+            transitions: Vec::new(),
+            counters: RrcCounters::default(),
+        }
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn state_label(&self) -> &'static str {
+        self.state.name()
+    }
+    fn energy_j(&self) -> f64 {
+        self.joules
+    }
+    fn counters(&self) -> RrcCounters {
+        self.counters
+    }
+    fn residency(&self) -> StateResidency {
+        self.residency
+    }
+    fn transitions(&self) -> &[RefTransition] {
+        &self.transitions
+    }
+
+    /// Fires any armed T1/T2 deadlines that fall inside the window,
+    /// splitting the energy accrual at each.
+    fn wait(&mut self, d: SimDuration) {
+        let target = self.now + d;
+        // Fig. 2: at most one inactivity timer is armed at a time; each
+        // expiry demotes one step and may arm the next timer.
+        while let Some(at) = self.t1.or(self.t2).filter(|at| *at <= target) {
+            if self.t1.is_some() {
+                self.accrue(at, self.cfg.power.watts(RrcState::Dch, false, 0.0));
+                self.t1 = None;
+                self.enter(at, RrcState::Fach);
+                self.t2 = Some(at + self.cfg.t2);
+                self.counters.t1_expirations += 1;
+            } else {
+                self.accrue(at, self.cfg.power.watts(RrcState::Fach, false, 0.0));
+                self.t2 = None;
+                self.enter(at, RrcState::Idle);
+                self.counters.t2_expirations += 1;
+            }
+        }
+        self.accrue(target, self.cfg.power.watts(self.state, false, 0.0));
+    }
+
+    /// `retries` failed signaling attempts each cost one extra full
+    /// promotion window; the data re-arms the inactivity timer of the
+    /// state it rode in.
+    fn transfer(&mut self, needs_dch: bool, duration: SimDuration, retries: u32) -> SimTime {
+        self.counters.transfers += 1;
+        // Any data activity cancels the inactivity timers.
+        self.t1 = None;
+        self.t2 = None;
+        let attempts = u64::from(retries) + 1;
+        let data_start = match (self.state, needs_dch) {
+            (RrcState::Dch, _) | (RrcState::Fach, false) => self.now,
+            (RrcState::Fach, true) => {
+                // Warm promotion: reuses the signaling connection at
+                // DCH-hold power.
+                self.counters.fach_to_dch += 1;
+                self.counters.promotion_retries += u64::from(retries);
+                self.promote(
+                    RrcState::Dch,
+                    self.cfg.fach_to_dch_latency * attempts,
+                    self.cfg.power.dch_hold_w,
+                )
+            }
+            (RrcState::Idle, true) => {
+                self.counters.idle_to_dch += 1;
+                self.counters.promotion_retries += u64::from(retries);
+                self.promote(
+                    RrcState::Dch,
+                    self.cfg.idle_to_dch_latency * attempts,
+                    self.cfg.power.promotion_w,
+                )
+            }
+            (RrcState::Idle, false) => {
+                self.counters.idle_to_fach += 1;
+                self.counters.promotion_retries += u64::from(retries);
+                self.promote(
+                    RrcState::Fach,
+                    self.cfg.idle_to_fach_latency * attempts,
+                    self.cfg.power.promotion_w,
+                )
+            }
+            (RrcState::Promoting, _) => {
+                unreachable!("sequential driving never observes Promoting at a step boundary")
+            }
+        };
+        let end = data_start + duration;
+        self.accrue(end, self.cfg.power.watts(self.state, true, 0.0));
+        match self.state {
+            RrcState::Dch => self.t1 = Some(end + self.cfg.t1),
+            RrcState::Fach => self.t2 = Some(end + self.cfg.t2),
+            _ => unreachable!("transfer ended in {}", self.state),
+        }
+        data_start
+    }
+
+    /// Fast dormancy: drops to IDLE after the release latency at the
+    /// current state's power.
+    fn release(&mut self) -> SimTime {
+        if self.state == RrcState::Idle {
+            return self.now;
+        }
+        let done = self.now + self.cfg.release_latency;
+        self.accrue(done, self.cfg.power.watts(self.state, false, 0.0));
+        self.t1 = None;
+        self.t2 = None;
+        self.enter(done, RrcState::Idle);
+        self.counters.fast_dormancy_releases += 1;
+        done
+    }
+
+    fn set_cpu_load(&mut self, load: f64) {
+        self.cpu_load = load.clamp(0.0, ewb_rrc::MAX_CPU_CORES);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -89,25 +516,6 @@ pub struct ReferenceLte {
 }
 
 impl ReferenceLte {
-    /// Creates an interpreter in IDLE at `start`.
-    pub fn new(cfg: LteConfig, start: SimTime) -> Self {
-        let mut res = BTreeMap::new();
-        for k in ["IDLE", "LONG_DRX", "SHORT_DRX", "CONNECTED", "PROMOTING"] {
-            res.insert(k, SimDuration::ZERO);
-        }
-        ReferenceLte {
-            cfg,
-            now: start,
-            state: Obs::Idle,
-            descend_at: None,
-            cpu_load: 0.0,
-            joules: 0.0,
-            res,
-            counters: LadderCounters::default(),
-            transitions: Vec::new(),
-        }
-    }
-
     fn label_of(state: Obs) -> &'static str {
         match state {
             Obs::Idle => "IDLE",
@@ -159,7 +567,28 @@ impl ReferenceLte {
     }
 }
 
-impl BackendReference for ReferenceLte {
+impl Reference for ReferenceLte {
+    type Config = LteConfig;
+    type Counters = LadderCounters;
+    type Residency = BTreeMap<&'static str, SimDuration>;
+
+    fn new(cfg: LteConfig) -> Self {
+        let mut res = BTreeMap::new();
+        for k in ["IDLE", "LONG_DRX", "SHORT_DRX", "CONNECTED", "PROMOTING"] {
+            res.insert(k, SimDuration::ZERO);
+        }
+        ReferenceLte {
+            cfg,
+            now: SimTime::ZERO,
+            state: Obs::Idle,
+            descend_at: None,
+            cpu_load: 0.0,
+            joules: 0.0,
+            res,
+            counters: LadderCounters::default(),
+            transitions: Vec::new(),
+        }
+    }
     fn now(&self) -> SimTime {
         self.now
     }
@@ -205,7 +634,7 @@ impl BackendReference for ReferenceLte {
         self.accrue(target, w);
     }
 
-    fn transfer(&mut self, d: SimDuration, retries: u32) -> SimTime {
+    fn transfer(&mut self, _needs_fast: bool, d: SimDuration, retries: u32) -> SimTime {
         self.counters.transfers += 1;
         self.descend_at = None;
         let attempts = u64::from(retries) + 1;
@@ -270,25 +699,6 @@ pub struct ReferenceWifi {
 }
 
 impl ReferenceWifi {
-    /// Creates an interpreter in PSM at `start`.
-    pub fn new(cfg: WifiConfig, start: SimTime) -> Self {
-        let mut res = BTreeMap::new();
-        for k in ["PSM", "ACTIVE", "PROMOTING"] {
-            res.insert(k, SimDuration::ZERO);
-        }
-        ReferenceWifi {
-            cfg,
-            now: start,
-            state: Obs::PsmSleep,
-            descend_at: None,
-            cpu_load: 0.0,
-            joules: 0.0,
-            res,
-            counters: LadderCounters::default(),
-            transitions: Vec::new(),
-        }
-    }
-
     fn label_of(state: Obs) -> &'static str {
         match state {
             Obs::PsmSleep => "PSM",
@@ -334,7 +744,28 @@ impl ReferenceWifi {
     }
 }
 
-impl BackendReference for ReferenceWifi {
+impl Reference for ReferenceWifi {
+    type Config = WifiConfig;
+    type Counters = LadderCounters;
+    type Residency = BTreeMap<&'static str, SimDuration>;
+
+    fn new(cfg: WifiConfig) -> Self {
+        let mut res = BTreeMap::new();
+        for k in ["PSM", "ACTIVE", "PROMOTING"] {
+            res.insert(k, SimDuration::ZERO);
+        }
+        ReferenceWifi {
+            cfg,
+            now: SimTime::ZERO,
+            state: Obs::PsmSleep,
+            descend_at: None,
+            cpu_load: 0.0,
+            joules: 0.0,
+            res,
+            counters: LadderCounters::default(),
+            transitions: Vec::new(),
+        }
+    }
     fn now(&self) -> SimTime {
         self.now
     }
@@ -366,7 +797,7 @@ impl BackendReference for ReferenceWifi {
         self.accrue(target, w);
     }
 
-    fn transfer(&mut self, d: SimDuration, retries: u32) -> SimTime {
+    fn transfer(&mut self, _needs_fast: bool, d: SimDuration, retries: u32) -> SimTime {
         self.counters.transfers += 1;
         self.descend_at = None;
         let attempts = u64::from(retries) + 1;
@@ -424,25 +855,6 @@ pub struct ReferenceFiveG {
 }
 
 impl ReferenceFiveG {
-    /// Creates an interpreter in IDLE at `start`.
-    pub fn new(cfg: FiveGConfig, start: SimTime) -> Self {
-        let mut res = BTreeMap::new();
-        for k in ["IDLE", "CDRX", "CONNECTED", "PROMOTING"] {
-            res.insert(k, SimDuration::ZERO);
-        }
-        ReferenceFiveG {
-            cfg,
-            now: start,
-            state: Obs::Idle,
-            descend_at: None,
-            cpu_load: 0.0,
-            joules: 0.0,
-            res,
-            counters: LadderCounters::default(),
-            transitions: Vec::new(),
-        }
-    }
-
     fn label_of(state: Obs) -> &'static str {
         match state {
             Obs::Idle => "IDLE",
@@ -488,7 +900,28 @@ impl ReferenceFiveG {
     }
 }
 
-impl BackendReference for ReferenceFiveG {
+impl Reference for ReferenceFiveG {
+    type Config = FiveGConfig;
+    type Counters = LadderCounters;
+    type Residency = BTreeMap<&'static str, SimDuration>;
+
+    fn new(cfg: FiveGConfig) -> Self {
+        let mut res = BTreeMap::new();
+        for k in ["IDLE", "CDRX", "CONNECTED", "PROMOTING"] {
+            res.insert(k, SimDuration::ZERO);
+        }
+        ReferenceFiveG {
+            cfg,
+            now: SimTime::ZERO,
+            state: Obs::Idle,
+            descend_at: None,
+            cpu_load: 0.0,
+            joules: 0.0,
+            res,
+            counters: LadderCounters::default(),
+            transitions: Vec::new(),
+        }
+    }
     fn now(&self) -> SimTime {
         self.now
     }
@@ -530,7 +963,7 @@ impl BackendReference for ReferenceFiveG {
         self.accrue(target, w);
     }
 
-    fn transfer(&mut self, d: SimDuration, retries: u32) -> SimTime {
+    fn transfer(&mut self, _needs_fast: bool, d: SimDuration, retries: u32) -> SimTime {
         self.counters.transfers += 1;
         self.descend_at = None;
         let attempts = u64::from(retries) + 1;
@@ -572,430 +1005,6 @@ impl BackendReference for ReferenceFiveG {
     fn set_cpu_load(&mut self, load: f64) {
         self.cpu_load = load.clamp(0.0, ewb_rrc::MAX_CPU_CORES);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Seeded backend mutants.
-// ---------------------------------------------------------------------------
-
-/// A seeded defect in one ladder backend's system under test. The
-/// reference always keeps the true configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendMutant {
-    /// No defect.
-    None,
-    /// LTE: the short- and long-DRX dwell timers are transposed — the
-    /// transposed-constant bug, LTE edition (cf. the 3G
-    /// `Mutant::SwappedTimers`).
-    SwappedDrxCycles,
-    /// WiFi: the firmware skips beacon wakeups entirely (`beacon_on_s`
-    /// and `beacon_wake_mj` forced to zero), under-billing every second
-    /// spent in PSM.
-    IgnoredPsmBeacon,
-    /// 5G: the cDRX tail is cut to a quarter of the calibrated value —
-    /// the radio releases to IDLE far too eagerly.
-    EagerFiveGRelease,
-}
-
-impl BackendMutant {
-    /// The faulty mutants paired with the backend each one targets.
-    pub const ALL_FAULTY: [BackendMutant; 3] = [
-        BackendMutant::SwappedDrxCycles,
-        BackendMutant::IgnoredPsmBeacon,
-        BackendMutant::EagerFiveGRelease,
-    ];
-
-    /// Doctors an LTE config (non-LTE mutants leave it unchanged).
-    pub fn doctor_lte(self, cfg: &LteConfig) -> LteConfig {
-        let mut c = *cfg;
-        if self == BackendMutant::SwappedDrxCycles {
-            std::mem::swap(&mut c.short_drx_s, &mut c.long_drx_s);
-        }
-        c
-    }
-
-    /// Doctors a WiFi config (non-WiFi mutants leave it unchanged).
-    pub fn doctor_wifi(self, cfg: &WifiConfig) -> WifiConfig {
-        let mut c = *cfg;
-        if self == BackendMutant::IgnoredPsmBeacon {
-            c.beacon_on_s = 0.0;
-            c.beacon_wake_mj = 0.0;
-        }
-        c
-    }
-
-    /// Doctors a 5G config (non-5G mutants leave it unchanged).
-    pub fn doctor_five_g(self, cfg: &FiveGConfig) -> FiveGConfig {
-        let mut c = *cfg;
-        if self == BackendMutant::EagerFiveGRelease {
-            c.cdrx_tail_s /= 4.0;
-        }
-        c
-    }
-
-    /// Short stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendMutant::None => "none",
-            BackendMutant::SwappedDrxCycles => "swapped-drx-cycles",
-            BackendMutant::IgnoredPsmBeacon => "ignored-psm-beacon",
-            BackendMutant::EagerFiveGRelease => "eager-5g-release",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The generic lock-step driver.
-// ---------------------------------------------------------------------------
-
-/// Legal transition edges of a ladder backend, derived from its spec:
-/// one-level dwell descents, wake starts from any non-top level,
-/// promotion completion into the top level, and fast releases from any
-/// level to the bottom.
-fn ladder_legal_edges(spec: &LadderSpec) -> Vec<(Obs, Obs)> {
-    let n = spec.n_levels;
-    let obs = &spec.obs_states;
-    let mut edges = Vec::new();
-    for i in 1..n {
-        edges.push((obs[i], obs[i - 1])); // dwell descent
-        edges.push((obs[i], obs[0])); // fast release
-    }
-    for o in obs.iter().take(n - 1) {
-        edges.push((*o, Obs::Promoting)); // wake start
-    }
-    edges.push((Obs::Promoting, obs[n - 1])); // wake completion
-    edges
-}
-
-/// Drives `scenario` through a real ladder machine built from `sut_cfg`
-/// and through `reference` (built by the caller from the *true* config)
-/// in lock-step, returning every invariant/differential violation — the
-/// ladder-backend counterpart of [`crate::run::check_scenario`].
-///
-/// # Panics
-///
-/// Panics if `sut_cfg` fails validation.
-pub fn check_ladder_scenario<B, R>(sut_cfg: B::Config, mut r: R, scenario: &Scenario) -> RunReport
-where
-    B: LadderBackend,
-    R: BackendReference,
-{
-    const MAX_VIOLATIONS: usize = 8;
-    let recorder = Recorder::memory();
-    let mut m = LadderMachine::<B>::with_recorder(sut_cfg, SimTime::ZERO, recorder.clone());
-    let spec = *m.spec();
-
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut coverage: BTreeSet<String> = BTreeSet::new();
-    let mut transfer_windows: Vec<(SimTime, SimTime)> = Vec::new();
-    let mut last_energy = 0.0_f64;
-
-    let push = |violations: &mut Vec<Violation>, invariant: &'static str, detail: String| {
-        if violations.len() < MAX_VIOLATIONS {
-            violations.push(Violation { invariant, detail });
-        }
-    };
-
-    for (i, step) in scenario.steps.iter().enumerate() {
-        let step_no = i + 1;
-        match step {
-            Step::Wait { micros } => {
-                let d = SimDuration::from_micros(*micros);
-                m.advance_to(m.now() + d);
-                r.wait(d);
-            }
-            Step::Transfer {
-                needs_dch,
-                micros,
-                retries,
-            } => {
-                let ds = m.begin_transfer_with_promotion_retries(m.now(), *needs_dch, *retries);
-                let end = ds + SimDuration::from_micros(*micros);
-                m.end_transfer(end);
-                transfer_windows.push((ds, end));
-                let ds_ref = r.transfer(SimDuration::from_micros(*micros), *retries);
-                if ds != ds_ref {
-                    push(
-                        &mut violations,
-                        "differential-data-start",
-                        format!(
-                            "step {step_no} ({step}): machine data_start {ds}, reference {ds_ref}"
-                        ),
-                    );
-                }
-                coverage.insert(format!(
-                    "transfer{}",
-                    if *micros == 0 { ":zero" } else { "" }
-                ));
-                if *retries > 0 {
-                    coverage.insert("transfer:retries".to_string());
-                }
-            }
-            Step::Release => {
-                if m.level() == 0 {
-                    coverage.insert("release:noop".to_string());
-                }
-                m.release_to_idle(m.now());
-                r.release();
-            }
-            Step::CpuLoad { load } => {
-                m.set_cpu_load(m.now(), *load);
-                r.set_cpu_load(*load);
-                coverage.insert("cpu_load".to_string());
-            }
-        }
-
-        if m.state_label() != r.state_label() {
-            push(
-                &mut violations,
-                "differential-state",
-                format!(
-                    "step {step_no} ({step}): machine in {}, reference in {}",
-                    m.state_label(),
-                    r.state_label()
-                ),
-            );
-        }
-        if m.now() != r.now() {
-            push(
-                &mut violations,
-                "differential-clock",
-                format!(
-                    "step {step_no} ({step}): machine at {}, reference at {}",
-                    m.now(),
-                    r.now()
-                ),
-            );
-        }
-        if m.energy_j() < last_energy {
-            push(
-                &mut violations,
-                "energy-monotone",
-                format!(
-                    "step {step_no} ({step}): energy fell from {last_energy} to {}",
-                    m.energy_j()
-                ),
-            );
-        }
-        last_energy = m.energy_j();
-    }
-
-    // ---- differential: whole-run observables --------------------------
-    let me = m.energy_j();
-    let re = r.energy_j();
-    if (me - re).abs() > ENERGY_REL_TOL * (1.0 + me.abs()) {
-        push(
-            &mut violations,
-            "differential-energy",
-            format!("machine accrued {me} J, reference {re} J"),
-        );
-    }
-    if m.counters() != r.counters() {
-        push(
-            &mut violations,
-            "differential-counters",
-            format!("machine {:?}, reference {:?}", m.counters(), r.counters()),
-        );
-    }
-    let mut m_res: BTreeMap<&'static str, SimDuration> = BTreeMap::new();
-    let res = m.residency();
-    for i in 0..spec.n_levels {
-        m_res.insert(spec.level_names[i], res.levels[i]);
-    }
-    m_res.insert("PROMOTING", res.promoting);
-    if m_res != r.residency() {
-        push(
-            &mut violations,
-            "differential-residency",
-            format!("machine {m_res:?}, reference {:?}", r.residency()),
-        );
-    }
-    let events = recorder.events();
-    let transitions = ledger::transitions(&events);
-    if transitions != r.transitions() {
-        push(
-            &mut violations,
-            "differential-transitions",
-            format!(
-                "machine took {transitions:?}, reference {:?}",
-                r.transitions()
-            ),
-        );
-    }
-
-    // ---- invariants over the machine's own record ---------------------
-    check_ladder_invariants(&m, &spec, &events, &transfer_windows, &mut |inv, d| {
-        push(&mut violations, inv, d)
-    });
-
-    // Coverage from the machine's own record.
-    coverage.insert(format!("state:{}", m.state_label()));
-    for (_, from, to) in transitions {
-        coverage.insert(format!("trans:{from}->{to}"));
-    }
-    let c = m.counters();
-    for (key, v) in [
-        ("ctr:promotions", c.promotions),
-        ("ctr:promotion_retries", c.promotion_retries),
-        ("ctr:dwell_expirations", c.dwell_expirations),
-        ("ctr:releases", c.releases),
-    ] {
-        if v > 0 {
-            coverage.insert(key.to_string());
-        }
-    }
-
-    RunReport {
-        scenario: scenario.clone(),
-        violations,
-        coverage,
-        energy_j: me,
-        end: m.now(),
-    }
-}
-
-/// The generic ladder counterpart of
-/// [`crate::run::check_machine_invariants`]: legal edges, dwell-timer
-/// arming, non-negative ledger entries, bit-identical ledger folds,
-/// transfers confined to the transmit-capable top level, and residency
-/// accounting.
-pub fn check_ladder_invariants<B: LadderBackend>(
-    m: &LadderMachine<B>,
-    spec: &LadderSpec,
-    events: &[Event],
-    transfer_windows: &[(SimTime, SimTime)],
-    push: &mut dyn FnMut(&'static str, String),
-) {
-    check_transitions(events, &ladder_legal_edges(spec), push);
-
-    // Dwell timers fire only in dwell-bearing (non-bottom, non-promoting)
-    // states; the 3G timers never fire here at all.
-    let dwell_states: Vec<Obs> = (1..spec.n_levels).map(|i| spec.obs_states[i]).collect();
-    let mut last_segment: Option<(SimTime, SimTime, Obs)> = None;
-    for e in events {
-        match e {
-            Event::EnergySegment {
-                start, end, state, ..
-            } => {
-                last_segment = Some((*start, *end, *state));
-            }
-            Event::TimerExpired { at, timer } => match timer {
-                Timer::Dwell => match last_segment {
-                    Some((_, end, state)) if end == *at && dwell_states.contains(&state) => {}
-                    other => push(
-                        "timer-arming",
-                        format!(
-                            "Dwell fired at {at} but the radio was not in a dwell-bearing \
-                             state up to that instant (last segment: {other:?})"
-                        ),
-                    ),
-                },
-                Timer::T1 | Timer::T2 => push(
-                    "timer-arming",
-                    format!(
-                        "3G timer {timer:?} fired on a {} machine at {at}",
-                        B::BACKEND
-                    ),
-                ),
-            },
-            _ => {}
-        }
-    }
-
-    let entries = ledger::entries(events);
-    for (i, e) in entries.iter().enumerate() {
-        if e.joules < 0.0 || e.watts < 0.0 {
-            push(
-                "energy-monotone",
-                format!("ledger entry #{i} has negative power/energy: {e:?}"),
-            );
-        }
-    }
-
-    for err in ledger::audit(&entries) {
-        push("ledger-bit-identity", format!("ledger audit: {err:?}"));
-    }
-    let folded = ledger::total(&entries);
-    if folded.to_bits() != m.energy_j().to_bits() {
-        push(
-            "ledger-bit-identity",
-            format!(
-                "ledger folds to {folded} but the machine reports {} (bit patterns differ)",
-                m.energy_j()
-            ),
-        );
-    }
-
-    // Transfers only at the transmit-capable top level.
-    let top = spec.obs_states[spec.n_levels - 1];
-    for (i, &(ds, end)) in transfer_windows.iter().enumerate() {
-        for e in &entries {
-            let lo = e.start.max(ds);
-            let hi = e.end.min(end);
-            if lo < hi && e.state != top {
-                push(
-                    "transfer-connected",
-                    format!(
-                        "transfer #{i} ({ds}..{end}) overlaps a {:?} segment ({}..{})",
-                        e.state, e.start, e.end
-                    ),
-                );
-            }
-        }
-    }
-
-    let elapsed = m.now() - SimTime::ZERO;
-    if m.residency().total() != elapsed {
-        push(
-            "residency-accounts-time",
-            format!(
-                "residency sums to {} but {} elapsed",
-                m.residency().total(),
-                elapsed
-            ),
-        );
-    }
-}
-
-/// Convenience checkers binding each backend to its reference. The SUT
-/// is built from `mutant.doctor_*(cfg)`; the reference always gets the
-/// true `cfg`.
-pub fn check_lte_scenario(
-    cfg: &LteConfig,
-    scenario: &Scenario,
-    mutant: BackendMutant,
-) -> RunReport {
-    check_ladder_scenario::<Lte, _>(
-        mutant.doctor_lte(cfg),
-        ReferenceLte::new(*cfg, SimTime::ZERO),
-        scenario,
-    )
-}
-
-/// WiFi counterpart of [`check_lte_scenario`].
-pub fn check_wifi_scenario(
-    cfg: &WifiConfig,
-    scenario: &Scenario,
-    mutant: BackendMutant,
-) -> RunReport {
-    check_ladder_scenario::<Wifi, _>(
-        mutant.doctor_wifi(cfg),
-        ReferenceWifi::new(*cfg, SimTime::ZERO),
-        scenario,
-    )
-}
-
-/// 5G counterpart of [`check_lte_scenario`].
-pub fn check_five_g_scenario(
-    cfg: &FiveGConfig,
-    scenario: &Scenario,
-    mutant: BackendMutant,
-) -> RunReport {
-    check_ladder_scenario::<FiveG, _>(
-        mutant.doctor_five_g(cfg),
-        ReferenceFiveG::new(*cfg, SimTime::ZERO),
-        scenario,
-    )
 }
 
 /// A discretized step alphabet derived from a ladder spec: one wait
@@ -1043,15 +1052,17 @@ pub fn ladder_alphabet(spec: &LadderSpec) -> Vec<Step> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::exhaustive_with;
+    use crate::explore::exhaustive;
+    use crate::run::check_scenario;
+    use crate::scenario::Scenario;
+    use ewb_obs::{ledger, Recorder};
+    use ewb_rrc::{FiveGMachine, LteMachine, WifiMachine};
 
     #[test]
     fn lte_exhaustive_depth_three_is_clean_and_covered() {
         let cfg = LteConfig::calibrated();
         let alphabet = ladder_alphabet(&Lte::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 3, |s| {
-            check_lte_scenario(&cfg, s, BackendMutant::None)
-        });
+        let r = exhaustive::<LteMachine>(&cfg, &alphabet, 3, Mutant::None);
         assert!(r.ok(), "{:?}", r.counterexample);
         for key in [
             "state:IDLE",
@@ -1071,9 +1082,7 @@ mod tests {
     fn wifi_exhaustive_depth_three_is_clean_and_covered() {
         let cfg = WifiConfig::calibrated();
         let alphabet = ladder_alphabet(&Wifi::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 3, |s| {
-            check_wifi_scenario(&cfg, s, BackendMutant::None)
-        });
+        let r = exhaustive::<WifiMachine>(&cfg, &alphabet, 3, Mutant::None);
         assert!(r.ok(), "{:?}", r.counterexample);
         assert!(r.coverage.contains("state:PSM"));
         assert!(r.coverage.contains("ctr:dwell_expirations"));
@@ -1083,9 +1092,7 @@ mod tests {
     fn five_g_exhaustive_depth_three_is_clean_and_covered() {
         let cfg = FiveGConfig::calibrated();
         let alphabet = ladder_alphabet(&FiveG::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 3, |s| {
-            check_five_g_scenario(&cfg, s, BackendMutant::None)
-        });
+        let r = exhaustive::<FiveGMachine>(&cfg, &alphabet, 3, Mutant::None);
         assert!(r.ok(), "{:?}", r.counterexample);
         assert!(r.coverage.contains("state:CDRX"));
         assert!(r.coverage.contains("state:IDLE"));
@@ -1095,9 +1102,7 @@ mod tests {
     fn swapped_drx_mutant_dies_within_two_steps() {
         let cfg = LteConfig::calibrated();
         let alphabet = ladder_alphabet(&Lte::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 2, |s| {
-            check_lte_scenario(&cfg, s, BackendMutant::SwappedDrxCycles)
-        });
+        let r = exhaustive::<LteMachine>(&cfg, &alphabet, 2, Mutant::SwappedDrxCycles);
         let cex = r.counterexample.expect("mutant must be caught");
         assert!(
             cex.scenario.steps.len() <= 2,
@@ -1111,9 +1116,7 @@ mod tests {
     fn ignored_beacon_mutant_dies_within_two_steps() {
         let cfg = WifiConfig::calibrated();
         let alphabet = ladder_alphabet(&Wifi::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 2, |s| {
-            check_wifi_scenario(&cfg, s, BackendMutant::IgnoredPsmBeacon)
-        });
+        let r = exhaustive::<WifiMachine>(&cfg, &alphabet, 2, Mutant::IgnoredPsmBeacon);
         let cex = r.counterexample.expect("mutant must be caught");
         assert!(
             cex.scenario.steps.len() <= 2,
@@ -1130,9 +1133,7 @@ mod tests {
     fn eager_five_g_release_mutant_dies_within_two_steps() {
         let cfg = FiveGConfig::calibrated();
         let alphabet = ladder_alphabet(&FiveG::spec(&cfg));
-        let r = exhaustive_with(&alphabet, 2, |s| {
-            check_five_g_scenario(&cfg, s, BackendMutant::EagerFiveGRelease)
-        });
+        let r = exhaustive::<FiveGMachine>(&cfg, &alphabet, 2, Mutant::EagerFiveGRelease);
         let cex = r.counterexample.expect("mutant must be caught");
         assert!(
             cex.scenario.steps.len() <= 2,
@@ -1153,9 +1154,9 @@ mod tests {
                 }],
             );
             for rep in [
-                check_lte_scenario(&LteConfig::calibrated(), &s, BackendMutant::None),
-                check_wifi_scenario(&WifiConfig::calibrated(), &s, BackendMutant::None),
-                check_five_g_scenario(&FiveGConfig::calibrated(), &s, BackendMutant::None),
+                check_scenario::<LteMachine>(&LteConfig::calibrated(), &s, Mutant::None),
+                check_scenario::<WifiMachine>(&WifiConfig::calibrated(), &s, Mutant::None),
+                check_scenario::<FiveGMachine>(&FiveGConfig::calibrated(), &s, Mutant::None),
             ] {
                 assert!(rep.ok(), "retries={retries}: {:?}", rep.violations);
             }
@@ -1178,11 +1179,10 @@ mod tests {
                 Step::Wait { micros: 30_000_000 },
             ],
         );
-        let three_g =
-            crate::run::check_scenario(&ewb_rrc::RrcConfig::paper(), &s, crate::Mutant::None);
-        let lte = check_lte_scenario(&LteConfig::calibrated(), &s, BackendMutant::None);
-        let wifi = check_wifi_scenario(&WifiConfig::calibrated(), &s, BackendMutant::None);
-        let five_g = check_five_g_scenario(&FiveGConfig::calibrated(), &s, BackendMutant::None);
+        let three_g = check_scenario::<RrcMachine>(&RrcConfig::paper(), &s, Mutant::None);
+        let lte = check_scenario::<LteMachine>(&LteConfig::calibrated(), &s, Mutant::None);
+        let wifi = check_scenario::<WifiMachine>(&WifiConfig::calibrated(), &s, Mutant::None);
+        let five_g = check_scenario::<FiveGMachine>(&FiveGConfig::calibrated(), &s, Mutant::None);
         for r in [&three_g, &lte, &wifi, &five_g] {
             assert!(r.ok(), "{:?}", r.violations);
         }
@@ -1209,5 +1209,57 @@ mod tests {
             assert_eq!(waits, expect_waits, "{:?}", spec.backend);
             assert_eq!(a.len(), waits + 4);
         }
+    }
+
+    #[test]
+    fn reference_interpreter_replays_the_timer_cascade() {
+        let mut r = ReferenceRrc::new(RrcConfig::paper());
+        let ds = r.transfer(true, SimDuration::from_secs(2), 0);
+        assert_eq!(ds, SimTime::from_secs_f64(1.75));
+        assert_eq!(r.state_label(), "DCH");
+        r.wait(SimDuration::from_secs(25));
+        assert_eq!(r.state_label(), "IDLE");
+        assert_eq!(r.counters().t1_expirations, 1);
+        assert_eq!(r.counters().t2_expirations, 1);
+        let expected = 7.0 + 2.0 * 1.25 + 4.0 * 1.15 + 15.0 * 0.63 + 6.0 * 0.15;
+        assert!((r.energy_j() - expected).abs() < 1e-6, "{}", r.energy_j());
+        assert_eq!(r.residency().total(), SimDuration::from_secs_f64(28.75));
+    }
+
+    #[test]
+    fn reference_agrees_with_machine_on_a_mixed_scenario() {
+        let cfg = RrcConfig::paper();
+        let recorder = Recorder::memory();
+        let mut m = RrcMachine::with_recorder(cfg, SimTime::ZERO, recorder.clone());
+        let mut r = ReferenceRrc::new(cfg);
+
+        // transfer → partial tail → small FACH transfer → dormancy → idle.
+        let half = SimDuration::from_millis(500);
+        let ds_m = m.begin_transfer_with_promotion_retries(m.now(), true, 1);
+        m.end_transfer(ds_m + half);
+        let ds_r = r.transfer(true, half, 1);
+        assert_eq!(ds_m, ds_r);
+
+        m.advance_to(m.now() + SimDuration::from_secs(6));
+        r.wait(SimDuration::from_secs(6));
+        assert_eq!(m.state().name(), r.state_label());
+        assert_eq!(m.state(), RrcState::Fach);
+
+        let ds_m = m.begin_transfer(m.now(), false);
+        m.end_transfer(ds_m + half);
+        r.transfer(false, half, 0);
+
+        m.release_to_idle(m.now());
+        r.release();
+
+        m.advance_to(m.now() + SimDuration::from_secs(5));
+        r.wait(SimDuration::from_secs(5));
+
+        assert_eq!(m.now(), r.now());
+        assert_eq!(m.state().name(), r.state_label());
+        assert_eq!(m.counters(), r.counters());
+        assert_eq!(m.residency(), r.residency());
+        assert_eq!(ledger::transitions(&recorder.events()), r.transitions());
+        assert!((m.energy_j() - r.energy_j()).abs() < 1e-9);
     }
 }

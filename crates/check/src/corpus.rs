@@ -13,7 +13,7 @@
 use crate::mutant::Mutant;
 use crate::run::{check_scenario, RunReport};
 use crate::scenario::Scenario;
-use ewb_rrc::RrcConfig;
+use ewb_rrc::{RrcConfig, RrcMachine};
 use std::path::{Path, PathBuf};
 
 /// The checked-in seed corpus directory (`crates/check/corpus/`).
@@ -78,7 +78,7 @@ pub fn to_jsonl(scenarios: &[Scenario]) -> String {
 pub fn replay(cfg: &RrcConfig, scenarios: &[Scenario], mutant: Mutant) -> Vec<RunReport> {
     scenarios
         .iter()
-        .map(|s| check_scenario(cfg, s, mutant))
+        .map(|s| check_scenario::<RrcMachine>(cfg, s, mutant))
         .collect()
 }
 

@@ -8,11 +8,11 @@
 //! timers) — what matters is hitting the right *orderings*, which
 //! exhaustive enumeration guarantees and random testing only samples.
 
+use crate::backend::CheckedRadio;
 use crate::mutant::Mutant;
 use crate::run::{check_scenario, Violation};
 use crate::scenario::{Scenario, Step};
 use crate::shrink::shrink_scenario;
-use ewb_rrc::RrcConfig;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -25,6 +25,24 @@ pub struct Counterexample {
     pub original: Scenario,
     /// The violations the *shrunk* scenario produces.
     pub violations: Vec<Violation>,
+}
+
+impl Counterexample {
+    /// Shrinks `original`, which fails against backend `M` under
+    /// `mutant`, and records what the shrunk scenario violates.
+    pub(crate) fn shrink<M: CheckedRadio>(
+        cfg: &M::Config,
+        original: Scenario,
+        mutant: Mutant,
+    ) -> Self {
+        let scenario = shrink_scenario(&original, |s| !check_scenario::<M>(cfg, s, mutant).ok());
+        let violations = check_scenario::<M>(cfg, &scenario, mutant).violations;
+        Counterexample {
+            scenario,
+            original,
+            violations,
+        }
+    }
 }
 
 impl fmt::Display for Counterexample {
@@ -59,9 +77,9 @@ impl ExploreReport {
 }
 
 /// Runs every sequence over `alphabet` of length 1..=`max_depth`
-/// through [`check_scenario`]. With [`Mutant::None`] this is the
-/// correctness sweep; with a faulty mutant it measures the harness's
-/// detection power (and yields the minimal counterexample).
+/// through [`check_scenario`] on backend `M`. With [`Mutant::None`]
+/// this is the correctness sweep; with a faulty mutant it measures the
+/// harness's detection power (and yields the minimal counterexample).
 ///
 /// The sweep size is `Σ |alphabet|^d`, so depth 6 over the 7-symbol
 /// [`crate::scenario::default_alphabet`] is ~137 k runs.
@@ -69,29 +87,12 @@ impl ExploreReport {
 /// # Panics
 ///
 /// Panics if `alphabet` is empty or `max_depth` is 0.
-pub fn exhaustive(
-    cfg: &RrcConfig,
+pub fn exhaustive<M: CheckedRadio>(
+    cfg: &M::Config,
     alphabet: &[Step],
     max_depth: usize,
     mutant: Mutant,
 ) -> ExploreReport {
-    exhaustive_with(alphabet, max_depth, |s| check_scenario(cfg, s, mutant))
-}
-
-/// Backend-agnostic exhaustive sweep: runs every sequence over
-/// `alphabet` of length 1..=`max_depth` through an arbitrary scenario
-/// checker (`check` returns the [`RunReport`](crate::run::RunReport) for
-/// one scenario). This is what [`exhaustive`] uses for 3G and what
-/// [`crate::backend::check_lte_scenario`]-style checkers plug into for
-/// the ladder backends.
-///
-/// # Panics
-///
-/// Panics if `alphabet` is empty or `max_depth` is 0.
-pub fn exhaustive_with<F>(alphabet: &[Step], max_depth: usize, mut check: F) -> ExploreReport
-where
-    F: FnMut(&Scenario) -> crate::run::RunReport,
-{
     assert!(!alphabet.is_empty(), "alphabet must be non-empty");
     assert!(max_depth > 0, "max_depth must be at least 1");
     let mut report = ExploreReport {
@@ -113,19 +114,14 @@ where
                     .join(".")
             );
             let scenario = Scenario::new(name, steps);
-            let rr = check(&scenario);
+            let rr = check_scenario::<M>(cfg, &scenario, mutant);
             report.runs += 1;
             report.coverage.extend(rr.coverage);
             if !rr.violations.is_empty() {
                 report.failing_runs += 1;
                 if report.counterexample.is_none() {
-                    let shrunk = shrink_scenario(&scenario, |s| !check(s).violations.is_empty());
-                    let violations = check(&shrunk).violations;
-                    report.counterexample = Some(Counterexample {
-                        scenario: shrunk,
-                        original: scenario,
-                        violations,
-                    });
+                    report.counterexample =
+                        Some(Counterexample::shrink::<M>(cfg, scenario, mutant));
                 }
             }
             // Increment the mixed-radix odometer; carry out = done.
@@ -153,12 +149,13 @@ where
 mod tests {
     use super::*;
     use crate::scenario::default_alphabet;
+    use ewb_rrc::{RrcConfig, RrcMachine};
 
     #[test]
     fn depth_counts_are_exact() {
         let cfg = RrcConfig::paper();
         let a = default_alphabet();
-        let r = exhaustive(&cfg, &a, 2, Mutant::None);
+        let r = exhaustive::<RrcMachine>(&cfg, &a, 2, Mutant::None);
         assert_eq!(r.runs, 7 + 49);
         assert!(r.ok(), "clean machine must pass: {:?}", r.counterexample);
     }
@@ -166,7 +163,7 @@ mod tests {
     #[test]
     fn depth_three_sweep_is_clean_and_covers_the_state_machine() {
         let cfg = RrcConfig::paper();
-        let r = exhaustive(&cfg, &default_alphabet(), 3, Mutant::None);
+        let r = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, Mutant::None);
         assert!(r.ok(), "{:?}", r.counterexample);
         assert_eq!(r.runs, 7 + 49 + 343);
         // Every state, both timers, dormancy, and the warm promotion all
@@ -189,8 +186,8 @@ mod tests {
     #[test]
     fn every_mutant_is_caught_with_a_short_counterexample() {
         let cfg = RrcConfig::paper();
-        for m in Mutant::ALL_FAULTY {
-            let r = exhaustive(&cfg, &default_alphabet(), 3, m);
+        for &m in RrcMachine::MUTANTS {
+            let r = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, m);
             let cex = r
                 .counterexample
                 .unwrap_or_else(|| panic!("{}: not caught", m.label()));
@@ -207,7 +204,7 @@ mod tests {
     #[test]
     fn swapped_timers_shrinks_to_two_steps() {
         let cfg = RrcConfig::paper();
-        let r = exhaustive(&cfg, &default_alphabet(), 3, Mutant::SwappedTimers);
+        let r = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, Mutant::SwappedTimers);
         let cex = r.counterexample.expect("must be caught");
         // Minimal trigger: one DCH transfer, then a wait that crosses the
         // true T1 — the mutant is still in DCH when the reference has

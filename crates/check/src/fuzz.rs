@@ -14,8 +14,7 @@ use crate::explore::Counterexample;
 use crate::mutant::Mutant;
 use crate::run::check_scenario;
 use crate::scenario::{Scenario, Step};
-use crate::shrink::shrink_scenario;
-use ewb_rrc::RrcConfig;
+use ewb_rrc::{RrcConfig, RrcMachine};
 use ewb_simcore::Xoshiro256;
 use std::collections::BTreeSet;
 
@@ -62,7 +61,7 @@ pub fn fuzz(cfg: &RrcConfig, seeds: u64, max_steps: usize, mutant: Mutant) -> Fu
         } else {
             random_scenario(&mut rng, max_steps, seed)
         };
-        let rr = check_scenario(cfg, &scenario, mutant);
+        let rr = check_scenario::<RrcMachine>(cfg, &scenario, mutant);
         report.seeds_run += 1;
         let novel = rr.coverage.iter().any(|k| !report.coverage.contains(k));
         report.coverage.extend(rr.coverage);
@@ -72,15 +71,8 @@ pub fn fuzz(cfg: &RrcConfig, seeds: u64, max_steps: usize, mutant: Mutant) -> Fu
         if !rr.violations.is_empty() {
             report.failing_seeds += 1;
             if report.counterexample.is_none() {
-                let shrunk = shrink_scenario(&scenario, |s| {
-                    !check_scenario(cfg, s, mutant).violations.is_empty()
-                });
-                let violations = check_scenario(cfg, &shrunk, mutant).violations;
-                report.counterexample = Some(Counterexample {
-                    scenario: shrunk,
-                    original: scenario,
-                    violations,
-                });
+                report.counterexample =
+                    Some(Counterexample::shrink::<RrcMachine>(cfg, scenario, mutant));
             }
         }
     }
@@ -144,6 +136,7 @@ fn random_step(rng: &mut Xoshiro256) -> Step {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CheckedRadio;
 
     #[test]
     fn clean_machine_survives_many_seeds() {
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn mutants_fall_to_random_testing_too() {
         let cfg = RrcConfig::paper();
-        for m in Mutant::ALL_FAULTY {
+        for &m in RrcMachine::MUTANTS {
             let r = fuzz(&cfg, 64, 10, m);
             let cex = r
                 .counterexample

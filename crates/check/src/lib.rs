@@ -1,39 +1,44 @@
 //! # ewb-check — deterministic model-checking & differential oracles
 //!
-//! The correctness harness for the RRC/pipeline stack, with three
+//! The correctness harness for the radio/pipeline stack, with three
 //! engines:
 //!
 //! 1. **Exhaustive small-scope model checking** ([`explore`]) — every
 //!    bounded schedule over a discretized stimulus alphabet is run
-//!    against [`ewb_rrc::RrcMachine`] and checked for the declarative
-//!    invariant set in [`run`]: legal-transition matrix, timers fire
-//!    only in their arming state, monotone energy, bit-identical ledger
-//!    folds, no transfer outside FACH/DCH, residency accounting.
+//!    against a radio machine — the paper's [`ewb_rrc::RrcMachine`] or
+//!    one of the LTE, WiFi and 5G [`ewb_rrc::LadderMachine`]s — and
+//!    checked for the declarative invariant set in [`run`]: legal
+//!    transition matrix, timers fire only in their arming states,
+//!    monotone energy, bit-identical ledger folds, no transfer outside
+//!    the transmit-capable states, residency accounting.
 //! 2. **Differential oracles** — every scenario is simultaneously
-//!    interpreted by [`ewb_rrc::intuitive::ReferenceRrc`], a
-//!    straight-line reimplementation of the paper's Fig. 2 semantics,
-//!    and any disagreement in state, clock, counters, transitions,
-//!    residency, or energy is a violation. At the pipeline layer
-//!    ([`pipeline`]), the Original and energy-aware schedules must
-//!    agree on *what* was loaded, and a zero-fault stream must be
-//!    bit-identical to no fault stream.
+//!    interpreted by the backend's reference interpreter ([`backend`]:
+//!    [`ReferenceRrc`], a straight-line reimplementation of the paper's
+//!    Fig. 2 semantics, and one each for the ladder radios), and any
+//!    disagreement in state, clock, counters, transitions, residency, or
+//!    energy is a violation. At the pipeline layer ([`pipeline`]), the
+//!    Original and energy-aware schedules must agree on *what* was
+//!    loaded, and a zero-fault stream must be bit-identical to no fault
+//!    stream.
 //! 3. **A scenario corpus runner** ([`corpus`]) — counterexamples are
 //!    replayable JSONL lines; the seed corpus under
 //!    `crates/check/corpus/` replays green on every CI run.
 //!
-//! Failing scenarios are shrunk ([`shrink`]) to a minimal replayable
-//! trace. Seeded defects ([`mutant`]) prove the harness has teeth: the
-//! classic swapped-T1/T2 wiring bug is caught by a two-step
+//! One lock-step driver ([`check_scenario`]) and one invariant routine
+//! serve every backend; [`CheckedRadio`] states what differs between
+//! them. Failing scenarios are shrunk ([`shrink`]) to a minimal
+//! replayable trace. Seeded defects ([`Mutant`]) prove the harness has
+//! teeth: the classic swapped-T1/T2 wiring bug is caught by a two-step
 //! counterexample —
 //!
 //! ```
-//! use ewb_check::{explore, mutant::Mutant, scenario::default_alphabet};
-//! use ewb_rrc::RrcConfig;
+//! use ewb_check::{default_alphabet, exhaustive, Mutant};
+//! use ewb_rrc::{RrcConfig, RrcMachine};
 //!
 //! let cfg = RrcConfig::paper();
 //! // Exhaustive depth-3 sweep against a machine whose T1/T2 wiring is
 //! // swapped; the reference interpreter uses the true timers.
-//! let report = explore::exhaustive(&cfg, &default_alphabet(), 3, Mutant::SwappedTimers);
+//! let report = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, Mutant::SwappedTimers);
 //! let cex = report.counterexample.expect("the harness must catch the mutant");
 //! // Shrunk to its essence: one DCH transfer, then a wait that crosses
 //! // the true T1 deadline (4 s) — the mutant radio is still in DCH when
@@ -42,12 +47,14 @@
 //! assert!(!cex.violations.is_empty());
 //!
 //! // The true machine passes the same sweep with zero violations.
-//! let clean = explore::exhaustive(&cfg, &default_alphabet(), 3, Mutant::None);
+//! let clean = exhaustive::<RrcMachine>(&cfg, &default_alphabet(), 3, Mutant::None);
 //! assert!(clean.ok());
 //! ```
 //!
 //! `cargo run -p ewb-bench --bin check_all` drives all three engines
-//! from the command line (`--depth`, `--seeds`, `--corpus`).
+//! on the 3G machine from the command line (`--depth`, `--seeds`,
+//! `--corpus`); the ladder backends run through the same sweep in the
+//! unit tests and `tests/harness_pins.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,10 +71,10 @@ pub mod scenario;
 pub mod shrink;
 
 pub use backend::{
-    check_five_g_scenario, check_ladder_scenario, check_lte_scenario, check_wifi_scenario,
-    ladder_alphabet, BackendMutant, BackendReference, ReferenceFiveG, ReferenceLte, ReferenceWifi,
+    ladder_alphabet, CheckedLadder, CheckedRadio, Reference, ReferenceFiveG, ReferenceLte,
+    ReferenceRrc, ReferenceWifi,
 };
-pub use explore::{exhaustive, exhaustive_with, Counterexample, ExploreReport};
+pub use explore::{exhaustive, Counterexample, ExploreReport};
 pub use fuzz::{fuzz, FuzzReport};
 pub use mutant::Mutant;
 pub use run::{check_scenario, RunReport, Violation};

@@ -1,38 +1,42 @@
-//! The scenario driver: runs one [`Scenario`] through the real
-//! [`RrcMachine`] and the [`ReferenceRrc`] interpreter in lock-step,
-//! then checks the declarative invariant set over the machine's recorded
+//! The scenario driver: runs one [`Scenario`] through a real radio
+//! machine and its backend's reference interpreter in lock-step, then
+//! checks the declarative invariant set over the machine's recorded
 //! event stream and diffs the two implementations' observable surfaces.
+//! One driver and one invariant routine serve every backend; what
+//! differs between backends is stated by [`CheckedRadio`].
 //!
 //! The invariants are the harness's ground truth:
 //!
 //! 1. **legal-transitions** — every state change is an edge of the
-//!    Fig. 2 transition matrix;
-//! 2. **timer-arming** — T1 fires only in DCH, T2 only in FACH (checked
-//!    against the energy segment that precedes the expiry);
+//!    backend's transition matrix (Fig. 2 for 3G), each starts in the
+//!    state the previous one ended in, and none comes before the
+//!    previous one;
+//! 2. **timer-arming** — a timer fires only in a state it runs down in
+//!    (3G: T1 in DCH, T2 in FACH; ladders: a dwell in any level but the
+//!    bottom), checked against the energy segment that precedes the
+//!    expiry;
 //! 3. **energy-monotone** — reported energy never decreases and no
 //!    ledger segment carries negative power or joules;
 //! 4. **ledger-bit-identity** — folding the emitted energy ledger in
 //!    order reproduces `energy_j()` bit-for-bit, and the ledger passes
 //!    the structural audit;
-//! 5. **transfer-connected** — no data flows while the radio is outside
-//!    FACH/DCH;
+//! 5. **transfer-connected** — no data flows outside the backend's
+//!    transmit-capable states (3G: FACH/DCH; ladders: the top level);
 //! 6. **residency-accounts-time** — per-state residency sums to elapsed
 //!    time.
 //!
-//! Invariant 1 is [`check_transitions`], the one routine both this 3G
-//! driver and the ladder-backend driver run over the `StateTransition`
-//! events: the machines keep no transition list of their own.
+//! The machines keep no transition list of their own: invariant 1 reads
+//! the `StateTransition` events of the stream.
 //!
 //! The differential layer then compares state, clock, transition log,
 //! counters, residency, per-transfer `data_start`, and total energy
 //! (exact for integers, 1 nJ/J relative tolerance for the f64 energy,
 //! whose summation order legitimately differs).
 
+use crate::backend::{CheckedRadio, Reference};
 use crate::mutant::Mutant;
 use crate::scenario::{Scenario, Step};
-use ewb_obs::{ledger, Event, RadioState, Recorder, Timer};
-use ewb_rrc::intuitive::ReferenceRrc;
-use ewb_rrc::{RrcConfig, RrcMachine, RrcState};
+use ewb_obs::{ledger, Event, Recorder};
 use ewb_simcore::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -85,27 +89,22 @@ impl RunReport {
     }
 }
 
-/// The legal edges of the Fig. 2 RRC transition matrix, as enforced by
-/// invariant 1, in the `ewb-obs` state names the machine's events carry.
-/// `Promoting→Idle` is deliberately absent: a promotion cannot be
-/// abandoned.
-pub const LEGAL_TRANSITIONS: [(RadioState, RadioState); 7] = [
-    (RadioState::Idle, RadioState::Promoting),
-    (RadioState::Promoting, RadioState::Fach),
-    (RadioState::Promoting, RadioState::Dch),
-    (RadioState::Fach, RadioState::Promoting),
-    (RadioState::Dch, RadioState::Fach),
-    (RadioState::Fach, RadioState::Idle),
-    (RadioState::Dch, RadioState::Idle),
-];
-
-/// Runs `scenario` against a machine built from `mutant.doctor(cfg)`
-/// and the reference interpreter built from the true `cfg`, returning
-/// every invariant/differential violation found.
-pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> RunReport {
+/// Runs `scenario` against a machine of backend `M` built from
+/// `M::doctor(cfg, mutant)` and the backend's reference interpreter
+/// built from the true `cfg`, returning every invariant/differential
+/// violation found.
+///
+/// # Panics
+///
+/// Panics if the doctored config fails validation.
+pub fn check_scenario<M: CheckedRadio>(
+    cfg: &M::Config,
+    scenario: &Scenario,
+    mutant: Mutant,
+) -> RunReport {
     let recorder = Recorder::memory();
-    let mut m = RrcMachine::with_recorder(mutant.doctor(cfg), SimTime::ZERO, recorder.clone());
-    let mut r = ReferenceRrc::new(*cfg, SimTime::ZERO);
+    let mut m = M::with_recorder(M::doctor(cfg, mutant), SimTime::ZERO, recorder.clone());
+    let mut r = M::Reference::new(*cfg);
 
     let mut violations: Vec<Violation> = Vec::new();
     let mut coverage: BTreeSet<String> = BTreeSet::new();
@@ -146,8 +145,8 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
                     );
                 }
                 coverage.insert(format!(
-                    "transfer:{}{}",
-                    if *needs_dch { "dch" } else { "fach" },
+                    "{}{}",
+                    M::transfer_key(*needs_dch),
                     if *micros == 0 { ":zero" } else { "" }
                 ));
                 if *retries > 0 {
@@ -155,7 +154,7 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
                 }
             }
             Step::Release => {
-                if m.state() == RrcState::Idle {
+                if m.state_label() == M::click_state_name(0) {
                     coverage.insert("release:noop".to_string());
                 }
                 if !mutant.drops_release() {
@@ -171,14 +170,14 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
         }
 
         // Per-step differential surface.
-        if m.state() != r.state() {
+        if m.state_label() != r.state_label() {
             push(
                 &mut violations,
                 "differential-state",
                 format!(
                     "step {step_no} ({step}): machine in {}, reference in {}",
-                    m.state(),
-                    r.state()
+                    m.state_label(),
+                    r.state_label()
                 ),
             );
         }
@@ -224,11 +223,12 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
             format!("machine {:?}, reference {:?}", m.counters(), r.counters()),
         );
     }
-    if m.residency() != r.residency() {
+    let residency = m.reference_residency();
+    if residency != r.residency() {
         push(
             &mut violations,
             "differential-residency",
-            format!("machine {:?}, reference {:?}", m.residency(), r.residency()),
+            format!("machine {residency:?}, reference {:?}", r.residency()),
         );
     }
     let events = recorder.events();
@@ -250,20 +250,11 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
     });
 
     // Coverage from the machine's own record.
-    coverage.insert(format!("state:{}", m.state()));
+    coverage.insert(format!("state:{}", m.state_label()));
     for (_, from, to) in transitions {
         coverage.insert(format!("trans:{from}->{to}"));
     }
-    let c = m.counters();
-    for (key, v) in [
-        ("ctr:t1_expirations", c.t1_expirations),
-        ("ctr:t2_expirations", c.t2_expirations),
-        ("ctr:idle_to_dch", c.idle_to_dch),
-        ("ctr:idle_to_fach", c.idle_to_fach),
-        ("ctr:fach_to_dch", c.fach_to_dch),
-        ("ctr:fast_dormancy_releases", c.fast_dormancy_releases),
-        ("ctr:promotion_retries", c.promotion_retries),
-    ] {
+    for (key, v) in m.counter_keys() {
         if v > 0 {
             coverage.insert(key.to_string());
         }
@@ -281,19 +272,47 @@ pub fn check_scenario(cfg: &RrcConfig, scenario: &Scenario, mutant: Mutant) -> R
 /// Invariants 1–6 over a finished machine, its event stream, and the
 /// transfer windows the driver observed. Factored out so the pipeline
 /// oracle can reuse it on fetcher-driven machines.
-pub fn check_machine_invariants(
-    m: &RrcMachine,
+pub fn check_machine_invariants<M: CheckedRadio>(
+    m: &M,
     events: &[Event],
     transfer_windows: &[(SimTime, SimTime)],
     push: &mut dyn FnMut(&'static str, String),
 ) {
     // 1. Legal-transition matrix, continuity, and time ordering.
-    check_transitions(events, &LEGAL_TRANSITIONS, push);
+    let legal = m.legal_edges();
+    let transitions = ledger::transitions(events);
+    for (i, &(at, from, to)) in transitions.iter().enumerate() {
+        if !legal.contains(&(from, to)) {
+            push(
+                "legal-transitions",
+                format!("illegal transition #{i}: {from} -> {to} at {at}"),
+            );
+        }
+    }
+    for (i, w) in transitions.windows(2).enumerate() {
+        if w[0].2 != w[1].1 {
+            push(
+                "legal-transitions",
+                format!(
+                    "discontinuous transition chain at #{}: ... -> {} then {} -> ...",
+                    i + 1,
+                    w[0].2,
+                    w[1].1
+                ),
+            );
+        }
+        if w[0].0 > w[1].0 {
+            push(
+                "legal-transitions",
+                format!("transitions out of order at #{}", i + 1),
+            );
+        }
+    }
 
-    // 2. Timers fire only in their arming state. The energy segment
+    // 2. Timers fire only in their arming states. The energy segment
     // ending at the expiry instant shows the state the radio was in
     // while the timer ran down.
-    let mut last_segment: Option<(SimTime, SimTime, RadioState)> = None;
+    let mut last_segment = None;
     for e in events {
         match e {
             Event::EnergySegment {
@@ -301,32 +320,20 @@ pub fn check_machine_invariants(
             } => {
                 last_segment = Some((*start, *end, *state));
             }
-            Event::TimerExpired { at, timer } => {
-                let expected = match timer {
-                    Timer::T1 => RadioState::Dch,
-                    Timer::T2 => RadioState::Fach,
-                    Timer::Dwell => {
-                        // Ladder-backend timer: must never fire on a 3G
-                        // machine (the backend suites have their own
-                        // generic checker).
-                        push(
-                            "timer-arming",
-                            format!("3G machine emitted a ladder Dwell expiry at {at}"),
-                        );
-                        continue;
-                    }
-                };
-                match last_segment {
-                    Some((_, end, state)) if end == *at && state == expected => {}
-                    other => push(
-                        "timer-arming",
-                        format!(
-                            "{timer:?} fired at {at} but the radio was not in \
-                             {expected:?} up to that instant (last segment: {other:?})"
-                        ),
+            Event::TimerExpired { at, timer } => match (m.arming_states(*timer), last_segment) {
+                ([], _) => push(
+                    "timer-arming",
+                    format!("{timer:?} fired on a {} machine at {at}", M::BACKEND),
+                ),
+                (arming, Some((_, end, state))) if end == *at && arming.contains(&state) => {}
+                (arming, other) => push(
+                    "timer-arming",
+                    format!(
+                        "{timer:?} fired at {at} but the radio was not in {arming:?} \
+                         up to that instant (last segment: {other:?})"
                     ),
-                }
-            }
+                ),
+            },
             _ => {}
         }
     }
@@ -358,12 +365,13 @@ pub fn check_machine_invariants(
         );
     }
 
-    // 5. No transfer outside FACH/DCH.
+    // 5. No transfer outside the transmit-capable states.
+    let transmit = m.transmit_states();
     for (i, &(ds, end)) in transfer_windows.iter().enumerate() {
         for e in &entries {
             let lo = e.start.max(ds);
             let hi = e.end.min(end);
-            if lo < hi && !matches!(e.state, RadioState::Fach | RadioState::Dch) {
+            if lo < hi && !transmit.contains(&e.state) {
                 push(
                     "transfer-connected",
                     format!(
@@ -378,54 +386,15 @@ pub fn check_machine_invariants(
 
     // 6. Residency accounts for all elapsed time.
     let elapsed = m.now() - SimTime::ZERO;
-    if m.residency().total() != elapsed {
+    if m.residency_total() != elapsed {
         push(
             "residency-accounts-time",
             format!(
                 "residency sums to {} but {} elapsed",
-                m.residency().total(),
+                m.residency_total(),
                 elapsed
             ),
         );
-    }
-}
-
-/// Invariant 1 over the `StateTransition` events of any backend's
-/// stream: every state change is one of the `legal` edges, each starts
-/// in the state the previous one ended in, and none comes before the
-/// previous one.
-pub fn check_transitions(
-    events: &[Event],
-    legal: &[(RadioState, RadioState)],
-    push: &mut dyn FnMut(&'static str, String),
-) {
-    let transitions = ledger::transitions(events);
-    for (i, &(at, from, to)) in transitions.iter().enumerate() {
-        if !legal.contains(&(from, to)) {
-            push(
-                "legal-transitions",
-                format!("illegal transition #{i}: {from} -> {to} at {at}"),
-            );
-        }
-    }
-    for (i, w) in transitions.windows(2).enumerate() {
-        if w[0].2 != w[1].1 {
-            push(
-                "legal-transitions",
-                format!(
-                    "discontinuous transition chain at #{}: ... -> {} then {} -> ...",
-                    i + 1,
-                    w[0].2,
-                    w[1].1
-                ),
-            );
-        }
-        if w[0].0 > w[1].0 {
-            push(
-                "legal-transitions",
-                format!("transitions out of order at #{}", i + 1),
-            );
-        }
     }
 }
 
@@ -433,6 +402,7 @@ pub fn check_transitions(
 mod tests {
     use super::*;
     use crate::scenario::default_alphabet;
+    use ewb_rrc::{RrcConfig, RrcMachine};
 
     fn cfg() -> RrcConfig {
         RrcConfig::paper()
@@ -442,7 +412,7 @@ mod tests {
     fn clean_machine_passes_every_alphabet_symbol() {
         for (i, step) in default_alphabet().into_iter().enumerate() {
             let s = Scenario::new(format!("sym-{i}"), vec![step]);
-            let r = check_scenario(&cfg(), &s, Mutant::None);
+            let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::None);
             assert!(r.ok(), "symbol {i} failed: {:?}", r.violations);
         }
     }
@@ -460,7 +430,7 @@ mod tests {
                 Step::Wait { micros: 19_500_000 },
             ],
         );
-        let r = check_scenario(&cfg(), &s, Mutant::None);
+        let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::None);
         assert!(r.ok(), "{:?}", r.violations);
         assert!(r.coverage.contains("ctr:t1_expirations"));
         assert!(r.coverage.contains("ctr:t2_expirations"));
@@ -484,7 +454,7 @@ mod tests {
                 Step::Wait { micros: 4_500_000 },
             ],
         );
-        let r = check_scenario(&cfg(), &s, Mutant::SwappedTimers);
+        let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::SwappedTimers);
         assert!(!r.ok(), "mutant must be caught");
         assert!(
             r.violations
@@ -508,7 +478,7 @@ mod tests {
                 Step::Release,
             ],
         );
-        let r = check_scenario(&cfg(), &s, Mutant::IgnoredDormancy);
+        let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::IgnoredDormancy);
         assert!(!r.ok(), "mutant must be caught");
     }
 
@@ -522,7 +492,7 @@ mod tests {
                 retries: 0,
             }],
         );
-        let r = check_scenario(&cfg(), &s, Mutant::EagerPromotion);
+        let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::EagerPromotion);
         assert!(!r.ok(), "mutant must be caught");
         assert_eq!(r.violations[0].invariant, "differential-data-start");
     }
@@ -539,7 +509,7 @@ mod tests {
             })
             .collect();
         let s = Scenario::new("flood", steps);
-        let r = check_scenario(&cfg(), &s, Mutant::EagerPromotion);
+        let r = check_scenario::<RrcMachine>(&cfg(), &s, Mutant::EagerPromotion);
         assert!(!r.ok());
         assert!(r.violations.len() <= 8, "{}", r.violations.len());
     }

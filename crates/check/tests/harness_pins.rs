@@ -10,37 +10,31 @@
 //! change to how it is built may change how the helpers below call it,
 //! never a literal.
 
-use ewb_check::{
-    check_five_g_scenario, check_lte_scenario, check_wifi_scenario, default_alphabet, exhaustive,
-    exhaustive_with, fuzz, ladder_alphabet, BackendMutant, ExploreReport, Mutant,
+use ewb_check::{default_alphabet, exhaustive, fuzz, ladder_alphabet, ExploreReport, Mutant};
+use ewb_rrc::{
+    FiveG, FiveGConfig, FiveGMachine, LadderBackend, Lte, LteConfig, LteMachine, RrcConfig,
+    RrcMachine, Wifi, WifiConfig, WifiMachine,
 };
-use ewb_rrc::{FiveG, FiveGConfig, LadderBackend, Lte, LteConfig, RrcConfig, Wifi, WifiConfig};
 
 const DEPTH: usize = 3;
 
 fn three_g(mutant: Mutant) -> ExploreReport {
-    exhaustive(&RrcConfig::paper(), &default_alphabet(), DEPTH, mutant)
+    exhaustive::<RrcMachine>(&RrcConfig::paper(), &default_alphabet(), DEPTH, mutant)
 }
 
-fn lte(mutant: BackendMutant) -> ExploreReport {
+fn lte(mutant: Mutant) -> ExploreReport {
     let cfg = LteConfig::calibrated();
-    exhaustive_with(&ladder_alphabet(&Lte::spec(&cfg)), DEPTH, |s| {
-        check_lte_scenario(&cfg, s, mutant)
-    })
+    exhaustive::<LteMachine>(&cfg, &ladder_alphabet(&Lte::spec(&cfg)), DEPTH, mutant)
 }
 
-fn wifi(mutant: BackendMutant) -> ExploreReport {
+fn wifi(mutant: Mutant) -> ExploreReport {
     let cfg = WifiConfig::calibrated();
-    exhaustive_with(&ladder_alphabet(&Wifi::spec(&cfg)), DEPTH, |s| {
-        check_wifi_scenario(&cfg, s, mutant)
-    })
+    exhaustive::<WifiMachine>(&cfg, &ladder_alphabet(&Wifi::spec(&cfg)), DEPTH, mutant)
 }
 
-fn five_g(mutant: BackendMutant) -> ExploreReport {
+fn five_g(mutant: Mutant) -> ExploreReport {
     let cfg = FiveGConfig::calibrated();
-    exhaustive_with(&ladder_alphabet(&FiveG::spec(&cfg)), DEPTH, |s| {
-        check_five_g_scenario(&cfg, s, mutant)
-    })
+    exhaustive::<FiveGMachine>(&cfg, &ladder_alphabet(&FiveG::spec(&cfg)), DEPTH, mutant)
 }
 
 fn keys(coverage: &std::collections::BTreeSet<String>) -> Vec<&str> {
@@ -98,7 +92,7 @@ fn three_g_sweep() {
 #[test]
 fn lte_sweep() {
     assert_clean(
-        &lte(BackendMutant::None),
+        &lte(Mutant::None),
         584,
         &[
             "ctr:dwell_expirations",
@@ -129,7 +123,7 @@ fn lte_sweep() {
 #[test]
 fn wifi_sweep() {
     assert_clean(
-        &wifi(BackendMutant::None),
+        &wifi(Mutant::None),
         258,
         &[
             "ctr:dwell_expirations",
@@ -152,7 +146,7 @@ fn wifi_sweep() {
 #[test]
 fn five_g_sweep() {
     assert_clean(
-        &five_g(BackendMutant::None),
+        &five_g(Mutant::None),
         399,
         &[
             "ctr:dwell_expirations",
@@ -228,7 +222,7 @@ fn eager_promotion() {
 #[test]
 fn swapped_drx_cycles() {
     assert_caught(
-        &lte(BackendMutant::SwappedDrxCycles),
+        &lte(Mutant::SwappedDrxCycles),
         117,
         r#"{"name":"exhaustive-d2-4.2.shrunk","steps":[{"Transfer":{"needs_dch":true,"micros":0,"retries":0}},{"Wait":{"micros":1171875}}]}"#,
         &[
@@ -244,7 +238,7 @@ fn swapped_drx_cycles() {
 #[test]
 fn ignored_psm_beacon() {
     assert_caught(
-        &wifi(BackendMutant::IgnoredPsmBeacon),
+        &wifi(Mutant::IgnoredPsmBeacon),
         144,
         r#"{"name":"exhaustive-d1-0.shrunk","steps":[{"Wait":{"micros":1}}]}"#,
         &["differential-energy"],
@@ -254,7 +248,7 @@ fn ignored_psm_beacon() {
 #[test]
 fn eager_five_g_release() {
     assert_caught(
-        &five_g(BackendMutant::EagerFiveGRelease),
+        &five_g(Mutant::EagerFiveGRelease),
         96,
         r#"{"name":"exhaustive-d2-3.1.shrunk","steps":[{"Transfer":{"needs_dch":true,"micros":0,"retries":0}},{"Wait":{"micros":618750}}]}"#,
         &[

@@ -345,12 +345,7 @@ impl RadioModel for RrcMachine {
     }
 
     fn state_label(&self) -> &'static str {
-        match self.state() {
-            RrcState::Idle => "IDLE",
-            RrcState::Promoting => "PROMOTING",
-            RrcState::Fach => "FACH",
-            RrcState::Dch => "DCH",
-        }
+        self.state().name()
     }
 
     fn release_latency(cfg: &RrcConfig) -> SimDuration {
@@ -370,12 +365,7 @@ impl RadioModel for RrcMachine {
     }
 
     fn click_state_name(index: usize) -> &'static str {
-        match THREE_G_CLICK_STATES[index] {
-            RrcState::Idle => "IDLE",
-            RrcState::Fach => "FACH",
-            RrcState::Dch => "DCH",
-            RrcState::Promoting => unreachable!("Promoting is not a click state"),
-        }
+        THREE_G_CLICK_STATES[index].name()
     }
 
     fn in_click_state(cfg: RrcConfig, index: usize) -> (Self, SimTime) {

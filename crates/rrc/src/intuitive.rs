@@ -1,6 +1,4 @@
-//! The §3.1 motivation experiment (Fig. 3 of the paper), plus the
-//! *intuitive reference interpreter* used by the `ewb-check` differential
-//! oracle.
+//! The §3.1 motivation experiment (Fig. 3 of the paper).
 //!
 //! The "intuitive" power-saving idea is to drop the radio to IDLE
 //! immediately after every data transmission. The paper shows this
@@ -11,18 +9,10 @@
 //! [`compare_at_interval`] simulates steady-state cycles of both approaches
 //! on the same [`RrcMachine`] model; [`sweep`] produces the full Fig. 3
 //! series and [`break_even`] locates the crossover.
-//!
-//! [`ReferenceRrc`] is an independent, straight-line re-implementation of
-//! the paper's Fig. 2 RRC semantics, written for obviousness rather than
-//! generality: no event queue, no recorder, no concurrent transfers — just
-//! explicit gap-splitting at timer deadlines and `watts × seconds`
-//! accrual. The `ewb-check` crate drives it in lock-step with
-//! [`RrcMachine`] and flags any disagreement.
 
 use crate::config::RrcConfig;
-use crate::machine::{RrcCounters, RrcMachine, StateResidency};
-use crate::state::RrcState;
-use ewb_obs::{ledger, RadioState, Recorder};
+use crate::machine::RrcMachine;
+use ewb_obs::{ledger, Recorder};
 use ewb_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -148,225 +138,6 @@ pub fn break_even(cfg: &RrcConfig, transfer: SimDuration) -> f64 {
     f64::INFINITY
 }
 
-/// An obviously-correct reference interpreter of the Fig. 2 RRC
-/// semantics, for differential testing against [`RrcMachine`].
-///
-/// The interpreter supports exactly the *sequential* stimulus alphabet
-/// the `ewb-check` scenarios use — wait, one-at-a-time transfers, fast
-/// dormancy, CPU-load changes — and reproduces the machine's observable
-/// surface: state at step boundaries, transition log (in the `ewb-obs`
-/// state names the machine's events carry), counters, residency,
-/// promotion `data_start` instants, and total energy.
-///
-/// Everything is written as straight-line arithmetic so the
-/// implementation can be audited against the paper directly:
-///
-/// * T1 (DCH→FACH) and T2 (FACH→IDLE) arm when the last transfer ends
-///   and are cancelled by any new data activity or fast dormancy;
-/// * promotions cost their full latency up front at promotion power
-///   (cold from IDLE) or DCH-hold power (warm FACH→DCH), scaled by
-///   `retries + 1` failed-signaling attempts;
-/// * energy is `Σ watts × seconds` over the piecewise-constant spans.
-#[derive(Debug, Clone)]
-pub struct ReferenceRrc {
-    cfg: RrcConfig,
-    now: SimTime,
-    state: RrcState,
-    t1: Option<SimTime>,
-    t2: Option<SimTime>,
-    cpu_load: f64,
-    joules: f64,
-    residency: StateResidency,
-    transitions: Vec<(SimTime, RadioState, RadioState)>,
-    counters: RrcCounters,
-}
-
-impl ReferenceRrc {
-    /// Creates a reference interpreter in IDLE at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`RrcConfig::validate`].
-    pub fn new(cfg: RrcConfig, start: SimTime) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid RrcConfig: {e}");
-        }
-        ReferenceRrc {
-            cfg,
-            now: start,
-            state: RrcState::Idle,
-            t1: None,
-            t2: None,
-            cpu_load: 0.0,
-            joules: 0.0,
-            residency: StateResidency::default(),
-            transitions: Vec::new(),
-            counters: RrcCounters::default(),
-        }
-    }
-
-    /// Current interpreter time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Current RRC state (never `Promoting` at a step boundary).
-    pub fn state(&self) -> RrcState {
-        self.state
-    }
-
-    /// Total accrued energy, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.joules
-    }
-
-    /// Per-state residency so far.
-    pub fn residency(&self) -> StateResidency {
-        self.residency
-    }
-
-    /// Event counters so far.
-    pub fn counters(&self) -> RrcCounters {
-        self.counters
-    }
-
-    /// The recorded transitions as `(at, from, to)`, oldest first.
-    pub fn transitions(&self) -> &[(SimTime, RadioState, RadioState)] {
-        &self.transitions
-    }
-
-    /// Lets time pass: fires any armed T1/T2 deadlines that fall inside
-    /// the window, splitting the energy accrual at each.
-    pub fn wait(&mut self, d: SimDuration) {
-        let target = self.now + d;
-        // Fig. 2: at most one inactivity timer is armed at a time; each
-        // expiry demotes one step and may arm the next timer.
-        while let Some(at) = self.t1.or(self.t2).filter(|at| *at <= target) {
-            if self.t1.is_some() {
-                self.accrue(at, self.cfg.power.watts(RrcState::Dch, false, 0.0));
-                self.t1 = None;
-                self.enter(at, RrcState::Fach);
-                self.t2 = Some(at + self.cfg.t2);
-                self.counters.t1_expirations += 1;
-            } else {
-                self.accrue(at, self.cfg.power.watts(RrcState::Fach, false, 0.0));
-                self.t2 = None;
-                self.enter(at, RrcState::Idle);
-                self.counters.t2_expirations += 1;
-            }
-        }
-        self.accrue(target, self.cfg.power.watts(self.state, false, 0.0));
-    }
-
-    /// Runs one complete transfer: request now, promote if needed
-    /// (`retries` failed signaling attempts each cost one extra full
-    /// promotion window), move data for `duration`, re-arm the
-    /// inactivity timer of the state the data rode in. Returns the
-    /// instant data started flowing (the machine's `data_start`).
-    pub fn transfer(&mut self, needs_dch: bool, duration: SimDuration, retries: u32) -> SimTime {
-        self.counters.transfers += 1;
-        // Any data activity cancels the inactivity timers.
-        self.t1 = None;
-        self.t2 = None;
-        let attempts = u64::from(retries) + 1;
-        let data_start = match (self.state, needs_dch) {
-            (RrcState::Dch, _) | (RrcState::Fach, false) => self.now,
-            (RrcState::Fach, true) => {
-                // Warm promotion: reuses the signaling connection at
-                // DCH-hold power.
-                self.counters.fach_to_dch += 1;
-                self.counters.promotion_retries += u64::from(retries);
-                self.promote(
-                    RrcState::Dch,
-                    self.cfg.fach_to_dch_latency * attempts,
-                    self.cfg.power.dch_hold_w,
-                )
-            }
-            (RrcState::Idle, true) => {
-                self.counters.idle_to_dch += 1;
-                self.counters.promotion_retries += u64::from(retries);
-                self.promote(
-                    RrcState::Dch,
-                    self.cfg.idle_to_dch_latency * attempts,
-                    self.cfg.power.promotion_w,
-                )
-            }
-            (RrcState::Idle, false) => {
-                self.counters.idle_to_fach += 1;
-                self.counters.promotion_retries += u64::from(retries);
-                self.promote(
-                    RrcState::Fach,
-                    self.cfg.idle_to_fach_latency * attempts,
-                    self.cfg.power.promotion_w,
-                )
-            }
-            (RrcState::Promoting, _) => {
-                unreachable!("sequential driving never observes Promoting at a step boundary")
-            }
-        };
-        let end = data_start + duration;
-        self.accrue(end, self.cfg.power.watts(self.state, true, 0.0));
-        match self.state {
-            RrcState::Dch => self.t1 = Some(end + self.cfg.t1),
-            RrcState::Fach => self.t2 = Some(end + self.cfg.t2),
-            _ => unreachable!("transfer ended in {}", self.state),
-        }
-        data_start
-    }
-
-    /// Fast dormancy: release the signaling connection and drop to IDLE
-    /// after [`RrcConfig::release_latency`] at the current state's
-    /// power. A no-op in IDLE. Returns the instant IDLE is reached.
-    pub fn release(&mut self) -> SimTime {
-        if self.state == RrcState::Idle {
-            return self.now;
-        }
-        let done = self.now + self.cfg.release_latency;
-        self.accrue(done, self.cfg.power.watts(self.state, false, 0.0));
-        self.t1 = None;
-        self.t2 = None;
-        self.enter(done, RrcState::Idle);
-        self.counters.fast_dormancy_releases += 1;
-        done
-    }
-
-    /// Sets the simulated CPU load in `[0, 1]`, effective immediately.
-    pub fn set_cpu_load(&mut self, load: f64) {
-        self.cpu_load = load.clamp(0.0, crate::power::MAX_CPU_CORES);
-    }
-
-    fn promote(&mut self, target: RrcState, latency: SimDuration, watts: f64) -> SimTime {
-        let requested = self.now;
-        let done = requested + latency;
-        self.enter(requested, RrcState::Promoting);
-        self.accrue(done, watts);
-        self.enter(done, target);
-        done
-    }
-
-    fn accrue(&mut self, to: SimTime, base_watts: f64) {
-        if to > self.now {
-            let d = to - self.now;
-            let watts = base_watts + self.cfg.power.cpu_full_extra_w * self.cpu_load;
-            self.joules += watts * d.as_secs_f64();
-            match self.state {
-                RrcState::Idle => self.residency.idle += d,
-                RrcState::Promoting => self.residency.promoting += d,
-                RrcState::Fach => self.residency.fach += d,
-                RrcState::Dch => self.residency.dch += d,
-            }
-            self.now = to;
-        }
-    }
-
-    fn enter(&mut self, at: SimTime, to: RrcState) {
-        if self.state != to {
-            self.transitions.push((at, self.state.into(), to.into()));
-            self.state = to;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,57 +235,5 @@ mod tests {
             SimDuration::from_millis(400),
             half_second(),
         );
-    }
-
-    #[test]
-    fn reference_interpreter_replays_the_timer_cascade() {
-        let mut r = ReferenceRrc::new(RrcConfig::paper(), SimTime::ZERO);
-        let ds = r.transfer(true, SimDuration::from_secs(2), 0);
-        assert_eq!(ds, SimTime::from_secs_f64(1.75));
-        assert_eq!(r.state(), RrcState::Dch);
-        r.wait(SimDuration::from_secs(25));
-        assert_eq!(r.state(), RrcState::Idle);
-        assert_eq!(r.counters().t1_expirations, 1);
-        assert_eq!(r.counters().t2_expirations, 1);
-        let expected = 7.0 + 2.0 * 1.25 + 4.0 * 1.15 + 15.0 * 0.63 + 6.0 * 0.15;
-        assert!((r.energy_j() - expected).abs() < 1e-6, "{}", r.energy_j());
-        assert_eq!(r.residency().total(), SimDuration::from_secs_f64(28.75));
-    }
-
-    #[test]
-    fn reference_agrees_with_machine_on_a_mixed_scenario() {
-        let cfg = RrcConfig::paper();
-        let recorder = Recorder::memory();
-        let mut m = RrcMachine::with_recorder(cfg, SimTime::ZERO, recorder.clone());
-        let mut r = ReferenceRrc::new(cfg, SimTime::ZERO);
-
-        // transfer → partial tail → small FACH transfer → dormancy → idle.
-        let half = SimDuration::from_millis(500);
-        let ds_m = m.begin_transfer_with_promotion_retries(m.now(), true, 1);
-        m.end_transfer(ds_m + half);
-        let ds_r = r.transfer(true, half, 1);
-        assert_eq!(ds_m, ds_r);
-
-        m.advance_to(m.now() + SimDuration::from_secs(6));
-        r.wait(SimDuration::from_secs(6));
-        assert_eq!(m.state(), r.state());
-        assert_eq!(m.state(), RrcState::Fach);
-
-        let ds_m = m.begin_transfer(m.now(), false);
-        m.end_transfer(ds_m + half);
-        r.transfer(false, half, 0);
-
-        m.release_to_idle(m.now());
-        r.release();
-
-        m.advance_to(m.now() + SimDuration::from_secs(5));
-        r.wait(SimDuration::from_secs(5));
-
-        assert_eq!(m.now(), r.now());
-        assert_eq!(m.state(), r.state());
-        assert_eq!(m.counters(), r.counters());
-        assert_eq!(m.residency(), r.residency());
-        assert_eq!(ledger::transitions(&recorder.events()), r.transitions());
-        assert!((m.energy_j() - r.energy_j()).abs() < 1e-9);
     }
 }

@@ -23,6 +23,17 @@ pub enum RrcState {
 }
 
 impl RrcState {
+    /// The state's stable name: what it displays as, and the 3G
+    /// machine's [`RadioModel::state_label`](crate::RadioModel::state_label).
+    pub fn name(self) -> &'static str {
+        match self {
+            RrcState::Idle => "IDLE",
+            RrcState::Promoting => "PROMOTING",
+            RrcState::Fach => "FACH",
+            RrcState::Dch => "DCH",
+        }
+    }
+
     /// Whether the handset holds a signaling connection in this state.
     pub fn is_connected(self) -> bool {
         !matches!(self, RrcState::Idle)
@@ -38,13 +49,7 @@ impl RrcState {
 
 impl fmt::Display for RrcState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            RrcState::Idle => "IDLE",
-            RrcState::Promoting => "PROMOTING",
-            RrcState::Fach => "FACH",
-            RrcState::Dch => "DCH",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 
