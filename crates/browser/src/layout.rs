@@ -114,12 +114,6 @@ fn attr_px(attrs: &[(String, String)], name: &str) -> Option<f64> {
         .filter(|v| v.is_finite() && *v > 0.0)
 }
 
-/// Convenience: element ids visible under styles (not `display: none`),
-/// used by tests and the pipeline for paint counting.
-pub fn visible_boxes(doc: &Document, styles: Option<&StyleResult>, viewport_px: f64) -> usize {
-    layout(doc, styles, viewport_px).boxes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

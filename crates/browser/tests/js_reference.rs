@@ -448,11 +448,11 @@ fn assert_same_at_every_gas(source: &str) {
 }
 
 #[test]
-fn gas_running_out_inside_bulk_charged_subtrees_matches_the_reference() {
+fn gas_running_out_in_the_corpus_loop_shapes_matches_the_reference() {
     // The corpus scripts' two loops (`ewb_webpage`'s script generator)
     // with a few iterations each: the URL-building loop and its
     // `document.write`, then the filler loop, whose condition, call
-    // arguments, returned expression and increment are pure subtrees.
+    // arguments, returned expression and increment are all arithmetic.
     let url_loop = "var base0 = \"http://s/img/dyn\";\nvar n0 = 3;\n\
                     while (n0 < 6) {\n  loadImage(base0 + n0 + \".jpg\");\n  n0 = n0 + 1;\n}\n\
                     document.write(\"<img src='\" + base0 + \"6.jpg'>\");\n";
@@ -470,7 +470,7 @@ fn gas_running_out_inside_bulk_charged_subtrees_matches_the_reference() {
 }
 
 #[test]
-fn pure_subtrees_that_leave_the_number_path_match_the_reference() {
+fn non_number_operands_match_the_reference() {
     let programs = [
         // String operands: concatenation, and arithmetic and comparison
         // that convert them.

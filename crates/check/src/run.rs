@@ -154,6 +154,7 @@ pub fn check_scenario<M: CheckedRadio>(
                 }
             }
             Step::Release => {
+                // Click state 0 is the deepest sleep state.
                 if m.state_label() == M::click_state_name(0) {
                     coverage.insert("release:noop".to_string());
                 }

@@ -271,11 +271,6 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
         &self.cfg
     }
 
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Attempts that did not deliver a usable payload (stalls +
     /// truncations), across all requests so far.
     pub fn failed_attempts(&self) -> usize {

@@ -32,11 +32,12 @@
 //! ## Sinks
 //!
 //! [`Recorder::memory`] retains everything (tests, timeline export),
-//! [`Recorder::ring`] keeps a bounded tail, [`Recorder::summarizing`]
-//! folds a constant-memory [`Summary`], [`Recorder::ledger`] keeps the
-//! energy ledger while passing every event on to another recorder, and
-//! [`Recorder::disabled`] is free: a single branch per emit, with
-//! [`Recorder::emit_with`] skipping event construction entirely.
+//! [`Recorder::ledger`] keeps the energy ledger while passing every
+//! event on to another recorder, [`Recorder::custom`] takes any
+//! [`Sink`], and [`Recorder::disabled`] is free: a single branch per
+//! emit, with [`Recorder::emit_with`] skipping event construction
+//! entirely. [`Recorder::summary`] folds the retained events into a
+//! [`Summary`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,5 +50,5 @@ pub mod timeline;
 
 pub use event::{Event, FaultKind, Layer, RadioState, Timer};
 pub use ledger::LedgerEntry;
-pub use recorder::{MemorySink, Recorder, RingSink, Sink, SummarySink};
+pub use recorder::{MemorySink, Recorder, Sink};
 pub use summary::Summary;

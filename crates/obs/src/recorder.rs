@@ -8,7 +8,6 @@
 
 use crate::event::Event;
 use crate::summary::Summary;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -17,13 +16,8 @@ use std::sync::{Arc, Mutex};
 pub trait Sink {
     /// Accept one event.
     fn record(&mut self, event: &Event);
-    /// The events the sink retained, oldest first. Sinks that only
-    /// aggregate (e.g. [`SummarySink`]) return an empty vec.
+    /// The events the sink retained, oldest first.
     fn events(&self) -> Vec<Event>;
-    /// The running summary, if this sink aggregates one.
-    fn summary(&self) -> Option<Summary> {
-        None
-    }
 }
 
 /// Retains every event, unbounded. The right sink for tests and for
@@ -40,67 +34,6 @@ impl Sink for MemorySink {
 
     fn events(&self) -> Vec<Event> {
         self.events.clone()
-    }
-}
-
-/// Retains only the most recent `capacity` events; older ones are
-/// dropped (counted in `dropped`). The right sink for long sweeps where
-/// only the tail matters.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<Event>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// How many events were evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.clone());
-    }
-
-    fn events(&self) -> Vec<Event> {
-        self.buf.iter().cloned().collect()
-    }
-}
-
-/// Retains nothing; folds every event into a running [`Summary`]. The
-/// right sink when only aggregates are wanted (constant memory).
-#[derive(Debug, Default)]
-pub struct SummarySink {
-    summary: Summary,
-}
-
-impl Sink for SummarySink {
-    fn record(&mut self, event: &Event) {
-        self.summary.fold(event);
-    }
-
-    fn events(&self) -> Vec<Event> {
-        Vec::new()
-    }
-
-    fn summary(&self) -> Option<Summary> {
-        Some(self.summary.clone())
     }
 }
 
@@ -150,16 +83,6 @@ impl Recorder {
         Recorder::custom(Box::new(MemorySink::default()))
     }
 
-    /// A recorder retaining only the last `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        Recorder::custom(Box::new(RingSink::new(capacity)))
-    }
-
-    /// A recorder folding events into a running [`Summary`] only.
-    pub fn summarizing() -> Self {
-        Recorder::custom(Box::new(SummarySink::default()))
-    }
-
     /// A recorder retaining only the energy ledger
     /// ([`Event::EnergySegment`] events) and passing every event on to
     /// `forward` in order. The recorder a reader of a machine's history
@@ -207,7 +130,7 @@ impl Recorder {
     }
 
     /// The events retained by the sink, in emission order. Empty when
-    /// disabled or when the sink aggregates only.
+    /// disabled.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {
             Some(sink) => sink.lock().expect("recorder sink mutex poisoned").events(),
@@ -215,22 +138,13 @@ impl Recorder {
         }
     }
 
-    /// The sink's running summary: the one it keeps if it aggregates,
-    /// otherwise one folded on the fly from its retained events.
+    /// A [`Summary`] folded from the retained events.
     pub fn summary(&self) -> Summary {
-        match &self.inner {
-            Some(sink) => {
-                let sink = sink.lock().expect("recorder sink mutex poisoned");
-                sink.summary().unwrap_or_else(|| {
-                    let mut s = Summary::default();
-                    for e in sink.events() {
-                        s.fold(&e);
-                    }
-                    s
-                })
-            }
-            None => Summary::default(),
+        let mut s = Summary::default();
+        for e in self.events() {
+            s.fold(&e);
         }
+        s
     }
 }
 
@@ -284,18 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_evicts_oldest() {
-        let r = Recorder::ring(2);
-        for s in 1..=5 {
-            r.emit(timer_event(s));
-        }
-        let evs = r.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].at(), SimTime::from_secs(4));
-        assert_eq!(evs[1].at(), SimTime::from_secs(5));
-    }
-
-    #[test]
     fn ledger_recorder_keeps_segments_and_forwards_everything() {
         let forward = Recorder::memory();
         let r = Recorder::ledger(forward.clone());
@@ -315,14 +217,5 @@ mod tests {
         );
         assert_eq!(r.events(), [segment]);
         Recorder::ledger(Recorder::disabled()).emit(timer_event(3));
-    }
-
-    #[test]
-    fn summarizing_recorder_counts_without_retaining() {
-        let r = Recorder::summarizing();
-        r.emit(timer_event(1));
-        r.emit(timer_event(2));
-        assert!(r.events().is_empty());
-        assert_eq!(r.summary().events_total, 2);
     }
 }

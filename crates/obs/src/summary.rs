@@ -1,7 +1,6 @@
 //! Constant-memory aggregation over an event stream.
 
-use crate::event::{Event, RadioState};
-use ewb_simcore::ExactSum;
+use crate::event::Event;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -10,12 +9,7 @@ use std::collections::BTreeMap;
 /// `ledger_joules` is folded in emission order, so on a stream produced
 /// by one machine it equals the machine's reported energy bit-for-bit
 /// (same addends, same order).
-///
-/// Summaries from independent shards combine with [`Summary::merge`]:
-/// each shard's pinned-order fold enters the merged totals through an
-/// exact accumulator ([`ExactSum`]), so the merged `f64` fields are
-/// bit-identical for every merge order and shard count.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Summary {
     /// Total events folded in.
     pub events_total: u64,
@@ -39,72 +33,11 @@ pub struct Summary {
     pub retries: u64,
     /// Bytes delivered by completed attempts.
     pub bytes_completed: u64,
-    /// Exact accumulators behind the `f64` fields, present once this
-    /// summary has absorbed another via [`Summary::merge`]. Skipped in
-    /// serialization (the visible fields already carry the correctly
-    /// rounded totals) and in equality.
-    #[serde(skip)]
-    exact: Option<Box<ExactTotals>>,
-}
-
-/// Exact expansions of every `f64` total a merged summary carries.
-#[derive(Debug, Clone, Default)]
-struct ExactTotals {
-    ledger: ExactSum,
-    by_state: BTreeMap<String, ExactSum>,
-    spans: BTreeMap<String, ExactSum>,
-}
-
-impl ExactTotals {
-    /// Captures a summary's visible `f64` totals as single exact addends.
-    fn of(s: &Summary) -> Box<ExactTotals> {
-        Box::new(ExactTotals {
-            ledger: ExactSum::from_value(s.ledger_joules),
-            by_state: s
-                .joules_by_state
-                .iter()
-                .map(|(k, &v)| (k.clone(), ExactSum::from_value(v)))
-                .collect(),
-            spans: s
-                .span_seconds
-                .iter()
-                .map(|(k, &v)| (k.clone(), ExactSum::from_value(v)))
-                .collect(),
-        })
-    }
-}
-
-impl PartialEq for Summary {
-    fn eq(&self, other: &Self) -> bool {
-        // The exact accumulators are a derivation of merge history; two
-        // summaries are equal when every visible aggregate matches.
-        self.events_total == other.events_total
-            && self.events_by_kind == other.events_by_kind
-            && self.ledger_joules == other.ledger_joules
-            && self.joules_by_state == other.joules_by_state
-            && self.span_seconds == other.span_seconds
-            && self.transitions == other.transitions
-            && self.transfers_begun == other.transfers_begun
-            && self.transfers_completed == other.transfers_completed
-            && self.faults == other.faults
-            && self.retries == other.retries
-            && self.bytes_completed == other.bytes_completed
-    }
 }
 
 impl Summary {
     /// Fold one event into the aggregates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this summary has already merged another (a merged total
-    /// is a rounding of an exact cross-shard sum; folding more events
-    /// into it in emission order would silently mix the two regimes).
     pub fn fold(&mut self, event: &Event) {
-        assert!(
-            self.exact.is_none(),
-            "cannot fold events into an already-merged Summary; fold per shard, then merge"
-        );
         self.events_total += 1;
         *self
             .events_by_kind
@@ -115,10 +48,7 @@ impl Summary {
                 state, joules: j, ..
             } => {
                 self.ledger_joules += j;
-                *self
-                    .joules_by_state
-                    .entry(state_key(*state).to_string())
-                    .or_insert(0.0) += j;
+                *self.joules_by_state.entry(state.to_string()).or_insert(0.0) += j;
             }
             Event::StateTransition { .. } => self.transitions += 1,
             Event::TransferBegin { .. } => self.transfers_begun += 1,
@@ -141,83 +71,12 @@ impl Summary {
             _ => {}
         }
     }
-
-    /// Absorbs another shard's summary.
-    ///
-    /// Counters add; every `f64` total goes through an exact accumulator
-    /// seeded with each shard's pinned-order fold, then the visible field
-    /// is rewritten with the correctly rounded exact sum. The result is
-    /// bit-identical for every merge order and grouping: `merge(a,
-    /// merge(b, c)) == merge(merge(a, b), c)` down to the last bit.
-    pub fn merge(&mut self, other: &Summary) {
-        self.events_total += other.events_total;
-        for (k, v) in &other.events_by_kind {
-            *self.events_by_kind.entry(k.clone()).or_insert(0) += v;
-        }
-        self.transitions += other.transitions;
-        self.transfers_begun += other.transfers_begun;
-        self.transfers_completed += other.transfers_completed;
-        self.faults += other.faults;
-        self.retries += other.retries;
-        self.bytes_completed += other.bytes_completed;
-
-        let mut exact = match self.exact.take() {
-            Some(e) => e,
-            None => ExactTotals::of(self),
-        };
-        match &other.exact {
-            Some(o) => {
-                exact.ledger.absorb(&o.ledger);
-                for (k, s) in &o.by_state {
-                    exact.by_state.entry(k.clone()).or_default().absorb(s);
-                }
-                for (k, s) in &o.spans {
-                    exact.spans.entry(k.clone()).or_default().absorb(s);
-                }
-            }
-            None => {
-                exact.ledger.add(other.ledger_joules);
-                for (k, &v) in &other.joules_by_state {
-                    exact.by_state.entry(k.clone()).or_default().add(v);
-                }
-                for (k, &v) in &other.span_seconds {
-                    exact.spans.entry(k.clone()).or_default().add(v);
-                }
-            }
-        }
-        self.ledger_joules = exact.ledger.value();
-        self.joules_by_state = exact
-            .by_state
-            .iter()
-            .map(|(k, s)| (k.clone(), s.value()))
-            .collect();
-        self.span_seconds = exact
-            .spans
-            .iter()
-            .map(|(k, s)| (k.clone(), s.value()))
-            .collect();
-        self.exact = Some(exact);
-    }
-}
-
-fn state_key(state: RadioState) -> &'static str {
-    match state {
-        RadioState::Idle => "IDLE",
-        RadioState::Promoting => "PROMOTING",
-        RadioState::Fach => "FACH",
-        RadioState::Dch => "DCH",
-        RadioState::Connected => "CONNECTED",
-        RadioState::ShortDrx => "SHORT_DRX",
-        RadioState::LongDrx => "LONG_DRX",
-        RadioState::PsmSleep => "PSM",
-        RadioState::Cdrx => "CDRX",
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Layer;
+    use crate::event::{Layer, RadioState};
     use ewb_simcore::SimTime;
 
     #[test]
@@ -259,113 +118,5 @@ mod tests {
         assert_eq!(s.bytes_completed, 100);
         assert_eq!(s.span_seconds["html_parse"], 1.0);
         assert_eq!(s.events_by_kind["energy_segment"], 1);
-    }
-
-    /// A shard summary with adversarial joules values: magnitudes spread
-    /// enough that naive `+` folding is order-dependent.
-    fn shard(seed: u64) -> Summary {
-        let mut s = Summary::default();
-        let states = [
-            RadioState::Idle,
-            RadioState::Fach,
-            RadioState::Dch,
-            RadioState::Promoting,
-        ];
-        for i in 0..40u64 {
-            let x = ewb_simcore::SplitMix64::mix(seed.wrapping_mul(1_000_003) + i);
-            // Joules spanning ~12 orders of magnitude, both signs of ulp
-            // interaction (all positive, as real segments are).
-            let j = (x % 1_000_000) as f64 * 1e-9 + ((x >> 20) % 1000) as f64 * 1e3;
-            s.fold(&Event::EnergySegment {
-                start: SimTime::from_micros(i),
-                end: SimTime::from_micros(i + 1),
-                state: states[(x % 4) as usize],
-                watts: 1.0,
-                joules: j,
-            });
-            s.fold(&Event::Span {
-                layer: Layer::Browser,
-                name: if x.is_multiple_of(2) {
-                    "layout"
-                } else {
-                    "html_parse"
-                },
-                start: SimTime::from_micros(i),
-                end: SimTime::from_micros(i + 1 + (x % 7)),
-            });
-        }
-        s
-    }
-
-    #[test]
-    fn merge_is_order_independent_to_the_bit() {
-        let shards: Vec<Summary> = (0..7).map(shard).collect();
-        let mut forward = Summary::default();
-        for s in &shards {
-            forward.merge(s);
-        }
-        let mut backward = Summary::default();
-        for s in shards.iter().rev() {
-            backward.merge(s);
-        }
-        // A lopsided merge tree: ((s3 + s1) + ((s6 + s0) + s4)) + (s2 + s5).
-        let mut left = shards[3].clone();
-        left.merge(&shards[1]);
-        let mut mid = shards[6].clone();
-        mid.merge(&shards[0]);
-        mid.merge(&shards[4]);
-        left.merge(&mid);
-        let mut right = shards[2].clone();
-        right.merge(&shards[5]);
-        left.merge(&right);
-
-        for m in [&backward, &left] {
-            assert_eq!(
-                forward.ledger_joules.to_bits(),
-                m.ledger_joules.to_bits(),
-                "merged ledger must not depend on merge order"
-            );
-            for (k, v) in &forward.joules_by_state {
-                assert_eq!(v.to_bits(), m.joules_by_state[k].to_bits(), "state {k}");
-            }
-            for (k, v) in &forward.span_seconds {
-                assert_eq!(v.to_bits(), m.span_seconds[k].to_bits(), "span {k}");
-            }
-            assert_eq!(forward.events_total, m.events_total);
-            assert_eq!(forward.transitions, m.transitions);
-            assert_eq!(forward.events_by_kind, m.events_by_kind);
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_preserves_a_single_shard() {
-        let s = shard(5);
-        let mut m = Summary::default();
-        m.merge(&s);
-        // One shard through the exact path reproduces the pinned fold.
-        assert_eq!(m.ledger_joules.to_bits(), s.ledger_joules.to_bits());
-        assert_eq!(m.events_total, s.events_total);
-        assert_eq!(m, s);
-    }
-
-    #[test]
-    fn serialization_omits_the_exact_accumulators() {
-        let mut m = shard(1);
-        m.merge(&shard(2));
-        let json = serde_json::to_string(&m).expect("serializable");
-        assert!(!json.contains("exact"), "merge state must not leak: {json}");
-        assert!(!json.contains("partials"));
-    }
-
-    #[test]
-    #[should_panic(expected = "already-merged")]
-    fn folding_after_merge_panics() {
-        let mut m = shard(1);
-        m.merge(&shard(2));
-        m.fold(&Event::StateTransition {
-            at: SimTime::ZERO,
-            from: RadioState::Idle,
-            to: RadioState::Dch,
-        });
     }
 }

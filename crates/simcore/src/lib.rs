@@ -38,7 +38,6 @@
 
 mod energy;
 mod events;
-mod exact;
 mod rng;
 mod series;
 mod time;
@@ -48,7 +47,6 @@ pub mod stats;
 
 pub use energy::{EnergyMeter, MeterTape};
 pub use events::{EventEntry, EventQueue};
-pub use exact::ExactSum;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{PowerTrace, TimeSeries};
 pub use time::{SimDuration, SimTime};
