@@ -3,10 +3,11 @@
 //! Stages, in order:
 //!
 //! 1. **Exhaustive sweep** — every schedule over the default alphabet up
-//!    to `--depth` (default 6, ~137 k runs) against the real machine.
+//!    to `--depth` (default 6, ~137 k runs) against the real 3G machine.
 //!    Must be violation-free.
-//! 2. **Harness teeth** — every seeded mutant must be caught by a
-//!    depth-3 exhaustive sweep with a shrunk counterexample of ≤8 steps.
+//! 2. **Harness teeth** — every mutant aimed at the 3G machine
+//!    (`RrcMachine::MUTANTS`) must be caught by a depth-3 exhaustive
+//!    sweep with a shrunk counterexample of ≤8 steps.
 //!    A harness that cannot kill its mutants proves nothing.
 //! 3. **Fuzz campaign** — `--seeds` (default 256) coverage-guided random
 //!    schedules with continuous durations. Must be violation-free.
