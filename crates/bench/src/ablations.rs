@@ -99,12 +99,12 @@ pub fn gbrt_size() -> String {
     // Training the six forests is the expensive part and every cell is
     // independent — fan it out; the timing measurements stay serial so
     // the workers don't contend for cores while the clock runs.
-    let predictors: Vec<ReadingTimePredictor> = crossbeam::thread::scope(|scope| {
+    let predictors: Vec<ReadingTimePredictor> = std::thread::scope(|scope| {
         let train = &train;
         let handles: Vec<_> = grid
             .iter()
             .map(|&(n_trees, leaves)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let params = GbrtParams {
                         n_trees,
                         max_leaves: leaves,
@@ -118,8 +118,7 @@ pub fn gbrt_size() -> String {
             .into_iter()
             .map(|h| h.join().expect("training worker panicked"))
             .collect()
-    })
-    .expect("thread scope");
+    });
     for ((n_trees, leaves), p) in grid.iter().zip(&predictors) {
         let start = std::time::Instant::now();
         let preds: Vec<f64> = (0..test.len())
@@ -151,7 +150,6 @@ pub fn timers() -> String {
         let mut cfg = CoreConfig::paper();
         cfg.rrc.t1 = SimDuration::from_secs(t1);
         cfg.rrc.t2 = SimDuration::from_secs(t2);
-        cfg.alg.td_s = (t1 + t2 + 1) as f64;
         let ctx = Context::new();
         let espn = ctx.corpus.page("espn", PageVersion::Full).expect("espn");
         let orig = single_visit(&ctx.server, espn, Case::Original, &cfg, 20.0);

@@ -14,8 +14,10 @@
 //! 4. **Corpus replay** — every scenario under `--corpus` (default: the
 //!    built-in `crates/check/corpus/`) must replay green, and the corpus
 //!    itself must kill the swapped-timers mutant.
-//! 5. **Pipeline oracles** — mode agreement and zero-fault identity over
-//!    the full benchmark corpus, both page versions.
+//! 5. **Page-load oracle** — mode agreement over the full benchmark
+//!    corpus, both page versions: every Original and energy-aware load
+//!    keeps the 3G radio invariants and fetches every object, and both
+//!    modes deliver the same page.
 //!
 //! On any failure the counterexample (when one exists) is written as a
 //! replayable artifact under `target/check_artifacts/` and the process
@@ -29,7 +31,7 @@ use ewb_rrc::{RrcConfig, RrcMachine};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Seed for the pipeline oracles and the page corpus.
+/// Seed for the page-load oracle's corpus.
 const PIPELINE_SEED: u64 = 7;
 
 /// Maximum steps per fuzzed scenario.
@@ -169,13 +171,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // Stage 5: pipeline oracles over the full page corpus.
+    // Stage 5: the page-load oracle over the full page corpus.
     let violations = check_all_sites(PIPELINE_SEED);
     if violations.is_empty() {
-        println!("pipeline: mode agreement + zero-fault identity clean on all sites");
+        println!(
+            "pipeline: mode agreement clean on all sites (3G invariants, every object fetched)"
+        );
     } else {
         eprintln!(
-            "pipeline oracles FAILED ({} violation(s)):",
+            "pipeline oracle FAILED ({} violation(s)):",
             violations.len()
         );
         for v in &violations {

@@ -4,9 +4,10 @@
 //! Usage: `parallel_sweep [--write-golden]`
 //!
 //! Before printing anything the binary runs the plan-invariance oracle
-//! (`ewb_check::parallel::check_parallel_all`): on a clean link, every
-//! grid plan must load the same bytes, object set and decode units as
-//! the sequential plan and fail nothing, on three pages in both pipeline
+//! (`ewb_check::pipeline::check_parallel_all`): on a clean link, every
+//! grid plan must deliver what the sequential plan delivers (bytes,
+//! objects, decode units, DOM, geometry, fetched URLs), fetch every
+//! object and keep the radio invariants, on three pages in both pipeline
 //! modes. A red differential bit can never ship inside a green sweep.
 //!
 //! The sweep writes `BENCH_parallel.json` into the working directory.
@@ -22,7 +23,7 @@ fn main() {
     let ctx = ewb_bench::Context::new();
 
     // -- Plan-invariance oracle before any reporting. --------------------
-    let violations = ewb_check::parallel::check_parallel_all(ewb_bench::REPORT_SEED);
+    let violations = ewb_check::pipeline::check_parallel_all(ewb_bench::REPORT_SEED);
     assert!(
         violations.is_empty(),
         "parallel plan-invariance oracle found {} violations, first: {:?}",

@@ -527,13 +527,13 @@ pub fn fig16(ctx: &Context, n_users: u32, max_sessions: u32) -> String {
     let all_cases: Vec<Case> = std::iter::once(Case::Original)
         .chain(Case::TABLE6)
         .collect();
-    let totals: Vec<(Case, f64, f64)> = crossbeam::thread::scope(|scope| {
+    let totals: Vec<(Case, f64, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = all_cases
             .iter()
             .map(|&case| {
                 let sessions = &sessions;
                 let predictor = &predictor;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let (j, s) = cases16::run_case(
                         &ctx.corpus,
                         &ctx.server,
@@ -550,8 +550,7 @@ pub fn fig16(ctx: &Context, n_users: u32, max_sessions: u32) -> String {
             .into_iter()
             .map(|h| h.join().expect("case worker panicked"))
             .collect()
-    })
-    .expect("thread scope");
+    });
     let rows = cases16::to_outcomes(&totals);
     let _ = writeln!(
         out,

@@ -16,10 +16,12 @@
 //!    [`ReferenceRrc`], a straight-line reimplementation of the paper's
 //!    Fig. 2 semantics, and one each for the ladder radios), and any
 //!    disagreement in state, clock, counters, transitions, residency, or
-//!    energy is a violation. At the pipeline layer ([`pipeline`]), the
-//!    Original and energy-aware schedules must agree on *what* was
-//!    loaded, and a zero-fault stream must be bit-identical to no fault
-//!    stream.
+//!    energy is a violation. At the page-load layer ([`pipeline`]), one
+//!    instrumented load (radio invariants re-checked, every object
+//!    fetched) and one diff of what two loads delivered check that the
+//!    Original and energy-aware schedules agree on *what* was loaded,
+//!    and that no [`ParallelismPlan`](ewb_browser::parallel::ParallelismPlan)
+//!    of the grid changes it.
 //! 3. **A scenario corpus runner** ([`corpus`]) — counterexamples are
 //!    replayable JSONL lines; the seed corpus under
 //!    `crates/check/corpus/` replays green on every CI run.
@@ -64,7 +66,6 @@ pub mod corpus;
 pub mod explore;
 pub mod fuzz;
 pub mod mutant;
-pub mod parallel;
 pub mod pipeline;
 pub mod run;
 pub mod scenario;

@@ -14,6 +14,17 @@ use ewb_browser::pipeline::PipelineMode;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Algorithm 2's power-driven threshold Tp = 9 s (the Fig. 3 break-even):
+/// the power-driven mode releases when `Tr > Tp` (the -9 cases).
+pub const TP_S: f64 = 9.0;
+
+/// Algorithm 2's delay-driven threshold Td = T1 + T2 ≈ 20 s: the
+/// delay-driven mode releases only when `Tr > Td`, where no delay penalty
+/// is possible (the -20 cases).
+pub const TD_S: f64 = 20.0;
+
+const _: () = assert!(TP_S <= TD_S, "Tp must not exceed Td");
+
 /// When (if ever) the radio is released to IDLE after a page opens.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ReleasePolicy {
@@ -76,15 +87,16 @@ impl Case {
         }
     }
 
-    /// The release policy this case applies (with the paper's thresholds).
+    /// The release policy this case applies, at the paper's thresholds
+    /// [`TP_S`] and [`TD_S`].
     pub fn release_policy(self) -> ReleasePolicy {
         match self {
             Case::Original => ReleasePolicy::Never,
             Case::OriginalAlwaysOff | Case::EnergyAwareAlwaysOff => ReleasePolicy::AfterLoad,
-            Case::Accurate9 => ReleasePolicy::OracleThreshold { threshold_s: 9.0 },
-            Case::Predict9 => ReleasePolicy::PredictedThreshold { threshold_s: 9.0 },
-            Case::Accurate20 => ReleasePolicy::OracleThreshold { threshold_s: 20.0 },
-            Case::Predict20 => ReleasePolicy::PredictedThreshold { threshold_s: 20.0 },
+            Case::Accurate9 => ReleasePolicy::OracleThreshold { threshold_s: TP_S },
+            Case::Predict9 => ReleasePolicy::PredictedThreshold { threshold_s: TP_S },
+            Case::Accurate20 => ReleasePolicy::OracleThreshold { threshold_s: TD_S },
+            Case::Predict20 => ReleasePolicy::PredictedThreshold { threshold_s: TD_S },
         }
     }
 

@@ -6,50 +6,21 @@ use ewb_net::NetConfig;
 use ewb_rrc::RrcConfig;
 use serde::{Deserialize, Serialize};
 
-/// Algorithm 2's operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AlgorithmMode {
-    /// Optimize delay: only release when no delay penalty is possible
-    /// (`Tr > Td`).
-    #[default]
-    DelayDriven,
-    /// Optimize power: release whenever it saves energy (`Tr > Tp`), even
-    /// at some delay risk.
-    PowerDriven,
-}
-
-/// The paper's Table 2 parameters.
+/// The settable Table 2 parameter. Tp and Td are
+/// [`TP_S`](crate::cases::TP_S) and [`TD_S`](crate::cases::TD_S), and
+/// Algorithm 2's mode is which of them a [`Case`](crate::cases::Case)
+/// releases at.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AlgorithmParams {
     /// Interest threshold α: wait this long after the page opens before
     /// predicting (sub-α visits never reach the predictor). Paper: 2 s.
     pub alpha_s: f64,
-    /// Delay-driven threshold Td = T1 + T2 ≈ 20 s.
-    pub td_s: f64,
-    /// Power-driven threshold Tp = 9 s (the Fig. 3 break-even).
-    pub tp_s: f64,
-    /// Operating mode.
-    pub mode: AlgorithmMode,
 }
 
 impl AlgorithmParams {
     /// The paper's values.
     pub fn paper() -> Self {
-        AlgorithmParams {
-            alpha_s: 2.0,
-            td_s: 20.0,
-            tp_s: 9.0,
-            mode: AlgorithmMode::DelayDriven,
-        }
-    }
-
-    /// The release threshold implied by the mode: Algorithm 2 switches to
-    /// IDLE when `Tr > Td`, or when `Tr > Tp` in power-driven mode.
-    pub fn release_threshold_s(&self) -> f64 {
-        match self.mode {
-            AlgorithmMode::DelayDriven => self.td_s,
-            AlgorithmMode::PowerDriven => self.tp_s,
-        }
+        AlgorithmParams { alpha_s: 2.0 }
     }
 
     /// Validates the parameters.
@@ -58,17 +29,11 @@ impl AlgorithmParams {
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("alpha_s", self.alpha_s),
-            ("td_s", self.td_s),
-            ("tp_s", self.tp_s),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name} must be non-negative, got {v}"));
-            }
-        }
-        if self.tp_s > self.td_s {
-            return Err("Tp must not exceed Td".to_string());
+        if !self.alpha_s.is_finite() || self.alpha_s < 0.0 {
+            return Err(format!(
+                "alpha_s must be non-negative, got {}",
+                self.alpha_s
+            ));
         }
         Ok(())
     }
@@ -126,36 +91,42 @@ impl Default for CoreConfig {
 mod tests {
     use super::*;
 
+    use crate::cases::{Case, ReleasePolicy, TD_S, TP_S};
+
     #[test]
     fn paper_params_match_table2() {
         let p = AlgorithmParams::paper();
         assert_eq!(p.alpha_s, 2.0);
-        assert_eq!(p.td_s, 20.0);
-        assert_eq!(p.tp_s, 9.0);
-        assert_eq!(p.mode, AlgorithmMode::DelayDriven);
+        assert_eq!(TD_S, 20.0);
+        assert_eq!(TP_S, 9.0);
         assert!(p.validate().is_ok());
     }
 
+    /// Algorithm 2's power-driven mode is the Tp cases, its delay-driven
+    /// mode the Td cases.
     #[test]
     fn mode_selects_threshold() {
-        let mut p = AlgorithmParams::paper();
-        assert_eq!(p.release_threshold_s(), 20.0);
-        p.mode = AlgorithmMode::PowerDriven;
-        assert_eq!(p.release_threshold_s(), 9.0);
+        for (case, threshold_s) in [(Case::Accurate9, TP_S), (Case::Accurate20, TD_S)] {
+            assert_eq!(
+                case.release_policy(),
+                ReleasePolicy::OracleThreshold { threshold_s }
+            );
+        }
+        for (case, threshold_s) in [(Case::Predict9, TP_S), (Case::Predict20, TD_S)] {
+            assert_eq!(
+                case.release_policy(),
+                ReleasePolicy::PredictedThreshold { threshold_s }
+            );
+        }
     }
 
+    /// Tp above Td does not compile (the `const` assertion beside `TD_S`);
+    /// α must be a non-negative number.
     #[test]
     fn validation_rejects_inverted_thresholds() {
-        let p = AlgorithmParams {
-            tp_s: 30.0,
-            ..AlgorithmParams::paper()
-        };
-        assert!(p.validate().is_err());
-        let p = AlgorithmParams {
-            alpha_s: f64::NAN,
-            ..AlgorithmParams::paper()
-        };
-        assert!(p.validate().is_err());
+        for alpha_s in [f64::NAN, -1.0, f64::INFINITY] {
+            assert!(AlgorithmParams { alpha_s }.validate().is_err());
+        }
     }
 
     #[test]

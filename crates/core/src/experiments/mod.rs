@@ -32,19 +32,18 @@ where
     T: Send,
     F: Fn(&Site) -> T + Sync,
 {
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = corpus
             .sites()
             .iter()
-            .map(|site| scope.spawn(move |_| f(site)))
+            .map(|site| scope.spawn(move || f(site)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("site worker panicked"))
             .collect()
     })
-    .expect("thread scope")
 }
 
 /// Runs a single-page session (fresh radio, one visit) — the building

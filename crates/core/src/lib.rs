@@ -51,7 +51,7 @@ pub mod planner;
 pub mod profile;
 pub mod session;
 
-pub use config::{AlgorithmMode, AlgorithmParams, CoreConfig};
+pub use config::{AlgorithmParams, CoreConfig};
 
 // Re-export the substrate crates so downstream users need only ewb-core.
 pub use ewb_browser as browser;

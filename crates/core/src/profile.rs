@@ -260,16 +260,16 @@ impl<R: RadioModel> ProfileTable<R> {
     /// (page, mode, click-state, tier, plan) combination on the radio
     /// `radio_cfg` configures, and captures the resulting load profiles.
     ///
-    /// Faulted tiers run the load under the tier's [`FaultConfig`] with
-    /// the key's fixed capture seed (on 3G,
-    /// [`FaultTier::capture_seed_planned`]) and the standard retry policy;
-    /// failed objects are allowed (degraded pages are what a lossy tier
-    /// *means*) but the first transfer must still begin at the click — the
-    /// memoization precondition faults do not get to break. The plan
-    /// changes a load's CPU schedule (and therefore its radio events,
-    /// helper-core power steps, and open time), so it **must** be part of
-    /// the key: a table captured under one plan served for another would
-    /// replay the wrong profile.
+    /// Every tier runs the load under its [`FaultConfig`] with the key's
+    /// fixed capture seed (on 3G, [`FaultTier::capture_seed_planned`]) and
+    /// the standard retry policy; the clean tier's none stream draws
+    /// nothing. Faulted tiers may fail objects (degraded pages are what a
+    /// lossy tier *means*) but the first transfer must still begin at the
+    /// click — the memoization precondition faults do not get to break.
+    /// The plan changes a load's CPU schedule (and therefore its radio
+    /// events, helper-core power steps, and open time), so it **must** be
+    /// part of the key: a table captured under one plan served for another
+    /// would replay the wrong profile.
     ///
     /// # Panics
     ///
@@ -340,9 +340,7 @@ impl<R: RadioModel> ProfileTable<R> {
                             for &plan in plans {
                                 let (machine, t0) = R::in_click_state(radio_cfg, click_state);
                                 let mut fetcher =
-                                    RadioFetcher::with_machine(cfg.net, machine, server);
-                                if tier != FaultTier::Clean {
-                                    fetcher = fetcher
+                                    RadioFetcher::with_machine(cfg.net, machine, server)
                                         .try_with_faults(
                                             tier.fault_config(),
                                             tier.key_seed(page_idx, mode, click_state, plan),
@@ -351,7 +349,6 @@ impl<R: RadioModel> ProfileTable<R> {
                                         .unwrap_or_else(|e| {
                                             panic!("fault tier {tier} has an invalid config: {e}")
                                         });
-                                }
                                 pipe_cfg.plan = plan;
                                 let metrics = load_page(
                                     &mut fetcher,

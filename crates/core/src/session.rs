@@ -721,11 +721,11 @@ mod tests {
 mod algorithm_mode_tests {
     use super::tests::run;
     use super::*;
-    use crate::config::{AlgorithmMode, AlgorithmParams};
     use ewb_webpage::benchmark_corpus;
 
     /// Algorithm 2's two modes differ exactly in the release threshold:
-    /// power-driven releases for reads in (Tp, Td] that delay-driven keeps.
+    /// power-driven (Tp, the -9 cases) releases for reads in (Tp, Td] that
+    /// delay-driven (Td, the -20 cases) keeps.
     #[test]
     fn power_driven_releases_where_delay_driven_does_not() {
         let corpus = benchmark_corpus(6);
@@ -735,25 +735,9 @@ mod algorithm_mode_tests {
             reading_s: 14.0, // between Tp=9 and Td=20
             features: None,
         }];
-        let mut power_cfg = CoreConfig::paper();
-        power_cfg.alg = AlgorithmParams {
-            mode: AlgorithmMode::PowerDriven,
-            ..AlgorithmParams::paper()
-        };
-        let delay_cfg = CoreConfig::paper(); // delay-driven default
-
-        // Oracle cases with the mode's threshold.
-        let released = simulate_session(
-            &server,
-            &visits,
-            Case::Accurate9, // Tp threshold = power-driven behaviour
-            &power_cfg,
-            SessionOpts::three_g(
-                // Tp threshold = power-driven behaviour
-                &power_cfg,
-            ),
-        );
-        let kept = run(&server, &visits, Case::Accurate20, &delay_cfg);
+        let cfg = CoreConfig::paper();
+        let released = run(&server, &visits, Case::Accurate9, &cfg);
+        let kept = run(&server, &visits, Case::Accurate20, &cfg);
         assert!(
             released.pages[0].released_at.is_some(),
             "power mode releases at 14 s"

@@ -805,14 +805,13 @@ pub fn run_fleet_supervised(
     });
     let stop = AtomicBool::new(false);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..cfg.threads {
             let board = &board;
             let stop = &stop;
-            scope.spawn(move |_| supervised_worker(env, cfg, chaos, options, board, stop));
+            scope.spawn(move || supervised_worker(env, cfg, chaos, options, board, stop));
         }
-    })
-    .expect("thread scope");
+    });
 
     let board = board.into_inner().expect("fleet board mutex poisoned");
     if let Some(fatal) = board.fatal {

@@ -224,12 +224,12 @@ fn best_split(
         if workers > 1 && n * n_features >= PARALLEL_WORK_THRESHOLD {
             let chunk = n_features.div_ceil(workers);
             let sorted = &arrays.sorted;
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n_features)
                     .step_by(chunk)
                     .map(|start| {
                         let end = (start + chunk).min(n_features);
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             (start..end)
                                 .map(|f| {
                                     scan_feature(
@@ -251,7 +251,6 @@ fn best_split(
                     .flat_map(|h| h.join().expect("feature scan worker panicked"))
                     .collect()
             })
-            .expect("crossbeam scope")
         } else {
             (0..n_features)
                 .map(|f| {

@@ -23,7 +23,7 @@ pub enum Value {
 }
 
 /// The full policy: `section.key` → value, plus accessors with defaults.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Policy {
     entries: BTreeMap<String, Value>,
 }
@@ -83,11 +83,11 @@ impl Policy {
         self.entries.get(key)
     }
 
-    /// The built-in policy used when no `lint.toml` is present (and by the
-    /// fixture tests): every rule on, no path excludes beyond the
-    /// hard-coded `vendor`/`target` skips.
+    /// The workspace `lint.toml`, compiled in: the policy used when the
+    /// linted root has no `lint.toml` of its own, and by the fixture
+    /// tests.
     pub fn builtin() -> Policy {
-        Policy::parse(DEFAULT_POLICY).expect("built-in policy parses")
+        Policy::parse(include_str!("../../../lint.toml")).expect("workspace lint.toml parses")
     }
 }
 
@@ -149,26 +149,6 @@ fn split_top_level(s: &str) -> Vec<String> {
     out
 }
 
-/// The default policy text (mirrors the workspace `lint.toml`).
-pub const DEFAULT_POLICY: &str = r#"
-# Built-in ewb-lint defaults; the workspace lint.toml overrides this.
-[paths]
-exclude = ["vendor", "target", "crates/lint/fixtures"]
-
-[rules.wall-clock]
-allowed_crates = ["bench"]
-allowed_files = ["crates/lint/src/bin/lint_all.rs"]
-
-[rules.ambient-rng]
-allowed_files = ["crates/simcore/src/rng.rs"]
-
-[rules.no-f32]
-crates = ["simcore", "rrc", "net", "obs", "core", "capacity", "traces", "gbrt"]
-
-[rules.float-eq]
-helpers = ["approx_eq", "assert_close", "relative_eq"]
-"#;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +178,9 @@ mod tests {
         let p = Policy::builtin();
         assert!(p.list("paths.exclude").contains(&"vendor".to_string()));
         assert_eq!(p.list("rules.wall-clock.allowed_crates"), vec!["bench"]);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let text = std::fs::read_to_string(path).expect("read the workspace lint.toml");
+        assert_eq!(p, Policy::parse(&text).expect("lint.toml parses"));
     }
 
     #[test]

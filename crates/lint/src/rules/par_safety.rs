@@ -1,7 +1,7 @@
 //! Parallel/determinism-safety family: the three ways a scoped-thread
-//! fan-out (the crossbeam regions of the fleet runner, the GBRT splitter
-//! and the report fan-outs) silently stops being a pure function of its
-//! inputs.
+//! fan-out (the `std::thread::scope` regions of the fleet runner, the
+//! GBRT splitter and the report fan-outs) silently stops being a pure
+//! function of its inputs.
 //!
 //! The documented-correct pattern in this workspace is: each spawned
 //! closure builds and returns its own `(unit index, value)` vec, workers

@@ -130,8 +130,10 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Everything off — a fetcher with this config must behave
-    /// byte-identically to one with no fault layer at all.
+    /// Everything off: the clean link. A stream of this config draws no
+    /// randomness and scales goodput by exactly 1.0, so it is what every
+    /// [`RadioFetcher`](crate::RadioFetcher) starts with
+    /// ([`FaultStream::none`]) and what the clean fault tier attaches.
     pub fn none() -> Self {
         FaultConfig {
             loss_prob: 0.0,
@@ -246,18 +248,6 @@ pub struct AttemptPlan {
     pub promotion_retries: u32,
 }
 
-impl AttemptPlan {
-    /// The clean plan: no faults at all.
-    pub fn clean() -> Self {
-        AttemptPlan {
-            lost: false,
-            truncated: false,
-            extra_rtt: SimDuration::ZERO,
-            promotion_retries: 0,
-        }
-    }
-}
-
 /// A seeded stream of fault decisions.
 ///
 /// One `FaultStream` belongs to one fetcher; attempts consume draws in
@@ -269,7 +259,20 @@ pub struct FaultStream {
     rng: Xoshiro256,
 }
 
+/// The seed of [`FaultStream::none`]. A none stream never draws, so no
+/// outcome depends on it.
+const CLEAN_LINK_SEED: u64 = 0;
+
 impl FaultStream {
+    /// The clean link's stream: [`FaultConfig::none`], which injects no
+    /// fault and never advances its generator.
+    pub fn none() -> Self {
+        FaultStream {
+            cfg: FaultConfig::none(),
+            rng: Xoshiro256::seed_from_u64(CLEAN_LINK_SEED),
+        }
+    }
+
     /// Creates a stream after validating `cfg`.
     ///
     /// # Errors
@@ -327,11 +330,23 @@ mod tests {
 
     #[test]
     fn none_config_draws_clean_plans() {
-        let mut s = FaultStream::new(FaultConfig::none(), 7).unwrap();
-        for _ in 0..100 {
-            assert_eq!(s.next_attempt(), AttemptPlan::clean());
+        let clean = AttemptPlan {
+            lost: false,
+            truncated: false,
+            extra_rtt: SimDuration::ZERO,
+            promotion_retries: 0,
+        };
+        for mut s in [
+            FaultStream::new(FaultConfig::none(), 7).unwrap(),
+            FaultStream::none(),
+        ] {
+            let untouched = s.rng.clone();
+            for _ in 0..100 {
+                assert_eq!(s.next_attempt(), clean);
+            }
+            assert_eq!(s.rng, untouched, "a none stream never draws");
+            assert_eq!(s.goodput_factor(SimTime::from_secs(123)), 1.0);
         }
-        assert_eq!(s.goodput_factor(SimTime::from_secs(123)), 1.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The resource fetcher: HTTP transactions over a simulated radio, with
-//! optional fault injection and a retry/timeout/backoff policy.
+//! seeded fault injection and a retry/timeout/backoff policy.
 //!
 //! The fetcher is generic over [`RadioModel`], so the same request/
 //! retry/FIFO-link machinery runs on the 3G RRC machine (the paper's
@@ -7,7 +7,7 @@
 //! backends (LTE DRX, WiFi PSM, 5G cDRX).
 
 use crate::config::NetConfig;
-use crate::faults::{AttemptPlan, FaultConfig, FaultStream};
+use crate::faults::{FaultConfig, FaultStream};
 use ewb_browser::fetch::{FetchCompletion, ResourceFetcher};
 use ewb_obs::{Event as ObsEvent, FaultKind, Recorder};
 use ewb_rrc::{RadioModel, RrcMachine};
@@ -121,9 +121,11 @@ impl Default for RetryPolicy {
 /// radio's transfer refcount up, so the inactivity timers behave exactly
 /// as the network side would.
 ///
-/// With a fault stream attached ([`RadioFetcher::try_with_faults`]),
-/// attempts can stall, jitter, truncate, or fail their promotions; the
-/// [`RetryPolicy`] then governs retries. Every attempt — successful or
+/// Every attempt draws its faults from the fetcher's [`FaultStream`]:
+/// the clean link's [`FaultStream::none`] until
+/// [`RadioFetcher::try_with_faults`] attaches a faulty one, under which
+/// attempts can stall, jitter, truncate, or fail their promotions and
+/// the [`RetryPolicy`] governs retries. Every attempt — successful or
 /// not — begins and ends a real transfer on the radio, so refcounts,
 /// inactivity timers, and energy stay honest under loss.
 #[derive(Debug)]
@@ -134,7 +136,7 @@ pub struct RadioFetcher<'a, R: RadioModel> {
     queue: VecDeque<(String, SimTime)>,
     busy_until: SimTime,
     transfers: Vec<TransferRecord>,
-    faults: Option<FaultStream>,
+    faults: FaultStream,
     retry: RetryPolicy,
     recorder: Recorder,
     next_request_id: u64,
@@ -167,7 +169,7 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
             queue: VecDeque::new(),
             busy_until: start,
             transfers: Vec::new(),
-            faults: None,
+            faults: FaultStream::none(),
             retry: RetryPolicy::standard(),
             recorder: Recorder::disabled(),
             next_request_id: 0,
@@ -206,7 +208,7 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
             queue: VecDeque::new(),
             busy_until,
             transfers: Vec::new(),
-            faults: None,
+            faults: FaultStream::none(),
             retry: RetryPolicy::standard(),
             recorder: Recorder::disabled(),
             next_request_id: 0,
@@ -222,9 +224,9 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
         self
     }
 
-    /// Attaches a seeded fault stream and a retry policy. With
-    /// [`FaultConfig::none`] the fetcher stays bit-identical to an
-    /// unfaulted one (the clean arithmetic path is the same).
+    /// Replaces the clean link's stream with a seeded fault stream and
+    /// sets the retry policy. A [`FaultConfig::none`] stream draws
+    /// nothing whatever its seed, so attaching one changes no number.
     ///
     /// # Errors
     ///
@@ -240,7 +242,7 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
             .validate()
             .map_err(|e| format!("invalid RetryPolicy: {e}"))?;
         self.faults =
-            Some(FaultStream::new(faults, seed).map_err(|e| format!("invalid FaultConfig: {e}"))?);
+            FaultStream::new(faults, seed).map_err(|e| format!("invalid FaultConfig: {e}"))?;
         self.retry = retry;
         Ok(self)
     }
@@ -313,10 +315,7 @@ impl<R: RadioModel> ResourceFetcher for RadioFetcher<'_, R> {
         let mut t = requested_at;
         loop {
             attempt += 1;
-            let plan = match &mut self.faults {
-                Some(f) => f.next_attempt(),
-                None => AttemptPlan::clean(),
-            };
+            let plan = self.faults.next_attempt();
             // The machine processes events sequentially; a request issued
             // while a previous transfer is still draining piggybacks on
             // the already-active radio (no promotion, RTT overlapped with
@@ -340,11 +339,7 @@ impl<R: RadioModel> ResourceFetcher for RadioFetcher<'_, R> {
             if plan.lost {
                 // The response never arrives: the radio holds the channel
                 // until the stall timeout abandons the attempt.
-                let stall = self
-                    .faults
-                    .as_ref()
-                    .map_or(SimDuration::ZERO, |f| f.config().stall_timeout);
-                let fail_at = data_start + stall;
+                let fail_at = data_start + self.faults.config().stall_timeout;
                 self.machine.end_transfer(fail_at);
                 self.busy_until = self.busy_until.max(fail_at);
                 self.transfers.push(TransferRecord {
@@ -390,11 +385,7 @@ impl<R: RadioModel> ResourceFetcher for RadioFetcher<'_, R> {
             } else {
                 self.cfg.dch_bytes_per_sec
             };
-            let rate = base_rate
-                * self
-                    .faults
-                    .as_ref()
-                    .map_or(1.0, |f| f.goodput_factor(data_start));
+            let rate = base_rate * self.faults.goodput_factor(data_start);
             let response_start =
                 (t + promotion + self.cfg.rtt + plan.extra_rtt).max(self.busy_until);
             let end = response_start + self.cfg.transfer_time(bytes, rate);
@@ -750,9 +741,10 @@ mod tests {
         assert!(shrink.validate().is_err());
     }
 
-    /// The determinism anchor: a fetcher with a zero-probability fault
-    /// stream attached is *bit-identical* to a plain fetcher — same
-    /// completion times, same transfer records, same radio counters.
+    /// The determinism anchor: a fetcher given a zero-probability fault
+    /// stream of another seed is *bit-identical* to a default one, whose
+    /// stream is [`FaultStream::none`] — same completion times, same
+    /// transfer records, same radio counters.
     #[test]
     fn zero_fault_stream_is_bit_identical() {
         let (server, _) = setup();

@@ -32,9 +32,11 @@ use std::marker::PhantomData;
 pub const MAX_LEVELS: usize = 4;
 
 /// Cycle-averaged power of a duty-cycled sleep level: `on_w` for `on_s`
-/// out of every `cycle_s`, the sleep floor `sleep_w` for the rest. Both
-/// the ladder machines and the `ewb-check` reference interpreters call
-/// this, so their energy arithmetic agrees bit-for-bit.
+/// out of every `cycle_s`, the sleep floor `sleep_w` for the rest. Every
+/// ladder machine's hold power goes through this one formula. The
+/// `ewb-check` reference interpreters do not call it: each recomputes
+/// the same expression on its own, in the same operation order, as an
+/// oracle should, so the two agree bit-for-bit without sharing code.
 pub fn duty_cycle_avg_w(on_w: f64, sleep_w: f64, on_s: f64, cycle_s: f64) -> f64 {
     let on_j = on_w * on_s;
     let sleep_j = sleep_w * (cycle_s - on_s);
