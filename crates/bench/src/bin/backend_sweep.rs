@@ -5,13 +5,6 @@
 //!
 //! Usage: `backend_sweep [--write-golden]`
 //!
-//! Before printing anything the binary asserts the per-backend fleet
-//! determinism grid: the per-site energy totals of the Accurate-9 case
-//! are sharded over {1, 2, 7} shards × {1, 8} worker threads and the
-//! merged integer-microjoule totals must be identical on every grid
-//! point, for every backend. A red determinism bit can never ship
-//! inside a green sweep.
-//!
 //! The sweep writes `BENCH_backends.json` into the working directory.
 //! `--write-golden` also refreshes
 //! `crates/core/tests/golden/backends.json`, the summary the
@@ -19,126 +12,12 @@
 
 use ewb_core::cases::Case;
 use ewb_core::experiments::backends::{self, BackendCaseRow, CASES};
-use ewb_core::rrc::{
-    FiveGConfig, FiveGMachine, LteConfig, LteMachine, RadioBackend, RrcMachine, WifiConfig,
-    WifiMachine,
-};
+use ewb_core::rrc::RadioBackend;
 use serde::Serialize;
-
-/// Integer microjoules of one per-site total — the associative merge
-/// unit of the determinism grid (f64 summation is not associative;
-/// integer addition is, so shard merges cannot depend on the split).
-fn micro_j(joules: f64) -> u64 {
-    let uj = (joules * 1e6).round();
-    assert!(
-        uj.is_finite() && (0.0..=u64::MAX as f64).contains(&uj),
-        "energy {joules} J out of microjoule range"
-    );
-    uj as u64
-}
-
-/// Shards `per_site_uj` round-robin over `shards` shards, sums each
-/// shard on its own scoped worker (up to `threads` running at once),
-/// then merges shard subtotals in shard order.
-fn sharded_total(per_site_uj: &[u64], shards: usize, threads: usize) -> u64 {
-    let mut shard_totals = vec![0u64; shards];
-    std::thread::scope(|scope| {
-        for chunk in shard_totals.chunks_mut(threads).zip(0usize..) {
-            let (chunk, chunk_idx) = chunk;
-            let base = chunk_idx * threads;
-            let mut workers = Vec::new();
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let shard = base + k;
-                workers.push((
-                    slot,
-                    scope.spawn(move || {
-                        per_site_uj
-                            .iter()
-                            .enumerate()
-                            .filter(|(site, _)| site % shards == shard)
-                            .map(|(_, &uj)| uj)
-                            .sum::<u64>()
-                    }),
-                ));
-            }
-            for (slot, worker) in workers {
-                *slot = worker.join().expect("shard worker panicked");
-            }
-        }
-    });
-    shard_totals.iter().sum()
-}
-
-/// Asserts the determinism grid for one backend's per-site totals.
-fn assert_determinism_grid(backend: RadioBackend, per_site: &[(f64, f64)]) {
-    let per_site_uj: Vec<u64> = per_site.iter().map(|&(j, _)| micro_j(j)).collect();
-    let reference = sharded_total(&per_site_uj, 1, 1);
-    for shards in [1usize, 2, 7] {
-        for threads in [1usize, 8] {
-            let total = sharded_total(&per_site_uj, shards, threads);
-            assert_eq!(
-                total, reference,
-                "{backend}: merged µJ total differs at shards {shards}, threads {threads}"
-            );
-        }
-    }
-}
 
 fn main() {
     let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
     let ctx = ewb_bench::Context::new();
-
-    // -- Determinism grid, per backend, before any reporting. -----------
-    let grids = [
-        (
-            RadioBackend::ThreeG,
-            backends::per_site_totals::<RrcMachine>(
-                &ctx.corpus,
-                &ctx.server,
-                &ctx.cfg,
-                ctx.cfg.rrc,
-                Case::Accurate9,
-            ),
-        ),
-        (
-            RadioBackend::Lte,
-            backends::per_site_totals::<LteMachine>(
-                &ctx.corpus,
-                &ctx.server,
-                &ctx.cfg,
-                LteConfig::calibrated(),
-                Case::Accurate9,
-            ),
-        ),
-        (
-            RadioBackend::Wifi,
-            backends::per_site_totals::<WifiMachine>(
-                &ctx.corpus,
-                &ctx.server,
-                &ctx.cfg,
-                WifiConfig::calibrated(),
-                Case::Accurate9,
-            ),
-        ),
-        (
-            RadioBackend::FiveG,
-            backends::per_site_totals::<FiveGMachine>(
-                &ctx.corpus,
-                &ctx.server,
-                &ctx.cfg,
-                FiveGConfig::calibrated(),
-                Case::Accurate9,
-            ),
-        ),
-    ];
-    for (backend, per_site) in &grids {
-        assert_determinism_grid(*backend, per_site);
-    }
-    println!(
-        "determinism: merged µJ totals identical across shards {{1,2,7}} x threads {{1,8}} \
-         on all {} backends",
-        grids.len()
-    );
 
     // -- The sweep. ------------------------------------------------------
     let rows = backends::sweep(&ctx.corpus, &ctx.server, &ctx.cfg);
@@ -178,7 +57,6 @@ fn main() {
 
     // -- Artifacts. ------------------------------------------------------
     let bench = Bench {
-        determinism_grid_ok: true,
         backends: RadioBackend::ALL.len(),
         cases: CASES.len(),
         rows: rows.clone(),
@@ -197,10 +75,9 @@ fn main() {
     }
 }
 
-/// The tracked benchmark artifact: grid verdict plus every sweep cell.
+/// The tracked benchmark artifact: every sweep cell.
 #[derive(Serialize)]
 struct Bench {
-    determinism_grid_ok: bool,
     backends: usize,
     cases: usize,
     rows: Vec<BackendCaseRow>,

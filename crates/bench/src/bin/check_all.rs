@@ -61,6 +61,9 @@ fn write_artifact(stage: &str, cex: &Counterexample) {
 fn main() -> ExitCode {
     let args = cli::Args::parse(FLAGS);
     let depth: usize = args.get("--depth").unwrap_or(6);
+    if depth == 0 {
+        args.fail("--depth must be at least 1");
+    }
     let seeds: u64 = args.get("--seeds").unwrap_or(256);
     let corpus_dir: PathBuf = args
         .get("--corpus")

@@ -68,6 +68,15 @@ impl Args {
             || self.kill_after.is_some()
             || !self.chaos_panics.is_empty()
     }
+
+    /// The fleet the flags ask for, run on `threads` workers.
+    fn config(&self, threads: usize) -> FleetConfig {
+        FleetConfig {
+            shards: self.shards,
+            threads,
+            ..FleetConfig::paper(self.users)
+        }
+    }
 }
 
 const FLAGS: &[cli::Flag] = &[
@@ -81,7 +90,8 @@ const FLAGS: &[cli::Flag] = &[
     ("--chaos-panic", "SHARD:USER..."),
 ];
 
-/// The run a command line parsed against [`FLAGS`] asks for.
+/// The run a command line parsed against [`FLAGS`] asks for. Exits with
+/// status 2 when the flags build an invalid fleet (no users or shards).
 fn parse_args(cli: &cli::Args) -> Args {
     let smoke = cli.has("--smoke");
     let (users, shards) = if smoke { (2_000, 4) } else { (100_000, 64) };
@@ -95,7 +105,7 @@ fn parse_args(cli: &cli::Args) -> Args {
         });
         point.unwrap_or_else(|| cli.fail(&format!("--chaos-panic takes SHARD:USER, not `{v}`")))
     };
-    Args {
+    let args = Args {
         users: cli.get("--users").unwrap_or(users),
         shards: cli.get("--shards").unwrap_or(shards),
         smoke,
@@ -108,7 +118,11 @@ fn parse_args(cli: &cli::Args) -> Args {
             .into_iter()
             .map(chaos_panic)
             .collect(),
+    };
+    if let Err(e) = args.config(1).validate() {
+        cli.fail(&e);
     }
+    args
 }
 
 /// The supervised path: one run under the crash-safe runner, a
@@ -122,11 +136,7 @@ fn run_supervised(args: &Args) {
         "prepared fleet environment in {:.2} s",
         prep_start.elapsed().as_secs_f64()
     );
-    let cfg = FleetConfig {
-        shards: args.shards,
-        threads: cores.min(8),
-        ..FleetConfig::paper(args.users)
-    };
+    let cfg = args.config(cores.min(8));
     let chaos = ChaosConfig {
         panics: args.chaos_panics.clone(),
         ..ChaosConfig::none()
@@ -225,11 +235,7 @@ fn main() {
     let mut walls = Vec::new();
     let mut summary: Option<FleetSummary> = None;
     for &threads in &threads_grid {
-        let cfg = FleetConfig {
-            shards: args.shards,
-            threads,
-            ..FleetConfig::paper(args.users)
-        };
+        let cfg = args.config(threads);
         let wall_s = time_min(reps, || {
             let s = run_fleet(&env, &cfg);
             if summary.is_none() {

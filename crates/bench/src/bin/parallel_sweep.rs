@@ -6,9 +6,10 @@
 //! Before printing anything the binary runs the plan-invariance oracle
 //! (`ewb_check::pipeline::check_parallel_all`): on a clean link, every
 //! grid plan must deliver what the sequential plan delivers (bytes,
-//! objects, decode units, DOM, geometry, fetched URLs), fetch every
-//! object and keep the radio invariants, on three pages in both pipeline
-//! modes. A red differential bit can never ship inside a green sweep.
+//! objects, decode units, stylesheet rules parsed, DOM, geometry,
+//! fetched URLs), fetch every object and keep the radio invariants, on
+//! three pages in both pipeline modes. A red differential bit can never
+//! ship inside a green sweep.
 //!
 //! The sweep writes `BENCH_parallel.json` into the working directory.
 //! `--write-golden` also refreshes

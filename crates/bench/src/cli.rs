@@ -3,8 +3,9 @@
 //! A binary declares its flags as [`Flag`] pairs. An undeclared
 //! argument, a missing or unparsable value, or a flag that does not
 //! repeat given twice prints the error and a usage line to stderr and
-//! exits with status 2. Each binary reads its values before it starts
-//! work, so a mistyped flag never runs a default (possibly full-scale)
+//! exits with status 2. Each binary reads its values, and refuses an
+//! out-of-range one through [`Args::fail`], before it starts work, so a
+//! mistyped flag never runs a default (possibly full-scale)
 //! configuration.
 
 use std::fmt::Display;

@@ -115,8 +115,16 @@ fn malformed_values_exit_2() {
         &["--depth"][..],
         &["--depth", "x"],
         &["--depth", "3", "--depth", "4"],
+        &["--depth", "0"],
     ] {
         assert_usage_error(BINS[3], args);
+    }
+    for args in [
+        &["--users", "0"][..],
+        &["--shards", "0"],
+        &["--supervised", "--users", "0"],
+    ] {
+        assert_usage_error(BINS[4], args);
     }
 }
 

@@ -117,13 +117,6 @@ impl ParallelismPlan {
             | ((self.style_threads as u64) << 1)
             | u64::from(self.overlap_css)
     }
-
-    /// The most simulated cores this plan can occupy at once.
-    pub fn max_cores(&self) -> usize {
-        self.decode_threads
-            .max(self.style_threads)
-            .max(1 + usize::from(self.overlap_css))
-    }
 }
 
 impl Default for ParallelismPlan {
@@ -195,7 +188,6 @@ mod tests {
         assert_eq!(p.id(), "seq");
         assert_eq!(p, ParallelismPlan::default());
         assert!(p.validate().is_ok());
-        assert_eq!(p.max_cores(), 1);
     }
 
     #[test]

@@ -202,6 +202,10 @@ pub struct LoadMetrics {
     /// Bytes decoded across those units (equals `image_bytes` on a
     /// clean, fully decoded load).
     pub decoded_bytes: u64,
+    /// Rules parsed from the load's stylesheets, fetched and inline: on
+    /// arrival in Original mode, in the layout phase in energy-aware
+    /// mode (none on a layout-cache hit, which skips rule extraction).
+    pub css_rules: usize,
     /// Total CPU work of the plan-eligible stage units (deferred CSS
     /// parse, deferred image decode, final style resolution) — what a
     /// 1-core schedule spends on them.
@@ -346,6 +350,7 @@ pub fn load_page_with<F: ResourceFetcher + ?Sized>(
             dom_nodes: 0,
             decode_jobs: 0,
             decoded_bytes: 0,
+            css_rules: 0,
             parallel_work: SimDuration::ZERO,
             parallel_span: SimDuration::ZERO,
         },
@@ -597,6 +602,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                 let parsed = css::parse(&body);
                 let d = self.cost.css_parse(parsed.bytes, parsed.sheet.rules.len());
                 self.busy(d, Cat::Layout, "css_parse");
+                self.m.css_rules += parsed.sheet.rules.len();
                 for u in parsed.urls.iter().chain(&parsed.sheet.imports) {
                     if u.ends_with(".css") {
                         self.css_discovered += 1;
@@ -768,6 +774,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                 self.busy(d, Cat::Layout, "css_parse");
                 self.m.parallel_work += d;
                 self.m.parallel_span += d;
+                self.m.css_rules += parsed.sheet.rules.len();
                 self.sheets.push(parsed.sheet);
             }
             let bytes: u64 = self.undecoded_images.iter().sum();
@@ -809,6 +816,7 @@ impl<F: ResourceFetcher + ?Sized> Loader<'_, F> {
                     .map(|p| cost.css_parse(p.bytes, p.sheet.rules.len()))
                     .collect();
                 self.parallel_stage(&durs, plan.style_threads, "css_parse");
+                self.m.css_rules += parsed.iter().map(|p| p.sheet.rules.len()).sum::<usize>();
                 self.sheets.extend(parsed.into_iter().map(|p| p.sheet));
             }
             let images = std::mem::take(&mut self.undecoded_images);

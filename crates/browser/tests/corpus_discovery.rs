@@ -99,9 +99,10 @@ proptest! {
             &PipelineConfig::new(PipelineMode::EnergyAware),
             &CpuCostModel::default(),
         );
-        let last_arrival = metrics
+        let &(last_arrival, _) = metrics
             .traffic
-            .end_time()
+            .points()
+            .last()
             .expect("at least the root arrived");
         prop_assert!(metrics.data_transmission_end >= last_arrival);
         prop_assert!(metrics.final_display_at >= metrics.data_transmission_end);

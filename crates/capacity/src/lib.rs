@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ewb_simcore::dist::{Distribution, Exponential};
+use ewb_simcore::dist::Exponential;
 use ewb_simcore::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use serde::{Deserialize, Serialize};
 
@@ -398,62 +398,5 @@ mod tests {
     #[should_panic(expected = "invalid CapacityConfig")]
     fn zero_users_panics() {
         simulate(&CapacityConfig::paper(), &ServiceTimes::Deterministic(1.0));
-    }
-}
-
-/// Runs `simulate` across `replicas` seeds and returns the dropping
-/// probability's `(mean, 95 % half-width)` — the error bars for Fig. 11.
-///
-/// # Panics
-///
-/// Panics if `replicas < 2` or the configuration is invalid.
-pub fn simulate_replicated(
-    cfg: &CapacityConfig,
-    service: &ServiceTimes,
-    replicas: u64,
-) -> (f64, f64) {
-    assert!(replicas >= 2, "need at least two replicas for an interval");
-    let drops: Vec<f64> = (0..replicas)
-        .map(|r| {
-            let c = CapacityConfig {
-                seed: cfg.seed.wrapping_add(r.wrapping_mul(0x9E37_79B9)),
-                ..*cfg
-            };
-            simulate(&c, service).drop_probability()
-        })
-        .collect();
-    ewb_simcore::stats::mean_confidence_interval(&drops, 1.96)
-}
-
-#[cfg(test)]
-mod replicated_tests {
-    use super::*;
-
-    #[test]
-    fn replicas_give_a_tight_interval_at_moderate_load() {
-        let cfg = CapacityConfig {
-            channels: 50,
-            users: 160,
-            mean_interarrival_s: 25.0,
-            horizon_s: 20_000.0,
-            seed: 3,
-        };
-        let (mean, hw) = simulate_replicated(&cfg, &ServiceTimes::Exponential(10.0), 8);
-        let expected = erlang_b(50, 160.0 * 10.0 / 25.0);
-        assert!(
-            (mean - expected).abs() < 3.0 * hw + 0.01,
-            "mean {mean} ± {hw} vs Erlang-B {expected}"
-        );
-        assert!(hw < 0.05, "interval too wide: {hw}");
-    }
-
-    #[test]
-    #[should_panic(expected = "two replicas")]
-    fn rejects_single_replica() {
-        let cfg = CapacityConfig {
-            users: 10,
-            ..CapacityConfig::paper()
-        };
-        simulate_replicated(&cfg, &ServiceTimes::Deterministic(1.0), 1);
     }
 }

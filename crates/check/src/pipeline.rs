@@ -11,10 +11,10 @@
 //!   The radio invariants of [`crate::run`] are re-checked on the machine
 //!   it drove, and the load must fetch every object of the page.
 //! * **One diff** (`diff`): what two loads delivered — bytes, objects, JS
-//!   and image objects, image bytes, decode jobs and bytes, failed objects
-//!   and degradation, DOM nodes, secondary URLs, page geometry, and the
-//!   set of URLs that began a transfer. Any field that differs is one
-//!   violation naming it.
+//!   and image objects, image bytes, decode jobs and bytes, stylesheet
+//!   rules parsed, failed objects and degradation, DOM nodes, secondary
+//!   URLs, page geometry, and the set of URLs that began a transfer. Any
+//!   field that differs is one violation naming it.
 //!
 //! **Mode agreement** ([`check_mode_agreement`]) is that diff between the
 //! Original and energy-aware schedules, on every page of the benchmark
@@ -65,7 +65,7 @@ type Variant = (PipelineMode, ParallelismPlan);
 type Field = (&'static str, fn(&LoadMetrics) -> String);
 
 /// What a load delivered, field by field.
-const DELIVERED: [Field; 12] = [
+const DELIVERED: [Field; 13] = [
     ("bytes_fetched", |m| m.bytes_fetched.to_string()),
     ("objects_fetched", |m| m.objects_fetched.to_string()),
     ("js_objects", |m| m.js_objects.to_string()),
@@ -73,6 +73,7 @@ const DELIVERED: [Field; 12] = [
     ("image_bytes", |m| m.image_bytes.to_string()),
     ("decode_jobs", |m| m.decode_jobs.to_string()),
     ("decoded_bytes", |m| m.decoded_bytes.to_string()),
+    ("css_rules", |m| m.css_rules.to_string()),
     ("failed_objects", |m| m.failed_objects.to_string()),
     ("degraded", |m| m.degraded.to_string()),
     ("dom_nodes", |m| m.dom_nodes.to_string()),
@@ -332,6 +333,7 @@ mod tests {
                 "image_bytes" => m.image_bytes += 1,
                 "decode_jobs" => m.decode_jobs += 1,
                 "decoded_bytes" => m.decoded_bytes += 1,
+                "css_rules" => m.css_rules += 1,
                 "failed_objects" => m.failed_objects += 1,
                 "degraded" => m.degraded = !m.degraded,
                 "dom_nodes" => m.dom_nodes += 1,

@@ -60,9 +60,8 @@ pub struct BackendCaseRow {
 }
 
 /// Per-site session totals for one backend and case:
-/// `(joules, load_time_s)` per site, in corpus order. Exposed so the
-/// bench binary can re-shard the same numbers for its determinism grid.
-pub fn per_site_totals<R: RadioModel>(
+/// `(joules, load_time_s)` per site, in corpus order.
+fn per_site_totals<R: RadioModel>(
     corpus: &Corpus,
     server: &OriginServer,
     cfg: &CoreConfig,

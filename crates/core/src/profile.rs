@@ -149,7 +149,8 @@ impl FaultTier {
         }
     }
 
-    /// Stable numeric id — what fleet checkpoints persist.
+    /// Stable numeric id — what capture seeds mix in and fleet
+    /// checkpoints persist.
     pub fn index(self) -> u8 {
         match self {
             FaultTier::Clean => 0,
@@ -157,11 +158,6 @@ impl FaultTier {
             FaultTier::Lossy10 => 2,
             FaultTier::Jittery10 => 3,
         }
-    }
-
-    /// Inverse of [`index`](FaultTier::index).
-    pub fn from_index(index: u8) -> Option<FaultTier> {
-        FaultTier::ALL.iter().copied().find(|t| t.index() == index)
     }
 
     /// The fixed fault-stream seed of one 3G capture key: page, pipeline
@@ -464,11 +460,6 @@ impl<R: RadioModel> ProfileTable<R> {
     /// The parallelism plans this table captured, in capture order.
     pub fn plans(&self) -> &[ParallelismPlan] {
         &self.plans
-    }
-
-    /// Whether `plan` was captured into this table.
-    pub fn has_plan(&self, plan: ParallelismPlan) -> bool {
-        self.plans.contains(&plan)
     }
 
     /// The profile of `page_idx` under `mode`, link-quality `tier`, and
@@ -1351,8 +1342,6 @@ mod tests {
             &[ParallelismPlan::SEQUENTIAL, par],
         );
         assert_eq!(planned.plans(), &[ParallelismPlan::SEQUENTIAL, par]);
-        assert!(planned.has_plan(par));
-        assert!(!planned.has_plan(ParallelismPlan::new(2, 2, false)));
 
         let mut parallel_differs = false;
         for page_idx in 0..planned.n_pages() {
@@ -1440,12 +1429,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_tier_ids_round_trip() {
+    fn fault_tiers_validate_and_seed_distinct_streams() {
         for tier in FaultTier::ALL {
-            assert_eq!(FaultTier::from_index(tier.index()), Some(tier));
             assert!(tier.fault_config().validate().is_ok(), "tier {tier}");
         }
-        assert_eq!(FaultTier::from_index(200), None);
         // Capture seeds are key-unique (no accidental stream sharing),
         // the plan included: two plans never share a stream.
         let mut seeds = std::collections::HashSet::new();

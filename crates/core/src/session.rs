@@ -11,8 +11,8 @@
 //!
 //! [`simulate_session`] is the one runner. Its [`SessionOpts`] select the
 //! radio backend (the paper's 3G [`RrcMachine`] by default, any
-//! [`RadioModel`] otherwise), the predictor, fault injection, the
-//! intra-page [`ParallelismPlan`], host threading, and a recorder.
+//! [`RadioModel`] otherwise), the predictor, fault injection and its
+//! per-visit seeds, the intra-page [`ParallelismPlan`], and a recorder.
 //!
 //! Energy is computed by replaying the session's radio events together
 //! with the browser's CPU-busy intervals onto a fresh radio machine —

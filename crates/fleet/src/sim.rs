@@ -44,17 +44,15 @@ use ewb_core::profile::{
 };
 use ewb_core::CoreConfig;
 use ewb_simcore::Xoshiro256;
-use ewb_traces::{DwellModel, FeatureVector, ReadingTimePredictor, VisitSynthesizer, N_FEATURES};
+use ewb_traces::{
+    DwellModel, FeatureVector, ReadingTimePredictor, VisitSynthesizer, INTEREST_HI, INTEREST_LO,
+    N_FEATURES,
+};
 use ewb_webpage::{benchmark_corpus, Corpus, OriginServer};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-/// Interest bounds per site, matching
-/// [`UserProfile::generate`](ewb_traces::UserProfile::generate).
-const INTEREST_LO: f64 = 0.15;
-const INTEREST_HI: f64 = 0.85;
 
 /// A fleet run's parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -190,31 +190,6 @@ impl Dataset {
         };
         (take(&indices[..n_train]), take(&indices[n_train..]))
     }
-
-    /// A new dataset containing only the rows where `keep` returns true
-    /// for the target, or `None` if nothing survives. Used for the paper's
-    /// interest-threshold filtering (§4.3.4: exclude dwell < α from
-    /// training).
-    pub fn filter_by_target<F: Fn(f64) -> bool>(&self, keep: F) -> Option<Dataset> {
-        let mut rows = Vec::new();
-        let mut targets = Vec::new();
-        for (row, &y) in self.rows.iter().zip(&self.targets) {
-            if keep(y) {
-                rows.push(row.clone());
-                targets.push(y);
-            }
-        }
-        if rows.is_empty() {
-            None
-        } else {
-            Some(Dataset {
-                rows,
-                targets,
-                n_features: self.n_features,
-                columns: OnceLock::new(),
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -320,13 +295,5 @@ mod tests {
         let (a, _) = d.split(0.5, &mut Xoshiro256::seed_from_u64(7));
         let (b, _) = d.split(0.5, &mut Xoshiro256::seed_from_u64(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn filter_by_target() {
-        let d = small();
-        let kept = d.filter_by_target(|y| y > 15.0).unwrap();
-        assert_eq!(kept.len(), 3);
-        assert!(d.filter_by_target(|y| y > 100.0).is_none());
     }
 }

@@ -22,23 +22,6 @@ pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "empty evaluation");
-    let n = predictions.len() as f64;
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(&p, &y)| (p - y).abs())
-        .sum::<f64>()
-        / n
-}
-
 /// The paper's prediction-accuracy metric: the fraction of samples where
 /// prediction and truth fall on the *same side* of `threshold`.
 ///
@@ -75,11 +58,6 @@ mod tests {
     fn rmse_known_value() {
         assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
         assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn mae_known_value() {
-        assert_eq!(mae(&[0.0, 0.0], &[3.0, -4.0]), 3.5);
     }
 
     #[test]

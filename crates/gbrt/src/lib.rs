@@ -50,7 +50,7 @@ mod tree;
 
 pub use boost::{Gbrt, GbrtModel, GbrtParams};
 pub use data::{Dataset, DatasetError};
-pub use eval::{mae, rmse, threshold_accuracy};
+pub use eval::{rmse, threshold_accuracy};
 pub use flat::FlatForest;
 pub use importance::feature_importance;
 pub use loss::Loss;

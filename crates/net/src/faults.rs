@@ -214,16 +214,6 @@ impl FaultConfig {
         }
         Ok(())
     }
-
-    /// Whether every fault channel is disabled.
-    pub fn is_none(&self) -> bool {
-        // lint:allow(api/float-eq) disabled-channel sentinel: probabilities are set to literal 0.0, never computed
-        self.loss_prob == 0.0
-            && self.jitter_prob == 0.0
-            && self.truncation_prob == 0.0
-            && self.promotion_failure_prob == 0.0
-            && self.fade.is_none()
-    }
 }
 
 impl Default for FaultConfig {
@@ -439,7 +429,5 @@ mod tests {
             assert!(FaultConfig::jittery(p).validate().is_ok());
             assert!(FaultConfig::fading(p).validate().is_ok());
         }
-        assert!(FaultConfig::none().is_none());
-        assert!(!FaultConfig::fading(0.0).is_none());
     }
 }

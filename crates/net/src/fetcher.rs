@@ -252,12 +252,6 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
         &self.machine
     }
 
-    /// Mutable access to the radio (e.g. to fast-dormancy release between
-    /// page loads).
-    pub fn machine_mut(&mut self) -> &mut R {
-        &mut self.machine
-    }
-
     /// Consumes the fetcher, returning the radio.
     pub fn into_machine(self) -> R {
         self.machine
@@ -271,12 +265,6 @@ impl<'a, R: RadioModel> RadioFetcher<'a, R> {
     /// The link configuration.
     pub fn config(&self) -> &NetConfig {
         &self.cfg
-    }
-
-    /// Attempts that did not deliver a usable payload (stalls +
-    /// truncations), across all requests so far.
-    pub fn failed_attempts(&self) -> usize {
-        self.transfers.iter().filter(|t| !t.completed).count()
     }
 
     /// When (and whether) a retry may start after the `attempt`-th attempt
@@ -336,61 +324,34 @@ impl<R: RadioModel> ResourceFetcher for RadioFetcher<'_, R> {
                 promotion_retries: plan.promotion_retries,
                 data_start,
             });
-            if plan.lost {
+            // The attempt ends at `end` having carried `carried` bytes; a
+            // fault leaves the payload unusable.
+            let (end, carried, fault) = if plan.lost {
                 // The response never arrives: the radio holds the channel
                 // until the stall timeout abandons the attempt.
                 let fail_at = data_start + self.faults.config().stall_timeout;
-                self.machine.end_transfer(fail_at);
-                self.busy_until = self.busy_until.max(fail_at);
-                self.transfers.push(TransferRecord {
-                    requested_at: begin_at,
-                    data_start,
-                    end: fail_at,
-                    bytes: 0,
-                    needs_dch,
-                    promotion_retries: plan.promotion_retries,
-                    completed: false,
-                });
-                self.recorder.emit_with(|| ObsEvent::TransferFault {
-                    at: fail_at,
-                    id: request_id,
-                    kind: FaultKind::Lost,
-                });
-                self.recorder.emit_with(|| ObsEvent::TransferEnd {
-                    at: fail_at,
-                    id: request_id,
-                    bytes: 0,
-                    completed: false,
-                });
-                match self.next_attempt_start(fail_at, attempt, deadline) {
-                    Some(next) => {
-                        self.recorder.emit_with(|| ObsEvent::TransferRetry {
-                            at: fail_at,
-                            id: request_id,
-                            attempt,
-                            retry_at: next,
-                        });
-                        t = next;
-                        continue;
-                    }
-                    None => return Some(FetchCompletion::errored(url, fail_at)),
-                }
-            }
-            // Response bytes flow after the request's own round trip
-            // (anchored at the *request* time plus any real promotion
-            // wait), once the FIFO link is free; the rate depends on the
-            // state serving them — and collapses inside a fade window.
-            let base_rate = if self.machine.uses_shared_channel_rate(needs_dch) {
-                self.cfg.fach_bytes_per_sec
+                (fail_at, 0, Some(FaultKind::Lost))
             } else {
-                self.cfg.dch_bytes_per_sec
+                // Response bytes flow after the request's own round trip
+                // (anchored at the *request* time plus any real promotion
+                // wait), once the FIFO link is free; the rate depends on
+                // the state serving them — and collapses inside a fade
+                // window. A truncated response spends the same time and
+                // energy.
+                let base_rate = if self.machine.uses_shared_channel_rate(needs_dch) {
+                    self.cfg.fach_bytes_per_sec
+                } else {
+                    self.cfg.dch_bytes_per_sec
+                };
+                let rate = base_rate * self.faults.goodput_factor(data_start);
+                let response_start =
+                    (t + promotion + self.cfg.rtt + plan.extra_rtt).max(self.busy_until);
+                let end = response_start + self.cfg.transfer_time(bytes, rate);
+                (end, bytes, plan.truncated.then_some(FaultKind::Truncated))
             };
-            let rate = base_rate * self.faults.goodput_factor(data_start);
-            let response_start =
-                (t + promotion + self.cfg.rtt + plan.extra_rtt).max(self.busy_until);
-            let end = response_start + self.cfg.transfer_time(bytes, rate);
+            let completed = fault.is_none();
             self.machine.end_transfer(end);
-            self.busy_until = end;
+            self.busy_until = self.busy_until.max(end);
             // Record the machine-effective begin time so a replay (which
             // drives a fresh machine with the same calls) stays
             // chronological.
@@ -398,45 +359,37 @@ impl<R: RadioModel> ResourceFetcher for RadioFetcher<'_, R> {
                 requested_at: begin_at,
                 data_start,
                 end,
-                bytes,
+                bytes: carried,
                 needs_dch,
                 promotion_retries: plan.promotion_retries,
-                completed: !plan.truncated,
+                completed,
             });
-            if plan.truncated {
-                // Time and energy were spent, but the payload is unusable.
+            if let Some(kind) = fault {
                 self.recorder.emit_with(|| ObsEvent::TransferFault {
                     at: end,
                     id: request_id,
-                    kind: FaultKind::Truncated,
+                    kind,
                 });
-                self.recorder.emit_with(|| ObsEvent::TransferEnd {
-                    at: end,
-                    id: request_id,
-                    bytes,
-                    completed: false,
-                });
-                match self.next_attempt_start(end, attempt, deadline) {
-                    Some(next) => {
-                        self.recorder.emit_with(|| ObsEvent::TransferRetry {
-                            at: end,
-                            id: request_id,
-                            attempt,
-                            retry_at: next,
-                        });
-                        t = next;
-                        continue;
-                    }
-                    None => return Some(FetchCompletion::errored(url, end)),
-                }
             }
             self.recorder.emit_with(|| ObsEvent::TransferEnd {
                 at: end,
                 id: request_id,
-                bytes,
-                completed: true,
+                bytes: carried,
+                completed,
             });
-            return Some(FetchCompletion::delivered(url, end, object));
+            if completed {
+                return Some(FetchCompletion::delivered(url, end, object));
+            }
+            let Some(next) = self.next_attempt_start(end, attempt, deadline) else {
+                return Some(FetchCompletion::errored(url, end));
+            };
+            self.recorder.emit_with(|| ObsEvent::TransferRetry {
+                at: end,
+                id: request_id,
+                attempt,
+                retry_at: next,
+            });
+            t = next;
         }
     }
 }
@@ -534,7 +487,7 @@ mod tests {
         );
         f.request(&root, SimTime::ZERO);
         let c = f.next_completion().unwrap();
-        let m = f.machine_mut();
+        let mut m = f.into_machine();
         m.advance_to(c.at + SimDuration::from_secs(30));
         assert_eq!(m.state(), RrcState::Idle);
         assert_eq!(m.counters().t1_expirations, 1);
@@ -809,7 +762,6 @@ mod tests {
             n >= 1 && n <= RetryPolicy::standard().max_attempts,
             "attempts recorded: {n}"
         );
-        assert_eq!(f.failed_attempts() as u32, n);
         assert!(f.transfers().iter().all(|r| !r.completed && r.bytes == 0));
         assert!(!f.machine().is_transferring(), "refcount must drain");
     }

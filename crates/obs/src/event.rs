@@ -265,24 +265,7 @@ impl Event {
         }
     }
 
-    /// The layer that emitted the event.
-    pub fn layer(&self) -> Layer {
-        match self {
-            Event::StateTransition { .. }
-            | Event::PromotionStart { .. }
-            | Event::TimerExpired { .. }
-            | Event::FastDormancy { .. }
-            | Event::EnergySegment { .. } => Layer::Rrc,
-            Event::TransferBegin { .. }
-            | Event::TransferEnd { .. }
-            | Event::TransferRetry { .. }
-            | Event::TransferFault { .. } => Layer::Net,
-            Event::Span { layer, .. } | Event::Counter { layer, .. } => *layer,
-            Event::PageVisit { .. } => Layer::Session,
-        }
-    }
-
-    /// A short kind name, used by summaries and assertions.
+    /// A short kind name, used by assertions.
     pub fn kind(&self) -> &'static str {
         match self {
             Event::StateTransition { .. } => "state_transition",
@@ -315,7 +298,6 @@ mod tests {
             joules: 1.15,
         };
         assert_eq!(seg.at(), SimTime::from_secs(1));
-        assert_eq!(seg.layer(), Layer::Rrc);
         assert_eq!(seg.kind(), "energy_segment");
         let t = Event::TimerExpired {
             at: SimTime::from_secs(9),

@@ -17,7 +17,6 @@
 
 use crate::event::{Event, RadioState};
 use ewb_simcore::{PowerTrace, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// One ledger entry, extracted from an [`Event::EnergySegment`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,15 +65,6 @@ pub fn total(entries: &[LedgerEntry]) -> f64 {
         joules += e.joules;
     }
     joules
-}
-
-/// Ledger energy attributed to each radio state, folded in entry order.
-pub fn by_state(entries: &[LedgerEntry]) -> BTreeMap<String, f64> {
-    let mut map = BTreeMap::new();
-    for e in entries {
-        *map.entry(e.state.to_string()).or_insert(0.0) += e.joules;
-    }
-    map
 }
 
 /// Ledger energy within `[from, to)`. Contiguous entries of equal power
@@ -209,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn total_and_by_state_fold_in_order() {
+    fn total_folds_in_order() {
         let es = vec![
             entry(0, 2, RadioState::Promoting, 1.25),
             entry(2, 6, RadioState::Dch, 1.15),
@@ -217,9 +207,6 @@ mod tests {
         ];
         let expected = 2.0 * 1.25 + 4.0 * 1.15 + 15.0 * 0.63;
         assert!((total(&es) - expected).abs() < 1e-12);
-        let by = by_state(&es);
-        assert!((by["DCH"] - 4.6).abs() < 1e-12);
-        assert!((by["FACH"] - 9.45).abs() < 1e-12);
         assert!(audit(&es).is_empty());
     }
 

@@ -36,8 +36,7 @@
 //! event on to another recorder, [`Recorder::custom`] takes any
 //! [`Sink`], and [`Recorder::disabled`] is free: a single branch per
 //! emit, with [`Recorder::emit_with`] skipping event construction
-//! entirely. [`Recorder::summary`] folds the retained events into a
-//! [`Summary`].
+//! entirely.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +44,8 @@
 mod event;
 pub mod ledger;
 mod recorder;
-mod summary;
 pub mod timeline;
 
 pub use event::{Event, FaultKind, Layer, RadioState, Timer};
 pub use ledger::LedgerEntry;
 pub use recorder::{MemorySink, Recorder, Sink};
-pub use summary::Summary;

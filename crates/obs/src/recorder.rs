@@ -7,7 +7,6 @@
 //! tracing is off.
 
 use crate::event::Event;
-use crate::summary::Summary;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -136,15 +135,6 @@ impl Recorder {
             Some(sink) => sink.lock().expect("recorder sink mutex poisoned").events(),
             None => Vec::new(),
         }
-    }
-
-    /// A [`Summary`] folded from the retained events.
-    pub fn summary(&self) -> Summary {
-        let mut s = Summary::default();
-        for e in self.events() {
-            s.fold(&e);
-        }
-        s
     }
 }
 

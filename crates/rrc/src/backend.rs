@@ -40,7 +40,7 @@ pub enum RadioBackend {
 }
 
 impl RadioBackend {
-    /// Every backend, in stable [`index`](RadioBackend::index) order.
+    /// Every backend, in report order.
     pub const ALL: [RadioBackend; 4] = [
         RadioBackend::ThreeG,
         RadioBackend::Lte,
@@ -56,24 +56,6 @@ impl RadioBackend {
             RadioBackend::Wifi => "wifi",
             RadioBackend::FiveG => "5g",
         }
-    }
-
-    /// Stable numeric id — what profile keys and checkpoints persist.
-    pub fn index(self) -> u8 {
-        match self {
-            RadioBackend::ThreeG => 0,
-            RadioBackend::Lte => 1,
-            RadioBackend::Wifi => 2,
-            RadioBackend::FiveG => 3,
-        }
-    }
-
-    /// Inverse of [`index`](RadioBackend::index).
-    pub fn from_index(index: u8) -> Option<RadioBackend> {
-        RadioBackend::ALL
-            .iter()
-            .copied()
-            .find(|b| b.index() == index)
     }
 }
 
@@ -402,15 +384,6 @@ impl RadioModel for RrcMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_ids_round_trip() {
-        for b in RadioBackend::ALL {
-            assert_eq!(RadioBackend::from_index(b.index()), Some(b));
-            assert!(!b.name().is_empty());
-        }
-        assert_eq!(RadioBackend::from_index(200), None);
-    }
 
     /// The trait surface on `RrcMachine` is pure delegation: a scenario
     /// driven through `RadioModel` is bit-identical to the same scenario

@@ -69,13 +69,6 @@ impl RrcConfig {
         }
     }
 
-    /// Aggregate energy of one IDLE→DCH promotion in joules (latency ×
-    /// promotion power). The default is calibrated to 7.0 J so the §3.1
-    /// intuitive approach breaks even at the paper's 9 s (Fig. 3).
-    pub fn idle_to_dch_energy_j(&self) -> f64 {
-        self.power.promotion_w * self.idle_to_dch_latency.as_secs_f64()
-    }
-
     /// Whether a transfer of `bytes` requires dedicated channels (DCH)
     /// rather than the FACH shared channels.
     pub fn needs_dch(&self, bytes: u64) -> bool {
@@ -119,8 +112,11 @@ mod tests {
 
     #[test]
     fn promotion_energy_is_calibrated_to_fig3() {
+        // One IDLE→DCH promotion costs latency × promotion power = 7.0 J,
+        // so the §3.1 intuitive approach breaks even at the paper's 9 s.
         let cfg = RrcConfig::paper();
-        assert!((cfg.idle_to_dch_energy_j() - 7.0).abs() < 1e-9);
+        let joules = cfg.power.promotion_w * cfg.idle_to_dch_latency.as_secs_f64();
+        assert!((joules - 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! (DRX, PSM beacons, cDRX) are modeled with their *cycle-averaged*
 //! power — exact for energy, and it keeps the event count per simulated
 //! second O(stimuli) instead of O(beacons), which is what lets the
-//! `ewb-check` exhaustive explorer drive these machines at depth 6. The
-//! integer wakeup count per level is still recoverable exactly from
-//! residency ([`LadderMachine::cycle_wakeups`]).
+//! `ewb-check` exhaustive explorer drive these machines at depth 6.
 //!
 //! [`LadderMachine`] is the table-driven interpreter of a [`LadderSpec`];
 //! the marker types [`Lte`], [`Wifi`], and [`FiveG`] lower their
@@ -57,9 +55,6 @@ pub struct LadderSpec {
     pub obs_states: [ObsState; MAX_LEVELS],
     /// Cycle-averaged hold power per level, watts.
     pub level_w: [f64; MAX_LEVELS],
-    /// DRX/beacon cycle length per level; `ZERO` = continuous (no duty
-    /// cycling at this level).
-    pub cycle: [SimDuration; MAX_LEVELS],
     /// Inactivity dwell before descending one level (level 0 unused).
     pub dwell: [SimDuration; MAX_LEVELS],
     /// Promotion latency from each level to the top (top slot unused).
@@ -337,18 +332,6 @@ impl<B: LadderBackend> LadderMachine<B> {
     /// Event counters so far.
     pub fn counters(&self) -> LadderCounters {
         self.counters
-    }
-
-    /// Completed duty cycles (beacon/DRX wakeups) spent at `level`,
-    /// recovered exactly from integer-microsecond residency. Zero for
-    /// continuous (non-cycled) levels.
-    pub fn cycle_wakeups(&self, level: usize) -> u64 {
-        let cycle = self.spec.cycle[level];
-        if cycle.is_zero() {
-            0
-        } else {
-            self.residency.levels[level].as_micros() / cycle.as_micros()
-        }
     }
 
     /// A short, stable name of the current state.
@@ -941,12 +924,6 @@ impl LadderBackend for Lte {
                 cfg.short_drx_avg_w(),
                 cfg.on_w,
             ],
-            cycle: [
-                SimDuration::ZERO,
-                SimDuration::from_secs_f64(cfg.long_cycle_s),
-                SimDuration::from_secs_f64(cfg.short_cycle_s),
-                SimDuration::ZERO,
-            ],
             dwell: [
                 SimDuration::ZERO,
                 SimDuration::from_secs_f64(cfg.long_drx_s),
@@ -1094,12 +1071,6 @@ impl LadderBackend for Wifi {
                 ObsState::Idle,
             ],
             level_w: [cfg.psm_avg_w(), cfg.active_w, 0.0, 0.0],
-            cycle: [
-                SimDuration::from_secs_f64(cfg.beacon_interval_s),
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            ],
             dwell: [
                 SimDuration::ZERO,
                 SimDuration::from_secs_f64(cfg.psm_timeout_s),
@@ -1255,12 +1226,6 @@ impl LadderBackend for FiveG {
                 ObsState::Idle,
             ],
             level_w: [cfg.idle_w, cfg.cdrx_avg_w(), cfg.connected_w, 0.0],
-            cycle: [
-                SimDuration::ZERO,
-                SimDuration::from_secs_f64(cfg.cdrx_cycle_s),
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-            ],
             dwell: [
                 SimDuration::ZERO,
                 SimDuration::from_secs_f64(cfg.cdrx_tail_s),
@@ -1381,15 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_wakeups_counts_complete_beacons() {
-        let cfg = WifiConfig::calibrated();
-        let mut m = WifiMachine::new(cfg, SimTime::ZERO);
-        m.advance_to(secs(1.024)); // exactly 10 beacon intervals
-        assert_eq!(m.cycle_wakeups(0), 10);
-        assert_eq!(m.cycle_wakeups(1), 0, "active level is continuous");
-    }
-
-    #[test]
     fn promotion_retries_extend_latency_and_energy() {
         let cfg = LteConfig::calibrated();
         let mut clean = LteMachine::new(cfg, SimTime::ZERO);
@@ -1466,9 +1422,9 @@ mod tests {
             ewb_obs::ledger::total(&entries).to_bits(),
             traced.energy_j().to_bits()
         );
-        let summary = recorder.summary();
-        assert_eq!(summary.events_by_kind["fast_dormancy"], 1);
-        assert_eq!(summary.events_by_kind["promotion_start"], 2);
+        let count = |kind| events.iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("fast_dormancy"), 1);
+        assert_eq!(count("promotion_start"), 2);
     }
 
     #[test]

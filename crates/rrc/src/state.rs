@@ -33,18 +33,6 @@ impl RrcState {
             RrcState::Dch => "DCH",
         }
     }
-
-    /// Whether the handset holds a signaling connection in this state.
-    pub fn is_connected(self) -> bool {
-        !matches!(self, RrcState::Idle)
-    }
-
-    /// Whether the handset occupies a pair of dedicated transmission
-    /// channels (the scarce resource behind the Fig. 11 capacity
-    /// experiment).
-    pub fn holds_dedicated_channel(self) -> bool {
-        matches!(self, RrcState::Dch)
-    }
 }
 
 impl fmt::Display for RrcState {
@@ -68,16 +56,6 @@ impl From<RrcState> for RadioState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn connectivity_flags() {
-        assert!(!RrcState::Idle.is_connected());
-        assert!(RrcState::Fach.is_connected());
-        assert!(RrcState::Dch.is_connected());
-        assert!(RrcState::Promoting.is_connected());
-        assert!(RrcState::Dch.holds_dedicated_channel());
-        assert!(!RrcState::Fach.holds_dedicated_channel());
-    }
 
     #[test]
     fn display_names() {

@@ -1,62 +1,18 @@
-//! Probability distributions used by the workload and behavior models.
-//!
-//! Each distribution is a small value type with a `sample(&mut Xoshiro256)`
-//! method. The set covers what the paper's models need:
+//! The two random laws the workload models sample.
 //!
 //! * [`Exponential`] — Poisson inter-arrival times for the capacity
 //!   experiment (Fig. 11: each user generates sessions with mean interval
 //!   25 s).
-//! * [`Weibull`] — dwell/reading times; Liu et al. (cited by the paper as
-//!   \[12\]) established that web dwell times are Weibull-distributed.
-//! * [`LogNormal`] — object sizes in the synthetic corpus.
-//! * [`Normal`], [`Uniform`], [`Pareto`], [`Bernoulli`] — general modelling.
+//! * [`LogNormal`] — object sizes in the synthetic corpus and the page
+//!   features of the reading-time traces.
 //!
-//! All samplers take the RNG by `&mut` so independent model components can
-//! own independent [`Xoshiro256`] streams.
+//! Weibull reading times are drawn by `ewb-traces`' dwell model through
+//! its own inverse CDF. Both samplers take the RNG by `&mut` so
+//! independent model components can own independent [`Xoshiro256`]
+//! streams.
 
 use crate::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
-
-/// Trait implemented by every distribution in this module.
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut Xoshiro256) -> f64;
-
-    /// The distribution's mean, where defined in closed form.
-    fn mean(&self) -> f64;
-}
-
-/// Continuous uniform on `[low, high)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Uniform {
-    low: f64,
-    high: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or either bound is not finite.
-    pub fn new(low: f64, high: f64) -> Self {
-        assert!(
-            low.is_finite() && high.is_finite() && low < high,
-            "invalid uniform bounds [{low}, {high})"
-        );
-        Uniform { low, high }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        rng.f64_range(self.low, self.high)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.low + self.high)
-    }
-}
 
 /// Exponential with the given mean (i.e. rate `1/mean`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,119 +34,10 @@ impl Exponential {
         Exponential { mean }
     }
 
-    /// Creates an exponential distribution with rate `rate` (mean `1/rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not a positive finite number.
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "exponential rate must be positive, got {rate}"
-        );
-        Exponential { mean: 1.0 / rate }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         // Inverse CDF; 1 - u avoids ln(0).
         -self.mean * (1.0 - rng.f64()).ln()
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-/// Weibull with shape `k` and scale `lambda`.
-///
-/// Shape `k < 1` gives the heavy "many short dwells, a few very long ones"
-/// profile observed for web-page reading time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` or `scale` is not a positive finite number.
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0,
-            "invalid Weibull parameters: shape {shape}, scale {scale}"
-        );
-        Weibull { shape, scale }
-    }
-
-    /// Shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Scale parameter `λ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        let u = 1.0 - rng.f64();
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Normal (Gaussian) via the polar Box–Muller method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or either parameter is not finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
-            "invalid normal parameters: mean {mean}, std_dev {std_dev}"
-        );
-        Normal { mean, std_dev }
-    }
-
-    /// Draws a standard-normal variate.
-    pub fn standard_sample(rng: &mut Xoshiro256) -> f64 {
-        // Polar Box–Muller: rejection-sample a point in the unit disc.
-        loop {
-            let u = rng.f64_range(-1.0, 1.0);
-            let v = rng.f64_range(-1.0, 1.0);
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-}
-
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        self.mean + self.std_dev * Normal::standard_sample(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -230,116 +77,23 @@ impl LogNormal {
         );
         LogNormal::new(median.ln(), sigma)
     }
-}
 
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        (self.mu + self.sigma * Normal::standard_sample(rng)).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
+        (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 }
 
-/// Pareto (type I) with scale `x_min` and tail index `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is not a positive finite number.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0,
-            "invalid Pareto parameters: x_min {x_min}, alpha {alpha}"
-        );
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        let u = 1.0 - rng.f64();
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> f64 {
-        if self.alpha <= 1.0 {
-            f64::INFINITY
-        } else {
-            self.alpha * self.x_min / (self.alpha - 1.0)
+/// Draws a standard-normal variate by the polar Box–Muller method.
+fn standard_normal(rng: &mut Xoshiro256) -> f64 {
+    // Rejection-sample a point in the unit disc.
+    loop {
+        let u = rng.f64_range(-1.0, 1.0);
+        let v = rng.f64_range(-1.0, 1.0);
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            return u * (-2.0 * s.ln() / s).sqrt();
         }
-    }
-}
-
-/// Bernoulli returning 1.0 with probability `p`, else 0.0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "probability must be in [0,1], got {p}"
-        );
-        Bernoulli { p }
-    }
-}
-
-impl Distribution for Bernoulli {
-    fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        if rng.chance(self.p) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.p
-    }
-}
-
-/// Lanczos approximation of the gamma function, used for Weibull means.
-fn gamma(x: f64) -> f64 {
-    // g = 7, n = 9 Lanczos coefficients.
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
     }
 }
 
@@ -347,29 +101,15 @@ fn gamma(x: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn sample_mean<D: Distribution>(d: &D, n: usize, seed: u64) -> f64 {
+    fn sample_mean(mut draw: impl FnMut(&mut Xoshiro256) -> f64, n: usize, seed: u64) -> f64 {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn uniform_mean_and_bounds() {
-        let d = Uniform::new(2.0, 6.0);
-        assert_eq!(d.mean(), 4.0);
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..6.0).contains(&x));
-        }
-        assert!((sample_mean(&d, 100_000, 2) - 4.0).abs() < 0.02);
+        (0..n).map(|_| draw(&mut rng)).sum::<f64>() / n as f64
     }
 
     #[test]
     fn exponential_mean_converges() {
         let d = Exponential::with_mean(25.0);
-        assert!((sample_mean(&d, 200_000, 3) - 25.0).abs() < 0.3);
-        let d2 = Exponential::with_rate(0.04);
-        assert!((d2.mean() - 25.0).abs() < 1e-12);
+        assert!((sample_mean(|r| d.sample(r), 200_000, 3) - 25.0).abs() < 0.3);
     }
 
     #[test]
@@ -382,27 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mean_matches_gamma_formula() {
-        // shape 1 degenerates to exponential: mean == scale.
-        let d = Weibull::new(1.0, 10.0);
-        assert!((d.mean() - 10.0).abs() < 1e-9);
-        assert!((sample_mean(&d, 200_000, 5) - 10.0).abs() < 0.2);
-
-        // shape 0.6 — heavy tail like web dwell times.
-        let d = Weibull::new(0.6, 8.0);
-        assert!((sample_mean(&d, 400_000, 6) - d.mean()).abs() / d.mean() < 0.03);
-    }
-
-    #[test]
     fn normal_mean_and_spread() {
-        let d = Normal::new(5.0, 2.0);
         let mut rng = Xoshiro256::seed_from_u64(7);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.03, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.1, "var {var}");
+        assert!(mean.abs() < 0.015, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.025, "var {var}");
     }
 
     #[test]
@@ -416,103 +143,41 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_minimum() {
-        let d = Pareto::new(3.0, 2.5);
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 3.0);
-        }
-        assert!((sample_mean(&d, 400_000, 10) - d.mean()).abs() / d.mean() < 0.05);
-    }
-
-    #[test]
-    fn pareto_mean_is_infinite_for_heavy_tail() {
-        assert!(Pareto::new(1.0, 0.9).mean().is_infinite());
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let d = Bernoulli::new(0.3);
-        assert!((sample_mean(&d, 100_000, 11) - 0.3).abs() < 0.01);
-        assert_eq!(d.mean(), 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bernoulli_rejects_bad_p() {
-        Bernoulli::new(1.5);
-    }
-
-    #[test]
     fn samplers_are_deterministic_per_seed() {
         // The whole experiment pipeline leans on this: a distribution is a
         // pure function of (parameters, RNG stream).
-        fn replay<D: Distribution>(d: &D) {
+        fn replay(draw: impl Fn(&mut Xoshiro256) -> f64) {
             let mut a = Xoshiro256::seed_from_u64(77);
             let mut b = Xoshiro256::seed_from_u64(77);
             for _ in 0..200 {
-                assert_eq!(d.sample(&mut a).to_bits(), d.sample(&mut b).to_bits());
+                assert_eq!(draw(&mut a).to_bits(), draw(&mut b).to_bits());
             }
         }
-        replay(&Uniform::new(0.0, 1.0));
-        replay(&Exponential::with_mean(25.0));
-        replay(&Weibull::new(0.6, 8.0));
-        replay(&Normal::new(5.0, 2.0));
-        replay(&LogNormal::with_median(50.0, 0.5));
-        replay(&Pareto::new(3.0, 2.5));
-        replay(&Bernoulli::new(0.3));
+        replay(|r| Exponential::with_mean(25.0).sample(r));
+        replay(|r| LogNormal::with_median(50.0, 0.5).sample(r));
     }
 
     #[test]
     fn positive_supports_stay_positive() {
         let mut rng = Xoshiro256::seed_from_u64(13);
-        let w = Weibull::new(0.6, 8.0);
         let ln = LogNormal::with_median(50.0, 1.0);
         for _ in 0..10_000 {
-            assert!(w.sample(&mut rng) >= 0.0);
             assert!(ln.sample(&mut rng) > 0.0);
         }
     }
 
     #[test]
-    fn normal_with_zero_spread_is_constant() {
-        let d = Normal::new(3.25, 0.0);
-        let mut rng = Xoshiro256::seed_from_u64(14);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 3.25);
-        }
-    }
-
-    #[test]
     fn lognormal_mean_matches_closed_form() {
-        let d = LogNormal::new(1.0, 0.4);
-        assert!((sample_mean(&d, 400_000, 15) - d.mean()).abs() / d.mean() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid uniform bounds")]
-    fn uniform_rejects_inverted_bounds() {
-        Uniform::new(2.0, 1.0);
+        let (mu, sigma) = (1.0, 0.4);
+        let d = LogNormal::new(mu, sigma);
+        let closed_form = (mu + 0.5 * sigma * sigma).exp();
+        let sampled = sample_mean(|r| d.sample(r), 400_000, 15);
+        assert!((sampled - closed_form).abs() / closed_form < 0.02);
     }
 
     #[test]
     #[should_panic(expected = "exponential mean must be positive")]
     fn exponential_rejects_nonpositive_mean() {
         Exponential::with_mean(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid Weibull parameters")]
-    fn weibull_rejects_nonpositive_shape() {
-        Weibull::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(3.0) - 2.0).abs() < 1e-9);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-7);
     }
 }

@@ -75,7 +75,6 @@ impl<E> Ord for Node<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Node<E>>,
     next_seq: u64,
-    popped: u64,
     last_popped_time: SimTime,
 }
 
@@ -85,17 +84,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            popped: 0,
-            last_popped_time: SimTime::ZERO,
-        }
-    }
-
-    /// Creates an empty queue with space for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            popped: 0,
             last_popped_time: SimTime::ZERO,
         }
     }
@@ -124,42 +112,11 @@ impl<E> EventQueue<E> {
             self.last_popped_time
         );
         self.last_popped_time = node.time;
-        self.popped += 1;
         Some(EventEntry {
             time: node.time,
             seq: node.seq,
             event: node.event,
         })
-    }
-
-    /// The firing time of the next event, if any, without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|n| n.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// The current simulation clock: the time of the last delivered event.
-    pub fn now(&self) -> SimTime {
-        self.last_popped_time
-    }
-
-    /// Drops all pending events, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -199,19 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_tracks_last_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(4), ());
-        q.push(SimTime::from_secs(2), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(2));
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(4));
-        assert_eq!(q.delivered(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_into_the_past_panics_at_delivery() {
         let mut q = EventQueue::new();
@@ -222,29 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn clear_keeps_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), ());
-        q.pop();
-        q.push(SimTime::from_secs(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_secs(1));
-    }
-
-    #[test]
     fn default_is_empty() {
-        let q: EventQueue<u8> = EventQueue::default();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        let mut q: EventQueue<u8> = EventQueue::default();
+        assert!(q.pop().is_none());
     }
 }

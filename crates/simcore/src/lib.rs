@@ -11,11 +11,11 @@
 //! * [`EventQueue`] — a deterministic future-event list with FIFO
 //!   tie-breaking for simultaneous events.
 //! * [`Xoshiro256`] and [`dist`] — a small, self-contained PRNG and the
-//!   distributions the workload models need. Using our own generator keeps
-//!   every experiment bit-for-bit reproducible regardless of `rand`-crate
-//!   version churn.
-//! * [`stats`] — Welford summaries, empirical CDFs, percentiles and the
-//!   Pearson correlation used by Table 4 of the paper.
+//!   exponential and log-normal samplers the workload models need. Using
+//!   our own generator keeps every experiment bit-for-bit reproducible
+//!   regardless of `rand`-crate version churn.
+//! * [`stats`] — the empirical CDF of Fig. 7 and the Pearson correlation
+//!   of Table 4.
 //! * [`EnergyMeter`] and [`PowerTrace`] — exact integration of a
 //!   piecewise-constant power function over virtual time, plus the 4 Hz
 //!   sampled traces the paper's Agilent testbed produced (Figs. 1 and 9).

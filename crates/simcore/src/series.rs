@@ -95,11 +95,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Time of the last observation, if any.
-    pub fn end_time(&self) -> Option<SimTime> {
-        self.points.last().map(|&(t, _)| t)
-    }
 }
 
 impl FromIterator<(SimTime, f64)> for TimeSeries {
@@ -186,7 +181,6 @@ mod tests {
         assert_eq!(buckets, vec![3.0, 4.0, 0.0, 8.0]);
         assert_eq!(ts.total(), 15.0);
         assert_eq!(ts.len(), 4);
-        assert_eq!(ts.end_time(), Some(SimTime::from_millis(1700)));
     }
 
     #[test]
@@ -202,7 +196,6 @@ mod tests {
         let ts = TimeSeries::new();
         assert!(ts.is_empty());
         assert!(ts.bucket_sums(SimDuration::from_secs(1)).is_empty());
-        assert_eq!(ts.end_time(), None);
     }
 
     #[test]

@@ -1,159 +1,11 @@
-//! Statistical summaries used across the evaluation.
+//! The statistics the evaluation reports.
 //!
-//! * [`Summary`] — single-pass Welford mean/variance/min/max.
 //! * [`Ecdf`] — empirical CDF, used for the reading-time distribution
-//!   (Fig. 7) and session-dropping confidence checks.
+//!   (Fig. 7).
 //! * [`pearson`] — Pearson correlation coefficient, reproducing Table 4.
-//! * [`percentile`], [`mean`], [`std_dev`] — convenience helpers.
+//! * [`mean`] — the mean of a slice.
 
 use serde::{Deserialize, Serialize};
-
-/// Single-pass running summary (Welford's algorithm): numerically stable
-/// mean and variance plus min/max and count.
-///
-/// # Example
-///
-/// ```
-/// use ewb_simcore::stats::Summary;
-///
-/// let s: Summary = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-/// assert_eq!(s.count(), 4);
-/// assert!((s.mean() - 2.5).abs() < 1e-12);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN — a NaN observation silently poisons every
-    /// downstream statistic, so it is rejected at the door.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "cannot add NaN to a Summary");
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0.0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Smallest observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summary is empty.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "min of empty Summary");
-        self.min
-    }
-
-    /// Largest observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summary is empty.
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "max of empty Summary");
-        self.max
-    }
-
-    /// Merges another summary into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Default for Summary {
-    fn default() -> Self {
-        Summary::new()
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.push(x);
-        }
-        s
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
 
 /// Empirical cumulative distribution function over a sample.
 ///
@@ -164,7 +16,6 @@ impl Extend<f64> for Summary {
 ///
 /// let cdf = Ecdf::from_samples(vec![1.0, 2.0, 2.0, 8.0]);
 /// assert!((cdf.fraction_at_or_below(2.0) - 0.75).abs() < 1e-12);
-/// assert_eq!(cdf.quantile(0.5), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ecdf {
@@ -192,57 +43,6 @@ impl Ecdf {
         // partition_point gives the count of samples <= x.
         let count = self.sorted.partition_point(|&s| s <= x);
         count as f64 / self.sorted.len() as f64
-    }
-
-    /// The `q`-quantile (nearest-rank method), `q` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
-        // lint:allow(api/float-eq) exact-zero quantile maps to the minimum by definition
-        if q == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (q * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
-    }
-
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false: construction requires at least one sample.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Evaluation points for plotting: `(x, P(X ≤ x))` at each distinct
-    /// sample value.
-    pub fn curve(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut points = Vec::new();
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let x = self.sorted[i];
-            let mut j = i;
-            while j < self.sorted.len() && self.sorted[j] == x {
-                j += 1;
-            }
-            points.push((x, j as f64 / n));
-            i = j;
-        }
-        points
-    }
-
-    /// The sorted underlying samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -295,82 +95,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation of a slice; 0.0 with fewer than two items.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Nearest-rank percentile of an unsorted slice (`p` in `[0, 100]`).
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or `p` is outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-    Ecdf::from_samples(xs.to_vec()).quantile(p / 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_empty_behaviour() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn summary_rejects_nan() {
-        Summary::new().push(f64::NAN);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let full: Summary = xs.iter().copied().collect();
-        let mut a: Summary = xs[..37].iter().copied().collect();
-        let b: Summary = xs[37..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), full.count());
-        assert!((a.mean() - full.mean()).abs() < 1e-9);
-        assert!((a.variance() - full.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), full.min());
-        assert_eq!(a.max(), full.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        let b: Summary = [1.0, 2.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let mut c: Summary = [3.0].into_iter().collect();
-        c.merge(&Summary::new());
-        assert_eq!(c.count(), 1);
-    }
 
     #[test]
     fn ecdf_fractions() {
@@ -379,26 +106,6 @@ mod tests {
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.25);
         assert_eq!(cdf.fraction_at_or_below(3.0), 0.75);
         assert_eq!(cdf.fraction_at_or_below(100.0), 1.0);
-    }
-
-    #[test]
-    fn ecdf_quantiles() {
-        let cdf = Ecdf::from_samples((1..=100).map(f64::from).collect());
-        assert_eq!(cdf.quantile(0.0), 1.0);
-        assert_eq!(cdf.quantile(0.5), 50.0);
-        assert_eq!(cdf.quantile(1.0), 100.0);
-    }
-
-    #[test]
-    fn ecdf_curve_is_monotone_and_ends_at_one() {
-        let cdf = Ecdf::from_samples(vec![2.0, 2.0, 7.0, 1.0]);
-        let curve = cdf.curve();
-        assert_eq!(curve.len(), 3); // distinct values 1, 2, 7
-        for w in curve.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
     #[test]
@@ -436,65 +143,6 @@ mod tests {
     fn helper_functions() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert!((mean(&xs) - 3.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
-    }
-}
-
-/// A normal-approximation confidence interval for the mean of a sample:
-/// `(mean, half_width)` at the given z-score (1.96 ≈ 95 %). Used to put
-/// error bars on the stochastic experiments (capacity simulation runs).
-///
-/// # Panics
-///
-/// Panics if `xs` has fewer than two elements or `z` is not positive.
-pub fn mean_confidence_interval(xs: &[f64], z: f64) -> (f64, f64) {
-    assert!(
-        xs.len() >= 2,
-        "confidence interval needs at least two samples"
-    );
-    assert!(z.is_finite() && z > 0.0, "z must be positive");
-    let m = mean(xs);
-    let sd = std_dev(xs);
-    (m, z * sd / (xs.len() as f64).sqrt())
-}
-
-#[cfg(test)]
-mod ci_tests {
-    use super::*;
-
-    #[test]
-    fn interval_shrinks_with_sample_size() {
-        use crate::rng::Xoshiro256;
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        let small: Vec<f64> = (0..50).map(|_| rng.f64()).collect();
-        let large: Vec<f64> = (0..5000).map(|_| rng.f64()).collect();
-        let (_, hw_small) = mean_confidence_interval(&small, 1.96);
-        let (_, hw_large) = mean_confidence_interval(&large, 1.96);
-        assert!(hw_large < hw_small / 3.0, "{hw_small} vs {hw_large}");
-    }
-
-    #[test]
-    fn interval_covers_the_true_mean_most_of_the_time() {
-        use crate::rng::Xoshiro256;
-        let mut covered = 0;
-        for seed in 0..100 {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            let xs: Vec<f64> = (0..200).map(|_| rng.f64()).collect();
-            let (m, hw) = mean_confidence_interval(&xs, 1.96);
-            if (m - 0.5).abs() <= hw {
-                covered += 1;
-            }
-        }
-        assert!((88..=100).contains(&covered), "coverage {covered}/100");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn rejects_tiny_samples() {
-        mean_confidence_interval(&[1.0], 1.96);
     }
 }

@@ -48,9 +48,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinitely far away"
-    /// sentinel for timers that are not armed.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from whole microseconds.
     pub const fn from_micros(micros: u64) -> Self {
@@ -104,17 +101,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Time elapsed from `earlier` to `self`, or [`SimDuration::ZERO`] if
-    /// `earlier` is later.
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Adds `d`, saturating at [`SimTime::MAX`] instead of overflowing.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -129,8 +115,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from whole microseconds.
     pub const fn from_micros(micros: u64) -> Self {
@@ -323,7 +307,6 @@ mod tests {
         let a = SimTime::from_secs(1);
         let b = SimTime::from_secs(5);
         assert_eq!(b.duration_since(a), SimDuration::from_secs(4));
-        assert_eq!(a.saturating_duration_since(b), SimDuration::ZERO);
     }
 
     #[test]
@@ -378,10 +361,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimTime::MAX
-        );
         assert_eq!(
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(5)),
             SimDuration::ZERO

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel.
 
-use ewb_simcore::stats::{pearson, Ecdf, Summary};
+use ewb_simcore::stats::{pearson, Ecdf};
 use ewb_simcore::{EnergyMeter, EventQueue, SimTime, Xoshiro256};
 use proptest::prelude::*;
 
@@ -53,32 +53,6 @@ proptest! {
         prop_assert!((whole.total_joules() - split.total_joules()).abs() < 1e-9);
     }
 
-    /// Welford summary agrees with the naive two-pass computation.
-    #[test]
-    fn summary_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
-        let s: Summary = xs.iter().copied().collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
-        prop_assert!((s.variance() - var).abs() <= 1e-4 * var.max(1.0));
-    }
-
-    /// Merging summaries in any split equals the sequential summary.
-    #[test]
-    fn summary_merge_associative(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..100),
-        cut in 0usize..100,
-    ) {
-        let cut = cut % xs.len();
-        let full: Summary = xs.iter().copied().collect();
-        let mut a: Summary = xs[..cut].iter().copied().collect();
-        let b: Summary = xs[cut..].iter().copied().collect();
-        a.merge(&b);
-        prop_assert_eq!(a.count(), full.count());
-        prop_assert!((a.mean() - full.mean()).abs() < 1e-6);
-    }
-
     /// The ECDF is a proper CDF: monotone, 0 at -inf side, 1 at the max.
     #[test]
     fn ecdf_is_monotone(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {
@@ -93,17 +67,6 @@ proptest! {
             prev = f;
         }
         prop_assert_eq!(cdf.fraction_at_or_below(max), 1.0);
-    }
-
-    /// Quantile and fraction are consistent: F(Q(q)) >= q.
-    #[test]
-    fn ecdf_quantile_inverts(
-        xs in proptest::collection::vec(-1e3f64..1e3, 1..200),
-        q in 0.0f64..=1.0,
-    ) {
-        let cdf = Ecdf::from_samples(xs);
-        let v = cdf.quantile(q);
-        prop_assert!(cdf.fraction_at_or_below(v) >= q - 1e-12);
     }
 
     /// Pearson is bounded, symmetric, and scale-invariant.

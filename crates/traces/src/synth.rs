@@ -8,7 +8,7 @@
 //! Table 4's linear correlations at zero while staying tree-learnable.
 
 use crate::features::FeatureVector;
-use ewb_simcore::dist::{Distribution, LogNormal};
+use ewb_simcore::dist::LogNormal;
 use ewb_simcore::Xoshiro256;
 use ewb_webpage::{Corpus, PageVersion};
 use serde::{Deserialize, Serialize};

@@ -27,6 +27,11 @@ pub const DWELL_SCALE: f64 = 26.8;
 pub const BOUNCE_FRACTION: f64 = 0.30;
 /// The paper discards dwells longer than 10 minutes.
 pub const MAX_DWELL_S: f64 = 600.0;
+/// A user's interest in each site is drawn uniformly from
+/// `[INTEREST_LO, INTEREST_HI)`.
+pub const INTEREST_LO: f64 = 0.15;
+/// Upper bound (exclusive) of a user's interest in a site.
+pub const INTEREST_HI: f64 = 0.85;
 
 /// One simulated user's interest profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,7 +48,7 @@ impl UserProfile {
     pub fn generate(id: u32, site_keys: &[&str], rng: &mut Xoshiro256) -> Self {
         let interests = site_keys
             .iter()
-            .map(|&k| (k.to_string(), rng.f64_range(0.15, 0.85)))
+            .map(|&k| (k.to_string(), rng.f64_range(INTEREST_LO, INTEREST_HI)))
             .collect();
         UserProfile { id, interests }
     }

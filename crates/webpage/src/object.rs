@@ -94,11 +94,6 @@ impl WebObject {
             body: String::new(),
         }
     }
-
-    /// Size in kilobytes (floating).
-    pub fn kb(&self) -> f64 {
-        self.bytes as f64 / 1024.0
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +115,6 @@ mod tests {
     fn text_object_size_is_body_length() {
         let o = WebObject::text("http://a/x.html", ObjectKind::Html, "<html></html>".into());
         assert_eq!(o.bytes, 13);
-        assert!((o.kb() - 13.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]
@@ -128,7 +122,6 @@ mod tests {
         let o = WebObject::opaque("http://a/x.jpg", ObjectKind::Image, 2048);
         assert_eq!(o.bytes, 2048);
         assert!(o.body.is_empty());
-        assert_eq!(o.kb(), 2.0);
     }
 
     #[test]

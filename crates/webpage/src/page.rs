@@ -3,7 +3,7 @@
 use crate::gen;
 use crate::object::{ObjectKind, WebObject};
 use crate::spec::PageSpec;
-use ewb_simcore::dist::{Distribution, LogNormal};
+use ewb_simcore::dist::LogNormal;
 use ewb_simcore::{SplitMix64, Xoshiro256};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,7 +25,9 @@ use std::collections::BTreeMap;
 ///     n_links: 2, text_paragraphs: 5, seed: 1,
 /// };
 /// let page = Page::generate(&spec);
-/// assert_eq!(page.object_count(), spec.expected_objects());
+/// // The document, its sheet and script, the script's fetch, three
+/// // images and the sheet's image.
+/// assert_eq!(page.object_count(), 8);
 /// assert!(page.object(page.root_url()).is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -179,7 +181,7 @@ mod tests {
     #[test]
     fn generates_expected_object_inventory() {
         let p = Page::generate(&spec());
-        assert_eq!(p.object_count(), spec().expected_objects());
+        assert_eq!(p.object_count(), 36);
         assert_eq!(p.count_kind(ObjectKind::Html), 1);
         assert_eq!(p.count_kind(ObjectKind::Css), 3);
         assert_eq!(p.count_kind(ObjectKind::Js), 5);
@@ -189,7 +191,8 @@ mod tests {
     #[test]
     fn total_size_is_near_spec_expectation() {
         let p = Page::generate(&spec());
-        let expected_kb = spec().expected_total_kb();
+        // Every object at its kind's nominal size: 30 + 3·10 + 5·8 + 27·15.
+        let expected_kb = 505.0;
         let actual_kb = p.total_bytes() as f64 / 1024.0;
         // Log-normal image jitter: allow a generous band.
         assert!(

@@ -71,20 +71,6 @@ impl PageSpec {
         }
     }
 
-    /// Expected total transfer size in KB (before per-object jitter).
-    pub fn expected_total_kb(&self) -> f64 {
-        self.html_kb
-            + self.n_css as f64 * self.css_kb
-            + self.n_scripts as f64 * self.js_kb
-            + (self.n_images + self.js_fetches + self.css_image_refs) as f64 * self.image_kb
-    }
-
-    /// Total number of objects this page will contain (including the main
-    /// document).
-    pub fn expected_objects(&self) -> usize {
-        1 + self.n_css + self.n_scripts + self.n_images + self.js_fetches + self.css_image_refs
-    }
-
     /// Validates that the spec can be generated.
     ///
     /// # Errors
@@ -147,14 +133,6 @@ mod tests {
         };
         assert_eq!(full.root_url(), "http://www.espn.com/main/");
         assert_eq!(mobile.root_url(), "http://m.espn.com/");
-    }
-
-    #[test]
-    fn expected_totals() {
-        let s = spec();
-        let kb = 40.0 + 36.0 + 60.0 + 27.0 * 18.0;
-        assert!((s.expected_total_kb() - kb).abs() < 1e-9);
-        assert_eq!(s.expected_objects(), 1 + 3 + 6 + 20 + 4 + 3);
     }
 
     #[test]

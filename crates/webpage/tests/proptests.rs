@@ -55,7 +55,10 @@ proptest! {
     #[test]
     fn inventory_matches_spec(spec in arbitrary_spec()) {
         let page = Page::generate(&spec);
-        prop_assert_eq!(page.object_count(), spec.expected_objects());
+        prop_assert_eq!(
+            page.object_count(),
+            1 + spec.n_css + spec.n_scripts + spec.n_images + spec.js_fetches + spec.css_image_refs
+        );
         prop_assert_eq!(page.count_kind(ObjectKind::Html), 1);
         prop_assert_eq!(page.count_kind(ObjectKind::Css), spec.n_css);
         prop_assert_eq!(page.count_kind(ObjectKind::Js), spec.n_scripts);

@@ -93,9 +93,6 @@ fn ledger_folds_to_reported_energy_bit_for_bit() {
             ledger::total(&entries),
             out.total_joules
         );
-        // The summary sink folds to the same bits on the fly.
-        let summary = recorder.summary();
-        assert_eq!(summary.ledger_joules.to_bits(), out.total_joules.to_bits());
     }
 }
 
@@ -252,8 +249,10 @@ fn live_and_replayed_faulted_runs_agree_event_by_event() {
         fetcher.next_completion().is_some()
     } {}
     assert!(
-        fetcher.failed_attempts() > 0
-            || fetcher.transfers().iter().any(|t| t.promotion_retries > 0),
+        fetcher
+            .transfers()
+            .iter()
+            .any(|t| !t.completed || t.promotion_retries > 0),
         "seed 99 should exercise at least one fault"
     );
     let end = fetcher.machine().now();
