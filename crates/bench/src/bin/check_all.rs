@@ -65,6 +65,9 @@ fn main() -> ExitCode {
         args.fail("--depth must be at least 1");
     }
     let seeds: u64 = args.get("--seeds").unwrap_or(256);
+    if seeds == 0 {
+        args.fail("--seeds must be at least 1");
+    }
     let corpus_dir: PathBuf = args
         .get("--corpus")
         .unwrap_or_else(corpus::builtin_corpus_dir);

@@ -1,17 +1,11 @@
 //! Robustness loss sweep (fault profile × loss rate, both browsers).
 //! `--write-golden` refreshes the golden artifacts the CI jobs pin
 //! (`crates/core/tests/golden/robustness.json` and the observability
-//! timeline `crates/core/tests/golden/timeline.jsonl`);
-//! `--timeline PATH` exports the reference session's event timeline as
-//! JSON lines to PATH.
+//! timeline `crates/core/tests/golden/timeline.jsonl`).
 fn main() {
-    let args = ewb_bench::cli::Args::parse(&[("--write-golden", ""), ("--timeline", "PATH")]);
-    let timeline: Option<String> = args.get("--timeline");
+    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
     let ctx = ewb_bench::Context::new();
     print!("{}", ewb_bench::reports::robustness_report(&ctx));
-    if let Some(path) = timeline {
-        ewb_bench::write_timeline(&ctx, &path);
-    }
     if args.has("--write-golden") {
         let rows = ewb_core::experiments::robustness::sweep(
             &ctx.corpus,

@@ -4,7 +4,7 @@
 //! formatted report [`REPORTS`] names it by. `cargo run -p ewb-bench
 //! --release --bin all_figures` prints them all (that output is the basis
 //! of EXPERIMENTS.md); `-- --only <name>` regenerates a single artifact.
-//! The other binaries run the sweeps, benchmarks and checks that write
+//! The other binaries run the sweeps, fleet runs and checks that write
 //! goldens or BENCH files; every binary parses its flags through [`cli`].
 
 #![forbid(unsafe_code)]

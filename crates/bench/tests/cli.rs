@@ -8,10 +8,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const BINS: [(&str, &str); 8] = [
+const BINS: [(&str, &str); 7] = [
     ("all_figures", env!("CARGO_BIN_EXE_all_figures")),
     ("backend_sweep", env!("CARGO_BIN_EXE_backend_sweep")),
-    ("bench_gbrt", env!("CARGO_BIN_EXE_bench_gbrt")),
     ("check_all", env!("CARGO_BIN_EXE_check_all")),
     ("fleet_bench", env!("CARGO_BIN_EXE_fleet_bench")),
     ("fleet_robustness", env!("CARGO_BIN_EXE_fleet_robustness")),
@@ -76,6 +75,14 @@ fn run_in_empty_dir(bin: (&str, &str), args: &[&str]) -> (Output, Vec<PathBuf>) 
     (out, left)
 }
 
+/// The entry of [`BINS`] named `name`.
+fn bin(name: &str) -> (&'static str, &'static str) {
+    *BINS
+        .iter()
+        .find(|(bin, _)| *bin == name)
+        .unwrap_or_else(|| panic!("no binary `{name}`"))
+}
+
 fn assert_usage_error(bin: (&str, &str), args: &[&str]) -> String {
     let (out, left) = run_in_empty_dir(bin, args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -107,7 +114,7 @@ fn every_binary_refuses_an_unknown_flag_before_any_work() {
 
 #[test]
 fn malformed_values_exit_2() {
-    let stderr = assert_usage_error(BINS[0], &["--only", "no_such_report"]);
+    let stderr = assert_usage_error(bin("all_figures"), &["--only", "no_such_report"]);
     for (report, _) in REPORTS {
         assert!(stderr.contains(report), "{report} not named: {stderr}");
     }
@@ -116,15 +123,16 @@ fn malformed_values_exit_2() {
         &["--depth", "x"],
         &["--depth", "3", "--depth", "4"],
         &["--depth", "0"],
+        &["--seeds", "0"],
     ] {
-        assert_usage_error(BINS[3], args);
+        assert_usage_error(bin("check_all"), args);
     }
     for args in [
         &["--users", "0"][..],
         &["--shards", "0"],
         &["--supervised", "--users", "0"],
     ] {
-        assert_usage_error(BINS[4], args);
+        assert_usage_error(bin("fleet_bench"), args);
     }
 }
 

@@ -56,7 +56,6 @@ use ewb_net::replay::{events_of_load_parallel, sort_radio_events, RadioEvent};
 use ewb_net::{FaultConfig, RadioFetcher, RetryPolicy};
 use ewb_rrc::{LoadTape, RadioModel, RrcCounters, RrcMachine, RrcState, StateResidency};
 use ewb_simcore::{SimDuration, SimTime, SplitMix64};
-use ewb_traces::FeatureVector;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
 
 /// One captured page load on radio backend `R`, on a click-relative clock
@@ -73,10 +72,6 @@ pub struct LoadProfile<R: RadioModel = RrcMachine> {
     pub opened: SimDuration,
     /// Click → end of the data-transmission phase.
     pub tx_end: SimDuration,
-    /// The feature vector the browser measured during this load — what a
-    /// Predict-N case's predictor sees when no per-visit override is
-    /// supplied.
-    pub features: FeatureVector,
     /// Bytes fetched by the load.
     pub bytes: u64,
 }
@@ -415,9 +410,6 @@ impl<R: RadioModel> ProfileTable<R> {
                                     tape,
                                     opened: metrics.final_display_at - t0,
                                     tx_end: metrics.data_transmission_end - t0,
-                                    features: FeatureVector::from_slice(
-                                        &metrics.features().to_vec(),
-                                    ),
                                     bytes: metrics.bytes_fetched,
                                 });
                             }
@@ -997,7 +989,7 @@ mod tests {
         );
         let synth = ewb_traces::VisitSynthesizer::from_corpus(&corpus);
         let mut rng = ewb_simcore::Xoshiro256::seed_from_u64(7);
-        let plan: Vec<(usize, FeatureVector, f64)> = (0..8)
+        let plan: Vec<(usize, ewb_traces::FeatureVector, f64)> = (0..8)
             .map(|i| {
                 let (idx, f, _) = synth.sample_indexed(&mut rng);
                 (idx, f, [1.0, 4.0, 11.0, 30.0][i % 4])

@@ -170,16 +170,6 @@ pub struct Block {
     pub span: Span,
 }
 
-impl Block {
-    /// The trailing expression (last statement, no semicolon), if any.
-    pub fn tail_expr(&self) -> Option<&Expr> {
-        match self.stmts.last() {
-            Some(Stmt::Expr { expr, semi: false }) => Some(expr),
-            _ => None,
-        }
-    }
-}
-
 /// One statement.
 #[derive(Debug)]
 pub enum Stmt {
@@ -2751,8 +2741,8 @@ mod tests {
         assert_eq!(body.stmts.len(), 2);
         assert!(matches!(&body.stmts[0], Stmt::Let { pats, .. } if pats == &["c"]));
         assert!(matches!(
-            body.tail_expr(),
-            Some(Expr::MethodCall { method, .. }) if method == "max"
+            body.stmts.last(),
+            Some(Stmt::Expr { expr: Expr::MethodCall { method, .. }, semi: false }) if method == "max"
         ));
     }
 

@@ -26,47 +26,6 @@ pub const FEATURE_NAMES: [&str; N_FEATURES] = [
 pub struct FeatureVector(pub [f64; N_FEATURES]);
 
 impl FeatureVector {
-    /// Data transmission time, seconds.
-    pub fn transmission_time(&self) -> f64 {
-        self.0[0]
-    }
-    /// Page size without figures, KB.
-    pub fn page_size(&self) -> f64 {
-        self.0[1]
-    }
-    /// Number of downloaded objects.
-    pub fn objects(&self) -> f64 {
-        self.0[2]
-    }
-    /// Number of downloaded JavaScript files.
-    pub fn js_files(&self) -> f64 {
-        self.0[3]
-    }
-    /// Number of downloaded figures.
-    pub fn figures(&self) -> f64 {
-        self.0[4]
-    }
-    /// Total figure size, KB.
-    pub fn figure_size(&self) -> f64 {
-        self.0[5]
-    }
-    /// JavaScript running time, seconds.
-    pub fn js_time(&self) -> f64 {
-        self.0[6]
-    }
-    /// Number of secondary URLs.
-    pub fn second_urls(&self) -> f64 {
-        self.0[7]
-    }
-    /// Page height, px.
-    pub fn page_height(&self) -> f64 {
-        self.0[8]
-    }
-    /// Page width, px.
-    pub fn page_width(&self) -> f64 {
-        self.0[9]
-    }
-
     /// The vector as a GBRT input row.
     pub fn to_vec(&self) -> Vec<f64> {
         self.0.to_vec()
@@ -105,21 +64,6 @@ impl fmt::Display for FeatureVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accessors_match_positions() {
-        let fv = FeatureVector([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
-        assert_eq!(fv.transmission_time(), 1.0);
-        assert_eq!(fv.page_size(), 2.0);
-        assert_eq!(fv.objects(), 3.0);
-        assert_eq!(fv.js_files(), 4.0);
-        assert_eq!(fv.figures(), 5.0);
-        assert_eq!(fv.figure_size(), 6.0);
-        assert_eq!(fv.js_time(), 7.0);
-        assert_eq!(fv.second_urls(), 8.0);
-        assert_eq!(fv.page_height(), 9.0);
-        assert_eq!(fv.page_width(), 10.0);
-    }
 
     #[test]
     fn roundtrip_slice() {

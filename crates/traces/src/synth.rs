@@ -208,12 +208,13 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(1);
         for _ in 0..200 {
             let (key, _, f, _) = s.sample(&mut rng);
+            let [transmission_s, page_kb, objects, .., height, width] = f.0;
             assert!(!key.is_empty());
-            assert!(f.transmission_time() > 0.0);
-            assert!(f.page_size() > 1.0);
-            assert!(f.objects() >= 1.0);
-            assert!(f.page_height() > 100.0);
-            assert!(f.page_width() == 480.0 || f.page_width() == 980.0);
+            assert!(transmission_s > 0.0);
+            assert!(page_kb > 1.0);
+            assert!(objects >= 1.0);
+            assert!(height > 100.0);
+            assert!(width == 480.0 || width == 980.0);
         }
     }
 
@@ -271,9 +272,10 @@ mod tests {
         let mut full = Vec::new();
         for _ in 0..2000 {
             let (_, v, f, _) = s.sample(&mut rng);
+            let page_kb = f.0[1];
             match v {
-                PageVersion::Mobile => mobile.push(f.page_size()),
-                PageVersion::Full => full.push(f.page_size()),
+                PageVersion::Mobile => mobile.push(page_kb),
+                PageVersion::Full => full.push(page_kb),
             }
         }
         let m = ewb_simcore::stats::mean(&mobile);
