@@ -1,12 +1,10 @@
 //! Prints the reports EXPERIMENTS.md is generated from: every entry of
 //! [`ewb_bench::REPORTS`] in order, or only the one `--only NAME` names.
-//! `--quick` shrinks the slow experiments; `--timeline PATH` additionally
-//! exports the reference session's observability timeline as JSON lines
-//! to PATH.
+//! `--quick` shrinks the slow experiments.
 
 use ewb_bench::{cli, Report, REPORTS};
 
-const FLAGS: &[cli::Flag] = &[("--only", "NAME"), ("--quick", ""), ("--timeline", "PATH")];
+const FLAGS: &[cli::Flag] = &[("--only", "NAME"), ("--quick", "")];
 
 fn main() {
     let args = cli::Args::parse(FLAGS);
@@ -21,12 +19,8 @@ fn main() {
         },
     };
     let quick = args.has("--quick");
-    let timeline: Option<String> = args.get("--timeline");
     let ctx = ewb_bench::Context::new();
     for (_, run) in reports {
         print!("{}", run(&ctx, quick));
-    }
-    if let Some(path) = timeline {
-        ewb_bench::write_timeline(&ctx, &path);
     }
 }

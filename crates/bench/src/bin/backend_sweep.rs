@@ -3,23 +3,19 @@
 //! tabulates per-backend power/delay savings — does computation
 //! reorganization still pay off when promotions are cheap?
 //!
-//! Usage: `backend_sweep [--write-golden]`
+//! Usage: `backend_sweep`
 //!
-//! The sweep writes `BENCH_backends.json` into the working directory.
-//! `--write-golden` also refreshes
-//! `crates/core/tests/golden/backends.json`, the summary the
-//! `golden_backends` test pins byte-for-byte.
+//! Every run rewrites `crates/core/tests/golden/backends.json`, the
+//! summary the `golden_backends` test pins byte for byte, so a run that
+//! leaves `git status` clean reproduced the committed sweep.
 
 use ewb_core::cases::Case;
-use ewb_core::experiments::backends::{self, BackendCaseRow, CASES};
+use ewb_core::experiments::backends;
 use ewb_core::rrc::RadioBackend;
-use serde::Serialize;
 
 fn main() {
-    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
+    ewb_bench::cli::Args::parse(&[]);
     let ctx = ewb_bench::Context::new();
-
-    // -- The sweep. ------------------------------------------------------
     let rows = backends::sweep(&ctx.corpus, &ctx.server, &ctx.cfg);
 
     print!(
@@ -55,30 +51,5 @@ fn main() {
         ewb_bench::pct(acc9(RadioBackend::FiveG)),
     );
 
-    // -- Artifacts. ------------------------------------------------------
-    let bench = Bench {
-        backends: RadioBackend::ALL.len(),
-        cases: CASES.len(),
-        rows: rows.clone(),
-    };
-    let json = serde_json::to_string(&bench).expect("the BENCH record is always serializable");
-    ewb_bench::write_atomic("BENCH_backends.json", json);
-    println!("wrote BENCH_backends.json");
-
-    if args.has("--write-golden") {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../core/tests/golden/backends.json"
-        );
-        ewb_bench::write_atomic(path, backends::summary_json(&rows));
-        eprintln!("wrote {path}");
-    }
-}
-
-/// The tracked benchmark artifact: every sweep cell.
-#[derive(Serialize)]
-struct Bench {
-    backends: usize,
-    cases: usize,
-    rows: Vec<BackendCaseRow>,
+    ewb_bench::write_golden("backends.json", backends::summary_json(&rows));
 }

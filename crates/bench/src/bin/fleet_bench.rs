@@ -1,8 +1,9 @@
 //! Fleet-scale population run: the population distributions the
-//! sharded work-stealing simulator in `ewb-fleet` produces. Prints a
-//! summary and writes `BENCH_fleet.json`.
+//! sharded work-stealing simulator in `ewb-fleet` produces, run through
+//! the crash-safe supervisor (`run_fleet_supervised`).
 //!
-//! Usage: `fleet_bench [--smoke] [--users N] [--shards N]`
+//! Usage: `fleet_bench [--smoke] [--users N] [--shards N] [--checkpoint
+//! PATH] [--resume] [--kill-after N] [--chaos-panic SHARD:USER]...`
 //!
 //! The default is a 100 000-user population with 64 shards; the
 //! committed `BENCH_fleet.json` is that run, and running the binary with
@@ -10,29 +11,31 @@
 //! 2 000 users × 4 shards, the CI chaos job's population; an explicit
 //! `--users` or `--shards` wins wherever it appears. The run uses
 //! `available_parallelism().min(8)` threads; the merged summary does not
-//! depend on the shard or thread count (`ewb-fleet`'s determinism tests
-//! assert it). The file records no host time: fleet host time is
-//! perfbench's to measure (`fleet_predict9`, `fleet_oracle9`, traced
+//! depend on the shard or thread count, the commit interval, a resume or
+//! an absorbed panic (`ewb-fleet`'s determinism and resume tests assert
+//! it). The file records no host time: fleet host time is perfbench's to
+//! measure (`fleet_predict9`, `fleet_oracle9`, traced
 //! `fleet.parallel_eff`).
 //!
-//! Crash-safety flags (any of them switches to a supervised run, printing
-//! a `summary_fingerprint:` line the CI chaos job compares across clean,
-//! killed, and resumed runs, and writing no file):
+//! Every run prints the supervisor's recovery line, the population and
+//! load-time lines and a `summary_fingerprint:` line, which the CI chaos
+//! job compares across clean, killed and resumed runs, and then writes
+//! `BENCH_fleet.json` into the working directory. With no crash-safety
+//! flag there is no checkpoint and no chaos:
 //!
-//! * `--supervised` — run under the supervisor with no other chaos.
 //! * `--checkpoint PATH` — commit per-shard progress to PATH (atomic
-//!   tmp+rename) as the run proceeds.
+//!   tmp+rename) every `users / 64` users.
 //! * `--resume` — start from the checkpoint instead of from scratch.
-//! * `--kill-after N` — stop (exit code 3) once N users are committed:
-//!   the deterministic stand-in for `kill -9`.
+//! * `--kill-after N` — stop (exit code 3, no BENCH file) once N users
+//!   are committed: the deterministic stand-in for `kill -9`.
 //! * `--chaos-panic SHARD:USER` — inject a worker panic when SHARD
 //!   reaches USER on its first attempt (repeatable); the supervisor must
 //!   absorb it.
 
 use ewb_bench::cli;
 use ewb_fleet::{
-    run_fleet, run_fleet_supervised, summary_fingerprint, ChaosConfig, FleetConfig, FleetEnv,
-    FleetError, FleetSummary, PanicPoint, SupervisorOptions,
+    run_fleet_supervised, summary_fingerprint, ChaosConfig, FleetConfig, FleetEnv, FleetError,
+    FleetSummary, PanicPoint, SupervisorOptions,
 };
 use serde::Serialize;
 use std::path::PathBuf;
@@ -40,7 +43,6 @@ use std::path::PathBuf;
 struct Args {
     users: u64,
     shards: usize,
-    supervised: bool,
     checkpoint: Option<PathBuf>,
     resume: bool,
     kill_after: Option<u64>,
@@ -48,15 +50,6 @@ struct Args {
 }
 
 impl Args {
-    /// Any crash-safety flag selects the supervised run.
-    fn wants_supervised(&self) -> bool {
-        self.supervised
-            || self.checkpoint.is_some()
-            || self.resume
-            || self.kill_after.is_some()
-            || !self.chaos_panics.is_empty()
-    }
-
     /// The fleet the flags ask for, run on `threads` workers.
     fn config(&self, threads: usize) -> FleetConfig {
         FleetConfig {
@@ -71,7 +64,6 @@ const FLAGS: &[cli::Flag] = &[
     ("--smoke", ""),
     ("--users", "N"),
     ("--shards", "N"),
-    ("--supervised", ""),
     ("--checkpoint", "PATH"),
     ("--resume", ""),
     ("--kill-after", "N"),
@@ -99,7 +91,6 @@ fn parse_args(cli: &cli::Args) -> Args {
     let args = Args {
         users: cli.get("--users").unwrap_or(users),
         shards: cli.get("--shards").unwrap_or(shards),
-        supervised: cli.has("--supervised"),
         checkpoint: cli.get("--checkpoint"),
         resume: cli.has("--resume"),
         kill_after: cli.get("--kill-after"),
@@ -115,10 +106,9 @@ fn parse_args(cli: &cli::Args) -> Args {
     args
 }
 
-/// The supervised path: one run under the crash-safe runner, a
-/// `summary_fingerprint:` line for the CI chaos job to diff, exit code 3
-/// when the deterministic kill switch trips.
-fn run_supervised(env: &FleetEnv, cfg: &FleetConfig, args: &Args) {
+fn main() {
+    let args = parse_args(&cli::Args::parse(FLAGS));
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
     let chaos = ChaosConfig {
         panics: args.chaos_panics.clone(),
         ..ChaosConfig::none()
@@ -129,27 +119,9 @@ fn run_supervised(env: &FleetEnv, cfg: &FleetConfig, args: &Args) {
         commit_every_users: (args.users / 64).max(1),
         kill_after_users: args.kill_after,
     };
-    match run_fleet_supervised(env, cfg, &chaos, &options) {
-        Ok(report) => {
-            println!(
-                "supervised run complete: {} users ({} resumed from checkpoint), \
-                 {} panic(s) absorbed, {} shard(s) reclaimed, {} checkpoint commit(s)",
-                report.summary.users,
-                report.users_resumed,
-                report.worker_panics,
-                report.shards_reclaimed,
-                report.checkpoint_commits,
-            );
-            println!(
-                "population: saved {:.1} J/user/day mean, optimized p95 load {:.2} s",
-                report.summary.saved_mean_j(),
-                report.summary.load_quantile_s(true, 0.95),
-            );
-            println!(
-                "summary_fingerprint: {:#010x}",
-                summary_fingerprint(&report.summary)
-            );
-        }
+    let env = FleetEnv::prepare();
+    let report = match run_fleet_supervised(&env, &args.config(threads), &chaos, &options) {
+        Ok(report) => report,
         Err(e @ FleetError::Interrupted { .. }) => {
             println!("{e}");
             std::process::exit(3);
@@ -158,19 +130,17 @@ fn run_supervised(env: &FleetEnv, cfg: &FleetConfig, args: &Args) {
             eprintln!("fleet run failed: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-fn main() {
-    let args = parse_args(&cli::Args::parse(FLAGS));
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-    let cfg = args.config(threads);
-    let env = FleetEnv::prepare();
-    if args.wants_supervised() {
-        run_supervised(&env, &cfg, &args);
-        return;
-    }
-    let summary = run_fleet(&env, &cfg);
+    };
+    println!(
+        "run complete: {} users ({} resumed from checkpoint), {} panic(s) absorbed, \
+         {} shard(s) reclaimed, {} checkpoint commit(s)",
+        report.summary.users,
+        report.users_resumed,
+        report.worker_panics,
+        report.shards_reclaimed,
+        report.checkpoint_commits,
+    );
+    let summary = &report.summary;
     println!(
         "population: saved {:.1} J/user/day mean ({:.1}% of baseline), p50 {:.1} J",
         summary.saved_mean_j(),
@@ -186,7 +156,7 @@ fn main() {
         summary.load_quantile_s(true, 0.95),
         summary.load_quantile_s(true, 0.99),
     );
-    let bench = Bench::of(&summary, args.shards);
+    let bench = Bench::of(summary, args.shards);
     println!("summary_fingerprint: {}", bench.summary_fingerprint);
     let json = serde_json::to_string(&bench).expect("the BENCH record is always serializable");
     ewb_bench::write_atomic("BENCH_fleet.json", json);
@@ -294,10 +264,8 @@ mod tests {
     fn smoke_changes_only_the_default_population() {
         let smoke = args(&["--smoke"]);
         assert_eq!((smoke.users, smoke.shards), (2_000, 4));
-        assert!(!smoke.wants_supervised());
         let full = args(&[]);
         assert_eq!((full.users, full.shards), (100_000, 64));
-        assert!(!full.wants_supervised());
     }
 
     #[test]
@@ -309,6 +277,5 @@ mod tests {
             on_attempt: 0,
         };
         assert_eq!(a.chaos_panics, [point(2, 117), point(0, 5)]);
-        assert!(a.wants_supervised());
     }
 }

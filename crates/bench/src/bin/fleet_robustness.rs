@@ -13,24 +13,22 @@
 //!    savings degrade gracefully toward the intuitive line.
 //!
 //! The printed tables are the basis of the EXPERIMENTS.md "population
-//! robustness" section.
+//! robustness" section. The output records no host time, so it depends
+//! only on `--smoke`.
 
 use ewb_core::cases::Case;
 use ewb_core::profile::FaultTier;
 use ewb_fleet::{run_fleet, FleetConfig, FleetEnv};
-use std::time::Instant;
 
 fn main() {
     let args = ewb_bench::cli::Args::parse(&[("--smoke", "")]);
     let users: u64 = if args.has("--smoke") { 500 } else { 5_000 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let prep_start = Instant::now();
     let env = FleetEnv::prepare_tiered(&FaultTier::ALL);
     println!(
-        "prepared {} fault tiers in {:.2} s ({users} users per cell, seed 2013)",
-        FaultTier::ALL.len(),
-        prep_start.elapsed().as_secs_f64()
+        "prepared {} fault tiers ({users} users per cell, seed 2013)",
+        FaultTier::ALL.len()
     );
 
     let base = FleetConfig {

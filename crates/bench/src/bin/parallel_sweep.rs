@@ -1,7 +1,7 @@
 //! Intra-page parallelism sweep: per-plan latency/energy over the
 //! image-heavy full benchmark pages, plus the learned controller row.
 //!
-//! Usage: `parallel_sweep [--write-golden]`
+//! Usage: `parallel_sweep`
 //!
 //! Before printing anything the binary runs the plan-invariance oracle
 //! (`ewb_check::pipeline::check_parallel_all`): on a clean link, every
@@ -11,16 +11,16 @@
 //! three pages in both pipeline modes. A red differential bit can never
 //! ship inside a green sweep.
 //!
-//! The sweep writes `BENCH_parallel.json` into the working directory.
-//! `--write-golden` also refreshes
-//! `crates/core/tests/golden/parallel.json`, the summary the
-//! `golden_parallel` test pins byte-for-byte.
+//! Once the gate and the sweep's two acceptance checks (the 4-thread
+//! speedup reaches 1.5x, the learned controller never loses energy)
+//! pass, every run rewrites `crates/core/tests/golden/parallel.json`,
+//! the sweep and feature→plan table the `golden_parallel` test pins
+//! byte for byte.
 
-use ewb_core::experiments::parallel::{self, PlanRow};
-use serde::Serialize;
+use ewb_core::experiments::parallel;
 
 fn main() {
-    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
+    ewb_bench::cli::Args::parse(&[]);
     let ctx = ewb_bench::Context::new();
 
     // -- Plan-invariance oracle before any reporting. --------------------
@@ -91,35 +91,5 @@ fn main() {
         table.len(),
     );
 
-    // -- Artifacts. ------------------------------------------------------
-    let bench = Bench {
-        differential_grid_ok: true,
-        plans: rows.len(),
-        speedup_4t: d4.pipeline_speedup,
-        learned_energy_saving: learned.energy_saving,
-        rows: rows.clone(),
-    };
-    let json = serde_json::to_string(&bench).expect("the BENCH record is always serializable");
-    ewb_bench::write_atomic("BENCH_parallel.json", json);
-    println!("wrote BENCH_parallel.json");
-
-    if args.has("--write-golden") {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../core/tests/golden/parallel.json"
-        );
-        ewb_bench::write_atomic(path, parallel::summary_json(&rows, &table));
-        eprintln!("wrote {path}");
-    }
-}
-
-/// The tracked benchmark artifact: oracle verdict, headline numbers,
-/// and every sweep cell.
-#[derive(Serialize)]
-struct Bench {
-    differential_grid_ok: bool,
-    plans: usize,
-    speedup_4t: f64,
-    learned_energy_saving: f64,
-    rows: Vec<PlanRow>,
+    ewb_bench::write_golden("parallel.json", parallel::summary_json(&rows, &table));
 }

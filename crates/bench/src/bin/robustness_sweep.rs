@@ -1,28 +1,24 @@
 //! Robustness loss sweep (fault profile × loss rate, both browsers).
-//! `--write-golden` refreshes the golden artifacts the CI jobs pin
-//! (`crates/core/tests/golden/robustness.json` and the observability
-//! timeline `crates/core/tests/golden/timeline.jsonl`).
+//!
+//! Usage: `robustness_sweep`
+//!
+//! Prints the sweep table, then rewrites the two goldens the tier-1
+//! tests pin byte for byte: the sweep summary
+//! `crates/core/tests/golden/robustness.json` and the reference
+//! session's observability timeline
+//! `crates/core/tests/golden/timeline.jsonl`
+//! ([`ewb_core::experiments::timeline`]).
+
+use ewb_bench::REPORT_SEED;
+use ewb_core::experiments::{robustness, timeline};
+
 fn main() {
-    let args = ewb_bench::cli::Args::parse(&[("--write-golden", "")]);
+    ewb_bench::cli::Args::parse(&[]);
     let ctx = ewb_bench::Context::new();
-    print!("{}", ewb_bench::reports::robustness_report(&ctx));
-    if args.has("--write-golden") {
-        let rows = ewb_core::experiments::robustness::sweep(
-            &ctx.corpus,
-            &ctx.server,
-            &ctx.cfg,
-            ewb_bench::REPORT_SEED,
-        );
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../core/tests/golden/robustness.json"
-        );
-        ewb_bench::write_atomic(path, ewb_core::experiments::robustness::summary_json(&rows));
-        eprintln!("wrote {path}");
-        let timeline_path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../core/tests/golden/timeline.jsonl"
-        );
-        ewb_bench::write_timeline(&ctx, timeline_path);
-    }
+    let rows = robustness::sweep(&ctx.corpus, &ctx.server, &ctx.cfg, REPORT_SEED);
+    print!("{}", ewb_bench::reports::robustness_report(&rows));
+    ewb_bench::write_golden("robustness.json", robustness::summary_json(&rows));
+    let (events, _) =
+        timeline::record_session_timeline(&ctx.corpus, &ctx.server, &ctx.cfg, REPORT_SEED);
+    ewb_bench::write_golden("timeline.jsonl", ewb_core::obs::timeline::to_jsonl(&events));
 }

@@ -4,8 +4,9 @@
 //! formatted report [`REPORTS`] names it by. `cargo run -p ewb-bench
 //! --release --bin all_figures` prints them all (that output is the basis
 //! of EXPERIMENTS.md); `-- --only <name>` regenerates a single artifact.
-//! The other binaries run the sweeps, fleet runs and checks that write
-//! goldens or BENCH files; every binary parses its flags through [`cli`].
+//! The other binaries run the sweeps, fleet runs and checks; each sweep
+//! rewrites its golden files and `fleet_bench` its BENCH file on every
+//! run. Every binary parses its flags through [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -107,29 +108,16 @@ pub fn write_atomic(path: &str, contents: impl AsRef<[u8]>) {
     std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
-/// Records the reference observability timeline
-/// ([`ewb_core::experiments::timeline`]) at [`REPORT_SEED`] and writes it
-/// as JSON lines to `path` (atomically, via [`write_atomic`]).
+/// Rewrites the golden file `name` under `crates/core/tests/golden/`, the
+/// record a tier-1 test pins byte for byte, via [`write_atomic`].
 ///
 /// # Panics
 ///
-/// Panics if `path` is not writable.
-pub fn write_timeline(ctx: &Context, path: &str) {
-    let (events, outcome) = ewb_core::experiments::timeline::record_session_timeline(
-        &ctx.corpus,
-        &ctx.server,
-        &ctx.cfg,
-        REPORT_SEED,
-    );
-    write_atomic(
-        path,
-        ewb_core::experiments::timeline::timeline_jsonl(&events),
-    );
-    eprintln!(
-        "wrote {path} ({} events, {:.2} J)",
-        events.len(),
-        outcome.total_joules
-    );
+/// Panics if the file is not writable.
+pub fn write_golden(name: &str, contents: impl AsRef<[u8]>) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/golden");
+    write_atomic(&format!("{dir}/{name}"), contents);
+    println!("wrote crates/core/tests/golden/{name}");
 }
 
 /// Formats a fraction as a signed percentage.

@@ -4,8 +4,9 @@ use crate::{header, pct, Context, REPORT_SEED};
 use ewb_core::browser::pipeline::{load_page, PipelineConfig, PipelineMode};
 use ewb_core::capacity::erlang_b;
 use ewb_core::cases::Case;
+use ewb_core::experiments::robustness::RobustnessRow;
 use ewb_core::experiments::{
-    capacity_exp, cases16, display, energy, loadtime, power_trace, robustness, traffic,
+    capacity_exp, cases16, display, energy, loadtime, power_trace, traffic,
 };
 use ewb_core::gbrt::GbrtParams;
 use ewb_core::net::ThreeGFetcher;
@@ -702,13 +703,13 @@ pub fn table7() -> String {
     out
 }
 
-/// Robustness — the loss sweep: fault profile × loss rate, both browsers.
-pub fn robustness_report(ctx: &Context) -> String {
+/// Robustness — the loss sweep's `rows` (fault profile × loss rate,
+/// both browsers, at [`REPORT_SEED`]) as a table.
+pub fn robustness_report(rows: &[RobustnessRow]) -> String {
     let mut out = header(
         "Robustness — energy-aware browsing on a faulty 3G link",
         "not in the paper: fault-injection extension (loss sweep, fixed seed)",
     );
-    let rows = robustness::sweep(&ctx.corpus, &ctx.server, &ctx.cfg, REPORT_SEED);
     let _ = writeln!(
         out,
         "mobile benchmark, 20 s reading, seed {REPORT_SEED}; means across sites\n"
@@ -718,7 +719,7 @@ pub fn robustness_report(ctx: &Context) -> String {
         "  {:<8} {:>5} {:>11} {:>11} {:>11} {:>11} {:>9} {:>9} {:>9}",
         "profile", "loss", "orig load", "orig J", "ea load", "ea J", "saving", "degraded", "failed"
     );
-    for r in &rows {
+    for r in rows {
         let _ = writeln!(
             out,
             "  {:<8} {:>4.0}% {:>10.2}s {:>10.1}J {:>10.2}s {:>10.1}J {:>9} {:>9} {:>9}",

@@ -1,6 +1,6 @@
 //! Strict flags: the shared parser, every binary's refusal of a flag it
-//! does not know, and the docs naming only binaries and reports that
-//! exist.
+//! does not know, and the docs naming only binaries, reports and flags
+//! that exist.
 
 use ewb_bench::cli::{Args, Flag};
 use ewb_bench::REPORTS;
@@ -127,11 +127,7 @@ fn malformed_values_exit_2() {
     ] {
         assert_usage_error(bin("check_all"), args);
     }
-    for args in [
-        &["--users", "0"][..],
-        &["--shards", "0"],
-        &["--supervised", "--users", "0"],
-    ] {
+    for args in [&["--users", "0"][..], &["--shards", "0"]] {
         assert_usage_error(bin("fleet_bench"), args);
     }
 }
@@ -152,8 +148,37 @@ fn named_after<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// The `--flag`s of each `--bin NAME -- ARGS` in `line`, paired with
+/// NAME: ARGS runs to the end of the line or the first backtick, pipe,
+/// `;`, `&` or `>`.
+fn flags_after_bins(line: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    for command in line.split("--bin ").skip(1) {
+        let name_end = command.find(char::is_whitespace).unwrap_or(command.len());
+        let Some(args) = command[name_end..].trim_start().strip_prefix("-- ") else {
+            continue;
+        };
+        let args = &args[..args.find(['`', '|', ';', '&', '>']).unwrap_or(args.len())];
+        for word in args.split_whitespace().filter(|w| w.starts_with("--")) {
+            let end = word[2..]
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .map_or(word.len(), |i| i + 2);
+            out.push((&command[..name_end], &word[..end]));
+        }
+    }
+    out
+}
+
 #[test]
 fn docs_name_only_existing_binaries_and_reports() {
+    let usages: Vec<(&str, String)> = BINS
+        .iter()
+        .map(|&bin| {
+            let stderr = assert_usage_error(bin, &["--no-such-flag"]);
+            let usage = stderr.lines().find(|l| l.starts_with("usage:"));
+            (bin.0, usage.expect("a usage line").to_string())
+        })
+        .collect();
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for doc in [
         "README.md",
@@ -177,5 +202,26 @@ fn docs_name_only_existing_binaries_and_reports() {
                 "{doc}: --only {name}"
             );
         }
+        for (name, flag) in text.lines().flat_map(flags_after_bins) {
+            let (_, usage) = usages
+                .iter()
+                .find(|(bin, _)| *bin == name)
+                .unwrap_or_else(|| panic!("{doc}: --bin {name}"));
+            assert!(
+                usage.contains(&format!("[{flag}]")) || usage.contains(&format!("[{flag} ")),
+                "{doc}: --bin {name} -- {flag}, but {usage}"
+            );
+        }
     }
+}
+
+#[test]
+fn flags_after_bins_reads_each_command_on_a_line() {
+    assert_eq!(
+        flags_after_bins(
+            "`cargo run --bin a -- --x 3 --y-z, --w` and `--bin b`, --bin c -- --v | tee --u"
+        ),
+        [("a", "--x"), ("a", "--y-z"), ("a", "--w"), ("c", "--v")]
+    );
+    assert!(flags_after_bins("--bin a --not-args").is_empty());
 }

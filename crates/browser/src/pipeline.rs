@@ -95,50 +95,6 @@ impl PipelineConfig {
 /// processed objects.
 const PROGRESSIVE_BATCH: usize = 3;
 
-/// The paper's Table 1 feature vector, extracted from a load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PageFeatures {
-    /// Data transmission time, seconds.
-    pub transmission_time_s: f64,
-    /// Page size without figures, KB.
-    pub page_size_kb: f64,
-    /// Number of downloaded objects.
-    pub download_objects: f64,
-    /// Number of downloaded JavaScript files.
-    pub download_js: f64,
-    /// Number of downloaded figures.
-    pub download_figures: f64,
-    /// Total size of downloaded figures, KB.
-    pub figure_size_kb: f64,
-    /// JavaScript running time, seconds.
-    pub js_running_time_s: f64,
-    /// Number of secondary URLs.
-    pub second_urls: f64,
-    /// Page height, px.
-    pub page_height: f64,
-    /// Page width, px.
-    pub page_width: f64,
-}
-
-impl PageFeatures {
-    /// The features as the 10-element input vector `x = {x1..x10}` the
-    /// GBRT predictor consumes, in Table 1 order.
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![
-            self.transmission_time_s,
-            self.page_size_kb,
-            self.download_objects,
-            self.download_js,
-            self.download_figures,
-            self.figure_size_kb,
-            self.js_running_time_s,
-            self.second_urls,
-            self.page_height,
-            self.page_width,
-        ]
-    }
-}
-
 /// Everything measured during one page load.
 #[derive(Debug, Clone)]
 pub struct LoadMetrics {
@@ -244,20 +200,24 @@ impl LoadMetrics {
         }
     }
 
-    /// The Table 1 feature vector.
-    pub fn features(&self) -> PageFeatures {
-        PageFeatures {
-            transmission_time_s: self.transmission_time().as_secs_f64(),
-            page_size_kb: self.text_bytes_fetched as f64 / 1024.0,
-            download_objects: self.objects_fetched as f64,
-            download_js: self.js_objects as f64,
-            download_figures: self.image_objects as f64,
-            figure_size_kb: self.image_bytes as f64 / 1024.0,
-            js_running_time_s: self.work.js.as_secs_f64(),
-            second_urls: self.secondary_urls as f64,
-            page_height: self.page_height,
-            page_width: self.page_width,
-        }
+    /// The paper's Table 1 feature vector `x = {x1..x10}`, in Table 1
+    /// order: transmission time (s), page size without figures (KB),
+    /// downloaded objects, JavaScript files and figures, figure size
+    /// (KB), JavaScript running time (s), secondary URLs, page height
+    /// and width (px).
+    pub fn features(&self) -> [f64; 10] {
+        [
+            self.transmission_time().as_secs_f64(),
+            self.text_bytes_fetched as f64 / 1024.0,
+            self.objects_fetched as f64,
+            self.js_objects as f64,
+            self.image_objects as f64,
+            self.image_bytes as f64 / 1024.0,
+            self.work.js.as_secs_f64(),
+            self.secondary_urls as f64,
+            self.page_height,
+            self.page_width,
+        ]
     }
 }
 
@@ -1044,15 +1004,14 @@ mod tests {
     fn features_are_sane() {
         let ea = load(PipelineMode::EnergyAware, "espn", PageVersion::Full);
         let f = ea.features();
-        assert!(f.page_size_kb > 100.0);
-        assert!(f.download_figures >= 40.0);
-        assert!(f.figure_size_kb > 300.0);
-        assert!(f.download_js >= 8.0);
-        assert!(f.js_running_time_s > 0.5);
-        assert!(f.second_urls >= 20.0);
-        assert!(f.page_height > 2000.0);
-        assert!(f.page_width >= 980.0);
-        assert_eq!(f.to_vec().len(), 10);
+        assert!(f[1] > 100.0, "page size {} KB", f[1]);
+        assert!(f[4] >= 40.0, "{} figures", f[4]);
+        assert!(f[5] > 300.0, "figure size {} KB", f[5]);
+        assert!(f[3] >= 8.0, "{} JavaScript files", f[3]);
+        assert!(f[6] > 0.5, "JavaScript running time {} s", f[6]);
+        assert!(f[7] >= 20.0, "{} secondary URLs", f[7]);
+        assert!(f[8] > 2000.0, "page height {} px", f[8]);
+        assert!(f[9] >= 980.0, "page width {} px", f[9]);
     }
 
     #[test]

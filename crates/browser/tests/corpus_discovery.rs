@@ -76,12 +76,12 @@ proptest! {
         prop_assert_eq!(metrics.fetch_failures, 0);
         // The Table 1 features must be internally consistent too.
         let f = metrics.features();
-        prop_assert_eq!(f.download_js as usize, spec.n_scripts);
+        prop_assert_eq!(f[3] as usize, spec.n_scripts);
         prop_assert_eq!(
-            f.download_figures as usize,
+            f[4] as usize,
             spec.n_images + spec.js_fetches + spec.css_image_refs
         );
-        prop_assert!(f.page_height >= 0.0);
+        prop_assert!(f[8] >= 0.0);
     }
 
     /// The energy-aware transmission phase never ends before the last

@@ -294,12 +294,11 @@ mod tests {
         assert!(v.is_empty(), "{} violations, first: {}", v.len(), v[0]);
     }
 
+    /// The pages and modes `parallel_sweep`'s gate loads, at its seed.
     #[test]
     fn parallel_plan_invariance_holds() {
-        for mode in [PipelineMode::Original, PipelineMode::EnergyAware] {
-            let v = check_plan_invariance(2013, "espn", PageVersion::Full, mode);
-            assert!(v.is_empty(), "{mode:?}: {v:?}");
-        }
+        let v = check_parallel_all(2013);
+        assert!(v.is_empty(), "{} violations, first: {}", v.len(), v[0]);
     }
 
     /// The diff reports exactly the field that differs, for every field

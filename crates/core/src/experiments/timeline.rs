@@ -1,12 +1,13 @@
 //! Reference session timeline — the fixed trace the golden timeline test
-//! pins and the `--timeline` flag of the bench bins exports.
+//! pins and `robustness_sweep` rewrites.
 //!
 //! One deterministic two-visit mobile browsing session (msn then aol,
 //! energy-aware pipeline, lossy radio) is run with a memory recorder
 //! attached, and the full cross-layer event stream — page visits,
 //! transfers, retries, browser stage spans, RRC transitions, timers, and
 //! the energy ledger — is returned in simulation-time order. Serialized
-//! as JSON lines it becomes `crates/core/tests/golden/timeline.jsonl`:
+//! as JSON lines by [`ewb_obs::timeline::to_jsonl`] it becomes
+//! `crates/core/tests/golden/timeline.jsonl`:
 //! any change to the fault models, the fetcher, the pipelines, or the
 //! RRC machine that shifts a single event shows up as a golden diff.
 
@@ -78,13 +79,6 @@ pub fn record_session_timeline(
     (timeline::sorted(&recorder.events()), outcome)
 }
 
-/// Serializes an event stream as the JSON-lines timeline the golden test
-/// pins and `--timeline PATH` writes: one event per line, sorted by
-/// simulation time, with a trailing newline.
-pub fn timeline_jsonl(events: &[Event]) -> String {
-    timeline::to_jsonl(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +92,7 @@ mod tests {
         let cfg = CoreConfig::paper();
         let (a, _) = record_session_timeline(&corpus, &server, &cfg, 2013);
         let (b, _) = record_session_timeline(&corpus, &server, &cfg, 2013);
-        assert_eq!(timeline_jsonl(&a), timeline_jsonl(&b));
+        assert_eq!(timeline::to_jsonl(&a), timeline::to_jsonl(&b));
     }
 
     #[test]

@@ -375,7 +375,7 @@ pub fn simulate_session<R: RadioModel>(
             || {
                 let features = visit
                     .features
-                    .unwrap_or_else(|| FeatureVector::from_slice(&metrics.features().to_vec()));
+                    .unwrap_or_else(|| FeatureVector(metrics.features()));
                 predictor.expect("checked above").predict_seconds(&features)
             },
         );

@@ -2,7 +2,7 @@
 //! reproduce the committed JSON byte-for-byte. Any drift in the
 //! `RadioModel` plumbing, the ladder machines, or the pipelines shows up
 //! here — and must be reviewed by regenerating the golden file with
-//! `cargo run -p ewb-bench --release --bin backend_sweep -- --write-golden`.
+//! `cargo run -p ewb-bench --release --bin backend_sweep`.
 
 use ewb_core::cases::Case;
 use ewb_core::experiments::backends::{self, CASES};
@@ -24,7 +24,7 @@ fn backend_sweep_matches_golden() {
     let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden summary {path}: {e}; regenerate with \
-             `cargo run -p ewb-bench --release --bin backend_sweep -- --write-golden`"
+             `cargo run -p ewb-bench --release --bin backend_sweep`"
         )
     });
     assert_eq!(

@@ -4,7 +4,7 @@
 //! overhead, the helper-core energy replay, the GBRT trainer, or the
 //! chooser's tie-breaking shows up here — and must be reviewed by
 //! regenerating the golden file with
-//! `cargo run -p ewb-bench --release --bin parallel_sweep -- --write-golden`.
+//! `cargo run -p ewb-bench --release --bin parallel_sweep`.
 
 use ewb_core::browser::parallel::ParallelismPlan;
 use ewb_core::experiments::parallel::{self, ParallelSummary};
@@ -21,7 +21,7 @@ fn golden() -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden summary {path}: {e}; regenerate with \
-             `cargo run -p ewb-bench --release --bin parallel_sweep -- --write-golden`"
+             `cargo run -p ewb-bench --release --bin parallel_sweep`"
         )
     })
 }

@@ -3,7 +3,7 @@
 //! retry policy, the RRC machine, or the pipelines that shifts a single
 //! bit of the sweep shows up here — and must be reviewed by regenerating
 //! the golden file with
-//! `cargo run -p ewb-bench --release --bin robustness_sweep -- --write-golden`.
+//! `cargo run -p ewb-bench --release --bin robustness_sweep`.
 
 use ewb_core::experiments::robustness;
 use ewb_core::webpage::{benchmark_corpus, OriginServer};
@@ -24,7 +24,7 @@ fn robustness_summary_matches_golden() {
     let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden summary {path}: {e}; regenerate with \
-             `cargo run -p ewb-bench --release --bin robustness_sweep -- --write-golden`"
+             `cargo run -p ewb-bench --release --bin robustness_sweep`"
         )
     });
     assert_eq!(

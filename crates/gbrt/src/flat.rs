@@ -37,7 +37,6 @@
 //! forest size and a block's leaf sets stay in L1 cache.
 
 use crate::boost::GbrtModel;
-use crate::loss::Loss;
 
 /// Trees per block. A tree's index within its block fits a `u8`.
 const BLOCK: usize = 256;
@@ -60,7 +59,6 @@ const BLOCK: usize = 256;
 pub struct FlatForest {
     init: f64,
     n_features: usize,
-    loss: Loss,
     /// Entry range of each (block, feature) list: list `b * n_features +
     /// f` holds entries `lists[i]..lists[i + 1]`.
     lists: Vec<u32>,
@@ -111,7 +109,6 @@ impl FlatForest {
         FlatForest {
             init: model.initial_value(),
             n_features,
-            loss: model.loss(),
             lists,
             thresholds: entries.iter().map(|e| e.1).collect(),
             trees: entries.iter().map(|e| e.2).collect(),
@@ -203,29 +200,9 @@ impl FlatForest {
         self.score(x, m)
     }
 
-    /// The constant initial model `F0`.
-    pub fn initial_value(&self) -> f64 {
-        self.init
-    }
-
     /// Number of trees `M`.
     pub fn n_trees(&self) -> usize {
         self.leaf_start.len()
-    }
-
-    /// Number of input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Total node count across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.leaves.len() + self.thresholds.len()
-    }
-
-    /// The loss the source model was trained with.
-    pub fn loss(&self) -> Loss {
-        self.loss
     }
 }
 
@@ -390,27 +367,7 @@ mod tests {
                 model.predict_staged(x, m).to_bits()
             );
         }
-        assert_eq!(flat.predict_staged(x, 0), flat.initial_value());
-    }
-
-    #[test]
-    fn metadata_carries_over() {
-        let data = problem(80, 3);
-        let model = Gbrt::fit(
-            &data,
-            &GbrtParams {
-                n_trees: 5,
-                ..GbrtParams::default()
-            },
-        );
-        let flat = FlatForest::from_model(&model);
-        assert_eq!(flat.n_features(), model.n_features());
-        assert_eq!(flat.initial_value(), model.initial_value());
-        assert_eq!(flat.loss(), model.loss());
-        assert_eq!(
-            flat.n_nodes(),
-            model.trees().iter().map(|t| t.n_nodes()).sum::<usize>()
-        );
+        assert_eq!(flat.predict_staged(x, 0), model.initial_value());
     }
 
     #[test]

@@ -2,30 +2,17 @@
 //!
 //! The workspace has no TOML dependency (vendored stand-ins only), so this
 //! module hand-parses the small TOML subset the policy needs: `[section]`
-//! and `[section.sub]` headers, `key = "string"`, `key = true/false`,
-//! `key = 123`, and `key = ["a", "b"]` (single-line arrays). Comments
-//! start with `#`. Anything outside this subset is a hard error — the
-//! policy file gating CI must not half-parse.
+//! and `[section.sub]` headers and `key = ["a", "b"]` (single-line string
+//! arrays). Comments start with `#`. Anything outside this subset,
+//! scalar values included, is a hard error — the policy file gating CI
+//! must not half-parse.
 
 use std::collections::BTreeMap;
 
-/// A parsed policy value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An integer.
-    Int(i64),
-    /// An array of strings.
-    StrArray(Vec<String>),
-}
-
-/// The full policy: `section.key` → value, plus accessors with defaults.
+/// The full policy: `section.key` → its string array.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Policy {
-    entries: BTreeMap<String, Value>,
+    entries: BTreeMap<String, Vec<String>>,
 }
 
 impl Policy {
@@ -55,32 +42,15 @@ impl Policy {
             } else {
                 format!("{section}.{key}")
             };
-            let value = parse_value(val.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
+            let value = parse_array(val.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
             entries.insert(full_key, value);
         }
         Ok(Policy { entries })
     }
 
-    /// String-array lookup; missing key yields an empty slice.
+    /// String-array lookup; missing key yields an empty list.
     pub fn list(&self, key: &str) -> Vec<String> {
-        match self.entries.get(key) {
-            Some(Value::StrArray(v)) => v.clone(),
-            Some(Value::Str(s)) => vec![s.clone()],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Bool lookup with a default.
-    pub fn flag(&self, key: &str, default: bool) -> bool {
-        match self.entries.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-
-    /// Raw lookup.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+        self.entries.get(key).cloned().unwrap_or_default()
     }
 
     /// The workspace `lint.toml`, compiled in: the policy used when the
@@ -91,39 +61,29 @@ impl Policy {
     }
 }
 
-fn parse_value(s: &str) -> Result<Value, String> {
-    if s == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if s == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(rest) = s.strip_prefix('[') {
-        let Some(body) = rest.strip_suffix(']') else {
-            return Err("unterminated array (arrays must be single-line)".into());
-        };
-        let mut out = Vec::new();
-        for part in split_top_level(body) {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            match parse_value(part)? {
-                Value::Str(s) => out.push(s),
-                _ => return Err("only string arrays are supported".into()),
-            }
+/// Parses `["a", "b"]`, a single-line array of strings.
+fn parse_array(s: &str) -> Result<Vec<String>, String> {
+    let Some(rest) = s.strip_prefix('[') else {
+        return Err(format!("cannot parse value `{s}`"));
+    };
+    let Some(body) = rest.strip_suffix(']') else {
+        return Err("unterminated array (arrays must be single-line)".into());
+    };
+    let mut out = Vec::new();
+    for part in split_top_level(body) {
+        let part = part.trim();
+        if part.is_empty() {
+            continue;
         }
-        return Ok(Value::StrArray(out));
-    }
-    if let Some(rest) = s.strip_prefix('"') {
+        let Some(rest) = part.strip_prefix('"') else {
+            return Err("only string arrays are supported".into());
+        };
         let Some(body) = rest.strip_suffix('"') else {
             return Err("unterminated string".into());
         };
-        return Ok(Value::Str(body.to_string()));
+        out.push(body.to_string());
     }
-    s.parse::<i64>()
-        .map(Value::Int)
-        .map_err(|_| format!("cannot parse value `{s}`"))
+    Ok(out)
 }
 
 /// Splits on commas that are not inside quotes.
@@ -156,13 +116,13 @@ mod tests {
     #[test]
     fn parses_sections_keys_and_arrays() {
         let p = Policy::parse(
-            "[paths]\nexclude = [\"vendor\", \"target\"]\n\n[rules.x]\nenabled = true\nlimit = 3\nname = \"q\"\n",
+            "[paths]\nexclude = [\"vendor\", \"target\"]\n\n[rules.x]\nnames = [\"a, b\", \"\"]\nnone = []\n",
         )
         .expect("parses");
         assert_eq!(p.list("paths.exclude"), vec!["vendor", "target"]);
-        assert!(p.flag("rules.x.enabled", false));
-        assert_eq!(p.get("rules.x.limit"), Some(&Value::Int(3)));
-        assert_eq!(p.get("rules.x.name"), Some(&Value::Str("q".into())));
+        assert_eq!(p.list("rules.x.names"), vec!["a, b", ""]);
+        assert!(p.list("rules.x.none").is_empty());
+        assert!(p.list("rules.x.missing").is_empty());
     }
 
     #[test]
@@ -171,6 +131,10 @@ mod tests {
         assert!(Policy::parse("key value\n").is_err());
         assert!(Policy::parse("k = [1, 2]\n").is_err());
         assert!(Policy::parse("k = \"open\n").is_err());
+        for scalar in ["k = true", "k = 3", "k = \"x\""] {
+            let e = Policy::parse(&format!("[s]\n{scalar}\n")).expect_err(scalar);
+            assert!(e.starts_with("line 2: cannot parse value"), "{scalar}: {e}");
+        }
     }
 
     #[test]
@@ -185,7 +149,7 @@ mod tests {
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let p = Policy::parse("# top\n\n[s]\n# mid\nk = \"v\"\n").expect("parses");
-        assert_eq!(p.get("s.k"), Some(&Value::Str("v".into())));
+        let p = Policy::parse("# top\n\n[s]\n# mid\nk = [\"v\"]\n").expect("parses");
+        assert_eq!(p.list("s.k"), vec!["v"]);
     }
 }
