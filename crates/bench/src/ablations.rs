@@ -5,7 +5,7 @@ use ewb_core::cases::Case;
 use ewb_core::experiments::{energy, single_visit};
 use ewb_core::gbrt::GbrtParams;
 use ewb_core::rrc::{intuitive, PowerModel, RrcConfig};
-use ewb_core::simcore::SimDuration;
+use ewb_core::simcore::{par_map, SimDuration};
 use ewb_core::traces::{
     accuracy_grid, reading_time_params, EvalCell, ReadingTimePredictor, TraceConfig, TraceDataset,
 };
@@ -99,25 +99,13 @@ pub fn gbrt_size() -> String {
     // Training the six forests is the expensive part and every cell is
     // independent — fan it out; the timing measurements stay serial so
     // the workers don't contend for cores while the clock runs.
-    let predictors: Vec<ReadingTimePredictor> = std::thread::scope(|scope| {
-        let train = &train;
-        let handles: Vec<_> = grid
-            .iter()
-            .map(|&(n_trees, leaves)| {
-                scope.spawn(move || {
-                    let params = GbrtParams {
-                        n_trees,
-                        max_leaves: leaves,
-                        ..reading_time_params()
-                    };
-                    ReadingTimePredictor::train_dataset(train, &params)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("training worker panicked"))
-            .collect()
+    let predictors = par_map(&grid, |&(n_trees, leaves)| {
+        let params = GbrtParams {
+            n_trees,
+            max_leaves: leaves,
+            ..reading_time_params()
+        };
+        ReadingTimePredictor::train_dataset(&train, &params)
     });
     for ((n_trees, leaves), p) in grid.iter().zip(&predictors) {
         let start = std::time::Instant::now();

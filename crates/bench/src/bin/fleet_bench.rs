@@ -25,16 +25,21 @@
 //!
 //! * `--checkpoint PATH` — commit per-shard progress to PATH (atomic
 //!   tmp+rename) every `users / 64` users.
-//! * `--resume` — start from the checkpoint instead of from scratch.
+//! * `--resume` — start from the checkpoint instead of from scratch
+//!   (needs `--checkpoint`).
 //! * `--kill-after N` — stop (exit code 3, no BENCH file) once N users
 //!   are committed: the deterministic stand-in for `kill -9`.
 //! * `--chaos-panic SHARD:USER` — inject a worker panic when SHARD
 //!   reaches USER on its first attempt (repeatable); the supervisor must
-//!   absorb it.
+//!   absorb it. SHARD must be a shard of the run and USER one of its
+//!   users.
+//!
+//! A run these flags cannot make exits 2 with the usage line before any
+//! work.
 
 use ewb_bench::cli;
 use ewb_fleet::{
-    run_fleet_supervised, summary_fingerprint, ChaosConfig, FleetConfig, FleetEnv, FleetError,
+    run_fleet_supervised, summary_fingerprint, validate_run, FleetConfig, FleetEnv, FleetError,
     FleetSummary, PanicPoint, SupervisorOptions,
 };
 use serde::Serialize;
@@ -58,6 +63,16 @@ impl Args {
             ..FleetConfig::paper(self.users)
         }
     }
+
+    /// The supervisor options the flags ask for.
+    fn options(&self) -> SupervisorOptions {
+        SupervisorOptions {
+            checkpoint_path: self.checkpoint.clone(),
+            resume: self.resume,
+            commit_every_users: (self.users / 64).max(1),
+            kill_after_users: self.kill_after,
+        }
+    }
 }
 
 const FLAGS: &[cli::Flag] = &[
@@ -71,7 +86,9 @@ const FLAGS: &[cli::Flag] = &[
 ];
 
 /// The run a command line parsed against [`FLAGS`] asks for. Exits with
-/// status 2 when the flags build an invalid fleet (no users or shards).
+/// status 2 when `ewb_fleet::validate_run` refuses it: no users or
+/// shards, `--resume` without `--checkpoint`, or a `--chaos-panic` point
+/// that can never fire.
 fn parse_args(cli: &cli::Args) -> Args {
     let (users, shards) = if cli.has("--smoke") {
         (2_000, 4)
@@ -100,7 +117,7 @@ fn parse_args(cli: &cli::Args) -> Args {
             .map(chaos_panic)
             .collect(),
     };
-    if let Err(e) = args.config(1).validate() {
+    if let Err(e) = validate_run(&args.config(1), &args.chaos_panics, &args.options()) {
         cli.fail(&e);
     }
     args
@@ -109,18 +126,9 @@ fn parse_args(cli: &cli::Args) -> Args {
 fn main() {
     let args = parse_args(&cli::Args::parse(FLAGS));
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-    let chaos = ChaosConfig {
-        panics: args.chaos_panics.clone(),
-        ..ChaosConfig::none()
-    };
-    let options = SupervisorOptions {
-        checkpoint_path: args.checkpoint.clone(),
-        resume: args.resume,
-        commit_every_users: (args.users / 64).max(1),
-        kill_after_users: args.kill_after,
-    };
     let env = FleetEnv::prepare();
-    let report = match run_fleet_supervised(&env, &args.config(threads), &chaos, &options) {
+    let config = args.config(threads);
+    let report = match run_fleet_supervised(&env, &config, &args.chaos_panics, &args.options()) {
         Ok(report) => report,
         Err(e @ FleetError::Interrupted { .. }) => {
             println!("{e}");
@@ -270,12 +278,12 @@ mod tests {
 
     #[test]
     fn chaos_panics_keep_both_points_in_order() {
-        let a = args(&["--chaos-panic", "2:117", "--chaos-panic", "0:5"]);
+        let a = args(&["--chaos-panic", "2:3200", "--chaos-panic", "0:5"]);
         let point = |shard, user_id| PanicPoint {
             shard,
             user_id,
             on_attempt: 0,
         };
-        assert_eq!(a.chaos_panics, [point(2, 117), point(0, 5)]);
+        assert_eq!(a.chaos_panics, [point(2, 3200), point(0, 5)]);
     }
 }

@@ -11,7 +11,7 @@ use ewb_core::experiments::{
 use ewb_core::gbrt::GbrtParams;
 use ewb_core::net::ThreeGFetcher;
 use ewb_core::rrc::{intuitive, scenario};
-use ewb_core::simcore::{SimDuration, SimTime};
+use ewb_core::simcore::{par_map, SimDuration, SimTime};
 use ewb_core::traces::{
     accuracy_grid, reading_time_params, EvalCell, ReadingTimePredictor, TraceConfig, TraceDataset,
 };
@@ -522,35 +522,22 @@ pub fn fig16(ctx: &Context, n_users: u32, max_sessions: u32) -> String {
     let trace = TraceDataset::generate(&TraceConfig::paper());
     let predictor =
         ReadingTimePredictor::train_with_interest_threshold(&trace, 2.0, &reading_time_params());
-    // The seven cases are independent: fan them out over scoped threads.
+    // The seven cases are independent: fan them out.
     let sessions = cases16::select_sessions(&trace, n_users, max_sessions);
     assert!(!sessions.is_empty(), "no sessions selected");
     let all_cases: Vec<Case> = std::iter::once(Case::Original)
         .chain(Case::TABLE6)
         .collect();
-    let totals: Vec<(Case, f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = all_cases
-            .iter()
-            .map(|&case| {
-                let sessions = &sessions;
-                let predictor = &predictor;
-                scope.spawn(move || {
-                    let (j, s) = cases16::run_case(
-                        &ctx.corpus,
-                        &ctx.server,
-                        &ctx.cfg,
-                        sessions,
-                        case,
-                        predictor,
-                    );
-                    (case, j, s)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("case worker panicked"))
-            .collect()
+    let totals: Vec<(Case, f64, f64)> = par_map(&all_cases, |&case| {
+        let (j, s) = cases16::run_case(
+            &ctx.corpus,
+            &ctx.server,
+            &ctx.cfg,
+            &sessions,
+            case,
+            &predictor,
+        );
+        (case, j, s)
     });
     let rows = cases16::to_outcomes(&totals);
     let _ = writeln!(

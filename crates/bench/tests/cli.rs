@@ -127,7 +127,13 @@ fn malformed_values_exit_2() {
     ] {
         assert_usage_error(bin("check_all"), args);
     }
-    for args in [&["--users", "0"][..], &["--shards", "0"]] {
+    for args in [
+        &["--users", "0"][..],
+        &["--shards", "0"],
+        &["--smoke", "--resume"],
+        &["--smoke", "--chaos-panic", "4:0"],
+        &["--smoke", "--chaos-panic", "0:1999"],
+    ] {
         assert_usage_error(bin("fleet_bench"), args);
     }
 }

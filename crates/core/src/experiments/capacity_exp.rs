@@ -10,6 +10,7 @@
 use super::loadtime::{benchmark_load_times, LoadTimeRow};
 use crate::config::CoreConfig;
 use ewb_capacity::{simulate, supported_users, CapacityConfig, ServiceTimes};
+use ewb_simcore::par_map;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
 use serde::{Deserialize, Serialize};
 
@@ -75,22 +76,11 @@ pub fn compare_capacity(
         ..CapacityConfig::paper()
     };
     // Every (user-count, service-time) cell is an independent loss
-    // simulation with its own seeded RNG — fan the grid out over scoped
-    // threads, collecting in grid order.
+    // simulation with its own seeded RNG — fan the grid out, collecting
+    // in grid order.
     let curve = |service: &ServiceTimes| {
-        let drop_probability = std::thread::scope(|scope| {
-            let handles: Vec<_> = users_grid
-                .iter()
-                .map(|&users| {
-                    scope.spawn(move || {
-                        simulate(&CapacityConfig { users, ..base }, service).drop_probability()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("capacity cell worker panicked"))
-                .collect()
+        let drop_probability = par_map(users_grid, |&users| {
+            simulate(&CapacityConfig { users, ..base }, service).drop_probability()
         });
         CapacityCurve {
             users: users_grid.to_vec(),

@@ -8,6 +8,7 @@
 use super::single_visit;
 use crate::cases::Case;
 use crate::config::CoreConfig;
+use ewb_simcore::par_map;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +37,7 @@ pub fn benchmark_display_times(
     cfg: &CoreConfig,
     version: PageVersion,
 ) -> Vec<DisplayRow> {
-    super::par_map_sites(corpus, |site| {
+    par_map(corpus.sites(), |site| {
         let page = match version {
             PageVersion::Mobile => &site.mobile,
             PageVersion::Full => &site.full,

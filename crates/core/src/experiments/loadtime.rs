@@ -9,6 +9,7 @@
 use super::single_visit;
 use crate::cases::Case;
 use crate::config::CoreConfig;
+use ewb_simcore::par_map;
 use ewb_webpage::{Corpus, OriginServer, PageVersion};
 use serde::{Deserialize, Serialize};
 
@@ -57,14 +58,14 @@ pub struct Fig8Summary {
 }
 
 /// Measures every benchmark page under both pipelines, fanning the
-/// independent per-site simulations over scoped threads.
+/// independent per-site simulations out with [`par_map`].
 pub fn benchmark_load_times(
     corpus: &Corpus,
     server: &OriginServer,
     cfg: &CoreConfig,
     version: PageVersion,
 ) -> Vec<LoadTimeRow> {
-    super::par_map_sites(corpus, |site| {
+    par_map(corpus.sites(), |site| {
         let page = match version {
             PageVersion::Mobile => &site.mobile,
             PageVersion::Full => &site.full,

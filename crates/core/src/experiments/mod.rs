@@ -17,34 +17,7 @@ pub mod traffic;
 use crate::cases::Case;
 use crate::config::CoreConfig;
 use crate::session::{simulate_session, SessionOpts, SessionOutcome, Visit};
-use ewb_webpage::{Corpus, OriginServer, Page, Site};
-
-/// Fans an independent per-site measurement over scoped threads, one
-/// worker per benchmark site, and collects results in site order. Every
-/// per-site experiment here is a pure function of (site, config), so the
-/// output is identical to a serial `sites().iter().map(...)`.
-///
-/// # Panics
-///
-/// Propagates any worker panic.
-pub(crate) fn par_map_sites<T, F>(corpus: &Corpus, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Site) -> T + Sync,
-{
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = corpus
-            .sites()
-            .iter()
-            .map(|site| scope.spawn(move || f(site)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("site worker panicked"))
-            .collect()
-    })
-}
+use ewb_webpage::{OriginServer, Page};
 
 /// Runs a single-page session (fresh radio, one visit) — the building
 /// block of the per-benchmark experiments.

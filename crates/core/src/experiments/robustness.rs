@@ -14,7 +14,7 @@ use crate::cases::Case;
 use crate::config::CoreConfig;
 use crate::session::{simulate_session, SessionFaults, SessionOpts, SessionOutcome, Visit};
 use ewb_net::FaultConfig;
-use ewb_simcore::SplitMix64;
+use ewb_simcore::{par_map, SplitMix64};
 use ewb_webpage::{Corpus, OriginServer};
 use serde::{Deserialize, Serialize};
 
@@ -147,7 +147,7 @@ pub fn sweep(
         for (li, &loss) in LOSS_RATES.iter().enumerate() {
             let cell_seed = SplitMix64::mix(seed ^ ((pi as u64) << 8 | li as u64));
             let fc = profile.config(loss);
-            let per_site = super::par_map_sites(corpus, |site| {
+            let per_site = par_map(corpus.sites(), |site| {
                 let sf = SessionFaults::new(fc, site_seed(cell_seed, &site.key));
                 let orig = measure(server, &site.mobile, Case::Original, cfg, &sf);
                 let ea = measure(server, &site.mobile, Case::Accurate9, cfg, &sf);

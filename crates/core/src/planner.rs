@@ -179,16 +179,15 @@ pub struct PlanSample {
 /// load itself.
 const TRAIN_READING_S: f64 = 25.0;
 
-/// Default safety margin, joules: the controller only leaves the
-/// sequential plan when the predicted saving exceeds this (10 mJ — an
-/// order of magnitude above the deltas µs-rounding can fabricate).
-pub const DEFAULT_MARGIN_J: f64 = 0.01;
+/// Safety margin, joules: the controller only leaves the sequential plan
+/// when the predicted saving exceeds this (10 mJ — an order of magnitude
+/// above the deltas µs-rounding can fabricate).
+pub const MARGIN_J: f64 = 0.01;
 
 /// The trained per-page plan picker.
 #[derive(Debug, Clone)]
 pub struct PlanChooser {
     model: GbrtModel,
-    margin_j: f64,
 }
 
 /// Builds the training set: every corpus page (both versions) × every
@@ -248,35 +247,19 @@ pub fn training_samples(
 }
 
 impl PlanChooser {
-    /// Trains the controller on `samples` with the default margin and the
-    /// deterministic [`GbrtParams::default`] (subsample 1.0 — no RNG).
+    /// Trains the controller on `samples` with the deterministic
+    /// [`GbrtParams::default`] (subsample 1.0 — no RNG).
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty.
     pub fn train(samples: &[PlanSample]) -> PlanChooser {
-        Self::train_with(samples, &GbrtParams::default(), DEFAULT_MARGIN_J)
-    }
-
-    /// [`train`](PlanChooser::train) with explicit GBRT parameters and
-    /// safety margin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `margin_j` is negative or
-    /// non-finite.
-    pub fn train_with(samples: &[PlanSample], params: &GbrtParams, margin_j: f64) -> PlanChooser {
-        assert!(
-            margin_j.is_finite() && margin_j >= 0.0,
-            "margin must be finite and non-negative, got {margin_j}"
-        );
         let rows: Vec<Vec<f64>> = samples.iter().map(|s| s.features.row(s.plan)).collect();
         let targets: Vec<f64> = samples.iter().map(|s| s.delta_j).collect();
         let data = Dataset::new(rows, targets)
             .unwrap_or_else(|e| panic!("invalid plan training set: {e:?}"));
         PlanChooser {
-            model: Gbrt::fit(&data, params),
-            margin_j,
+            model: Gbrt::fit(&data, &GbrtParams::default()),
         }
     }
 
@@ -292,8 +275,8 @@ impl PlanChooser {
 
     /// Picks the plan for a page: the candidate with the lowest predicted
     /// energy delta, if that delta beats the sequential plan by more than
-    /// the safety margin; the sequential plan otherwise. Ties break
-    /// toward the earlier candidate, so the choice is deterministic.
+    /// [`MARGIN_J`]; the sequential plan otherwise. Ties break toward the
+    /// earlier candidate, so the choice is deterministic.
     pub fn choose(&self, features: &PlanFeatures) -> ParallelismPlan {
         let mut best = ParallelismPlan::SEQUENTIAL;
         let mut best_delta = 0.0f64;
@@ -304,16 +287,11 @@ impl PlanChooser {
                 best_delta = delta;
             }
         }
-        if best_delta < -self.margin_j {
+        if best_delta < -MARGIN_J {
             best
         } else {
             ParallelismPlan::SEQUENTIAL
         }
-    }
-
-    /// The safety margin in joules.
-    pub fn margin_j(&self) -> f64 {
-        self.margin_j
     }
 }
 

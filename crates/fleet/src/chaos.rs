@@ -1,12 +1,17 @@
 //! Deterministic chaos injection for the supervised fleet runner.
 //!
-//! Chaos here is reproducible by construction: a [`ChaosConfig`] names
-//! exact (shard, user, attempt) coordinates at which a worker panics, so
-//! a failure scenario is a test vector, not a coin flip. The supervisor
-//! ([`run_fleet_supervised`](crate::run_fleet_supervised)) must absorb
-//! every injected panic — surviving workers re-claim the failed shard
-//! from its last committed state — and still produce a population
-//! summary bit-identical to an undisturbed run.
+//! Chaos here is reproducible by construction: a list of [`PanicPoint`]s
+//! names exact (shard, user, attempt) coordinates at which a worker
+//! panics, so a failure scenario is a test vector, not a coin flip. The
+//! supervisor ([`run_fleet_supervised`](crate::run_fleet_supervised))
+//! must absorb every injected panic — surviving workers re-claim the
+//! failed shard from its last committed state, at most
+//! [`MAX_SHARD_ATTEMPTS`] claims per shard — and still produce a
+//! population summary bit-identical to an undisturbed run.
+
+/// Claims a shard may burn before the run fails with
+/// [`FleetError::ShardFailed`](crate::FleetError::ShardFailed).
+pub const MAX_SHARD_ATTEMPTS: u32 = 3;
 
 /// One injected worker failure: panic when `shard` reaches `user_id`
 /// on its `on_attempt`-th claim (0 = the first).
@@ -24,49 +29,16 @@ pub struct PanicPoint {
     pub on_attempt: u32,
 }
 
-/// The fleet's fault-injection plan plus the supervisor's patience.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Injected worker panics, in no particular order.
-    pub panics: Vec<PanicPoint>,
-    /// Claims a shard may burn before the run fails with
-    /// [`FleetError::ShardFailed`](crate::FleetError::ShardFailed).
-    pub max_shard_attempts: u32,
-}
-
-impl ChaosConfig {
-    /// No injected failures, default patience (3 attempts per shard).
-    pub fn none() -> Self {
-        ChaosConfig {
-            panics: Vec::new(),
-            max_shard_attempts: 3,
-        }
-    }
-
-    /// Validates the plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_shard_attempts == 0 {
-            return Err("a shard needs at least one attempt".to_string());
-        }
-        Ok(())
-    }
-
-    /// Whether a worker at (`shard`, `user_id`, `attempt`) must panic.
-    pub fn should_panic(&self, shard: usize, user_id: u64, attempt: u32) -> bool {
-        self.panics
-            .iter()
-            .any(|p| p.shard == shard && p.user_id == user_id && p.on_attempt == attempt)
-    }
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig::none()
-    }
+/// Whether a worker at (`shard`, `user_id`, `attempt`) must panic.
+pub(crate) fn should_panic(
+    panics: &[PanicPoint],
+    shard: usize,
+    user_id: u64,
+    attempt: u32,
+) -> bool {
+    panics
+        .iter()
+        .any(|p| p.shard == shard && p.user_id == user_id && p.on_attempt == attempt)
 }
 
 #[cfg(test)]
@@ -75,24 +47,14 @@ mod tests {
 
     #[test]
     fn panic_points_key_on_all_three_coordinates() {
-        let chaos = ChaosConfig {
-            panics: vec![PanicPoint {
-                shard: 2,
-                user_id: 17,
-                on_attempt: 0,
-            }],
-            ..ChaosConfig::none()
-        };
-        assert!(chaos.should_panic(2, 17, 0));
-        assert!(!chaos.should_panic(2, 17, 1), "the retry must survive");
-        assert!(!chaos.should_panic(2, 16, 0));
-        assert!(!chaos.should_panic(1, 17, 0));
-        assert!(ChaosConfig::none().validate().is_ok());
-        assert!(ChaosConfig {
-            max_shard_attempts: 0,
-            ..ChaosConfig::none()
-        }
-        .validate()
-        .is_err());
+        let panics = [PanicPoint {
+            shard: 2,
+            user_id: 17,
+            on_attempt: 0,
+        }];
+        assert!(should_panic(&panics, 2, 17, 0));
+        assert!(!should_panic(&panics, 2, 17, 1), "the retry must survive");
+        assert!(!should_panic(&panics, 2, 16, 0));
+        assert!(!should_panic(&panics, 1, 17, 0));
     }
 }

@@ -7,7 +7,7 @@
 //! [`FleetSummary`] of the users already folded. No RNG state, no radio
 //! state, no in-flight session survives a crash — and none needs to.
 //!
-//! # File format (version 1, little-endian)
+//! # File format (version 2, little-endian)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// The checkpoint file magic.
 pub const MAGIC: [u8; 8] = *b"EWBFLTCK";
 /// The format version this build reads and writes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, polynomial 0xEDB88320), hand-rolled so the crate
@@ -377,10 +377,6 @@ pub struct RunIdentity {
     /// [`FaultTier::index`](ewb_core::profile::FaultTier::index) of the
     /// run's link-quality tier.
     pub tier: u8,
-    /// Fewest visits in a user's day.
-    pub visits_min: u64,
-    /// Most visits in a user's day.
-    pub visits_max: u64,
     /// Bit pattern of the predictor-outage probability (exact, not
     /// rounded: a different probability is a different run).
     pub outage_prob_bits: u64,
@@ -396,8 +392,6 @@ impl RunIdentity {
             baseline: case_id(cfg.baseline),
             optimized: case_id(cfg.optimized),
             tier: cfg.tier.index(),
-            visits_min: cfg.visits_min,
-            visits_max: cfg.visits_max,
             outage_prob_bits: cfg.predictor_outage_prob.to_bits(),
         }
     }
@@ -409,8 +403,6 @@ impl RunIdentity {
         out.push(self.baseline);
         out.push(self.optimized);
         out.push(self.tier);
-        push_u64(out, self.visits_min);
-        push_u64(out, self.visits_max);
         push_u64(out, self.outage_prob_bits);
     }
 
@@ -422,8 +414,6 @@ impl RunIdentity {
             baseline: r.take(1, "identity.baseline")?[0],
             optimized: r.take(1, "identity.optimized")?[0],
             tier: r.take(1, "identity.tier")?[0],
-            visits_min: r.u64("identity.visits_min")?,
-            visits_max: r.u64("identity.visits_max")?,
             outage_prob_bits: r.u64("identity.outage_prob_bits")?,
         })
     }
@@ -436,7 +426,7 @@ impl RunIdentity {
     /// [`CheckpointError::RunMismatch`] on the first differing field.
     pub fn check_matches(&self, cfg: &FleetConfig) -> Result<(), CheckpointError> {
         let run = RunIdentity::of(cfg);
-        let fields: [(&'static str, u64, u64); 9] = [
+        let fields: [(&'static str, u64, u64); 7] = [
             ("seed", self.seed, run.seed),
             ("users", self.users, run.users),
             ("shards", self.shards, run.shards),
@@ -447,8 +437,6 @@ impl RunIdentity {
                 run.optimized.into(),
             ),
             ("fault tier", self.tier.into(), run.tier.into()),
-            ("visits_min", self.visits_min, run.visits_min),
-            ("visits_max", self.visits_max, run.visits_max),
             (
                 "predictor outage probability (bits)",
                 self.outage_prob_bits,
@@ -504,7 +492,7 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to the version-1 byte format.
+    /// Serializes to this build's byte format (version `VERSION`).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
@@ -532,7 +520,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses the version-1 byte format, verifying magic, version, every
+    /// Parses this build's byte format, verifying magic, version, every
     /// record CRC, structural consistency, and that no bytes trail the
     /// last record.
     ///
@@ -717,6 +705,16 @@ mod tests {
         let back = Checkpoint::from_bytes(&bytes).expect("round trip");
         assert_eq!(back, ck);
         assert!(ck.check_matches(&cfg).is_ok());
+    }
+
+    #[test]
+    fn version_1_files_are_refused() {
+        let mut bytes = Checkpoint::new(&FleetConfig::paper(100)).to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match Checkpoint::from_bytes(&bytes) {
+            Err(CheckpointError::UnsupportedVersion { found: 1 }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
     }
 
     #[test]

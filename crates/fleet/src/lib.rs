@@ -22,11 +22,13 @@
 //!   thread count.
 //! * **Crash-safe execution** — [`run_fleet_supervised`] absorbs worker
 //!   panics (surviving workers re-claim the failed shard from its last
-//!   committed state, bounded by [`ChaosConfig::max_shard_attempts`]) and
+//!   committed state, at most [`MAX_SHARD_ATTEMPTS`] claims per shard) and
 //!   persists per-shard progress to a CRC-checked [`Checkpoint`] file via
 //!   atomic tmp+rename, so a killed run resumes to a summary bit-identical
 //!   to an uninterrupted one. Torn, corrupt, or mismatched checkpoints are
-//!   rejected with typed [`CheckpointError`]s, never silently merged.
+//!   rejected with typed [`CheckpointError`]s, never silently merged, and
+//!   [`validate_run`] refuses an injected panic that can never fire
+//!   before any work.
 //! * **Population-scale chaos** — [`FleetConfig::tier`] runs every user's
 //!   sessions on a faulted network tier
 //!   ([`ewb_core::profile::FaultTier`]), and
@@ -56,13 +58,14 @@ mod checkpoint;
 mod sim;
 mod summary;
 
-pub use chaos::{ChaosConfig, PanicPoint};
+pub use chaos::{PanicPoint, MAX_SHARD_ATTEMPTS};
 pub use checkpoint::{
     crc32, summary_fingerprint, Checkpoint, CheckpointError, RunIdentity, ShardProgress,
 };
 pub use sim::{
     plan_user, predictor_outage_from, run_fleet, run_fleet_supervised, shard_range, simulate_user,
-    FleetConfig, FleetEnv, FleetError, FleetReport, PlannedVisit, SupervisorOptions, WorkerScratch,
+    validate_run, FleetConfig, FleetEnv, FleetError, FleetReport, PlannedVisit, SupervisorOptions,
+    WorkerScratch,
 };
 pub use summary::{
     FleetSummary, LOAD_BINS, LOAD_BIN_US, SAVED_BINS, SAVED_BIN_UJ, SAVED_OFFSET_UJ, SHARE_BINS,

@@ -20,10 +20,9 @@
 //! [`run_fleet_supervised`] tracks every shard on a shared board:
 //! `Pending → Claimed → Done`, with the committed cursor and committed
 //! summary updated only at user boundaries. A panicking worker marks its
-//! shard `Pending` again (bounded by
-//! [`ChaosConfig::max_shard_attempts`]); whoever re-claims it restarts
-//! from the last committed user with the last committed summary, so no
-//! user is ever folded twice. With a checkpoint path configured, every
+//! shard `Pending` again (at most [`MAX_SHARD_ATTEMPTS`] claims per
+//! shard); whoever re-claims it restarts from the last committed user
+//! with the last committed summary, so no user is ever folded twice. With a checkpoint path configured, every
 //! commit also persists the board atomically — a `kill -9` at any
 //! instant leaves a loadable file, and `--resume` continues to the
 //! bit-identical population summary.
@@ -35,7 +34,7 @@
 //! summary: peak heap is O(shards + threads), independent of the user
 //! count.
 
-use crate::chaos::ChaosConfig;
+use crate::chaos::{should_panic, PanicPoint, MAX_SHARD_ATTEMPTS};
 use crate::checkpoint::{Checkpoint, CheckpointError, RunIdentity, ShardProgress};
 use crate::summary::FleetSummary;
 use ewb_core::cases::Case;
@@ -69,10 +68,6 @@ pub struct FleetConfig {
     pub baseline: Case,
     /// The optimized case under evaluation.
     pub optimized: Case,
-    /// Fewest visits in a user's day.
-    pub visits_min: u64,
-    /// Most visits in a user's day.
-    pub visits_max: u64,
     /// Link-quality tier the whole population browses under. Faulted
     /// tiers need an environment prepared with
     /// [`FleetEnv::prepare_tiered`].
@@ -97,8 +92,6 @@ impl FleetConfig {
             seed: 2013,
             baseline: Case::Original,
             optimized: Case::Predict9,
-            visits_min: 5,
-            visits_max: 30,
             tier: FaultTier::Clean,
             predictor_outage_prob: 0.0,
         }
@@ -118,12 +111,6 @@ impl FleetConfig {
         }
         if self.threads == 0 {
             return Err("thread count must be positive".to_string());
-        }
-        if self.visits_min == 0 || self.visits_min > self.visits_max {
-            return Err(format!(
-                "visit range [{}, {}] must be non-empty and start at 1+",
-                self.visits_min, self.visits_max
-            ));
         }
         if !self.predictor_outage_prob.is_finite()
             || !(0.0..=1.0).contains(&self.predictor_outage_prob)
@@ -226,6 +213,10 @@ pub struct PlannedVisit {
     pub reading_s: f64,
 }
 
+/// Page visits in a user's day, drawn uniformly from the user's visit
+/// stream (sub-fork 1).
+const VISITS: std::ops::RangeInclusive<u64> = 5..=30;
+
 /// Fills `scratch` with user `user_id`'s day: visit pages, feature rows,
 /// and reading times. Returns the visit count. Predictions are left
 /// `None`; [`simulate_user`] batches the ones a session reads.
@@ -243,7 +234,7 @@ fn fill_plan(env: &FleetEnv, cfg: &FleetConfig, user_id: u64, scratch: &mut Work
     }
 
     let mut visit_rng = user_rng.fork(1);
-    let n = visit_rng.u64_range_inclusive(cfg.visits_min, cfg.visits_max);
+    let n = visit_rng.u64_range_inclusive(*VISITS.start(), *VISITS.end());
     scratch.visits.clear();
     scratch.rows.clear();
     let dwell = DwellModel;
@@ -379,8 +370,7 @@ pub enum FleetError {
     InvalidConfig(String),
     /// A checkpoint could not be loaded, verified, or saved.
     Checkpoint(CheckpointError),
-    /// A shard burned every allowed attempt
-    /// ([`ChaosConfig::max_shard_attempts`]).
+    /// A shard burned every allowed attempt ([`MAX_SHARD_ATTEMPTS`]).
     ShardFailed {
         /// The shard that kept dying.
         shard: usize,
@@ -624,7 +614,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn supervised_worker(
     env: &FleetEnv,
     cfg: &FleetConfig,
-    chaos: &ChaosConfig,
+    panics: &[PanicPoint],
     options: &SupervisorOptions,
     board: &Mutex<Board>,
     stop: &AtomicBool,
@@ -665,7 +655,7 @@ fn supervised_worker(
                     // the crash the kill switch emulates.
                     return None;
                 }
-                if chaos.should_panic(shard, user, attempt) {
+                if should_panic(panics, shard, user, attempt) {
                     panic!(
                         "chaos injection: shard {shard} dies at user {user} (attempt {attempt})"
                     );
@@ -695,7 +685,7 @@ fn supervised_worker(
                 let mut b = lock_board(board);
                 b.worker_panics += 1;
                 let attempts = b.slots[shard].attempts;
-                if attempts >= chaos.max_shard_attempts {
+                if attempts >= MAX_SHARD_ATTEMPTS {
                     if b.fatal.is_none() {
                         b.fatal = Some(FleetError::ShardFailed {
                             shard,
@@ -716,37 +706,77 @@ fn supervised_worker(
     }
 }
 
+/// Refuses a run that [`run_fleet_supervised`] cannot carry out as asked,
+/// before any work: an invalid config ([`FleetConfig::validate`]), a zero
+/// commit interval, `resume` without a checkpoint path, or a panic point
+/// that can never fire. A point can fire when its shard is below
+/// `cfg.shards`, its user lies in that shard's [`shard_range`], and its
+/// attempt is below [`MAX_SHARD_ATTEMPTS`]; the plan is checked against
+/// the run, not a checkpoint, so a point on a user that a resumed
+/// checkpoint already committed passes. The one check left to the runner
+/// is that the environment captured `cfg.tier`.
+///
+/// # Errors
+///
+/// Returns the first violated constraint.
+pub fn validate_run(
+    cfg: &FleetConfig,
+    panics: &[PanicPoint],
+    options: &SupervisorOptions,
+) -> Result<(), String> {
+    cfg.validate()?;
+    if options.commit_every_users == 0 {
+        return Err("commit interval must be positive".to_string());
+    }
+    if options.resume && options.checkpoint_path.is_none() {
+        return Err("--resume needs a checkpoint path".to_string());
+    }
+    for p in panics {
+        if p.shard >= cfg.shards {
+            return Err(format!(
+                "chaos panic at shard {} can never fire: the run has {} shard(s)",
+                p.shard, cfg.shards
+            ));
+        }
+        let range = shard_range(cfg.users, cfg.shards, p.shard);
+        if !range.contains(&p.user_id) {
+            return Err(format!(
+                "chaos panic at user {} can never fire: shard {} holds users {range:?}",
+                p.user_id, p.shard
+            ));
+        }
+        if p.on_attempt >= MAX_SHARD_ATTEMPTS {
+            return Err(format!(
+                "chaos panic on attempt {} can never fire: a shard gets {MAX_SHARD_ATTEMPTS} attempts",
+                p.on_attempt
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Runs the whole fleet under supervision: shards tracked on a shared
-/// board, worker panics absorbed and re-claimed (bounded by `chaos`),
-/// progress committed — and, with a checkpoint path, persisted
-/// atomically — at user boundaries. The summary of a successful run is
+/// board, worker panics absorbed and re-claimed (at most
+/// [`MAX_SHARD_ATTEMPTS`] claims per shard), progress committed — and,
+/// with a checkpoint path, persisted atomically — at user boundaries.
+/// `panics` injects worker failures. The summary of a successful run is
 /// bit-identical to an undisturbed [`run_fleet`] for every shard count,
 /// thread count, kill/resume point, and injected-panic plan.
 ///
 /// # Errors
 ///
-/// [`FleetError::InvalidConfig`] for bad configs,
+/// [`FleetError::InvalidConfig`] for a run [`validate_run`] refuses or an
+/// environment without the run's fault tier,
 /// [`FleetError::Checkpoint`] when checkpoint IO or verification fails,
 /// [`FleetError::ShardFailed`] when a shard exhausts its attempts, and
 /// [`FleetError::Interrupted`] when the configured kill switch trips.
 pub fn run_fleet_supervised(
     env: &FleetEnv,
     cfg: &FleetConfig,
-    chaos: &ChaosConfig,
+    panics: &[PanicPoint],
     options: &SupervisorOptions,
 ) -> Result<FleetReport, FleetError> {
-    cfg.validate().map_err(FleetError::InvalidConfig)?;
-    chaos.validate().map_err(FleetError::InvalidConfig)?;
-    if options.commit_every_users == 0 {
-        return Err(FleetError::InvalidConfig(
-            "commit interval must be positive".to_string(),
-        ));
-    }
-    if options.resume && options.checkpoint_path.is_none() {
-        return Err(FleetError::InvalidConfig(
-            "--resume needs a checkpoint path".to_string(),
-        ));
-    }
+    validate_run(cfg, panics, options).map_err(FleetError::InvalidConfig)?;
     if !env.table.has_tier(cfg.tier) {
         return Err(FleetError::InvalidConfig(format!(
             "fault tier {} was not captured into the environment's profile table \
@@ -807,7 +837,7 @@ pub fn run_fleet_supervised(
         for _ in 0..cfg.threads {
             let board = &board;
             let stop = &stop;
-            scope.spawn(move || supervised_worker(env, cfg, chaos, options, board, stop));
+            scope.spawn(move || supervised_worker(env, cfg, panics, options, board, stop));
         }
     });
 
@@ -866,9 +896,9 @@ pub fn run_fleet_supervised(
 /// # Panics
 ///
 /// Panics if the configuration is invalid or a worker panics past the
-/// default attempt budget.
+/// attempt budget.
 pub fn run_fleet(env: &FleetEnv, cfg: &FleetConfig) -> FleetSummary {
-    match run_fleet_supervised(env, cfg, &ChaosConfig::none(), &SupervisorOptions::none()) {
+    match run_fleet_supervised(env, cfg, &[], &SupervisorOptions::none()) {
         Ok(report) => report.summary,
         Err(e) => panic!("fleet run failed: {e}"),
     }
@@ -901,19 +931,49 @@ mod tests {
         assert!(FleetConfig { users: 0, ..ok }.validate().is_err());
         assert!(FleetConfig { shards: 0, ..ok }.validate().is_err());
         assert!(FleetConfig { threads: 0, ..ok }.validate().is_err());
-        assert!(FleetConfig {
-            visits_min: 9,
-            visits_max: 3,
-            ..ok
+    }
+
+    #[test]
+    fn runs_that_cannot_happen_are_refused_before_work() {
+        let cfg = FleetConfig {
+            shards: 4,
+            ..FleetConfig::paper(2_000)
+        };
+        let options = SupervisorOptions::none();
+        let point = |shard, user_id, on_attempt| PanicPoint {
+            shard,
+            user_id,
+            on_attempt,
+        };
+        let last = point(3, 1_999, MAX_SHARD_ATTEMPTS - 1);
+        assert_eq!(
+            validate_run(&cfg, &[point(0, 0, 0), last], &options),
+            Ok(())
+        );
+        for unreachable in [
+            point(4, 0, 0),                  // shard past the last
+            point(0, 500, 0),                // user of shard 1
+            point(1, 499, 0),                // user of shard 0
+            point(3, 2_000, 0),              // user past the population
+            point(0, 0, MAX_SHARD_ATTEMPTS), // attempt past the budget
+        ] {
+            let e = validate_run(&cfg, &[point(0, 0, 0), unreachable], &options);
+            assert!(
+                e.is_err_and(|e| e.contains("never fire")),
+                "{unreachable:?}"
+            );
         }
-        .validate()
-        .is_err());
-        assert!(FleetConfig {
-            visits_min: 0,
-            ..ok
-        }
-        .validate()
-        .is_err());
+        let resume_alone = SupervisorOptions {
+            resume: true,
+            ..SupervisorOptions::none()
+        };
+        assert!(validate_run(&cfg, &[], &resume_alone).is_err());
+        let no_commits = SupervisorOptions {
+            commit_every_users: 0,
+            ..SupervisorOptions::none()
+        };
+        assert!(validate_run(&cfg, &[], &no_commits).is_err());
+        assert!(validate_run(&FleetConfig { users: 0, ..cfg }, &[], &options).is_err());
     }
 
     #[test]
@@ -931,6 +991,6 @@ mod tests {
             assert!(v.page_idx < env.table.n_pages());
             assert!((0.0..=600.0).contains(&v.reading_s));
         }
-        assert!(a.len() >= cfg.visits_min as usize && a.len() <= cfg.visits_max as usize);
+        assert!(VISITS.contains(&(a.len() as u64)));
     }
 }

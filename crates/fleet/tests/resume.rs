@@ -16,9 +16,9 @@
 
 use ewb_core::profile::FaultTier;
 use ewb_fleet::{
-    run_fleet, run_fleet_supervised, shard_range, summary_fingerprint, ChaosConfig, Checkpoint,
-    CheckpointError, FleetConfig, FleetEnv, FleetError, FleetSummary, PanicPoint, ShardProgress,
-    SupervisorOptions,
+    run_fleet, run_fleet_supervised, shard_range, summary_fingerprint, Checkpoint, CheckpointError,
+    FleetConfig, FleetEnv, FleetError, FleetSummary, PanicPoint, ShardProgress, SupervisorOptions,
+    MAX_SHARD_ATTEMPTS,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -67,7 +67,7 @@ fn kill_then_resume(cfg: &FleetConfig, kill_after: u64, tag: &str) -> FleetSumma
     let killed = run_fleet_supervised(
         env(),
         cfg,
-        &ChaosConfig::none(),
+        &[],
         &SupervisorOptions {
             checkpoint_path: Some(file.0.clone()),
             resume: false,
@@ -93,7 +93,7 @@ fn kill_then_resume(cfg: &FleetConfig, kill_after: u64, tag: &str) -> FleetSumma
     let report = run_fleet_supervised(
         env(),
         cfg,
-        &ChaosConfig::none(),
+        &[],
         &SupervisorOptions {
             checkpoint_path: Some(file.0.clone()),
             resume: true,
@@ -155,14 +155,11 @@ fn injected_panic_is_absorbed_and_the_shard_reclaimed() {
     let victim = shard_range(cfg.users, cfg.shards, 1).start + 5;
     for threads in [1usize, 2, 8] {
         let cfg = FleetConfig { threads, ..cfg };
-        let chaos = ChaosConfig {
-            panics: vec![PanicPoint {
-                shard: 1,
-                user_id: victim,
-                on_attempt: 0,
-            }],
-            ..ChaosConfig::none()
-        };
+        let chaos = [PanicPoint {
+            shard: 1,
+            user_id: victim,
+            on_attempt: 0,
+        }];
         let report = run_fleet_supervised(env(), &cfg, &chaos, &SupervisorOptions::none())
             .expect("the retry absorbs the panic");
         assert_eq!(report.worker_panics, 1, "threads {threads}");
@@ -180,14 +177,11 @@ fn injected_panic_is_absorbed_and_the_shard_reclaimed() {
 fn panic_plus_kill_plus_resume_is_still_bit_identical() {
     let cfg = cfg_grid(24, 3, 2);
     let reference = run_fleet(env(), &cfg);
-    let chaos = ChaosConfig {
-        panics: vec![PanicPoint {
-            shard: 2,
-            user_id: shard_range(cfg.users, cfg.shards, 2).start + 2,
-            on_attempt: 0,
-        }],
-        ..ChaosConfig::none()
-    };
+    let chaos = [PanicPoint {
+        shard: 2,
+        user_id: shard_range(cfg.users, cfg.shards, 2).start + 2,
+        on_attempt: 0,
+    }];
     let file = TempFile(temp_ckpt("gauntlet"));
     let killed = run_fleet_supervised(
         env(),
@@ -225,16 +219,13 @@ fn panic_plus_kill_plus_resume_is_still_bit_identical() {
 fn shard_exhaustion_is_a_typed_error() {
     let cfg = cfg_grid(10, 2, 2);
     let victim = shard_range(cfg.users, cfg.shards, 0).start;
-    let chaos = ChaosConfig {
-        panics: (0..3)
-            .map(|attempt| PanicPoint {
-                shard: 0,
-                user_id: victim,
-                on_attempt: attempt,
-            })
-            .collect(),
-        max_shard_attempts: 3,
-    };
+    let chaos: Vec<PanicPoint> = (0..MAX_SHARD_ATTEMPTS)
+        .map(|attempt| PanicPoint {
+            shard: 0,
+            user_id: victim,
+            on_attempt: attempt,
+        })
+        .collect();
     match run_fleet_supervised(env(), &cfg, &chaos, &SupervisorOptions::none()) {
         Err(FleetError::ShardFailed {
             shard: 0,
@@ -252,12 +243,7 @@ fn uncaptured_tier_is_an_invalid_config() {
         tier: FaultTier::Jittery10,
         ..cfg_grid(4, 1, 1)
     };
-    match run_fleet_supervised(
-        env(),
-        &cfg,
-        &ChaosConfig::none(),
-        &SupervisorOptions::none(),
-    ) {
+    match run_fleet_supervised(env(), &cfg, &[], &SupervisorOptions::none()) {
         Err(FleetError::InvalidConfig(msg)) => {
             assert!(msg.contains("jittery-10%"), "message: {msg}")
         }
@@ -275,7 +261,7 @@ fn killed_checkpoint(cfg: &FleetConfig, tag: &str) -> (TempFile, Vec<u8>) {
     let killed = run_fleet_supervised(
         env(),
         cfg,
-        &ChaosConfig::none(),
+        &[],
         &SupervisorOptions {
             checkpoint_path: Some(file.0.clone()),
             resume: false,
@@ -294,7 +280,7 @@ fn resume_with_bytes(cfg: &FleetConfig, bytes: &[u8], tag: &str) -> Result<(), F
     run_fleet_supervised(
         env(),
         cfg,
-        &ChaosConfig::none(),
+        &[],
         &SupervisorOptions {
             checkpoint_path: Some(file.0.clone()),
             resume: true,

@@ -14,7 +14,7 @@
 
 use crate::data::Dataset;
 use crate::flat::FlatForest;
-use crate::loss::Loss;
+use crate::loss;
 use crate::splitter::{fit_presorted, Presorted};
 use crate::tree::{RegressionTree, TreeParams};
 use ewb_simcore::Xoshiro256;
@@ -34,8 +34,6 @@ pub struct GbrtParams {
     pub subsample: f64,
     /// Minimum samples per leaf.
     pub min_samples_leaf: usize,
-    /// The boosting loss.
-    pub loss: Loss,
     /// Seed for the subsampling stream.
     pub seed: u64,
 }
@@ -48,7 +46,6 @@ impl Default for GbrtParams {
             learning_rate: 0.1,
             subsample: 1.0,
             min_samples_leaf: 2,
-            loss: Loss::SquaredError,
             seed: 0,
         }
     }
@@ -91,7 +88,6 @@ impl GbrtParams {
 pub struct GbrtModel {
     pub(crate) init: f64,
     pub(crate) trees: Vec<RegressionTree>,
-    pub(crate) loss: Loss,
     pub(crate) n_features: usize,
 }
 
@@ -131,7 +127,7 @@ impl Gbrt {
         let targets = data.targets();
         let cols = data.columns();
         let pre = Presorted::new(cols, n);
-        let init = params.loss.initial_value(targets);
+        let init = loss::initial_value(targets);
         let mut predictions = vec![init; n];
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut loss_curve = Vec::with_capacity(params.n_trees);
@@ -153,7 +149,7 @@ impl Gbrt {
 
         for _ in 0..params.n_trees {
             // Pseudo-residuals under the current model.
-            let residuals = params.loss.negative_gradient(targets, &predictions);
+            let residuals = loss::negative_gradient(targets, &predictions);
 
             let mut tree = if params.subsample < 1.0 {
                 // Stochastic subsample: shuffle the full id list (same RNG
@@ -202,7 +198,7 @@ impl Gbrt {
                     ys.push(targets[i as usize]);
                     fs.push(predictions[i as usize]);
                 }
-                let gamma = params.loss.leaf_value(&ys, &fs);
+                let gamma = loss::leaf_value(&ys, &fs);
                 tree.set_leaf_value(leaf, gamma * params.learning_rate);
             }
 
@@ -210,7 +206,7 @@ impl Gbrt {
             for (i, &l) in leaf_buf.iter().enumerate() {
                 predictions[i] += tree.node_leaf_value(l as usize);
             }
-            loss_curve.push(params.loss.mean_loss(targets, &predictions));
+            loss_curve.push(loss::mean_loss(targets, &predictions));
             trees.push(tree);
         }
 
@@ -218,7 +214,6 @@ impl Gbrt {
             GbrtModel {
                 init,
                 trees,
-                loss: params.loss,
                 n_features: data.n_features(),
             },
             loss_curve,
@@ -282,11 +277,6 @@ impl GbrtModel {
     /// Number of input features.
     pub fn n_features(&self) -> usize {
         self.n_features
-    }
-
-    /// The loss the model was trained with.
-    pub fn loss(&self) -> Loss {
-        self.loss
     }
 
     /// Read access to the individual trees (for importance analysis).
@@ -453,30 +443,6 @@ mod tests {
         let err = rmse(&model.predict_all(&data), data.targets());
         let baseline = rmse(&vec![model.initial_value(); data.len()], data.targets());
         assert!(err < baseline * 0.5, "rmse {err} vs baseline {baseline}");
-    }
-
-    #[test]
-    fn l1_loss_trains_and_is_robust() {
-        let mut data = friedman_like(300, 7);
-        // Inject gross outliers.
-        let mut rows = data.rows().to_vec();
-        let mut ys = data.targets().to_vec();
-        for i in 0..10 {
-            rows.push(vec![0.5; 5]);
-            ys.push(1e4 + i as f64);
-        }
-        data = Dataset::new(rows, ys).unwrap();
-        let model = Gbrt::fit(
-            &data,
-            &GbrtParams {
-                n_trees: 100,
-                loss: Loss::AbsoluteError,
-                ..GbrtParams::default()
-            },
-        );
-        // Median-based model should stay near the bulk, not the outliers.
-        let pred = model.predict(&[0.1, 0.9, 0.3, 0.7, 0.2]);
-        assert!(pred < 100.0, "L1 model dragged to outliers: {pred}");
     }
 
     #[test]

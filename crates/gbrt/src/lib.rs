@@ -10,7 +10,8 @@
 //!   nodes** (grown best-first by impurity reduction, exactly the
 //!   `J-terminalnode tree` of the paper's Algorithm 1);
 //! * [`Gbrt`] / [`GbrtModel`] — stagewise gradient boosting with squared
-//!   or absolute loss, shrinkage, and optional row subsampling;
+//!   loss from a median start (§4.3.3), shrinkage, and optional row
+//!   subsampling;
 //! * [`Dataset`] — a validated feature matrix with train/test splitting;
 //! * feature importance, loss curves, and JSON model serialization
 //!   (models are "trained offline on a PC ... then deploy the tree model
@@ -53,5 +54,4 @@ pub use data::{Dataset, DatasetError};
 pub use eval::{rmse, threshold_accuracy};
 pub use flat::FlatForest;
 pub use importance::feature_importance;
-pub use loss::Loss;
 pub use tree::{RegressionTree, TreeParams};

@@ -1,121 +1,72 @@
-//! Loss functions for gradient boosting.
+//! The boosting loss: squared error.
 //!
 //! The paper trains with squared error (`L(y, F) = (y − F)²`, §4.3.3) but
 //! initializes with the *median* — the least-absolute-deviation initial
-//! value of Friedman's Algorithm 1. Both losses are provided; the squared
-//! loss with median initialization matches the paper's Algorithm 1 exactly.
+//! value of Friedman's Algorithm 1. These four steps are the boosting
+//! loop's whole use of the loss; [`Gbrt::fit_traced`](crate::Gbrt::fit_traced)
+//! and the reference trainer call them in the same order.
 
-use serde::{Deserialize, Serialize};
-
-/// The boosting loss function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Loss {
-    /// Squared error. Negative gradient = residual; optimal leaf value =
-    /// mean residual. This is what the paper uses (§4.3.3).
-    #[default]
-    SquaredError,
-    /// Absolute error. Negative gradient = sign of residual; optimal leaf
-    /// value = median residual. More robust to the heavy tail of reading
-    /// times.
-    AbsoluteError,
+/// The constant model `F0`: the **median** of `targets`, following the
+/// paper's Algorithm 1 (`F0(x) = median{y_i}`).
+///
+/// # Panics
+///
+/// Panics if `targets` is empty.
+pub(crate) fn initial_value(targets: &[f64]) -> f64 {
+    assert!(
+        !targets.is_empty(),
+        "cannot initialize on an empty target set"
+    );
+    median(targets)
 }
 
-impl Loss {
-    /// The constant model `F0` minimizing the loss over `targets`.
-    /// Following the paper's Algorithm 1, this is the **median** for both
-    /// losses (`F0(x) = median{y_i}`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets` is empty.
-    pub fn initial_value(self, targets: &[f64]) -> f64 {
-        assert!(
-            !targets.is_empty(),
-            "cannot initialize on an empty target set"
-        );
-        median(targets)
-    }
+/// The pseudo-residuals (negative gradients) `ỹ_i = y_i − f_i` for
+/// current predictions `f`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub(crate) fn negative_gradient(targets: &[f64], predictions: &[f64]) -> Vec<f64> {
+    assert_eq!(targets.len(), predictions.len(), "length mismatch");
+    targets
+        .iter()
+        .zip(predictions)
+        .map(|(&y, &f)| y - f)
+        .collect()
+}
 
-    /// The pseudo-residuals (negative gradients) `ỹ_i` for current
-    /// predictions `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn negative_gradient(self, targets: &[f64], predictions: &[f64]) -> Vec<f64> {
-        assert_eq!(targets.len(), predictions.len(), "length mismatch");
-        match self {
-            Loss::SquaredError => targets
-                .iter()
-                .zip(predictions)
-                .map(|(&y, &f)| y - f)
-                .collect(),
-            Loss::AbsoluteError => targets
-                .iter()
-                .zip(predictions)
-                // Note: f64::signum(0.0) is 1.0 in Rust; the subgradient at
-                // zero residual must be 0.
-                .map(|(&y, &f)| {
-                    let r = y - f;
-                    // lint:allow(api/float-eq) subgradient branch: x - x is exactly 0.0 in IEEE 754
-                    if r == 0.0 {
-                        0.0
-                    } else {
-                        r.signum()
-                    }
-                })
-                .collect(),
-        }
-    }
+/// The optimal additive leaf value `γ` for the samples in a terminal
+/// region: the mean residual, which minimizes `Σ (y_i − f_i − γ)²`.
+///
+/// # Panics
+///
+/// Panics if the region is empty or lengths mismatch.
+pub(crate) fn leaf_value(targets: &[f64], predictions: &[f64]) -> f64 {
+    assert!(!targets.is_empty(), "empty leaf region");
+    assert_eq!(targets.len(), predictions.len(), "length mismatch");
+    let residuals: Vec<f64> = targets
+        .iter()
+        .zip(predictions)
+        .map(|(&y, &f)| y - f)
+        .collect();
+    residuals.iter().sum::<f64>() / residuals.len() as f64
+}
 
-    /// The optimal additive leaf value `γ` for the samples in a terminal
-    /// region: the value minimizing `Σ L(y_i, f_i + γ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is empty or lengths mismatch.
-    pub fn leaf_value(self, targets: &[f64], predictions: &[f64]) -> f64 {
-        assert!(!targets.is_empty(), "empty leaf region");
-        assert_eq!(targets.len(), predictions.len(), "length mismatch");
-        let residuals: Vec<f64> = targets
-            .iter()
-            .zip(predictions)
-            .map(|(&y, &f)| y - f)
-            .collect();
-        match self {
-            Loss::SquaredError => residuals.iter().sum::<f64>() / residuals.len() as f64,
-            Loss::AbsoluteError => median(&residuals),
-        }
-    }
-
-    /// Mean loss of `predictions` against `targets`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    pub fn mean_loss(self, targets: &[f64], predictions: &[f64]) -> f64 {
-        assert_eq!(targets.len(), predictions.len(), "length mismatch");
-        assert!(!targets.is_empty(), "empty loss evaluation");
-        let n = targets.len() as f64;
-        match self {
-            Loss::SquaredError => {
-                targets
-                    .iter()
-                    .zip(predictions)
-                    .map(|(&y, &f)| (y - f).powi(2))
-                    .sum::<f64>()
-                    / n
-            }
-            Loss::AbsoluteError => {
-                targets
-                    .iter()
-                    .zip(predictions)
-                    .map(|(&y, &f)| (y - f).abs())
-                    .sum::<f64>()
-                    / n
-            }
-        }
-    }
+/// Mean squared loss of `predictions` against `targets`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths or are empty.
+pub(crate) fn mean_loss(targets: &[f64], predictions: &[f64]) -> f64 {
+    assert_eq!(targets.len(), predictions.len(), "length mismatch");
+    assert!(!targets.is_empty(), "empty loss evaluation");
+    let n = targets.len() as f64;
+    targets
+        .iter()
+        .zip(predictions)
+        .map(|(&y, &f)| (y - f).powi(2))
+        .sum::<f64>()
+        / n
 }
 
 /// Median of a non-empty slice (average of the two middle elements for an
@@ -137,46 +88,30 @@ mod tests {
 
     #[test]
     fn initial_value_is_median() {
-        assert_eq!(Loss::SquaredError.initial_value(&[1.0, 9.0, 2.0]), 2.0);
-        assert_eq!(
-            Loss::AbsoluteError.initial_value(&[1.0, 2.0, 3.0, 4.0]),
-            2.5
-        );
+        assert_eq!(initial_value(&[1.0, 9.0, 2.0]), 2.0);
+        assert_eq!(initial_value(&[1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
     fn l2_gradient_is_residual() {
-        let g = Loss::SquaredError.negative_gradient(&[3.0, 5.0], &[1.0, 6.0]);
+        let g = negative_gradient(&[3.0, 5.0], &[1.0, 6.0]);
         assert_eq!(g, vec![2.0, -1.0]);
     }
 
     #[test]
-    fn l1_gradient_is_sign() {
-        let g = Loss::AbsoluteError.negative_gradient(&[3.0, 5.0, 4.0], &[1.0, 6.0, 4.0]);
-        assert_eq!(g, vec![1.0, -1.0, 0.0]);
-    }
-
-    #[test]
     fn l2_leaf_is_mean_residual() {
-        let v = Loss::SquaredError.leaf_value(&[4.0, 6.0], &[1.0, 1.0]);
+        let v = leaf_value(&[4.0, 6.0], &[1.0, 1.0]);
         assert_eq!(v, 4.0);
     }
 
     #[test]
-    fn l1_leaf_is_median_residual() {
-        let v = Loss::AbsoluteError.leaf_value(&[4.0, 6.0, 100.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(v, 5.0); // median of [3, 5, 99]
-    }
-
-    #[test]
     fn mean_loss_values() {
-        assert_eq!(Loss::SquaredError.mean_loss(&[1.0, 2.0], &[0.0, 4.0]), 2.5);
-        assert_eq!(Loss::AbsoluteError.mean_loss(&[1.0, 2.0], &[0.0, 4.0]), 1.5);
+        assert_eq!(mean_loss(&[1.0, 2.0], &[0.0, 4.0]), 2.5);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn initial_value_rejects_empty() {
-        Loss::SquaredError.initial_value(&[]);
+        initial_value(&[]);
     }
 }

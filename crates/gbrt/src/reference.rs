@@ -15,6 +15,7 @@
 //! reproduces the clone's contents exactly, so the output is unchanged.
 
 use crate::data::Dataset;
+use crate::loss;
 use crate::tree::{Node, RegressionTree, TreeParams};
 use crate::{GbrtModel, GbrtParams};
 use ewb_simcore::Xoshiro256;
@@ -178,7 +179,7 @@ pub(crate) fn fit_boosted(data: &Dataset, params: &GbrtParams) -> (GbrtModel, Ve
     }
     let n = data.len();
     let targets = data.targets();
-    let init = params.loss.initial_value(targets);
+    let init = loss::initial_value(targets);
     let mut predictions = vec![init; n];
     let mut trees = Vec::with_capacity(params.n_trees);
     let mut loss_curve = Vec::with_capacity(params.n_trees);
@@ -191,7 +192,7 @@ pub(crate) fn fit_boosted(data: &Dataset, params: &GbrtParams) -> (GbrtModel, Ve
     let all_indices: Vec<usize> = (0..n).collect();
     for _ in 0..params.n_trees {
         // Pseudo-residuals under the current model.
-        let residuals = params.loss.negative_gradient(targets, &predictions);
+        let residuals = loss::negative_gradient(targets, &predictions);
 
         // Optional stochastic subsample.
         let indices: Vec<usize> = if params.subsample < 1.0 {
@@ -222,7 +223,7 @@ pub(crate) fn fit_boosted(data: &Dataset, params: &GbrtParams) -> (GbrtModel, Ve
         for (leaf, members) in &regions {
             let ys: Vec<f64> = members.iter().map(|&i| targets[i]).collect();
             let fs: Vec<f64> = members.iter().map(|&i| predictions[i]).collect();
-            let gamma = params.loss.leaf_value(&ys, &fs);
+            let gamma = loss::leaf_value(&ys, &fs);
             tree.set_leaf_value(*leaf, gamma * params.learning_rate);
         }
 
@@ -230,7 +231,7 @@ pub(crate) fn fit_boosted(data: &Dataset, params: &GbrtParams) -> (GbrtModel, Ve
         for &i in &all_indices {
             predictions[i] += tree.predict(data.row(i));
         }
-        loss_curve.push(params.loss.mean_loss(targets, &predictions));
+        loss_curve.push(loss::mean_loss(targets, &predictions));
         trees.push(tree);
     }
 
@@ -238,7 +239,6 @@ pub(crate) fn fit_boosted(data: &Dataset, params: &GbrtParams) -> (GbrtModel, Ve
         GbrtModel {
             init,
             trees,
-            loss: params.loss,
             n_features: data.n_features(),
         },
         loss_curve,

@@ -1,12 +1,12 @@
 //! Golden equivalence tests: the pre-sorted fast trainer must reproduce
 //! the original (reference) trainer **byte for byte** — same splits,
 //! same thresholds, same leaf values, same serialized JSON — across
-//! continuous data, tie-heavy discrete data, subsampling, both losses,
+//! continuous data, tie-heavy discrete data, subsampling, deep trees
 //! and min-leaf constraints. Serialized-string comparison is the
 //! strictest check available: any ULP drift in a gain computation that
 //! flipped a split would change the bytes.
 
-use ewb_gbrt::{Dataset, Gbrt, GbrtParams, Loss, RegressionTree, TreeParams};
+use ewb_gbrt::{Dataset, Gbrt, GbrtParams, RegressionTree, TreeParams};
 use ewb_simcore::Xoshiro256;
 
 /// Continuous features — essentially tie-free.
@@ -118,20 +118,6 @@ fn tie_heavy_data_with_subsampling_and_min_leaf() {
             ..GbrtParams::default()
         },
         "ties/subsample+minleaf",
-    );
-}
-
-#[test]
-fn absolute_loss_matches() {
-    let data = continuous(250, 5);
-    assert_models_identical(
-        &data,
-        &GbrtParams {
-            n_trees: 30,
-            loss: Loss::AbsoluteError,
-            ..GbrtParams::default()
-        },
-        "continuous/l1",
     );
 }
 

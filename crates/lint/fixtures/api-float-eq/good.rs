@@ -1,12 +1,6 @@
-// Fixture: the compliant shapes — an epsilon comparison, and exact
-// float equality inside a policy-approved helper (`approx_eq`), where
-// exactness is the helper's whole job and the rule stays silent.
+// Fixture: the compliant shape — an epsilon comparison, with no exact
+// float equality for the rule to flag.
 
 pub fn is_idle(power_w: f64) -> bool {
     power_w.abs() < 1e-12
-}
-
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    let diff = a - b;
-    diff == 0.0 || diff.abs() < 1e-9
 }

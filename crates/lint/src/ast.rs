@@ -10,8 +10,8 @@
 //! parses without panicking (fuel and depth budgets bound every loop
 //! and recursion), and malformed input degrades to [`Expr::Opaque`]
 //! nodes plus narrow [`ParseError`]s rather than failure. Over the
-//! real workspace the error count must be zero — `BENCH_lint.json`
-//! and the workspace self-test both assert it.
+//! real workspace the error count must be zero — the workspace
+//! self-test asserts it, and CI checks the `lint_all --json` report.
 //!
 //! Deliberate simplifications (documented false-negative boundaries):
 //!

@@ -1,18 +1,16 @@
 //! `lint_all` — run the ewb-lint pass over the workspace.
 //!
 //! ```text
-//! cargo run -p ewb-lint --release -- [--deny-all] [--json] [--timing]
-//!                                    [--no-allow] [--root PATH] [--rule ID]
+//! cargo run -p ewb-lint --release -- [--deny-all] [--json] [--no-allow]
+//!                                    [--root PATH] [--rule ID]
 //! cargo run -p ewb-lint --release -- --loc [--root PATH]
 //! ```
 //!
 //! * `--deny-all`  exit nonzero if *any* diagnostic survives (CI mode)
 //! * `--json`      emit a JSON report (machine-readable; uploaded as a CI
-//!   artifact) instead of human-readable lines
-//! * `--timing`    time the pass and write `BENCH_lint.json` (files/s,
-//!   findings per rule). Asserts `parse_errors == 0`: an unparsed
-//!   expression is an unchecked expression, so a parse failure over the
-//!   real workspace is a lint bug, not a data point.
+//!   artifact) instead of human-readable lines: `files_scanned`,
+//!   `findings`, `parse_errors` (CI asserts zero: an unparsed expression
+//!   is an unchecked expression) and the diagnostics
 //! * `--no-allow`  ignore in-source `lint:allow` directives, to check
 //!   that each justified allow still sits on a live finding.
 //! * `--root PATH` workspace root (default: auto-detected from the crate's
@@ -28,7 +26,6 @@ use ewb_lint::engine;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
@@ -38,20 +35,9 @@ struct Report {
     diagnostics: Vec<ewb_lint::Diagnostic>,
 }
 
-#[derive(Serialize)]
-struct Timing {
-    files_scanned: usize,
-    wall_s: f64,
-    files_per_s: f64,
-    parse_errors: usize,
-    total_findings: usize,
-    findings_by_rule: std::collections::BTreeMap<String, usize>,
-}
-
 fn main() -> ExitCode {
     let mut deny_all = false;
     let mut json = false;
-    let mut timing = false;
     let mut honor_allows = true;
     let mut loc = false;
     let mut root: Option<PathBuf> = None;
@@ -62,7 +48,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--deny-all" => deny_all = true,
             "--json" => json = true,
-            "--timing" => timing = true,
             "--no-allow" => honor_allows = false,
             "--loc" => loc = true,
             "--root" | "--rule" => match args.next().filter(|v| !v.starts_with("--")) {
@@ -75,8 +60,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: lint_all [--deny-all] [--json] [--timing] [--no-allow] \
-                     [--root PATH] [--rule ID] | lint_all --loc [--root PATH]"
+                    "usage: lint_all [--deny-all] [--json] [--no-allow] [--root PATH] \
+                     [--rule ID] | lint_all --loc [--root PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -101,7 +86,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    let started = Instant::now();
     let mut outcome = match engine::lint_root_opts(&root, honor_allows) {
         Ok(o) => o,
         Err(e) => {
@@ -109,45 +93,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let wall_s = started.elapsed().as_secs_f64();
     if let Some(rule) = &only_rule {
         outcome.diagnostics.retain(|d| &d.rule == rule);
-    }
-
-    if timing {
-        if outcome.parse_errors != 0 {
-            eprintln!(
-                "lint_all: {} parse error(s) over the workspace — an unparsed \
-                 expression is an unchecked expression; refusing to publish timings",
-                outcome.parse_errors
-            );
-            return ExitCode::from(2);
-        }
-        let bench = Timing {
-            files_scanned: outcome.files_scanned,
-            wall_s,
-            files_per_s: outcome.files_scanned as f64 / wall_s.max(1e-9),
-            parse_errors: outcome.parse_errors,
-            total_findings: outcome.diagnostics.len(),
-            findings_by_rule: outcome.findings_by_rule.clone(),
-        };
-        match serde_json::to_string(&bench) {
-            Ok(s) => {
-                // Tmp-then-rename, so the report lands whole or not at all.
-                let tmp = "BENCH_lint.json.tmp";
-                let written =
-                    std::fs::write(tmp, s).and_then(|()| std::fs::rename(tmp, "BENCH_lint.json"));
-                if let Err(e) = written {
-                    eprintln!("lint_all: writing BENCH_lint.json: {e}");
-                    return ExitCode::from(2);
-                }
-                println!("wrote BENCH_lint.json");
-            }
-            Err(e) => {
-                eprintln!("lint_all: serializing timing report: {e}");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     if json {

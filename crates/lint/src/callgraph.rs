@@ -36,8 +36,8 @@ use crate::ast::{walk_block, Ast, Expr, ItemKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Body tokens that mark a function as directly feeding serialization.
-/// `Checkpoint`/`ChaosConfig` cover the fleet's persisted crash-safety
-/// state: anything folded into a checkpoint byte stream must be as
+/// `Checkpoint` covers the fleet's persisted crash-safety state: anything
+/// folded into a checkpoint byte stream must be as
 /// iteration-order-deterministic as a golden file. The radio backend
 /// configs (`LteConfig`/`WifiConfig`/`FiveGConfig`) and the
 /// `RadioBackend` tag are serialized into the backends golden and
@@ -55,7 +55,6 @@ const SINK_TOKENS: &[&str] = &[
     "emit_with",
     "to_json",
     "write_json",
-    "ChaosConfig",
     "Checkpoint",
     "LteConfig",
     "WifiConfig",
@@ -229,13 +228,11 @@ fn plain() -> u32 { 2 }\n";
     fn checkpoint_structs_are_serialization_sinks() {
         let src = "\
 fn save_progress(b: &Board) -> Vec<u8> { Checkpoint::of(b).to_bytes() }\n\
-fn plan_chaos() -> ChaosConfig { ChaosConfig::none() }\n\
 fn commit(b: &Board) { save_progress(b); }\n\
 fn load_checkpoint_file(p: &Path) { }\n\
 fn plain() -> u32 { 2 }\n";
         let t = taint_of(src);
         assert!(t.is_tainted("save_progress"), "Checkpoint body token");
-        assert!(t.is_tainted("plan_chaos"), "ChaosConfig body token");
         assert!(t.is_tainted("commit"), "transitive via save_progress");
         assert!(t.is_tainted("load_checkpoint_file"), "sinky name");
         assert!(!t.is_tainted("plain"));

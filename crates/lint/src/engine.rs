@@ -33,12 +33,10 @@ pub struct Outcome {
     /// Number of files analyzed.
     pub files_scanned: usize,
     /// Total narrow parse errors across all files. Must be zero over the
-    /// real workspace (`BENCH_lint.json` asserts it): an unparsed
-    /// expression is an unchecked expression.
+    /// real workspace (`tests/ast_workspace.rs` asserts it, and CI checks
+    /// the `lint_all --json` report): an unparsed expression is an
+    /// unchecked expression.
     pub parse_errors: usize,
-    /// Surviving findings per rule id (zero-count rules included, so the
-    /// report schema is stable).
-    pub findings_by_rule: BTreeMap<String, usize>,
 }
 
 /// Lints a set of in-memory files (the testable core — fixtures and the
@@ -101,17 +99,10 @@ pub fn lint_files_opts(files: &[SourceFile], policy: &Policy, honor_allows: bool
     diags.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
     diags.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
 
-    let mut findings_by_rule: BTreeMap<String, usize> =
-        ALL_RULES.iter().map(|r| (r.to_string(), 0)).collect();
-    for d in &diags {
-        *findings_by_rule.entry(d.rule.clone()).or_insert(0) += 1;
-    }
-
     Outcome {
         diagnostics: diags,
         files_scanned: files.len(),
         parse_errors,
-        findings_by_rule,
     }
 }
 

@@ -21,8 +21,9 @@
 //! across five families (determinism, units, parallel, rng, API hygiene)
 //! run over the AST and the lexer's tokens. Findings can be suppressed
 //! *only* with an in-source justification
-//! ([`allow`]: `// lint:allow(<rule>) <why>`) or scoped by the workspace
-//! [`config`] (`lint.toml`).
+//! ([`allow`]: `// lint:allow(<rule>) <why>`) or scoped by crate in the
+//! workspace [`config`] (`lint.toml`: the crates that may read the wall
+//! clock, the crates that must stay f64-only).
 //!
 //! The `lint_all` binary runs the pass over the workspace:
 //!
@@ -30,8 +31,9 @@
 //! cargo run -p ewb-lint --release -- --deny-all --json
 //! ```
 //!
-//! CI gates on `--deny-all` (any finding fails the build), and the crate's
-//! own test suite proves the rules have teeth: every rule must fire on its
+//! CI gates on `--deny-all` (any finding fails the build) and on the
+//! `--json` report counting zero parse errors, and the crate's own test
+//! suite proves the rules have teeth: every rule must fire on its
 //! known-bad fixture and stay silent on the known-good one, and the
 //! workspace itself must lint clean.
 //!

@@ -12,17 +12,11 @@ use crate::lexer::TokenKind;
 use std::collections::BTreeSet;
 
 /// `determinism/wall-clock` — forbid `Instant`/`SystemTime`/`std::time`
-/// outside the crates (`allowed_crates`) and individual files
-/// (`allowed_files`) the policy allows. Benchmarks — and the lint
-/// driver's own `--timing` mode — measure real time by design; the
-/// simulation must not.
+/// outside the crates the policy allows (`allowed_crates`). Benchmarks
+/// measure real time by design; the simulation must not.
 pub fn wall_clock(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     let allowed = ctx.policy.list("rules.wall-clock.allowed_crates");
     if allowed.iter().any(|c| c == ctx.crate_name) {
-        return;
-    }
-    let allowed_files = ctx.policy.list("rules.wall-clock.allowed_files");
-    if allowed_files.iter().any(|f| f == ctx.file) {
         return;
     }
     for ci in 0..ctx.code.len() {
@@ -51,12 +45,8 @@ pub fn wall_clock(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// `determinism/ambient-rng` — forbid thread-local or OS randomness
-/// outside the one seeded RNG module the policy allows.
+/// anywhere: every random draw comes from a seeded `simcore::Xoshiro256`.
 pub fn ambient_rng(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
-    let allowed = ctx.policy.list("rules.ambient-rng.allowed_files");
-    if allowed.iter().any(|f| f == ctx.file) {
-        return;
-    }
     for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         if tok.kind != TokenKind::Ident {

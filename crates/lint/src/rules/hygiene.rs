@@ -140,9 +140,8 @@ pub fn no_f32(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `api/float-eq` — `==`/`!=` with a float-literal operand, outside the
-/// approved epsilon helpers named by the policy. Exact comparison is
-/// occasionally right; two escapes exist:
+/// `api/float-eq` — `==`/`!=` with a float-literal operand. Exact
+/// comparison is occasionally right; two escapes exist:
 ///
 /// * **proven division guards** are exempt automatically: the dataflow
 ///   pass ([`crate::dataflow::div_guard_spans`]) proves `x == 0.0` guards
@@ -156,7 +155,6 @@ pub fn float_eq(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.kind == FileKind::Test {
         return;
     }
-    let helpers = ctx.policy.list("rules.float-eq.helpers");
     for ci in 0..ctx.code.len() {
         let Some(tok) = ctx.ctok(ci) else { continue };
         if tok.kind != TokenKind::Punct {
@@ -181,12 +179,6 @@ pub fn float_eq(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
         });
         let Some(side) = float_side else { continue };
         if ctx.in_test(ci) {
-            continue;
-        }
-        if ctx
-            .enclosing_fn(ci)
-            .is_some_and(|f| helpers.iter().any(|h| h == &f.name))
-        {
             continue;
         }
         let lit = ctx.ctext(side).unwrap_or("");

@@ -4,9 +4,9 @@
 //!
 //! | id | family | what it forbids |
 //! |----|--------|-----------------|
-//! | `determinism/wall-clock`  | determinism | `Instant::now` / `SystemTime` / `std::time` outside crates/files the policy allows (`bench`, the lint timer) |
+//! | `determinism/wall-clock`  | determinism | `Instant::now` / `SystemTime` / `std::time` outside the crates the policy allows (`bench`) |
 //! | `determinism/hash-iter`   | determinism | iterating `HashMap`/`HashSet` in functions that transitively feed serialization, goldens, or `Recorder` events; serializable structs with hash-ordered fields |
-//! | `determinism/ambient-rng` | determinism | `thread_rng` / `rand::` / OS entropy outside `simcore::rng` |
+//! | `determinism/ambient-rng` | determinism | `thread_rng` / `rand::` / OS entropy anywhere (all randomness is a seeded `simcore::Xoshiro256`) |
 //! | `units/dim` | units | dimensionally ill-typed arithmetic over the `_j/_mj/_uj/_s/_ms/_w/_bytes` vocabulary: `a_j + b_s`, unit-scale reassignment without a `/ 1_000.0`-style factor, mixes inside compound expressions (`(a_j + c_j) - b_s * 2.0`) |
 //! | `parallel/shared-mut`      | parallel | mutating captured state inside a thread-`spawn` closure (assignment, `&mut`, or a mutating method on a name not bound in the closure) |
 //! | `parallel/unordered-join`  | parallel | destroying worker join order before an indexed reduce: reordering a per-worker result vec, or filling result slots positionally while discarding the unit index |
@@ -14,7 +14,7 @@
 //! | `rng/seed-provenance` | rng | `seed_from_u64` with a raw literal or ad-hoc arithmetic seed; sim-path RNGs must derive from `fork()`/`seed`-named values/SplitMix64 mixing |
 //! | `api/no-unwrap` | hygiene | bare `unwrap()`, message-less or context-free `panic!`, `todo!`, `unimplemented!`, empty `expect("")` in non-test library code |
 //! | `api/no-f32`    | hygiene | `f32` (type or literal suffix) in energy/time crates |
-//! | `api/float-eq`  | hygiene | `==`/`!=` against float literals outside approved epsilon helpers and proven division guards |
+//! | `api/float-eq`  | hygiene | `==`/`!=` against float literals outside proven division guards |
 
 pub mod determinism;
 pub mod hygiene;

@@ -1,7 +1,8 @@
 //! Parallel/determinism-safety family: the three ways a scoped-thread
 //! fan-out (the `std::thread::scope` regions of the fleet runner, the
-//! GBRT splitter and the report fan-outs) silently stops being a pure
-//! function of its inputs.
+//! GBRT splitter and `ewb_simcore::par_map`, which every evaluation and
+//! report fan-out goes through) silently stops being a pure function of
+//! its inputs.
 //!
 //! The documented-correct pattern in this workspace is: each spawned
 //! closure builds and returns its own `(unit index, value)` vec, workers

@@ -1,7 +1,8 @@
 //! The parser must handle every real source file in this workspace with
 //! zero narrow parse errors and fully valid spans — the same guarantee
-//! `BENCH_lint.json` asserts (`parse_errors == 0`) and deny-all relies
-//! on (an unparsed expression is an unchecked expression).
+//! CI checks in the `lint_all --json` report (`parse_errors == 0`) and
+//! deny-all relies on (an unparsed expression is an unchecked
+//! expression).
 
 use ewb_lint::ast::{dump, parse_file, validate_spans};
 use ewb_lint::lexer::lex;

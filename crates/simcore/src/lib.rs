@@ -19,6 +19,8 @@
 //! * [`EnergyMeter`] and [`PowerTrace`] — exact integration of a
 //!   piecewise-constant power function over virtual time, plus the 4 Hz
 //!   sampled traces the paper's Agilent testbed produced (Figs. 1 and 9).
+//! * [`par_map`] — the scoped-thread fan-out of independent experiment
+//!   cells, results in item order.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 
 mod energy;
 mod events;
+mod par;
 mod rng;
 mod series;
 mod time;
@@ -47,6 +50,7 @@ pub mod stats;
 
 pub use energy::{EnergyMeter, MeterTape};
 pub use events::{EventEntry, EventQueue};
+pub use par::par_map;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use series::{PowerTrace, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -10,7 +10,7 @@
 
 use crate::dataset::TraceDataset;
 use ewb_gbrt::{threshold_accuracy, GbrtParams};
-use ewb_simcore::Xoshiro256;
+use ewb_simcore::{par_map, Xoshiro256};
 use serde::{Deserialize, Serialize};
 
 /// Accuracy measurement output.
@@ -99,32 +99,18 @@ pub struct EvalCell {
 }
 
 /// Evaluates every cell of a grid, fanning the independent (α, T, seed)
-/// cells out over scoped threads. Each cell trains its own model, so the
+/// cells out with [`par_map`]. Each cell trains its own model, so the
 /// cells share nothing; results come back in `cells` order and are
 /// identical to calling [`accuracy_without_threshold`] /
 /// [`accuracy_with_threshold`] serially.
 ///
 /// # Panics
 ///
-/// Panics if any cell's interest threshold removes every visit, or a
-/// worker panics.
+/// Panics if any cell's interest threshold removes every visit.
 pub fn accuracy_grid(trace: &TraceDataset, cells: &[EvalCell]) -> Vec<AccuracyReport> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = cells
-            .iter()
-            .map(|&cell| {
-                scope.spawn(move || match cell.alpha_s {
-                    None => accuracy_without_threshold(trace, cell.decision_threshold_s, cell.seed),
-                    Some(alpha) => {
-                        accuracy_with_threshold(trace, alpha, cell.decision_threshold_s, cell.seed)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("eval cell worker panicked"))
-            .collect()
+    par_map(cells, |cell| match cell.alpha_s {
+        None => accuracy_without_threshold(trace, cell.decision_threshold_s, cell.seed),
+        Some(alpha) => accuracy_with_threshold(trace, alpha, cell.decision_threshold_s, cell.seed),
     })
 }
 
