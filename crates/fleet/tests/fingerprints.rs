@@ -8,9 +8,18 @@
 
 use ewb_core::browser::parallel::ParallelismPlan;
 use ewb_core::browser::pipeline::PipelineMode;
+use ewb_core::cases::Case;
 use ewb_core::profile::FaultTier;
 use ewb_core::rrc::RrcState;
-use ewb_fleet::{run_fleet, summary_fingerprint, FleetConfig, FleetEnv};
+use ewb_fleet::{plan_user, run_fleet, summary_fingerprint, FleetConfig, FleetEnv};
+
+/// 64-bit FNV-1a over the `to_bits` of each value, one word per step:
+/// a change to any one value changes the fold.
+fn fold_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// The `fleet_bench --smoke` population: 2 000 users in 4 shards.
 #[test]
@@ -21,6 +30,35 @@ fn smoke_population_fingerprint() {
         ..FleetConfig::paper(2_000)
     };
     assert_eq!(summary_fingerprint(&run_fleet(&env, &cfg)), 0x578f_68cd);
+}
+
+/// The smoke population under Accurate-9, whose oracle reads no
+/// predictor: planning and replay alone.
+#[test]
+fn oracle_smoke_population_fingerprint() {
+    let env = FleetEnv::prepare();
+    let cfg = FleetConfig {
+        shards: 4,
+        optimized: Case::Accurate9,
+        ..FleetConfig::paper(2_000)
+    };
+    assert_eq!(summary_fingerprint(&run_fleet(&env, &cfg)), 0x8798_4a1e);
+}
+
+/// Every feature and reading time of the smoke population's first 500
+/// users' plans, in visit order: the rows a predictor would see, whether
+/// or not a case reads them.
+#[test]
+fn smoke_plans_are_pinned() {
+    let env = FleetEnv::prepare();
+    let cfg = FleetConfig {
+        shards: 4,
+        ..FleetConfig::paper(2_000)
+    };
+    let values = (0..500)
+        .flat_map(|user_id| plan_user(&env, &cfg, user_id))
+        .flat_map(|v| v.features.0.into_iter().chain([v.reading_s]));
+    assert_eq!(fold_bits(values), 0xf34d_d119_af29_384f);
 }
 
 /// A population on the 10 %-loss tier, and one whose predictor goes down

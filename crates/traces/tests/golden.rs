@@ -53,3 +53,23 @@ fn interest_threshold_training_is_byte_identical_to_reference() {
 
     assert_eq!(predictor.model().to_json(), reference.to_json());
 }
+
+/// 64-bit FNV-1a over the `to_bits` of each value, one word per step:
+/// a change to any one value changes the fold.
+fn fold_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every feature and reading time of the small trace, in visit order:
+/// the visit sampler's stream and arithmetic, pinned to the bit.
+#[test]
+fn small_trace_is_pinned() {
+    let trace = TraceDataset::generate(&TraceConfig::small());
+    let values = trace
+        .visits()
+        .iter()
+        .flat_map(|v| v.features.0.into_iter().chain([v.reading_time_s]));
+    assert_eq!(fold_bits(values), 0xb9d3_4c45_48b5_cde3);
+}
