@@ -667,7 +667,7 @@ pub fn table7() -> String {
         let start = std::time::Instant::now();
         let mut sink = 0.0;
         for v in &rows {
-            sink += predictor.model().predict(&v.features.to_vec());
+            sink += predictor.model().predict(&v.features.0);
         }
         let enum_per = start.elapsed().as_secs_f64() / rows.len() as f64;
         std::hint::black_box(sink);

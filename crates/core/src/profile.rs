@@ -991,8 +991,12 @@ mod tests {
         let mut rng = ewb_simcore::Xoshiro256::seed_from_u64(7);
         let plan: Vec<(usize, ewb_traces::FeatureVector, f64)> = (0..8)
             .map(|i| {
-                let (idx, f, _) = synth.sample_indexed(&mut rng);
-                (idx, f, [1.0, 4.0, 11.0, 30.0][i % 4])
+                let draw = synth.draw(&mut rng);
+                (
+                    draw.base(),
+                    synth.features(&draw),
+                    [1.0, 4.0, 11.0, 30.0][i % 4],
+                )
             })
             .collect();
         let visits: Vec<Visit<'_>> = plan

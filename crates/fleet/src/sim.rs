@@ -44,8 +44,8 @@ use ewb_core::profile::{
 use ewb_core::CoreConfig;
 use ewb_simcore::Xoshiro256;
 use ewb_traces::{
-    DwellModel, FeatureVector, ReadingTimePredictor, VisitSynthesizer, INTEREST_HI, INTEREST_LO,
-    N_FEATURES,
+    DwellModel, FeatureVector, ReadingTimePredictor, VisitDraw, VisitSynthesizer, INTEREST_HI,
+    INTEREST_LO, N_FEATURES,
 };
 use ewb_webpage::{benchmark_corpus, Corpus, OriginServer};
 use std::fmt;
@@ -185,10 +185,12 @@ impl FleetEnv {
 }
 
 /// Reusable per-worker buffers. Capacities stabilize after the first few
-/// users, making the steady-state per-session heap growth zero.
+/// users, making the steady-state per-session heap growth zero. `draws`
+/// holds every visit's draw; `rows` only the rows a session predicts.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
     interests: Vec<f64>,
+    draws: Vec<VisitDraw>,
     rows: Vec<f64>,
     preds: Vec<f64>,
     visits: Vec<ProfiledVisit>,
@@ -202,7 +204,8 @@ impl WorkerScratch {
 }
 
 /// One planned visit of a user's day — the test-visible form of the plan
-/// (the hot path keeps the same data in [`WorkerScratch`]).
+/// (the hot path keeps each visit's draw in [`WorkerScratch`] and
+/// synthesizes only the feature rows it predicts).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedVisit {
     /// Page index in synthesizer-base / profile-table order.
@@ -217,9 +220,10 @@ pub struct PlannedVisit {
 /// stream (sub-fork 1).
 const VISITS: std::ops::RangeInclusive<u64> = 5..=30;
 
-/// Fills `scratch` with user `user_id`'s day: visit pages, feature rows,
-/// and reading times. Returns the visit count. Predictions are left
-/// `None`; [`simulate_user`] batches the ones a session reads.
+/// Fills `scratch` with user `user_id`'s day: visit draws, pages and
+/// reading times. Returns the visit count. No feature row is synthesized
+/// and predictions are left `None`; [`simulate_user`] synthesizes and
+/// batches the rows a session reads.
 fn fill_plan(env: &FleetEnv, cfg: &FleetConfig, user_id: u64, scratch: &mut WorkerScratch) -> u64 {
     let user_rng = Xoshiro256::seed_from_u64(cfg.seed).fork(user_id);
 
@@ -236,13 +240,14 @@ fn fill_plan(env: &FleetEnv, cfg: &FleetConfig, user_id: u64, scratch: &mut Work
     let mut visit_rng = user_rng.fork(1);
     let n = visit_rng.u64_range_inclusive(*VISITS.start(), *VISITS.end());
     scratch.visits.clear();
-    scratch.rows.clear();
+    scratch.draws.clear();
     let dwell = DwellModel;
     for _ in 0..n {
-        let (page_idx, features, latents) = env.synth.sample_indexed(&mut visit_rng);
+        let draw = env.synth.draw(&mut visit_rng);
+        let page_idx = draw.base();
         let interest = scratch.interests[page_idx / 2]; // 2 versions per site
-        let reading_s = dwell.sample(latents, interest, &mut visit_rng);
-        scratch.rows.extend_from_slice(&features.0);
+        let reading_s = dwell.sample(draw.latents(), interest, &mut visit_rng);
+        scratch.draws.push(draw);
         scratch.visits.push(ProfiledVisit {
             page_idx,
             reading_s,
@@ -252,18 +257,20 @@ fn fill_plan(env: &FleetEnv, cfg: &FleetConfig, user_id: u64, scratch: &mut Work
     n
 }
 
-/// User `user_id`'s full day as an owned plan — what the equivalence
-/// tests replay through the full browser-pipeline session path.
+/// User `user_id`'s full day as an owned plan, every visit's feature row
+/// synthesized — what the equivalence tests replay through the full
+/// browser-pipeline session path.
 pub fn plan_user(env: &FleetEnv, cfg: &FleetConfig, user_id: u64) -> Vec<PlannedVisit> {
     let mut scratch = WorkerScratch::new();
-    let n = fill_plan(env, cfg, user_id, &mut scratch) as usize;
-    (0..n)
-        .map(|i| PlannedVisit {
-            page_idx: scratch.visits[i].page_idx,
-            features: FeatureVector::from_slice(
-                &scratch.rows[i * N_FEATURES..(i + 1) * N_FEATURES],
-            ),
-            reading_s: scratch.visits[i].reading_s,
+    fill_plan(env, cfg, user_id, &mut scratch);
+    scratch
+        .draws
+        .iter()
+        .zip(&scratch.visits)
+        .map(|(draw, visit)| PlannedVisit {
+            page_idx: visit.page_idx,
+            features: env.synth.features(draw),
+            reading_s: visit.reading_s,
         })
         .collect()
 }
@@ -290,10 +297,12 @@ pub fn predictor_outage_from(cfg: &FleetConfig, user_id: u64, visits: u64) -> Op
 /// (see [`run_profiled_session_with`]), and `tests/bounded_memory.rs`
 /// counts the allocations of warm users under Predict-9 and Accurate-9.
 ///
-/// Only the visits whose prediction a session reads are predicted: the
-/// engaged ones (`reading_s > alpha_s`) before the user's predictor
-/// outage, if any (see [`release_decision`](ewb_core::session::release_decision)).
-/// The others keep `predicted_s = None`.
+/// Only the visits whose prediction a session reads get a feature row
+/// and a prediction: the engaged ones (`reading_s > alpha_s`) before the
+/// user's predictor outage, if any (see
+/// [`release_decision`](ewb_core::session::release_decision)), and only
+/// when a case consults the predictor. The others keep
+/// `predicted_s = None`.
 pub fn simulate_user(
     env: &FleetEnv,
     cfg: &FleetConfig,
@@ -309,19 +318,17 @@ pub fn simulate_user(
         let reads = |i: usize, visit: &ProfiledVisit| {
             visit.reading_s > alpha_s && outage_from.is_none_or(|from| i < from)
         };
-        // Move the rows that are read to the front, in visit order.
-        let mut read = 0;
-        for (i, visit) in scratch.visits.iter().enumerate() {
+        // Synthesize the rows that are read, in visit order.
+        scratch.rows.clear();
+        for (i, (draw, visit)) in scratch.draws.iter().zip(&scratch.visits).enumerate() {
             if reads(i, visit) {
-                let row = i * N_FEATURES..(i + 1) * N_FEATURES;
-                scratch.rows.copy_within(row, read * N_FEATURES);
-                read += 1;
+                scratch.rows.extend_from_slice(&env.synth.features(draw).0);
             }
         }
         scratch.preds.clear();
-        scratch.preds.resize(read, 0.0);
+        scratch.preds.resize(scratch.rows.len() / N_FEATURES, 0.0);
         env.predictor
-            .predict_rows(&scratch.rows[..read * N_FEATURES], &mut scratch.preds);
+            .predict_rows(&scratch.rows, &mut scratch.preds);
         let mut preds = scratch.preds.iter();
         for (i, visit) in scratch.visits.iter_mut().enumerate() {
             if reads(i, visit) {

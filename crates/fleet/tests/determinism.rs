@@ -157,9 +157,10 @@ fn rebuild_predicting_every_row(env: &FleetEnv, cfg: &FleetConfig, user_id: u64)
     summary
 }
 
-/// `simulate_user` predicts only the engaged visits before an outage;
-/// users with bounces (visits that end before α) and users whose
-/// predictor fails partway must fold exactly as when every row is
+/// `simulate_user` synthesizes and predicts only the engaged visits
+/// before an outage, and no row when no case consults the predictor;
+/// users with bounces (visits that end before α), users whose predictor
+/// fails partway and oracle users must fold exactly as when every row is
 /// predicted.
 #[test]
 fn predicting_only_the_rows_read_folds_like_predicting_every_row() {
@@ -170,6 +171,7 @@ fn predicting_only_the_rows_read_folds_like_predicting_every_row() {
         (Case::Original, Case::Predict9, 0.0),
         (Case::Original, Case::Predict9, 0.6),
         (Case::Predict9, Case::Predict20, 1.0),
+        (Case::Original, Case::Accurate9, 0.0),
     ] {
         let cfg = FleetConfig {
             baseline,

@@ -9,7 +9,8 @@
 //! Weibull reading times are drawn by `ewb-traces`' dwell model through
 //! its own inverse CDF. Both samplers take the RNG by `&mut` so
 //! independent model components can own independent [`Xoshiro256`]
-//! streams.
+//! streams. [`PolarPoint`] is the log-normal's normal draw on its own, for
+//! a caller that consumes the stream before it needs the value.
 
 use crate::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
@@ -78,22 +79,44 @@ impl LogNormal {
         LogNormal::new(median.ln(), sigma)
     }
 
+    /// The value at standard-normal deviate `z`: `exp(mu + sigma * z)`.
+    pub fn at(&self, z: f64) -> f64 {
+        (self.mu + self.sigma * z).exp()
+    }
+
     /// Draws one sample.
     pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
+        self.at(PolarPoint::draw(rng).deviate())
     }
 }
 
-/// Draws a standard-normal variate by the polar Box–Muller method.
-fn standard_normal(rng: &mut Xoshiro256) -> f64 {
-    // Rejection-sample a point in the unit disc.
-    loop {
-        let u = rng.f64_range(-1.0, 1.0);
-        let v = rng.f64_range(-1.0, 1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+/// One accepted point of the polar Box–Muller method: `(u, v)` uniform in
+/// the unit disc without its centre, kept as `u` and `s = u² + v²`.
+///
+/// The deviate is a pure function of the point, so a caller can consume
+/// the RNG stream now and take the deviate later, or never.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PolarPoint {
+    u: f64,
+    s: f64,
+}
+
+impl PolarPoint {
+    /// Rejection-samples a point in the unit disc.
+    pub fn draw(rng: &mut Xoshiro256) -> Self {
+        loop {
+            let u = rng.f64_range(-1.0, 1.0);
+            let v = rng.f64_range(-1.0, 1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return PolarPoint { u, s };
+            }
         }
+    }
+
+    /// The point's standard-normal deviate.
+    pub fn deviate(self) -> f64 {
+        self.u * (-2.0 * self.s.ln() / self.s).sqrt()
     }
 }
 
@@ -125,7 +148,9 @@ mod tests {
     fn normal_mean_and_spread() {
         let mut rng = Xoshiro256::seed_from_u64(7);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| PolarPoint::draw(&mut rng).deviate())
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.015, "mean {mean}");

@@ -47,5 +47,5 @@ pub use eval::{
 };
 pub use features::{FeatureVector, FEATURE_NAMES, N_FEATURES};
 pub use predictor::ReadingTimePredictor;
-pub use synth::{VisitLatents, VisitSynthesizer};
+pub use synth::{VisitDraw, VisitLatents, VisitSynthesizer};
 pub use user::{DwellModel, UserProfile, INTEREST_HI, INTEREST_LO};

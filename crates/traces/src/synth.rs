@@ -8,7 +8,7 @@
 //! Table 4's linear correlations at zero while staying tree-learnable.
 
 use crate::features::FeatureVector;
-use ewb_simcore::dist::LogNormal;
+use ewb_simcore::dist::{LogNormal, PolarPoint};
 use ewb_simcore::Xoshiro256;
 use ewb_webpage::{Corpus, PageVersion};
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,9 @@ use serde::{Deserialize, Serialize};
 /// (`page_height`, `js_running_time`, `second_urls`) are drawn from
 /// global (site-independent) log-normal distributions so the band edges
 /// are global constants; this learnability-preserving simplification is
-/// recorded as a substitution in DESIGN.md.
+/// recorded as a substitution in DESIGN.md. A bit is set from the
+/// carrier's normal deviate against edges derived from `outer_band`, so
+/// it is known before the feature's value is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VisitLatents {
     /// Page height in the outer band (unusually short or tall page).
@@ -58,11 +60,90 @@ pub fn outer_band(value: f64, median: f64, sigma: f64) -> bool {
     (value / median).ln().abs() > OUTER_BAND_Z * sigma
 }
 
+/// One carrier feature's log-normal law and its outer band in deviate
+/// space: the deviate `z` gives a value in the band exactly when
+/// `z <= z_lo || z >= z_hi`.
+#[derive(Debug, Clone, Copy)]
+struct Carrier {
+    law: LogNormal,
+    z_lo: f64,
+    z_hi: f64,
+}
+
+impl Carrier {
+    fn new(median: f64, sigma: f64) -> Self {
+        let law = LogNormal::with_median(median, sigma);
+        let in_band = |z: f64| outer_band(law.at(z), median, sigma);
+        Carrier {
+            law,
+            z_lo: band_edge(in_band, -1.0),
+            z_hi: band_edge(in_band, 1.0),
+        }
+    }
+
+    fn in_band(&self, z: f64) -> bool {
+        z <= self.z_lo || z >= self.z_hi
+    }
+}
+
+/// The deviate nearest zero on `side` (±1) at which `in_band` holds,
+/// found by bisection over the bit patterns of magnitudes in `[0, 2]`.
+/// `outer_band` of a log-normal's value is monotone in `|z|` on each side
+/// of zero, from out of the band at 0 to in it from about 0.674 on;
+/// rounding could break that only next to the edge, where the unit tests
+/// check every `f64`.
+fn band_edge(in_band: impl Fn(f64) -> bool, side: f64) -> f64 {
+    let at = |bits: u64| side * f64::from_bits(bits);
+    let (mut inside, mut outside) = (0.0f64.to_bits(), 2.0f64.to_bits());
+    assert!(!in_band(at(inside)) && in_band(at(outside)));
+    while outside - inside > 1 {
+        let mid = inside + (outside - inside) / 2;
+        if in_band(at(mid)) {
+            outside = mid;
+        } else {
+            inside = mid;
+        }
+    }
+    at(outside)
+}
+
+/// One visit's share of the RNG stream, before any feature arithmetic:
+/// the base index, the latent bits, the three carrier deviates and the
+/// four jitter points. [`VisitSynthesizer::features`] turns it into the
+/// visit's row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VisitDraw {
+    base: usize,
+    latents: VisitLatents,
+    bulk: PolarPoint,
+    scripts: PolarPoint,
+    figure_kb: PolarPoint,
+    transmission: PolarPoint,
+    height_z: f64,
+    js_time_z: f64,
+    links_z: f64,
+}
+
+impl VisitDraw {
+    /// The drawn base index; [`VisitSynthesizer::base`] labels it.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// The visit's latent bits for the dwell model.
+    pub fn latents(&self) -> VisitLatents {
+        self.latents
+    }
+}
+
 /// Synthesizes visit features anchored to corpus page shapes.
 #[derive(Debug, Clone)]
 pub struct VisitSynthesizer {
     /// `(site_key, version, base)` rows derived from the corpus.
     bases: Vec<(String, PageVersion, FeatureVector)>,
+    height: Carrier,
+    js_time: Carrier,
+    links: Carrier,
 }
 
 impl VisitSynthesizer {
@@ -109,7 +190,12 @@ impl VisitSynthesizer {
                 ));
             }
         }
-        VisitSynthesizer { bases }
+        VisitSynthesizer {
+            bases,
+            height: Carrier::new(HEIGHT_MEDIAN_PX, HEIGHT_SIGMA),
+            js_time: Carrier::new(JS_TIME_MEDIAN_S, JS_TIME_SIGMA),
+            links: Carrier::new(LINKS_MEDIAN, LINKS_SIGMA),
+        }
     }
 
     /// Number of distinct (site, version) bases.
@@ -139,50 +225,67 @@ impl VisitSynthesizer {
         &self,
         rng: &mut Xoshiro256,
     ) -> (String, PageVersion, FeatureVector, VisitLatents) {
-        let (idx, f, latents) = self.sample_indexed(rng);
-        let (key, version, _) = &self.bases[idx];
-        (key.clone(), *version, f, latents)
+        let draw = self.draw(rng);
+        let (key, version, _) = &self.bases[draw.base];
+        (key.clone(), *version, self.features(&draw), draw.latents)
     }
 
-    /// Like [`VisitSynthesizer::sample`], but returns the base index
-    /// instead of cloning the site key — the allocation-free form the
-    /// fleet simulator's per-visit hot loop uses. Draws the same RNG
-    /// stream as `sample`, so the two are interchangeable mid-sequence.
-    pub fn sample_indexed(&self, rng: &mut Xoshiro256) -> (usize, FeatureVector, VisitLatents) {
-        let idx = rng.usize_below(self.bases.len());
-        let (_, _, base) = &self.bases[idx];
-        let mut f = *base;
-
-        // Correlated bulk jitter: bigger variants of the same page.
-        let bulk = LogNormal::new(0.0, 0.25).sample(rng);
-        f.0[1] *= bulk; // page size
-        f.0[2] = (f.0[2] * bulk).round().max(1.0); // objects
-        f.0[3] = (f.0[3] * LogNormal::new(0.0, 0.3).sample(rng))
-            .round()
-            .max(0.0);
-        f.0[4] = (f.0[4] * bulk).round().max(0.0); // figures
-        f.0[5] = f.0[5] * bulk * LogNormal::new(0.0, 0.3).sample(rng); // figure KB
-
+    /// The stream half of [`VisitSynthesizer::sample`]: consumes the same
+    /// words (the base index, then seven polar points) and sets the
+    /// latent bits, but computes no feature.
+    pub fn draw(&self, rng: &mut Xoshiro256) -> VisitDraw {
+        let base = rng.usize_below(self.bases.len());
+        let bulk = PolarPoint::draw(rng);
+        let scripts = PolarPoint::draw(rng);
+        let figure_kb = PolarPoint::draw(rng);
         // The three bit-carrying features come from global distributions,
         // so the outer-band edges are global constants and the bits are
         // balanced, independent, and recoverable with two splits each.
-        let height = LogNormal::with_median(HEIGHT_MEDIAN_PX, HEIGHT_SIGMA).sample(rng);
-        let js_time = LogNormal::with_median(JS_TIME_MEDIAN_S, JS_TIME_SIGMA).sample(rng);
-        let links = LogNormal::with_median(LINKS_MEDIAN, LINKS_SIGMA).sample(rng);
-        f.0[8] = height;
-        f.0[6] = js_time;
-        f.0[7] = links.round();
+        let height_z = PolarPoint::draw(rng).deviate();
+        let js_time_z = PolarPoint::draw(rng).deviate();
+        let links_z = PolarPoint::draw(rng).deviate();
+        let transmission = PolarPoint::draw(rng);
+        VisitDraw {
+            base,
+            latents: VisitLatents {
+                tall_page: self.height.in_band(height_z),
+                link_rich: self.links.in_band(links_z),
+                script_heavy: self.js_time.in_band(js_time_z),
+            },
+            bulk,
+            scripts,
+            figure_kb,
+            transmission,
+            height_z,
+            js_time_z,
+            links_z,
+        }
+    }
+
+    /// The feature half of [`VisitSynthesizer::sample`]: the row of a
+    /// visit this synthesizer drew.
+    pub fn features(&self, draw: &VisitDraw) -> FeatureVector {
+        let (_, _, base) = &self.bases[draw.base];
+        let mut f = *base;
+
+        // Correlated bulk jitter: bigger variants of the same page.
+        let bulk = LogNormal::new(0.0, 0.25).at(draw.bulk.deviate());
+        f.0[1] *= bulk; // page size
+        f.0[2] = (f.0[2] * bulk).round().max(1.0); // objects
+        f.0[3] = (f.0[3] * LogNormal::new(0.0, 0.3).at(draw.scripts.deviate()))
+            .round()
+            .max(0.0);
+        f.0[4] = (f.0[4] * bulk).round().max(0.0); // figures
+        f.0[5] = f.0[5] * bulk * LogNormal::new(0.0, 0.3).at(draw.figure_kb.deviate()); // figure KB
+
+        f.0[8] = self.height.law.at(draw.height_z);
+        f.0[6] = self.js_time.law.at(draw.js_time_z);
+        f.0[7] = self.links.law.at(draw.links_z).round();
 
         // Transmission time follows the jittered payload plus its own
         // network noise.
-        f.0[0] = f.0[0] * bulk * LogNormal::new(0.0, 0.2).sample(rng);
-
-        let latents = VisitLatents {
-            tall_page: outer_band(height, HEIGHT_MEDIAN_PX, HEIGHT_SIGMA),
-            link_rich: outer_band(links, LINKS_MEDIAN, LINKS_SIGMA),
-            script_heavy: outer_band(js_time, JS_TIME_MEDIAN_S, JS_TIME_SIGMA),
-        };
-        (idx, f, latents)
+        f.0[0] = f.0[0] * bulk * LogNormal::new(0.0, 0.2).at(draw.transmission.deviate());
+        f
     }
 }
 
@@ -249,22 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indexed_matches_sample_stream() {
-        let s = synth();
-        let mut a = Xoshiro256::seed_from_u64(9);
-        let mut b = a.clone();
-        for _ in 0..200 {
-            let (key, version, f, l) = s.sample(&mut a);
-            let (idx, fi, li) = s.sample_indexed(&mut b);
-            let (ikey, iversion) = s.base(idx);
-            assert_eq!(key, ikey);
-            assert_eq!(version, iversion);
-            assert_eq!(f, fi);
-            assert_eq!(l, li);
-        }
-    }
-
-    #[test]
     fn mobile_and_full_differ_in_scale() {
         let s = synth();
         let mut rng = Xoshiro256::seed_from_u64(3);
@@ -281,5 +368,48 @@ mod tests {
         let m = ewb_simcore::stats::mean(&mobile);
         let f = ewb_simcore::stats::mean(&full);
         assert!(f > 3.0 * m, "full {f} KB vs mobile {m} KB");
+    }
+
+    /// The deviate-space edges decide every bit as `outer_band` of the
+    /// carrier's value does: on every `f64` within 2^16 ulps of each edge,
+    /// where rounding in `outer_band`'s chain could matter, and on the
+    /// carrier deviates of 10^5 draws.
+    #[test]
+    fn band_edges_agree_with_outer_band() {
+        let s = synth();
+        let carriers = [
+            (s.height, HEIGHT_MEDIAN_PX, HEIGHT_SIGMA),
+            (s.js_time, JS_TIME_MEDIAN_S, JS_TIME_SIGMA),
+            (s.links, LINKS_MEDIAN, LINKS_SIGMA),
+        ];
+        let agree = |(c, median, sigma): (Carrier, f64, f64), z: f64| {
+            assert_eq!(
+                c.in_band(z),
+                outer_band(c.law.at(z), median, sigma),
+                "z {z:e}, median {median}"
+            );
+        };
+        for carrier in carriers {
+            let (c, _, _) = carrier;
+            for edge in [c.z_lo, c.z_hi] {
+                assert!((edge.abs() - OUTER_BAND_Z).abs() < 1e-9, "edge {edge}");
+                for k in -(1i64 << 16)..=1 << 16 {
+                    agree(
+                        carrier,
+                        f64::from_bits(edge.to_bits().wrapping_add_signed(k)),
+                    );
+                }
+            }
+        }
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        for _ in 0..100_000 {
+            let d = s.draw(&mut rng);
+            for (carrier, z) in carriers
+                .into_iter()
+                .zip([d.height_z, d.js_time_z, d.links_z])
+            {
+                agree(carrier, z);
+            }
+        }
     }
 }

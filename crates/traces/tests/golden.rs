@@ -3,6 +3,7 @@
 //! to the original per-node re-sorting trainer — same splits, same
 //! thresholds, same serialized JSON — through the full reading-time
 //! pipeline (feature extraction, log transform, subsampled boosting).
+//! The trace it trains on is pinned to the bit as well.
 
 use ewb_gbrt::{Dataset, Gbrt};
 use ewb_traces::{reading_time_params, ReadingTimePredictor, TraceConfig, TraceDataset};
